@@ -81,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario config and write reports")
     run_p.add_argument("config", help="path to the scenario config file")
     run_p.add_argument("--out", help="output directory (default from config)")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
+    run_p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     run_p.add_argument("--seed", type=int, help="override the config RNG seed")
 
     cat_p = sub.add_parser("list-catalog", help="list operators, moduli and grammar")
@@ -120,11 +122,13 @@ def main(argv=None) -> int:
     if result.error is not None:
         print(f"error: {result.error}", file=sys.stderr)
         return result.exit_code
-    n_pass = sum(r.passed for r in result.reports)
-    n_extra = sum(r.extrapolated for r in result.reports)
+    # extrapolated reports are diagnostics, never counted as passes
+    verified = [r for r in result.reports if not r.extrapolated]
+    n_pass = sum(r.passed for r in verified)
+    n_extra = len(result.reports) - len(verified)
     print(
-        f"{len(result.reports)} reports ({n_pass} pass, {n_extra} extrapolated) "
-        f"-> {result.output_dir}"
+        f"{len(result.reports)} reports ({n_pass} pass, {len(verified) - n_pass} fail, "
+        f"{n_extra} extrapolated) -> {result.output_dir}"
     )
     for r in result.reports:
         if not r.passed and not r.extrapolated:

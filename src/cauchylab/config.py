@@ -38,6 +38,10 @@ from .spaces import SpaceContext
 
 KNOWN_THEOREMS = ("4.1", "4.2", "5.1", "5.3")
 KNOWN_ORBIT_KINDS = ("exact", "additive_decay", "time_warp")
+# resource caps: the sweeps cost O(sample_points^2) time and one report
+# per k (per orbit and counterfunction) in each sweep
+MAX_SAMPLE_POINTS = 10_000
+MAX_K_VALUES = 1_000
 
 
 @dataclass(frozen=True)
@@ -318,6 +322,11 @@ def load_config(path: str | Path) -> ScenarioSpec:
     auto_extend = sol.get("auto_extend", True, kind=bool) if sol else True
     first_order_n_max = sol.get("first_order_n_max", 2**16, kind=int) if sol else 2**16
     sample_points = sol.get("sample_points", 500, kind=int) if sol else 500
+    if not 1 <= sample_points <= MAX_SAMPLE_POINTS:
+        raise ConfigError(
+            f"sample_points must lie in [1, {MAX_SAMPLE_POINTS}]",
+            anchors.where("scenario.solver.sample_points"),
+        )
     schedule = DEFAULT_SCHEDULE
     if sol:
         raw = sol.get("schedule", kind=list)
@@ -402,6 +411,11 @@ def load_config(path: str | Path) -> ScenarioSpec:
         ):
             raise ConfigError(
                 "k_range must be [k_min, k_max] with 0 <= k_min <= k_max",
+                anchors.where(f"scenario.sweeps[{i}].k_range"),
+            )
+        if k_range[1] - k_range[0] >= MAX_K_VALUES:
+            raise ConfigError(
+                f"k_range may span at most {MAX_K_VALUES} values",
                 anchors.where(f"scenario.sweeps[{i}].k_range"),
             )
         ks = tuple(range(k_range[0], k_range[1] + 1))

@@ -19,7 +19,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -204,15 +203,10 @@ def _run_sweep(bundle: ScenarioBundle, sweep: SweepSpec) -> list[RateReport]:
     )
 
 
-def run_sweeps(bundle: ScenarioBundle, spec: ScenarioSpec, jobs: int = 1) -> list[RateReport]:
-    """Sweep cells are independent; results are sorted afterwards so the
-    output does not depend on worker scheduling."""
-    if jobs <= 1 or len(spec.sweeps) <= 1:
-        results = [_run_sweep(bundle, sweep) for sweep in spec.sweeps]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda s: _run_sweep(bundle, s), spec.sweeps))
-    reports = [r for chunk in results for r in chunk]
+def run_sweeps(bundle: ScenarioBundle, spec: ScenarioSpec) -> list[RateReport]:
+    """Run the sweeps in order, sharing the bundle's sample profiles;
+    results are sorted into canonical order."""
+    reports = [r for sweep in spec.sweeps for r in _run_sweep(bundle, sweep)]
     reports.sort(key=lambda r: (r.theorem, r.scenario, r.k, r.f_desc))
     return reports
 
@@ -364,14 +358,18 @@ def exit_code_for(reports) -> int:
 def run_config(
     config_path, out_dir=None, jobs: int = 1, seed: int | None = None
 ) -> RunResult:
-    """Load, run and write one scenario config."""
+    """Load, run and write one scenario config.
+
+    ``jobs`` is accepted for compatibility and has no effect: sweeps run
+    sequentially, since they share the bundle's cached sample profiles.
+    """
     try:
         spec = load_config(config_path)
         if seed is not None:
             spec = replace(spec, seed=seed)
         out = Path(out_dir) if out_dir else Path(spec.output_dir or "out") / spec.scenario_id
         bundle, diagnostics = materialize(spec)
-        reports = run_sweeps(bundle, spec, jobs=jobs)
+        reports = run_sweeps(bundle, spec)
         diagnostics["bounds_monotone_in_k"] = observed_bound_monotonicity(reports)
         write_outputs(out, spec, bundle, reports, diagnostics)
         return RunResult(

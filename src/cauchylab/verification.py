@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +53,9 @@ from .second_order import (
 from .semigroup import ExpFormulaConfig, semigroup_point
 
 STEP_MONOTONE_TOL = 1e-6
+# rows per block of the suffix-diameter kernel: a block holds a few
+# SUFFIX_CHUNK x n x dim float arrays, so memory grows linearly in n
+SUFFIX_CHUNK = 64
 
 
 # -- reports -------------------------------------------------------------------
@@ -255,9 +259,13 @@ def first_order_trajectory(
 # -- almost-orbits ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class AlmostOrbit:
-    """Curve with a certified defect rate against the semigroup."""
+    """Curve with a certified defect rate against the semigroup.
+
+    Orbits compare and hash by identity, so a bundle can hold the samples
+    of each orbit it sweeps in a dict keyed by the orbit itself.
+    """
 
     kind: str
     description: str
@@ -396,6 +404,83 @@ def _certify_orbit(orbit: AlmostOrbit, sample_ks: Sequence[int], cert_tol: float
 # -- sweep machinery ----------------------------------------------------------------
 
 
+def _suffix_pair_sup(values: np.ndarray, space) -> np.ndarray:
+    """suffix[i] = sup over j, l >= i of ||v_j - v_l|| (space norm).
+
+    Rows are taken in blocks of SUFFIX_CHUNK against every later sample:
+    each block's upper-triangle row maxima, then one reversed running
+    maximum.  Every norm is taken over the same difference vector as in
+    the full n x n x dim tensor, so the profile is exactly the same.
+    """
+    n = values.shape[0]
+    ord_ = None if space.kind == "hilbert" else space.p
+    row_max = np.empty(n)
+    for a in range(0, n, SUFFIX_CHUNK):
+        b = min(a + SUFFIX_CHUNK, n)
+        dist = np.linalg.norm(values[a:b, None, :] - values[None, a:, :], ord=ord_, axis=2)
+        row_max[a:b] = np.triu(dist).max(axis=1)
+    return np.maximum.accumulate(row_max[::-1])[::-1]
+
+
+class SampleSet:
+    """One curve sampled at sorted times, with the quantities the sweeps
+    derive from the samples, each computed at most once."""
+
+    def __init__(self, op: AccretiveOperator, times: np.ndarray, values: np.ndarray):
+        self.op = op
+        self.times = times
+        self.values = values
+        self._diameters: dict[tuple[int, int], float] = {}
+
+    @cached_property
+    def suffix(self) -> np.ndarray:
+        """Suffix-diameter profile: sup of pairwise distances from i on."""
+        return _suffix_pair_sup(self.values, self.op.space)
+
+    @cached_property
+    def graph_bound(self) -> int:
+        """Worst operator graph bound over the samples (0 when empty)."""
+        return max((self.op.graph_bound(row) for row in self.values), default=0)
+
+    @cached_property
+    def _residual(self) -> np.ndarray | None:
+        """Zero-set residual at the samples, None unless it is monotone."""
+        residual = self.op.space.norms(self.values - self.op.project_zeros_many(self.values))
+        increments = np.diff(residual)
+        if increments.size and np.max(increments) > 10 * STEP_MONOTONE_TOL:
+            return None
+        return residual
+
+    def residual_threshold(self, level: float) -> float | None:
+        """First sample time where the residual drops to level, provided
+        the sampled residual is monotone."""
+        if self._residual is None:
+            return None
+        idx = np.nonzero(self._residual <= level)[0]
+        if idx.size == 0:
+            return None
+        return float(self.times[idx[0]])
+
+    def window_diameter(self, start: int, width: int, horizon: float) -> float:
+        """Diameter of the samples in [start, start + width]; inf when the
+        window leaves the horizon, 0 when it holds at most one sample.
+
+        The window is the contiguous index range that the time mask
+        times in [start - 1e-9, start + width + 1e-9] selects; its
+        diameter is memoized by that range.
+        """
+        if start + width > horizon + 1e-9:
+            return math.inf
+        lo = int(np.searchsorted(self.times, start - 1e-9, side="left"))
+        hi = int(np.searchsorted(self.times, start + width + 1e-9, side="right"))
+        if hi - lo < 2:
+            return 0.0
+        key = (lo, hi)
+        if key not in self._diameters:
+            self._diameters[key] = float(_suffix_pair_sup(self.values[lo:hi], self.op.space)[0])
+        return self._diameters[key]
+
+
 @dataclass
 class ScenarioBundle:
     """Everything a sweep needs about one scenario, solved and sampled."""
@@ -426,10 +511,21 @@ class ScenarioBundle:
             ).astype(int)
         )
         idx = idx[idx <= grid.n_steps]
-        self._sample_idx = idx
         self.sample_times = grid.nodes[idx]
         self.sample_values = self.trajectory.values[idx]
+        self.samples = SampleSet(self.op, self.sample_times, self.sample_values)
+        self._orbit_samples: dict[AlmostOrbit, SampleSet] = {}
         self._residual = projection_profile(self.op, self.trajectory)
+
+    def orbit_samples(self, orbit: AlmostOrbit) -> SampleSet:
+        """The orbit at the sample times inside its trusted horizon,
+        evaluated once per orbit and shared by every sweep over it."""
+        samples = self._orbit_samples.get(orbit)
+        if samples is None:
+            times = self.sample_times[self.sample_times <= orbit.trusted_horizon]
+            samples = SampleSet(self.op, times, orbit.values(times))
+            self._orbit_samples[orbit] = samples
+        return samples
 
     # -- rate data -------------------------------------------------------------
 
@@ -453,14 +549,12 @@ class ScenarioBundle:
     def orbit_rate_data(self, orbit: AlmostOrbit) -> ScenarioRateData:
         space = self.op.space
         p = self.op.zero_point
-        times = self.sample_times[self.sample_times <= orbit.trusted_horizon]
-        values = orbit.values(times)
-        sup_dev = float(np.max(space.norms(values - p[None, :])))
+        samples = self.orbit_samples(orbit)
+        sup_dev = float(np.max(space.norms(samples.values - p[None, :])))
         orbit_bound = self.orbit_bound_override
         if orbit_bound is None:
             orbit_bound = max(1, math.ceil(sup_dev - 1e-9))
-        graph_bounds = [self.op.graph_bound(row) for row in values]
-        worst = max(graph_bounds) if graph_bounds else 0
+        worst = samples.graph_bound
 
         # one uniform bound for the whole family: valid at every orbit
         # index (horizon-certified), and constant in s so the enumerated
@@ -494,34 +588,6 @@ class ScenarioBundle:
             return None
         return float(self.trajectory.times[idx[0]])
 
-    def orbit_residual_threshold(self, orbit: AlmostOrbit, level: float) -> float | None:
-        times = self.sample_times[self.sample_times <= orbit.trusted_horizon]
-        values = orbit.values(times)
-        residual = self.op.space.norms(values - self.op.project_zeros_many(values))
-        increments = np.diff(residual)
-        if increments.size and np.max(increments) > 10 * STEP_MONOTONE_TOL:
-            return None
-        idx = np.nonzero(residual <= level)[0]
-        if idx.size == 0:
-            return None
-        return float(times[idx[0]])
-
-
-def _suffix_pair_sup(values: np.ndarray, space) -> np.ndarray:
-    """suffix[i] = sup over j, l >= i of ||v_j - v_l|| (space norm)."""
-    n = values.shape[0]
-    diffs = values[:, None, :] - values[None, :, :]
-    if space.kind == "hilbert":
-        dist = np.linalg.norm(diffs, axis=2)
-    else:
-        dist = np.linalg.norm(diffs, ord=space.p, axis=2)
-    suffix = np.empty(n)
-    running = 0.0
-    for i in range(n - 1, -1, -1):
-        running = max(running, dist[i, i:].max())
-        suffix[i] = running
-    return suffix
-
 
 def _cauchy_report(
     bundle: ScenarioBundle,
@@ -529,12 +595,12 @@ def _cauchy_report(
     k: int,
     bound: int,
     f_desc: str,
-    times: np.ndarray,
-    values: np.ndarray,
+    samples: SampleSet,
     residual_threshold: Callable[[float], float | None],
 ) -> RateReport:
     eps = 1.0 / (k + 1.0)
-    suffix = _suffix_pair_sup(values, bundle.op.space)
+    times = samples.times
+    suffix = samples.suffix
     ok_mask = suffix <= eps + bundle.num_tol
     idx_ok = np.nonzero(ok_mask)[0]
     observed = float(times[idx_ok[0]]) if idx_ok.size else math.inf
@@ -571,14 +637,7 @@ def _sweep_interior(bundle: ScenarioBundle, ks: Sequence[int]) -> list[RateRepor
         bound = semigroup_cauchy_rate(int(k), bundle.modulus, data)
         reports.append(
             _cauchy_report(
-                bundle,
-                "4.1",
-                int(k),
-                bound,
-                "",
-                bundle.sample_times,
-                bundle.sample_values,
-                bundle.residual_threshold,
+                bundle, "4.1", int(k), bound, "", bundle.samples, bundle.residual_threshold
             )
         )
     return reports
@@ -598,8 +657,7 @@ def _sweep_closure(
                 int(k),
                 bound,
                 f_dom.description,
-                bundle.sample_times,
-                bundle.sample_values,
+                bundle.samples,
                 bundle.residual_threshold,
             )
         )
@@ -615,8 +673,8 @@ def _sweep_metastable(
     reports = []
     for orbit in orbits:
         data = bundle.orbit_rate_data(orbit)
-        times = bundle.sample_times[bundle.sample_times <= orbit.trusted_horizon]
-        values = orbit.values(times)
+        samples = bundle.orbit_samples(orbit)
+        horizon = float(samples.times[-1]) if samples.times.size else 0.0
         for k in ks:
             eps = 1.0 / (int(k) + 1.0)
             for f in counterfunctions:
@@ -625,18 +683,10 @@ def _sweep_metastable(
                 )
                 witness = None
                 n = 0
-                horizon = float(times[-1]) if times.size else 0.0
                 while n <= bound and n <= horizon:
-                    width = f(n)
-                    if n + width <= horizon + 1e-9:
-                        mask = (times >= n - 1e-9) & (times <= n + width + 1e-9)
-                        window = values[mask]
-                        if window.shape[0] == 0:
-                            window = orbit.values(np.array([float(n)]))
-                        sup = float(_suffix_pair_sup(window, bundle.op.space)[0])
-                        if sup <= eps + bundle.num_tol:
-                            witness = n
-                            break
+                    if samples.window_diameter(n, f(n), horizon) <= eps + bundle.num_tol:
+                        witness = n
+                        break
                     n += 1
                 if witness is not None:
                     report = RateReport(
@@ -651,7 +701,7 @@ def _sweep_metastable(
                         extrapolated=False,
                     )
                 else:
-                    tau = bundle.orbit_residual_threshold(orbit, eps / 2.0)
+                    tau = samples.residual_threshold(eps / 2.0)
                     report = RateReport(
                         scenario=f"{bundle.scenario_id}/{orbit.kind}",
                         theorem="5.1",
@@ -673,8 +723,7 @@ def _sweep_roc(
     reports = []
     for orbit in orbits:
         data = bundle.orbit_rate_data(orbit)
-        times = bundle.sample_times[bundle.sample_times <= orbit.trusted_horizon]
-        values = orbit.values(times)
+        samples = bundle.orbit_samples(orbit)
         for k in ks:
             bound = almost_orbit_cauchy_rate(
                 int(k), orbit.phi_roc, bundle.modulus, data
@@ -685,9 +734,8 @@ def _sweep_roc(
                 int(k),
                 bound,
                 orbit.phi_roc.description,
-                times,
-                values,
-                lambda level, _o=orbit: bundle.orbit_residual_threshold(_o, level),
+                samples,
+                samples.residual_threshold,
             )
             reports.append(
                 replace(report, scenario=f"{bundle.scenario_id}/{orbit.kind}")

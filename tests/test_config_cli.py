@@ -84,6 +84,10 @@ def test_bad_entries_rejected(tmp_path):
         ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "4.1", k_range: [3, 1]}', "k_range"),
         ("initial_point: [1.0, 0.0]", "initial_point: [1.0, 0.0, 3.0]", "dimension"),
         ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "5.1", k_range: [0, 1]}', "orbit"),
+        ("k_range: [0, 1]", "k_range: [0, 100000000]", "k_range"),
+        ("step: 0.05}", "step: 0.05, sample_points: 0}", "sample_points"),
+        ("step: 0.05}", "step: 0.05, sample_points: -5}", "sample_points"),
+        ("step: 0.05}", "step: 0.05, sample_points: 10001}", "sample_points"),
     ]
     for old, new, fragment in bad_cases:
         path = write_cfg(tmp_path, MINIMAL.replace(old, new))
@@ -173,6 +177,19 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", str(rotation), "--out", str(tmp_path / "rot")]) == 2
     missing = tmp_path / "nope.cfg"
     assert cli_main(["run", str(missing), "--out", str(tmp_path / "x")]) == 1
+
+
+def test_cli_summary_counts_extrapolated_apart(tmp_path, capsys):
+    # the unit-scale bound is 80 at k = 0 (inside the horizon) and 1280
+    # at k = 1 (beyond it): one verified pass, one extrapolated report
+    cfg = write_cfg(tmp_path, MINIMAL.replace("horizon: 10.0", "horizon: 100.0"))
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "reports.json").read_text())
+    assert [r["extrapolated"] for r in payload["reports"]] == [False, True]
+    assert "2 reports (1 pass, 0 fail, 1 extrapolated)" in capsys.readouterr().out
+    rotation = CFG_DIR / "rotation_counterexample.cfg"
+    assert cli_main(["run", str(rotation), "--out", str(tmp_path / "rot")]) == 2
+    assert "(0 pass, 4 fail, 0 extrapolated)" in capsys.readouterr().out
 
 
 def test_cli_list_catalog(capsys):

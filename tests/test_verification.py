@@ -19,9 +19,18 @@ from cauchylab import (
 )
 from cauchylab.counterfunctions import Counterfunction, parse_counterfunction
 from cauchylab.errors import ContractError, OrbitConstructionError
-from cauchylab.rates import constant_modulus, modulus_strongly_accretive
+from cauchylab.rates import (
+    cauchy_metastability_rate,
+    constant_modulus,
+    modulus_strongly_accretive,
+)
 from cauchylab.semigroup import ExpFormulaConfig
-from cauchylab.verification import ScenarioBundle
+from cauchylab.verification import (
+    SUFFIX_CHUNK,
+    RateReport,
+    ScenarioBundle,
+    _suffix_pair_sup,
+)
 
 MOD1 = modulus_strongly_accretive(1.0)
 
@@ -281,14 +290,150 @@ def test_orbit_rate_data_bounds(identity_bundle):
     assert data.f_at(10 ** 9)(0) == 2
 
 
+# -- sweep kernels ------------------------------------------------------------------
+
+
+def _suffix_pair_sup_reference(values, space):
+    """The full n x n x dim difference tensor, as the sweeps once built it."""
+    n = values.shape[0]
+    diffs = values[:, None, :] - values[None, :, :]
+    if space.kind == "hilbert":
+        dist = np.linalg.norm(diffs, axis=2)
+    else:
+        dist = np.linalg.norm(diffs, ord=space.p, axis=2)
+    suffix = np.empty(n)
+    running = 0.0
+    for i in range(n - 1, -1, -1):
+        running = max(running, dist[i, i:].max())
+        suffix[i] = running
+    return suffix
+
+
+# the kernel reads only kind and p, so p = 1.5 needs no validated space
+KERNEL_SPACES = {
+    "hilbert": SpaceContext.hilbert(3),
+    "lp1.5": SpaceContext(kind="lp", dim=2, p=1.5),
+    "lp3": SpaceContext(kind="lp", dim=3, p=3.0),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, SUFFIX_CHUNK - 1, SUFFIX_CHUNK, SUFFIX_CHUNK + 1, 2000])
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+def test_chunked_suffix_kernel_matches_full_tensor(name, n):
+    space = KERNEL_SPACES[name]
+    rng = np.random.default_rng([n, space.dim])
+    # a decaying random walk, like a sampled trajectory
+    values = np.cumsum(rng.standard_normal((n, space.dim)), axis=0) / (1.0 + np.arange(n))[:, None]
+    assert np.array_equal(
+        _suffix_pair_sup(values, space), _suffix_pair_sup_reference(values, space)
+    )
+
+
+def test_chunked_suffix_kernel_matches_full_tensor_in_high_dimension():
+    # from 8 coordinates on, numpy sums the squares in unrolled blocks
+    space = SpaceContext.hilbert(14)
+    values = np.random.default_rng(14).standard_normal((2 * SUFFIX_CHUNK + 7, 14))
+    assert np.array_equal(
+        _suffix_pair_sup(values, space), _suffix_pair_sup_reference(values, space)
+    )
+
+
+def test_chunked_suffix_kernel_memory_is_linear():
+    import tracemalloc
+
+    values = np.random.default_rng(0).standard_normal((4000, 2))
+    tracemalloc.start()
+    try:
+        _suffix_pair_sup(values, SpaceContext.hilbert(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full tensor needs 4000 * 4000 * 2 floats (244 MiB) per temporary
+    assert peak < 24 * 2**20
+
+
+def _metastable_reports_by_cell(bundle, ks, fs, orbits):
+    """5.1 reports computed cell by cell: every (k, f, n) window is masked
+    out of freshly evaluated orbit samples and measured with the full
+    tensor, and the residual is recomputed for every unwitnessed cell."""
+    space = bundle.op.space
+    reports = []
+    for orbit in orbits:
+        data = bundle.orbit_rate_data(orbit)
+        for k in ks:
+            eps = 1.0 / (k + 1.0)
+            for f in fs:
+                times = bundle.sample_times[bundle.sample_times <= orbit.trusted_horizon]
+                values = orbit.values(times)
+                bound = cauchy_metastability_rate(k, f, orbit.phi_meta, bundle.modulus, data)
+                horizon = float(times[-1])
+                witness = None
+                n = 0
+                while n <= bound and n <= horizon:
+                    width = f(n)
+                    if n + width <= horizon + 1e-9:
+                        mask = (times >= n - 1e-9) & (times <= n + width + 1e-9)
+                        window = values[mask]
+                        if window.shape[0] == 0:
+                            window = orbit.values(np.array([float(n)]))
+                        if _suffix_pair_sup_reference(window, space)[0] <= eps + bundle.num_tol:
+                            witness = n
+                            break
+                    n += 1
+                tau = None
+                if witness is None:
+                    residual = space.norms(values - bundle.op.project_zeros_many(values))
+                    if np.max(np.diff(residual)) <= 1e-5:
+                        hits = np.nonzero(residual <= eps / 2.0)[0]
+                        tau = float(times[hits[0]]) if hits.size else None
+                observed = float(witness) if witness is not None else tau
+                reports.append(
+                    RateReport(
+                        scenario=f"{bundle.scenario_id}/{orbit.kind}",
+                        theorem="5.1",
+                        k=k,
+                        f_desc=f.description,
+                        bound=bound,
+                        observed=math.inf if observed is None else observed,
+                        margin=-math.inf if observed is None else bound - observed,
+                        passed=observed is not None,
+                        extrapolated=witness is None,
+                    )
+                )
+    return reports
+
+
+def test_memoized_metastable_windows_match_cell_by_cell(identity_bundle):
+    # 137 samples over the horizon: windows of width 0 at integer n often
+    # hold no sample, and many (k, f, n) cells share one index range;
+    # windows of n + 200 always leave the horizon, so no witness exists;
+    # the spike fails at n = 0 and then finds empty windows
+    bundle = ScenarioBundle(
+        scenario_id="identity",
+        op=identity_bundle.op,
+        x=identity_bundle.x,
+        modulus=identity_bundle.modulus,
+        trajectory=identity_bundle.trajectory,
+        sg=identity_bundle.sg,
+        trusted_horizon=identity_bundle.trusted_horizon,
+        sample_points=137,
+        orbits=identity_bundle.orbits,
+    )
+    fs = [parse_counterfunction(t) for t in ["0", "1", "5", "n", "2*n+3", "max(n, 30)", "n+200"]]
+    fs.append(Counterfunction(lambda n: 50 if n == 0 else 0, "50 at 0, then 0"))
+    ks = list(range(12))
+    reports = sweep_theorem(bundle, "5.1", ks, counterfunctions=fs)
+    expected = _metastable_reports_by_cell(bundle, ks, fs, bundle.orbits)
+    assert reports == expected
+    assert {r.extrapolated for r in reports} == {False, True}
+
+
 def test_metastability_implies_finite_cauchy_thresholds(identity_bundle):
     # when every windowed sweep passes on the small counterfunction
     # family, the directly measured Cauchy thresholds are finite
     fs = [parse_counterfunction(t) for t in ["0", "1", "5", "20", "n", "2*n+3"]]
     reports = sweep_theorem(identity_bundle, "5.1", range(4), counterfunctions=fs)
     assert all(r.passed for r in reports)
-    from cauchylab.verification import _suffix_pair_sup
-
     for orbit in identity_bundle.orbits:
         times = identity_bundle.sample_times[
             identity_bundle.sample_times <= orbit.trusted_horizon
