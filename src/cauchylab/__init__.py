@@ -21,7 +21,6 @@ from .operators import (
     Rotation,
     ScaledIdentity,
     StronglyAccretive,
-    ZeroSetInfo,
     verify_accretive,
 )
 from .rates import (
@@ -39,6 +38,7 @@ from .rates import (
 )
 from .second_order import (
     AprioriBounds,
+    SolverConfig,
     SqrtSemigroup,
     TimeGrid,
     Trajectory,
@@ -46,7 +46,6 @@ from .second_order import (
     linear_oracle,
     solve_regularized,
     solve_second_order,
-    sqrt_semigroup,
 )
 from .semigroup import ExpFormulaConfig, exp_formula, semigroup_point
 from .spaces import SpaceContext
@@ -80,12 +79,12 @@ __all__ = [
     "ScaledIdentity",
     "ScenarioBundle",
     "ScenarioRateData",
+    "SolverConfig",
     "SpaceContext",
     "SqrtSemigroup",
     "StronglyAccretive",
     "TimeGrid",
     "Trajectory",
-    "ZeroSetInfo",
     "almost_orbit_cauchy_rate",
     "cauchy_metastability_rate",
     "check_apriori",
@@ -106,7 +105,6 @@ __all__ = [
     "semigroup_point",
     "solve_regularized",
     "solve_second_order",
-    "sqrt_semigroup",
     "sweep_theorem",
     "trunc_sub",
     "verify_accretive",

@@ -6,64 +6,8 @@ import argparse
 import json
 import sys
 
+from .config import catalog
 from .runner import run_config
-
-CATALOG = {
-    "operators": [
-        {
-            "kind": "scaled_identity",
-            "params": {"c": "scale >= 0 (c = 0 is the zero operator)"},
-            "zero_set": "{0} for c > 0, the whole space for c = 0",
-        },
-        {
-            "kind": "zero",
-            "params": {},
-            "zero_set": "the whole space",
-        },
-        {
-            "kind": "linear_psd",
-            "params": {"matrix": "symmetric positive-semidefinite matrix literal"},
-            "zero_set": "nullspace of the matrix",
-        },
-        {
-            "kind": "linear",
-            "params": {"matrix": "square matrix literal (accretivity not enforced)"},
-            "zero_set": "nullspace of the matrix",
-        },
-        {
-            "kind": "rotation",
-            "params": {"matrix": "optional 2x2 skew matrix, default [[0,-1],[1,0]]"},
-            "zero_set": "{0}; admits no modulus for the convergence condition",
-        },
-        {
-            "kind": "norm_subdifferential",
-            "params": {},
-            "zero_set": "{0}; resolvent is the radial soft threshold",
-        },
-        {
-            "kind": "strongly_accretive",
-            "params": {"base": "operator spec with base(0) = 0", "c": "constant > 0"},
-            "zero_set": "{0}",
-        },
-    ],
-    "moduli": [
-        {"kind": "strongly_accretive", "params": {"c": "constant > 0"}},
-        {"kind": "constant", "params": {"value": "natural"}},
-        {"kind": "expression", "params": {"text": "expression over k, K"}},
-    ],
-    "orbits": [
-        {"kind": "exact"},
-        {"kind": "additive_decay", "params": {"v": "vector", "lam": "decay rate > 0"}},
-        {"kind": "time_warp", "params": {"delta": "offset in (0, margin)"}},
-    ],
-    "theorems": ["4.1", "4.2", "5.1", "5.3"],
-    "counterfunction_grammar": (
-        "expr := term ('+' term)* ; term := atom ('*' atom)* ; "
-        "atom := natural | 'n' | 'max(' expr ',' expr ')' | name '(' expr ')' "
-        "| '(' expr ')'  -- names refer to earlier entries in "
-        "scenario.counterfunctions; all arithmetic is exact"
-    ),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,25 +36,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_catalog(as_json: bool) -> None:
+    menus = catalog()
     if as_json:
-        print(json.dumps(CATALOG, indent=2, sort_keys=True))
+        print(json.dumps(menus, indent=2, sort_keys=True))
         return
-    print("operator catalog:")
-    for entry in CATALOG["operators"]:
-        params = ", ".join(f"{k}: {v}" for k, v in entry.get("params", {}).items())
-        print(f"  {entry['kind']:<22} {params}")
-        print(f"  {'':<22} zero set: {entry['zero_set']}")
-    print("modulus constructions:")
-    for entry in CATALOG["moduli"]:
-        params = ", ".join(f"{k}: {v}" for k, v in entry.get("params", {}).items())
-        print(f"  {entry['kind']:<22} {params}")
-    print("almost-orbit kinds:")
-    for entry in CATALOG["orbits"]:
-        params = ", ".join(f"{k}: {v}" for k, v in entry.get("params", {}).items())
-        print(f"  {entry['kind']:<22} {params}")
-    print("theorem sweeps: " + ", ".join(CATALOG["theorems"]))
+    for key, title in (
+        ("operators", "operator catalog"),
+        ("moduli", "modulus constructions"),
+        ("orbits", "almost-orbit kinds"),
+    ):
+        print(f"{title}:")
+        for entry in menus[key]:
+            params = ", ".join(f"{k}: {v}" for k, v in entry.get("params", {}).items())
+            print(f"  {entry['kind']:<22} {params}")
+            if "zero_set" in entry:
+                print(f"  {'':<22} zero set: {entry['zero_set']}")
+    print("theorem sweeps: " + ", ".join(menus["theorems"]))
     print("counterfunction grammar:")
-    print("  " + CATALOG["counterfunction_grammar"])
+    print("  " + menus["counterfunction_grammar"])
 
 
 def main(argv=None) -> int:

@@ -4,9 +4,11 @@ A configuration file describes one scenario: the space, the operator,
 the initial point, solver parameters, the modulus for the convergence
 condition, optional rate-data overrides, almost-orbit constructions and
 the theorem sweeps to run.  ``load_config`` parses and validates it,
-reporting violations with file and line anchors; ``build_spec`` turns
-the validated data into live objects (space, operator, modulus,
-counterfunctions) without doing any solving.
+reporting violations with file and line anchors, and builds the live
+objects (space, operator, modulus, counterfunctions) without doing any
+solving.  Every operator, modulus, almost-orbit and theorem a config may
+name is declared once, in the catalog tables below, which the loader
+reads and ``cauchylab list-catalog`` prints.
 
 A mandatory RNG seed makes every sampling-based validation
 reproducible: identical config and seed give byte-identical reports.
@@ -14,14 +16,20 @@ reproducible: identical config and seed give byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 import yaml
 
-from .counterfunctions import Counterfunction, parse_counterfunction, parse_nat_function2
+from .counterfunctions import (
+    GRAMMAR,
+    Counterfunction,
+    parse_counterfunction,
+    parse_nat_function2,
+)
 from .errors import CauchyLabError, ConfigError
 from .operators import (
     AccretiveOperator,
@@ -33,11 +41,9 @@ from .operators import (
     StronglyAccretive,
 )
 from .rates import ConvergenceModulus, constant_modulus, modulus_strongly_accretive
-from .second_order import DEFAULT_SCHEDULE, TimeGrid
+from .second_order import DEFAULT_SCHEDULE, SolverConfig, TimeGrid
 from .spaces import SpaceContext
 
-KNOWN_THEOREMS = ("4.1", "4.2", "5.1", "5.3")
-KNOWN_ORBIT_KINDS = ("exact", "additive_decay", "time_warp")
 # resource caps: the sweeps cost O(sample_points^2) time and one report
 # per k (per orbit and counterfunction) in each sweep
 MAX_SAMPLE_POINTS = 10_000
@@ -72,11 +78,7 @@ class ScenarioSpec:
     op: AccretiveOperator
     x: np.ndarray
     dynamics: str
-    grid: TimeGrid
-    schedule: tuple
-    margin: float
-    stab_tol: float
-    auto_extend: bool
+    solver: SolverConfig
     modulus: ConvergenceModulus
     omega: Callable[[int, int], int] | None
     b_override: float | None
@@ -122,6 +124,26 @@ class _Anchors:
         return f"{self.filename}:{line}: {path}"
 
 
+def _finite(value) -> bool:
+    """A YAML number (not a boolean) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+_TYPE_NAMES = {
+    float: "a finite number",
+    int: "an integer",
+    str: "a string",
+    bool: "a boolean",
+    list: "a list",
+    dict: "a mapping",
+}
+
+
 class _Section:
     """Typed accessor over a mapping with anchored errors."""
 
@@ -135,11 +157,12 @@ class _Section:
     def _sub(self, key):
         return f"{self.path}.{key}" if self.path else key
 
+    def fail(self, key: str, message: str) -> NoReturn:
+        raise ConfigError(message, self.anchors.where(self._sub(key)))
+
     def require(self, key: str, kind=None):
         if key not in self.data:
-            raise ConfigError(
-                f"missing required field {key!r}", self.anchors.where(self._sub(key))
-            )
+            self.fail(key, f"missing required field {key!r}")
         return self._coerce(key, self.data[key], kind)
 
     def get(self, key: str, default=None, kind=None):
@@ -151,51 +174,179 @@ class _Section:
         if kind is None:
             return value
         if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(
-                    f"field {key!r} must be a number", self.anchors.where(self._sub(key))
-                )
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(
-                    f"field {key!r} must be an integer", self.anchors.where(self._sub(key))
-                )
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(
-                    f"field {key!r} must be a string", self.anchors.where(self._sub(key))
-                )
-            return value
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(
-                    f"field {key!r} must be a boolean", self.anchors.where(self._sub(key))
-                )
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ConfigError(
-                    f"field {key!r} must be a list", self.anchors.where(self._sub(key))
-                )
-            return value
-        if kind is dict:
-            if not isinstance(value, dict):
-                raise ConfigError(
-                    f"field {key!r} must be a mapping", self.anchors.where(self._sub(key))
-                )
-            return value
-        raise AssertionError(kind)
+            ok = _finite(value)
+        elif kind is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            self.fail(key, f"field {key!r} must be {_TYPE_NAMES[kind]}")
+        return float(value) if kind is float else value
 
-    def section(self, key: str, required: bool = True) -> "_Section | None":
+    def vector(self, key: str, dim: int) -> np.ndarray:
+        """A required list of ``dim`` finite numbers, as a float array."""
+        value = self.require(key, list)
+        if len(value) != dim or not all(_finite(v) for v in value):
+            self.fail(
+                key, f"field {key!r} must be {dim} finite numbers (the space dimension)"
+            )
+        return np.array(value, dtype=float)
+
+    def matrix(self, key: str) -> np.ndarray:
+        """A required list of equally long rows of finite numbers."""
+        rows = self.require(key, list)
+        if not all(
+            isinstance(row, list) and len(row) == len(rows[0]) and all(_finite(v) for v in row)
+            for row in rows
+        ):
+            self.fail(key, f"field {key!r} must be rows of finite numbers, all of one length")
+        return np.array(rows, dtype=float)
+
+    def section(self, key: str, required: bool = True) -> "_Section":
+        """The mapping at ``key``; an optional one that is missing reads
+        as empty, so every field takes its default."""
         if key not in self.data:
             if required:
-                raise ConfigError(
-                    f"missing required section {key!r}", self.anchors.where(self._sub(key))
-                )
-            return None
+                self.fail(key, f"missing required section {key!r}")
+            return _Section({}, self.anchors, self._sub(key))
         return _Section(self.require(key, dict), self.anchors, self._sub(key))
+
+
+# -- the catalog: every kind a config may name, declared once ------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One menu entry: how to build it from its config mapping, and the
+    parameter help (and zero set) that ``list-catalog`` prints."""
+
+    build: Callable
+    params: dict[str, str]
+    zero_set: str | None = None
+
+
+@dataclass(frozen=True)
+class OrbitParam:
+    """An almost-orbit parameter: a vector of the space's dimension when
+    ``default`` is None, else a number that ``valid(value, margin)``
+    must accept."""
+
+    help: str
+    default: float | None = None
+    valid: Callable[[float, float], bool] | None = None
+
+
+def _modulus_expression(sec: _Section) -> ConvergenceModulus:
+    text = sec.require("text", str)
+    fn = parse_nat_function2(text, ("k", "K"))
+    return ConvergenceModulus(fn=fn, provenance="user-supplied", description=text)
+
+
+OPERATORS = {
+    "scaled_identity": Kind(
+        lambda sec, space: ScaledIdentity(sec.require("c", float), space),
+        {"c": "scale >= 0 (c = 0 is the zero operator)"},
+        "{0} for c > 0, the whole space for c = 0",
+    ),
+    "zero": Kind(lambda sec, space: ScaledIdentity(0.0, space), {}, "the whole space"),
+    "linear_psd": Kind(
+        lambda sec, space: LinearPSD(sec.matrix("matrix"), space),
+        {"matrix": "symmetric positive-semidefinite matrix literal"},
+        "nullspace of the matrix",
+    ),
+    "linear": Kind(
+        lambda sec, space: LinearMatrix(sec.matrix("matrix"), space),
+        {"matrix": "square matrix literal (accretivity not enforced)"},
+        "nullspace of the matrix",
+    ),
+    "rotation": Kind(
+        lambda sec, space: Rotation(
+            sec.matrix("matrix") if "matrix" in sec.data else None, space
+        ),
+        {"matrix": "optional 2x2 skew matrix, default [[0,-1],[1,0]]"},
+        "{0}; admits no modulus for the convergence condition",
+    ),
+    "norm_subdifferential": Kind(
+        lambda sec, space: NormSubdifferential(space),
+        {},
+        "{0}; resolvent is the radial soft threshold",
+    ),
+    "strongly_accretive": Kind(
+        lambda sec, space: StronglyAccretive(
+            _build(sec.section("base"), OPERATORS, "operator", space),
+            sec.require("c", float),
+        ),
+        {"base": "operator spec with base(0) = 0", "c": "constant > 0"},
+        "{0}",
+    ),
+}
+
+MODULI = {
+    "strongly_accretive": Kind(
+        lambda sec: modulus_strongly_accretive(sec.require("c", float)),
+        {"c": "constant > 0"},
+    ),
+    "constant": Kind(
+        lambda sec: constant_modulus(sec.require("value", int)), {"value": "natural"}
+    ),
+    "expression": Kind(_modulus_expression, {"text": "expression over k, K"}),
+}
+
+ORBITS = {
+    "exact": {},
+    "additive_decay": {
+        "v": OrbitParam("vector"),
+        "lam": OrbitParam("decay rate > 0", 1.0, lambda lam, margin: lam > 0.0),
+    },
+    "time_warp": {
+        "delta": OrbitParam(
+            "offset in (0, margin)", 0.5, lambda delta, margin: 0.0 < delta < margin
+        ),
+    },
+}
+
+THEOREMS = ("4.1", "4.2", "5.1", "5.3")
+
+
+def catalog() -> dict:
+    """The menus above as ``cauchylab list-catalog`` prints them."""
+    return {
+        "operators": [
+            {"kind": kind, "params": dict(entry.params), "zero_set": entry.zero_set}
+            for kind, entry in OPERATORS.items()
+        ],
+        "moduli": [
+            {"kind": kind, "params": dict(entry.params)} for kind, entry in MODULI.items()
+        ],
+        # an orbit kind without parameters lists no params at all
+        "orbits": [
+            {"kind": kind, "params": {name: p.help for name, p in params.items()}}
+            if params
+            else {"kind": kind}
+            for kind, params in ORBITS.items()
+        ],
+        "theorems": list(THEOREMS),
+        "counterfunction_grammar": GRAMMAR,
+    }
+
+
+def _lookup(sec: _Section, menu: dict, what: str):
+    kind = sec.require("kind", str)
+    if kind not in menu:
+        sec.fail("kind", f"unknown {what} kind {kind!r}")
+    return kind, menu[kind]
+
+
+def _build(sec: _Section, menu: dict, what: str, *args):
+    """Build the menu entry that ``sec`` names; what its build function rejects
+    becomes a ConfigError anchored at the entry."""
+    _, entry = _lookup(sec, menu, what)
+    try:
+        return entry.build(sec, *args)
+    except ConfigError:
+        raise
+    except (ValueError, CauchyLabError) as exc:
+        raise ConfigError(str(exc), sec.anchors.where(sec.path))
 
 
 def _build_space(sec: _Section) -> SpaceContext:
@@ -207,66 +358,9 @@ def _build_space(sec: _Section) -> SpaceContext:
         if kind == "lp":
             space = SpaceContext.lp(dim, sec.require("p", float), sec.require("M", float))
             return space
-        raise ConfigError(f"unknown space kind {kind!r}", sec.anchors.where(sec._sub("kind")))
+        sec.fail("kind", f"unknown space kind {kind!r}")
     except ValueError as exc:
         raise ConfigError(str(exc), sec.anchors.where(sec.path))
-
-
-def _build_operator(sec: _Section, space: SpaceContext) -> AccretiveOperator:
-    kind = sec.require("kind", str)
-    try:
-        if kind == "scaled_identity":
-            return ScaledIdentity(sec.require("c", float), space)
-        if kind == "zero":
-            return ScaledIdentity(0.0, space)
-        if kind == "linear_psd":
-            return LinearPSD(np.array(sec.require("matrix", list), dtype=float), space)
-        if kind == "linear":
-            return LinearMatrix(np.array(sec.require("matrix", list), dtype=float), space)
-        if kind == "rotation":
-            matrix = sec.get("matrix", kind=list)
-            m = np.array(matrix, dtype=float) if matrix is not None else None
-            return Rotation(m, space)
-        if kind == "norm_subdifferential":
-            return NormSubdifferential(space)
-        if kind == "strongly_accretive":
-            base_sec = sec.section("base")
-            base = _build_operator(base_sec, space)
-            return StronglyAccretive(base, sec.require("c", float))
-        raise ConfigError(
-            f"unknown operator kind {kind!r}", sec.anchors.where(sec._sub("kind"))
-        )
-    except (ValueError, CauchyLabError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), sec.anchors.where(sec.path))
-
-
-def _build_modulus(sec: _Section) -> ConvergenceModulus:
-    kind = sec.require("kind", str)
-    if kind == "strongly_accretive":
-        c = sec.require("c", float)
-        if c <= 0:
-            raise ConfigError(
-                "strong-accretivity constant must be positive",
-                sec.anchors.where(sec._sub("c")),
-            )
-        return modulus_strongly_accretive(c)
-    if kind == "constant":
-        value = sec.require("value", int)
-        if value < 0:
-            raise ConfigError(
-                "constant modulus must be a natural", sec.anchors.where(sec._sub("value"))
-            )
-        return constant_modulus(value)
-    if kind == "expression":
-        text = sec.require("text", str)
-        try:
-            fn = parse_nat_function2(text, ("k", "K"))
-        except CauchyLabError as exc:
-            raise ConfigError(str(exc), sec.anchors.where(sec._sub("text")))
-        return ConvergenceModulus(fn=fn, provenance="user-supplied", description=text)
-    raise ConfigError(f"unknown modulus kind {kind!r}", sec.anchors.where(sec._sub("kind")))
 
 
 def _parse_cf(text, named, anchors, path) -> Counterfunction:
@@ -293,74 +387,64 @@ def load_config(path: str | Path) -> ScenarioSpec:
     root = _Section(data, anchors, "")
 
     seed = root.require("seed", int)
+    if seed < 0:
+        root.fail("seed", "seed must be a natural")
     output_dir = root.get("output_dir", kind=str)
     sc = root.section("scenario")
     scenario_id = sc.require("id", str)
 
     space = _build_space(sc.section("space"))
-    op = _build_operator(sc.section("operator"), space)
-
-    x = np.array(sc.require("initial_point", list), dtype=float)
-    if x.shape != (space.dim,):
-        raise ConfigError(
-            f"initial point must have dimension {space.dim}",
-            anchors.where("scenario.initial_point"),
-        )
+    # the initial point first: its length in the file bounds the dimension
+    # that building the operator may allocate for
+    x = sc.vector("initial_point", space.dim)
+    op = _build(sc.section("operator"), OPERATORS, "operator", space)
 
     dynamics = sc.get("dynamics", "second_order", kind=str)
     if dynamics not in ("second_order", "first_order"):
-        raise ConfigError(
-            f"dynamics must be second_order or first_order, got {dynamics!r}",
-            anchors.where("scenario.dynamics"),
-        )
+        sc.fail("dynamics", f"dynamics must be second_order or first_order, got {dynamics!r}")
 
     sol = sc.section("solver", required=False)
-    horizon = sol.get("horizon", 40.0, kind=float) if sol else 40.0
-    step = sol.get("step", 0.01, kind=float) if sol else 0.01
-    margin = sol.get("margin", 1.0, kind=float) if sol else 1.0
-    stab_tol = sol.get("stabilization_tol", 1e-6, kind=float) if sol else 1e-6
-    auto_extend = sol.get("auto_extend", True, kind=bool) if sol else True
-    first_order_n_max = sol.get("first_order_n_max", 2**16, kind=int) if sol else 2**16
-    sample_points = sol.get("sample_points", 500, kind=int) if sol else 500
+    first_order_n_max = sol.get("first_order_n_max", 2**16, kind=int)
+    sample_points = sol.get("sample_points", 500, kind=int)
     if not 1 <= sample_points <= MAX_SAMPLE_POINTS:
-        raise ConfigError(
-            f"sample_points must lie in [1, {MAX_SAMPLE_POINTS}]",
-            anchors.where("scenario.solver.sample_points"),
-        )
+        sol.fail("sample_points", f"sample_points must lie in [1, {MAX_SAMPLE_POINTS}]")
     schedule = DEFAULT_SCHEDULE
-    if sol:
-        raw = sol.get("schedule", kind=list)
-        if raw is not None:
-            try:
-                schedule = tuple((float(r), float(p)) for r, p in raw)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    "schedule must be a list of [r, p] pairs",
-                    anchors.where("scenario.solver.schedule"),
-                )
+    raw = sol.get("schedule", kind=list)
+    if raw is not None:
+        if not raw or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(_finite(v) and v > 0 for v in pair)
+            for pair in raw
+        ):
+            sol.fail("schedule", "schedule must be a nonempty list of positive [r, p] pairs")
+        schedule = tuple((float(r), float(p)) for r, p in raw)
     try:
-        grid = TimeGrid(horizon, step)
+        grid = TimeGrid(sol.get("horizon", 40.0, kind=float), sol.get("step", 0.01, kind=float))
     except ValueError as exc:
         raise ConfigError(str(exc), anchors.where("scenario.solver"))
-    if margin < 0 or margin >= horizon:
-        raise ConfigError(
-            "margin must lie in [0, horizon)", anchors.where("scenario.solver.margin")
+    try:
+        solver = SolverConfig(
+            grid,
+            schedule,
+            sol.get("stabilization_tol", 1e-6, kind=float),
+            sol.get("margin", 1.0, kind=float),
+            sol.get("auto_extend", True, kind=bool),
         )
+    except ValueError as exc:
+        sol.fail("margin", str(exc))
 
-    modulus = _build_modulus(sc.section("modulus"))
+    modulus = _build(sc.section("modulus"), MODULI, "modulus")
 
     rd = sc.section("rate_data", required=False)
-    b_override = rd.get("b", kind=float) if rd else None
-    d_override = rd.get("d_budget", kind=float) if rd else None
-    orbit_bound_override = rd.get("orbit_bound", kind=int) if rd else None
+    b_override = rd.get("b", kind=float)
+    d_override = rd.get("d_budget", kind=float)
+    orbit_bound_override = rd.get("orbit_bound", kind=int)
     omega = None
-    if rd:
-        omega_text = rd.get("omega", kind=str)
-        if omega_text is not None and omega_text.strip() != "k":
-            try:
-                omega = parse_nat_function2(omega_text, ("r", "k"))
-            except CauchyLabError as exc:
-                raise ConfigError(str(exc), anchors.where("scenario.rate_data.omega"))
+    omega_text = rd.get("omega", kind=str)
+    if omega_text is not None and omega_text.strip() != "k":
+        try:
+            omega = parse_nat_function2(omega_text, ("r", "k"))
+        except CauchyLabError as exc:
+            rd.fail("omega", str(exc))
 
     named: dict[str, Counterfunction] = {}
     raw_named = sc.get("counterfunctions", kind=dict)
@@ -374,34 +458,26 @@ def load_config(path: str | Path) -> ScenarioSpec:
     raw_orbits = sc.get("orbits", kind=list) or []
     for i, entry in enumerate(raw_orbits):
         osec = _Section(entry, anchors, f"scenario.orbits[{i}]")
-        kind = osec.require("kind", str)
-        if kind not in KNOWN_ORBIT_KINDS:
-            raise ConfigError(
-                f"unknown orbit kind {kind!r}", anchors.where(f"scenario.orbits[{i}].kind")
-            )
+        kind, params = _lookup(osec, ORBITS, "orbit")
         spec = {"kind": kind}
-        if kind == "additive_decay":
-            spec["v"] = np.array(osec.require("v", list), dtype=float)
-            spec["lam"] = osec.get("lam", 1.0, kind=float)
-        if kind == "time_warp":
-            spec["delta"] = osec.get("delta", 0.5, kind=float)
+        for name, param in params.items():
+            if param.default is None:
+                spec[name] = osec.vector(name, space.dim)
+                continue
+            spec[name] = osec.get(name, param.default, kind=float)
+            if not param.valid(spec[name], solver.margin):
+                osec.fail(name, f"{kind} {name} must be {param.help}")
         orbit_specs.append(spec)
     if dynamics == "first_order" and orbit_specs:
-        raise ConfigError(
-            "almost-orbits require second-order dynamics",
-            anchors.where("scenario.orbits"),
-        )
+        sc.fail("orbits", "almost-orbits require second-order dynamics")
 
     sweeps = []
     raw_sweeps = sc.get("sweeps", kind=list) or []
     for i, entry in enumerate(raw_sweeps):
         ssec = _Section(entry, anchors, f"scenario.sweeps[{i}]")
         theorem = str(ssec.require("theorem"))
-        if theorem not in KNOWN_THEOREMS:
-            raise ConfigError(
-                f"unknown theorem {theorem!r} (known: {', '.join(KNOWN_THEOREMS)})",
-                anchors.where(f"scenario.sweeps[{i}].theorem"),
-            )
+        if theorem not in THEOREMS:
+            ssec.fail("theorem", f"unknown theorem {theorem!r} (known: {', '.join(THEOREMS)})")
         k_range = ssec.require("k_range", list)
         if (
             len(k_range) != 2
@@ -409,15 +485,9 @@ def load_config(path: str | Path) -> ScenarioSpec:
             or k_range[0] > k_range[1]
             or k_range[0] < 0
         ):
-            raise ConfigError(
-                "k_range must be [k_min, k_max] with 0 <= k_min <= k_max",
-                anchors.where(f"scenario.sweeps[{i}].k_range"),
-            )
+            ssec.fail("k_range", "k_range must be [k_min, k_max] with 0 <= k_min <= k_max")
         if k_range[1] - k_range[0] >= MAX_K_VALUES:
-            raise ConfigError(
-                f"k_range may span at most {MAX_K_VALUES} values",
-                anchors.where(f"scenario.sweeps[{i}].k_range"),
-            )
+            ssec.fail("k_range", f"k_range may span at most {MAX_K_VALUES} values")
         ks = tuple(range(k_range[0], k_range[1] + 1))
         cfs = tuple(
             _parse_cf(text, named, anchors, f"scenario.sweeps[{i}].counterfunctions")
@@ -426,20 +496,14 @@ def load_config(path: str | Path) -> ScenarioSpec:
         orbit_kinds = tuple(str(v) for v in (ssec.get("orbits", kind=list) or ()))
         for kind in orbit_kinds:
             if kind not in {spec["kind"] for spec in orbit_specs}:
-                raise ConfigError(
-                    f"sweep references undefined orbit kind {kind!r}",
-                    anchors.where(f"scenario.sweeps[{i}].orbits"),
-                )
+                ssec.fail("orbits", f"sweep references undefined orbit kind {kind!r}")
         f_dom = None
         f_dom_text = ssec.get("f_dom")
         if f_dom_text is not None:
             f_dom = _parse_cf(f_dom_text, named, anchors, f"scenario.sweeps[{i}].f_dom")
         if theorem in ("5.1", "5.3"):
             if dynamics == "first_order":
-                raise ConfigError(
-                    f"theorem {theorem} sweeps need second-order dynamics",
-                    anchors.where(f"scenario.sweeps[{i}].theorem"),
-                )
+                ssec.fail("theorem", f"theorem {theorem} sweeps need second-order dynamics")
             if not orbit_kinds and not orbit_specs:
                 raise ConfigError(
                     f"theorem {theorem} sweeps need at least one orbit",
@@ -462,13 +526,11 @@ def load_config(path: str | Path) -> ScenarioSpec:
 
     vsec = sc.section("validation", required=False)
     validation = ValidationSpec(
-        accretivity_samples=vsec.get("accretivity_samples", 200, kind=int) if vsec else 200,
-        region_radius=vsec.get("region_radius", 2.0, kind=float) if vsec else 2.0,
-        monotonicity_samples=vsec.get("monotonicity_samples", 10_000, kind=int)
-        if vsec
-        else 10_000,
-        modulus_samples=vsec.get("modulus_samples", 2_000, kind=int) if vsec else 2_000,
-        run_modulus_check=vsec.get("run_modulus_check", True, kind=bool) if vsec else True,
+        accretivity_samples=vsec.get("accretivity_samples", 200, kind=int),
+        region_radius=vsec.get("region_radius", 2.0, kind=float),
+        monotonicity_samples=vsec.get("monotonicity_samples", 10_000, kind=int),
+        modulus_samples=vsec.get("modulus_samples", 2_000, kind=int),
+        run_modulus_check=vsec.get("run_modulus_check", True, kind=bool),
     )
     lp_validate_radius = 2.0
     sp = sc.section("space")
@@ -482,11 +544,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
         op=op,
         x=x,
         dynamics=dynamics,
-        grid=grid,
-        schedule=schedule,
-        margin=margin,
-        stab_tol=stab_tol,
-        auto_extend=auto_extend,
+        solver=solver,
         modulus=modulus,
         omega=omega,
         b_override=b_override,

@@ -23,6 +23,12 @@ from typing import Callable, Mapping
 from .errors import ContractError, EvaluationCapExceeded
 
 DEFAULT_EVALUATION_CAP = 10**6
+GRAMMAR = (
+    "expr := term ('+' term)* ; term := atom ('*' atom)* ; "
+    "atom := natural | 'n' | 'max(' expr ',' expr ')' | name '(' expr ')' "
+    "| '(' expr ')'  -- names refer to earlier entries in "
+    "scenario.counterfunctions; all arithmetic is exact"
+)
 
 _active_budget: contextvars.ContextVar["EvaluationBudget | None"] = contextvars.ContextVar(
     "cauchylab_rate_budget", default=None

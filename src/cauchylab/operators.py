@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -27,16 +26,6 @@ _NULLSPACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ZeroSetInfo:
-    """Projection data for A^{-1}0: projector P, a distinguished zero,
-    and a uniform-continuity modulus omega for P on bounded sets."""
-
-    projector: Callable[[np.ndarray], np.ndarray]
-    zero_point: np.ndarray
-    omega: Callable[[int, int], int]
-
-
-@dataclass(frozen=True)
 class AccretivityReport:
     min_pairing: float
     witness: tuple[np.ndarray, np.ndarray] | None
@@ -44,17 +33,9 @@ class AccretivityReport:
     passed: bool
 
 
-def _hilbert_omega(r: int, k: int) -> int:
-    # nearest-point projection onto a closed convex set is nonexpansive
-    # in Hilbert space, so omega(r, k) = k is a valid modulus
-    return k
-
-
 class AccretiveOperator:
     """Base class; concrete entries override the hooks they can do in
     closed form and inherit damped-Newton fallbacks for the rest."""
-
-    kind = "abstract"
 
     def __init__(self, space: SpaceContext):
         self.space = space
@@ -143,13 +124,6 @@ class AccretiveOperator:
     def zero_point(self) -> np.ndarray:
         return np.zeros(self.space.dim)
 
-    def zero_info(self, omega: Callable[[int, int], int] | None = None) -> ZeroSetInfo:
-        return ZeroSetInfo(
-            projector=self.project_zeros,
-            zero_point=self.zero_point,
-            omega=omega if omega is not None else _hilbert_omega,
-        )
-
     # -- linearity hook ----------------------------------------------------------
 
     @property
@@ -207,9 +181,6 @@ class AccretiveOperator:
             jac[:, c] = (self.select(pert) - base) / eps
         return jac
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "dim": self.space.dim}
-
 
 class LinearMatrix(AccretiveOperator):
     """General linear operator Ax = Bx.
@@ -221,8 +192,6 @@ class LinearMatrix(AccretiveOperator):
     operator is only admitted when its nullspace is trivial or full,
     where the two projections coincide.
     """
-
-    kind = "linear"
 
     def __init__(self, matrix: np.ndarray, space: SpaceContext | None = None):
         matrix = np.asarray(matrix, dtype=float)
@@ -280,14 +249,9 @@ class LinearMatrix(AccretiveOperator):
     def project_zeros_many(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=float) @ self._null_proj.T
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "dim": self.space.dim, "matrix": self.matrix.tolist()}
-
 
 class LinearPSD(LinearMatrix):
     """Symmetric positive-semidefinite linear operator."""
-
-    kind = "linear_psd"
 
     def __init__(self, matrix: np.ndarray, space: SpaceContext | None = None):
         matrix = np.asarray(matrix, dtype=float)
@@ -313,8 +277,6 @@ class Rotation(LinearMatrix):
     admits no modulus for the convergence condition.
     """
 
-    kind = "rotation"
-
     def __init__(self, matrix: np.ndarray | None = None, space: SpaceContext | None = None):
         if matrix is None:
             matrix = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -330,8 +292,6 @@ class Rotation(LinearMatrix):
 
 class ScaledIdentity(AccretiveOperator):
     """Ax = c*x with c >= 0; c = 0 is the zero operator."""
-
-    kind = "scaled_identity"
 
     def __init__(self, c: float, space: SpaceContext):
         if c < 0.0:
@@ -370,9 +330,6 @@ class ScaledIdentity(AccretiveOperator):
         rows = np.asarray(rows, dtype=float)
         return rows.copy() if self.c == 0.0 else np.zeros_like(rows)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "dim": self.space.dim, "c": self.c}
-
 
 class NormSubdifferential(AccretiveOperator):
     """Subdifferential of the Euclidean norm.
@@ -382,8 +339,6 @@ class NormSubdifferential(AccretiveOperator):
     gamma*||.||, a radial soft threshold, so no Newton iteration is ever
     needed.  Hilbert kind only (the proximal map is Euclidean).
     """
-
-    kind = "norm_subdifferential"
 
     def __init__(self, space: SpaceContext):
         if space.kind != "hilbert":
@@ -462,8 +417,6 @@ class StronglyAccretive(AccretiveOperator):
     gamma' = gamma / (1 + gamma c).
     """
 
-    kind = "strongly_accretive"
-
     def __init__(self, base: AccretiveOperator, c: float):
         if c <= 0.0:
             raise ValueError("strong-accretivity constant must be positive")
@@ -505,14 +458,6 @@ class StronglyAccretive(AccretiveOperator):
 
     def project_zeros_many(self, rows: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(rows, dtype=float))
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.space.dim,
-            "c": self.c,
-            "base": self.base.describe(),
-        }
 
 
 def verify_accretive(

@@ -26,7 +26,12 @@ import numpy as np
 
 from .config import ScenarioSpec, SweepSpec, load_config
 from .errors import CauchyLabError, ConfigError
-from .second_order import SqrtSemigroup, check_apriori, export_trajectory_csv
+from .second_order import (
+    SqrtSemigroup,
+    check_apriori,
+    export_trajectory_csv,
+    projection_profile,
+)
 from .semigroup import ExpFormulaConfig
 from .verification import (
     RateReport,
@@ -104,22 +109,12 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
 
     sg = None
     if spec.dynamics == "second_order":
-        sg = SqrtSemigroup(
-            spec.op,
-            spec.x,
-            spec.grid,
-            schedule=spec.schedule,
-            stab_tol=spec.stab_tol,
-            margin=spec.margin,
-            auto_extend=spec.auto_extend,
-        )
+        sg = SqrtSemigroup(spec.op, spec.x, spec.solver)
         trajectory = sg.trajectory
-        trusted = sg.trusted_horizon
     else:
         trajectory = first_order_trajectory(
-            spec.op, spec.x, spec.grid, ExpFormulaConfig(n_max=spec.first_order_n_max)
+            spec.op, spec.x, spec.solver.grid, ExpFormulaConfig(n_max=spec.first_order_n_max)
         )
-        trusted = spec.grid.horizon - spec.margin
     diagnostics["solver"] = {
         "stabilized": trajectory.meta.get("stabilized"),
         "far_end_ok": trajectory.meta.get("far_end_ok"),
@@ -143,14 +138,12 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         x=spec.x,
         modulus=spec.modulus,
         trajectory=trajectory,
-        sg=sg,
-        trusted_horizon=trusted,
-        dynamics=spec.dynamics,
+        trusted_horizon=spec.solver.trusted_horizon,
         omega=spec.omega,
         b_override=spec.b_override,
         d_override=spec.d_override,
         orbit_bound_override=spec.orbit_bound_override,
-        num_tol=1e-6 + spec.stab_tol,
+        num_tol=1e-6 + spec.solver.stab_tol,
         sample_points=spec.sample_points,
         orbits=orbits,
     )
@@ -241,8 +234,8 @@ def reports_json_text(spec: ScenarioSpec, reports, diagnostics) -> str:
             "scenario": spec.scenario_id,
             "seed": spec.seed,
             "dynamics": spec.dynamics,
-            "horizon": spec.grid.horizon,
-            "step": spec.grid.step,
+            "horizon": spec.solver.grid.horizon,
+            "step": spec.solver.grid.step,
         },
         "diagnostics": _jsonable(diagnostics),
         "reports": [_jsonable(r.to_dict()) for r in reports],
@@ -324,9 +317,7 @@ def write_outputs(
     plot_dir.mkdir(exist_ok=True)
     ts = bundle.trajectory.times
     norms = bundle.op.space.norms(bundle.trajectory.values)
-    dist = bundle.op.space.norms(
-        bundle.trajectory.values - bundle.op.project_zeros_many(bundle.trajectory.values)
-    )
+    dist = projection_profile(bundle.op, bundle.trajectory)
     _atomic_write(
         plot_dir / "trajectory_profile.dat",
         "# t  norm_u  dist_to_zero_set\n"
@@ -366,6 +357,8 @@ def run_config(
     try:
         spec = load_config(config_path)
         if seed is not None:
+            if seed < 0:
+                raise ConfigError("seed must be a natural", "--seed")
             spec = replace(spec, seed=seed)
         out = Path(out_dir) if out_dir else Path(spec.output_dir or "out") / spec.scenario_id
         bundle, diagnostics = materialize(spec)

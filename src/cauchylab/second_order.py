@@ -41,6 +41,8 @@ class TimeGrid:
         if self.step <= 0.0 or self.horizon <= 0.0:
             raise ValueError("horizon and step must be positive")
         ratio = self.horizon / self.step
+        if not math.isfinite(ratio):
+            raise ValueError("horizon / step overflows")
         if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
             raise ValueError("horizon must be an integral multiple of the step")
 
@@ -119,11 +121,31 @@ class AprioriBounds:
         return self.sup_ok and self.du_ok and self.ddu_ok
 
 
+# damped Newton for the regularized solves
+NEWTON_RESIDUAL_TOL = 1e-8
+NEWTON_MAX_ITER = 60
+NEWTON_MIN_DAMPING = 1e-8
+
+
 @dataclass(frozen=True)
-class NewtonConfig:
-    residual_tol: float = 1e-8
-    max_iter: int = 60
-    min_damping: float = 1e-8
+class SolverConfig:
+    """How a second-order trajectory is solved, and how much of it is
+    trusted: times beyond horizon - margin are not, since the far-end
+    closure bends the tail."""
+
+    grid: TimeGrid
+    schedule: tuple = DEFAULT_SCHEDULE
+    stab_tol: float = 1e-6
+    margin: float = 1.0
+    auto_extend: bool = True
+
+    def __post_init__(self):
+        if self.margin < 0.0 or self.margin >= self.grid.horizon:
+            raise ValueError("margin must lie in [0, horizon)")
+
+    @property
+    def trusted_horizon(self) -> float:
+        return self.grid.horizon - self.margin
 
 
 def _assemble_system(
@@ -173,7 +195,6 @@ def solve_regularized(
     x: np.ndarray,
     grid: TimeGrid,
     init: np.ndarray | None = None,
-    newton: NewtonConfig | None = None,
 ) -> Trajectory:
     """Solve the doubly-regularized two-point problem by damped Newton.
 
@@ -182,8 +203,6 @@ def solve_regularized(
     """
     if r <= 0.0 or reg_p <= 0.0:
         raise ValueError("regularization parameters must be positive")
-    if newton is None:
-        newton = NewtonConfig()
     x = op.space.check(x)
     n = grid.n_steps
     if n < 4:
@@ -199,8 +218,8 @@ def solve_regularized(
     rnorm = float(np.max(np.abs(res)))
     linear = op.linear_matrix is not None
     lu = None
-    for _ in range(newton.max_iter):
-        if rnorm <= newton.residual_tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if rnorm <= NEWTON_RESIDUAL_TOL:
             break
         if lu is None or not linear:
             lu = scipy.sparse.linalg.splu(jac)
@@ -210,17 +229,17 @@ def solve_regularized(
             u_new = u + lam * step
             res_new, jac_new = _assemble_system(op, r, reg_p, x, grid, u_new)
             rnorm_new = float(np.max(np.abs(res_new)))
-            if rnorm_new < rnorm or rnorm_new <= newton.residual_tol:
+            if rnorm_new < rnorm or rnorm_new <= NEWTON_RESIDUAL_TOL:
                 u, res, jac, rnorm = u_new, res_new, jac_new, rnorm_new
                 break
             lam *= 0.5
-            if lam < newton.min_damping:
+            if lam < NEWTON_MIN_DAMPING:
                 raise SolverError(
                     f"regularized solve stalled at residual {rnorm:.3e} "
                     f"(r={r:g}, p={reg_p:g})",
                     rnorm,
                 )
-    if rnorm > newton.residual_tol:
+    if rnorm > NEWTON_RESIDUAL_TOL:
         raise SolverError(
             f"regularized solve did not reach tolerance: residual {rnorm:.3e} "
             f"(r={r:g}, p={reg_p:g})",
@@ -256,7 +275,6 @@ def solve_second_order(
     stab_tol: float = 1e-6,
     auto_extend: bool = True,
     r_floor: float = 1e-9,
-    newton: NewtonConfig | None = None,
 ) -> Trajectory:
     """Continuation along a decreasing (r, p) schedule with warm starts.
 
@@ -285,7 +303,7 @@ def solve_second_order(
             stages.append((r, p))
         else:
             break
-        traj = solve_regularized(op, r, p, x, grid, init=warm, newton=newton)
+        traj = solve_regularized(op, r, p, x, grid, init=warm)
         used.append((r, p))
         if prev_traj is not None:
             diff = float(np.max(op.space.norms(traj.values - prev_traj.values)))
@@ -309,76 +327,37 @@ class SqrtSemigroup:
     """Square-root semigroup of A at an initial point.
 
     Solves the second-order flow once and answers time queries by linear
-    interpolation.  Times beyond horizon - margin raise HorizonError: the
-    far-end closure makes the tail untrusted.
+    interpolation.  Times beyond the solver's trusted horizon raise
+    HorizonError.
     """
 
-    def __init__(
-        self,
-        op: AccretiveOperator,
-        x: np.ndarray,
-        grid: TimeGrid,
-        schedule=DEFAULT_SCHEDULE,
-        stab_tol: float = 1e-6,
-        margin: float = 1.0,
-        auto_extend: bool = True,
-        newton: NewtonConfig | None = None,
-    ):
-        if margin < 0.0 or margin >= grid.horizon:
-            raise ValueError("margin must lie in [0, horizon)")
+    def __init__(self, op: AccretiveOperator, x: np.ndarray, solver: SolverConfig):
         self.op = op
         self.x = op.space.check(x)
-        self.grid = grid
-        self.margin = margin
+        self.solver = solver
         self.trajectory = solve_second_order(
             op,
             x,
-            grid,
-            schedule=schedule,
-            stab_tol=stab_tol,
-            auto_extend=auto_extend,
-            newton=newton,
+            solver.grid,
+            schedule=solver.schedule,
+            stab_tol=solver.stab_tol,
+            auto_extend=solver.auto_extend,
         )
-        self._schedule = schedule
-        self._stab_tol = stab_tol
-        self._auto_extend = auto_extend
-        self._newton = newton
 
     @property
     def trusted_horizon(self) -> float:
-        return self.grid.horizon - self.margin
+        return self.solver.trusted_horizon
 
     def at(self, t: float) -> np.ndarray:
         if t < 0.0 or t > self.trusted_horizon + 1e-12:
             raise HorizonError(
                 f"time {t} outside trusted range [0, {self.trusted_horizon}]"
             )
-        return self.trajectory.at(min(t, self.grid.horizon))
+        return self.trajectory.at(min(t, self.solver.grid.horizon))
 
     def restart_from(self, y: np.ndarray) -> "SqrtSemigroup":
         """Semigroup started at a new initial point (same solver setup)."""
-        return SqrtSemigroup(
-            self.op,
-            y,
-            self.grid,
-            schedule=self._schedule,
-            stab_tol=self._stab_tol,
-            margin=self.margin,
-            auto_extend=self._auto_extend,
-            newton=self._newton,
-        )
-
-
-def sqrt_semigroup(
-    op: AccretiveOperator,
-    t: float,
-    x: np.ndarray,
-    grid: TimeGrid,
-    schedule=DEFAULT_SCHEDULE,
-    margin: float = 1.0,
-) -> np.ndarray:
-    """One-shot evaluation of the square-root semigroup at time t."""
-    return SqrtSemigroup(op, x, grid, schedule=schedule, margin=margin).at(t)
+        return SqrtSemigroup(self.op, y, self.solver)
 
 
 def linear_oracle(b: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:

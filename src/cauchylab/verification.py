@@ -284,14 +284,16 @@ def make_almost_orbit(
     base: SqrtSemigroup,
     kind: str,
     v: np.ndarray | None = None,
-    lam: float = 1.0,
-    delta: float = 0.5,
+    lam: float | None = None,
+    delta: float | None = None,
     certify: bool = True,
     sample_ks: Sequence[int] = (0, 1, 2, 3),
     cert_tol: float = 5e-4,
 ) -> AlmostOrbit:
     """Construct an exact, additive-decay or time-warp almost-orbit.
 
+    The additive-decay orbit needs ``v`` and ``lam``, the time warp
+    needs ``delta``; their config defaults live in ``config.ORBITS``.
     The claimed defect rate is certified by sampling the defect
     sup_t ||u(s + t) - S(t)u(s)|| at s on and past the rate, against
     freshly solved restarts of the semigroup.
@@ -308,8 +310,8 @@ def make_almost_orbit(
             base=base,
         )
     elif kind == "additive_decay":
-        if v is None:
-            raise ValueError("additive-decay orbit needs a direction v")
+        if v is None or lam is None:
+            raise ValueError("additive-decay orbit needs a direction v and a rate lam")
         if lam <= 0.0:
             raise ValueError("decay rate must be positive")
         v = space.check(v)
@@ -336,9 +338,9 @@ def make_almost_orbit(
             base=base,
         )
     elif kind == "time_warp":
-        if delta <= 0.0:
+        if delta is None or delta <= 0.0:
             raise ValueError("time-warp offset must be positive")
-        if delta >= base.margin:
+        if delta >= base.solver.margin:
             raise ValueError("time-warp offset must stay inside the margin")
         deriv = base.trajectory.derivative()
         lip = float(np.max(space.norms(deriv)))
@@ -490,14 +492,11 @@ class ScenarioBundle:
     x: np.ndarray
     modulus: ConvergenceModulus
     trajectory: Trajectory
-    sg: SqrtSemigroup | None
     trusted_horizon: float
-    dynamics: str = "second_order"
     omega: Callable[[int, int], int] | None = None
     b_override: float | None = None
     d_override: float | None = None
     orbit_bound_override: int | None = None
-    f_dom: Counterfunction | None = None
     num_tol: float = 2e-6
     sample_points: int = 500
     orbits: list[AlmostOrbit] = field(default_factory=list)
@@ -755,8 +754,6 @@ def sweep_theorem(
     if theorem == "4.1":
         return _sweep_interior(bundle, ks)
     if theorem == "4.2":
-        if f_dom is None:
-            f_dom = bundle.f_dom
         if f_dom is None:
             f_dom = Counterfunction.constant(
                 bundle.op.graph_bound(bundle.x), "graph bound at x"

@@ -17,6 +17,7 @@ from cauchylab import (
     Rotation,
     ScaledIdentity,
     SpaceContext,
+    SolverConfig,
     SqrtSemigroup,
     TimeGrid,
     cauchy_metastability_rate,
@@ -55,14 +56,13 @@ def identity_bundle(hilbert2):
     bound (80) directly."""
     op = ScaledIdentity(1.0, hilbert2)
     x = np.array([1.0, 0.0])
-    sg = SqrtSemigroup(op, x, TimeGrid(100.0, 0.01))
+    sg = SqrtSemigroup(op, x, SolverConfig(TimeGrid(100.0, 0.01)))
     return ScenarioBundle(
         scenario_id="identity_hilbert",
         op=op,
         x=x,
         modulus=MOD1,
         trajectory=sg.trajectory,
-        sg=sg,
         trusted_horizon=sg.trusted_horizon,
     )
 
@@ -75,7 +75,7 @@ def orbit_bundles(hilbert2):
         ("identity", ScaledIdentity(1.0, hilbert2), np.array([1.0, 0.0])),
         ("diag14", LinearPSD(np.diag([1.0, 4.0]), hilbert2), np.array([1.0, 1.0])),
     ]:
-        sg = SqrtSemigroup(op, x, TimeGrid(40.0, 0.01))
+        sg = SqrtSemigroup(op, x, SolverConfig(TimeGrid(40.0, 0.01)))
         orbits = [
             make_almost_orbit(sg, "exact"),
             make_almost_orbit(sg, "additive_decay", v=np.array([0.0, 1.0]), lam=1.0),
@@ -88,7 +88,6 @@ def orbit_bundles(hilbert2):
                 x=x,
                 modulus=MOD1,
                 trajectory=sg.trajectory,
-                sg=sg,
                 trusted_horizon=sg.trusted_horizon,
                 orbits=orbits,
             )
@@ -114,7 +113,7 @@ def test_criterion_01_oracle_equivalence(hilbert2, hilbert3):
         for _ in range(10):
             x = rng.normal(size=space.dim)
             x *= rng.uniform(0.2, 1.0) / np.linalg.norm(x)
-            sg = SqrtSemigroup(op, x, TimeGrid(20.0, 0.01))
+            sg = SqrtSemigroup(op, x, SolverConfig(TimeGrid(20.0, 0.01)))
             for t in ts:
                 err = np.linalg.norm(sg.at(float(t)) - linear_oracle(b, float(t), x))
                 worst = max(worst, float(err))
@@ -243,9 +242,7 @@ def test_criterion_08_counterexample_necessity(hilbert2, tmp_path):
         x=x,
         modulus=constant_modulus(0),
         trajectory=traj,
-        sg=None,
         trusted_horizon=39.0,
-        dynamics="first_order",
     )
     reports = sweep_theorem(bundle, "4.1", range(4))
     hard_failures = [r for r in reports if not r.passed and not r.extrapolated]

@@ -1,9 +1,14 @@
 import json
+import tempfile
 import textwrap
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchylab.cli import main as cli_main
 from cauchylab.config import load_config
@@ -53,7 +58,7 @@ def test_bundled_configs_load(name):
 def test_minimal_config_fields(tmp_path):
     spec = load_config(write_cfg(tmp_path, MINIMAL))
     assert spec.space.kind == "hilbert"
-    assert spec.grid.horizon == 10.0
+    assert spec.solver.grid.horizon == 10.0
     assert spec.dynamics == "second_order"
     assert spec.sweeps[0].theorem == "4.1"
     assert spec.sweeps[0].ks == (0, 1)
@@ -88,11 +93,70 @@ def test_bad_entries_rejected(tmp_path):
         ("step: 0.05}", "step: 0.05, sample_points: 0}", "sample_points"),
         ("step: 0.05}", "step: 0.05, sample_points: -5}", "sample_points"),
         ("step: 0.05}", "step: 0.05, sample_points: 10001}", "sample_points"),
+        ("c: 1.0}\n  initial", "c: .nan}\n  initial", "finite"),
+        ("initial_point: [1.0, 0.0]", 'initial_point: ["a", 0.0]', "initial_point"),
+        ("initial_point: [1.0, 0.0]", "initial_point: [.nan, 0.0]", "initial_point"),
+        ("initial_point: [1.0, 0.0]", "initial_point: [.inf, 0.0]", "initial_point"),
+        ("  sweeps:", "  orbits: [{kind: additive_decay, v: [0, 1], lam: -1}]\n  sweeps:", "lam"),
+        ("  sweeps:", "  orbits: [{kind: time_warp, delta: 5.0}]\n  sweeps:", "delta"),
+        ("  sweeps:", '  orbits: [{kind: additive_decay, v: ["x", 1]}]\n  sweeps:', "'v'"),
+        ("kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[1, 0], [0, {a: 1}]]", "matrix"),
+        ("seed: 7", "seed: -7", "seed"),
+        ("step: 0.05}", "step: 0.05, margin: 10.0}", "margin"),
+        ("step: 0.05}", "step: 0.05, schedule: [[0.1, 0.0]]}", "schedule"),
+        ("step: 0.05}", "step: 1.0e-320}", "overflows"),
     ]
     for old, new, fragment in bad_cases:
+        assert MINIMAL.count(old) == 1
         path = write_cfg(tmp_path, MINIMAL.replace(old, new))
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
+
+
+def _field_paths(node, path=()):
+    """The key path of every section and field of a parsed config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, path + (key,))
+
+
+_SCALARS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("field", list(_field_paths(yaml.safe_load(MINIMAL))), ids=str)
+@settings(max_examples=40, deadline=None)
+@given(value=_VALUES)
+def test_loader_fuzz_loads_or_raises_config_error(field, value):
+    # one field of MINIMAL replaced by an arbitrary YAML value: the loader
+    # returns a spec or raises ConfigError, never anything else
+    data = yaml.safe_load(MINIMAL)
+    node = data
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(yaml.safe_dump(data))
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
 
 
 def test_first_order_forbids_orbits(tmp_path):
@@ -177,6 +241,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", str(rotation), "--out", str(tmp_path / "rot")]) == 2
     missing = tmp_path / "nope.cfg"
     assert cli_main(["run", str(missing), "--out", str(tmp_path / "x")]) == 1
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 1
 
 
 def test_cli_summary_counts_extrapolated_apart(tmp_path, capsys):

@@ -6,6 +6,7 @@ from cauchylab import (
     LinearPSD,
     NormSubdifferential,
     ScaledIdentity,
+    SolverConfig,
     SqrtSemigroup,
     TimeGrid,
     Trajectory,
@@ -92,7 +93,7 @@ def test_second_order_scalar_closed_form(hilbert2):
 def test_sqrt_semigroup_queries(hilbert2):
     op = LinearPSD(np.diag([1.0, 4.0]), hilbert2)
     x = np.array([1.0, 1.0])
-    sg = SqrtSemigroup(op, x, TimeGrid(20.0, 0.01))
+    sg = SqrtSemigroup(op, x, SolverConfig(TimeGrid(20.0, 0.01)))
     assert np.allclose(sg.at(0.0), x)
     assert np.allclose(sg.at(1.0), [0.3679, 0.1353], atol=1e-4)
     with pytest.raises(HorizonError):
@@ -104,7 +105,7 @@ def test_sqrt_semigroup_queries(hilbert2):
 def test_sqrt_semigroup_law(hilbert2):
     op = LinearPSD(np.diag([1.0, 4.0]), hilbert2)
     x = np.array([1.0, 1.0])
-    sg = SqrtSemigroup(op, x, TimeGrid(20.0, 0.01))
+    sg = SqrtSemigroup(op, x, SolverConfig(TimeGrid(20.0, 0.01)))
     rng = np.random.default_rng(9)
     for _ in range(3):
         t, s = rng.uniform(0.2, 3.0, size=2)

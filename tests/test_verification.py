@@ -8,6 +8,7 @@ from cauchylab import (
     Rotation,
     ScaledIdentity,
     SpaceContext,
+    SolverConfig,
     SqrtSemigroup,
     TimeGrid,
     fejer_report,
@@ -106,7 +107,7 @@ def test_modulus_check_zero_operator_vacuous(hilbert2):
 @pytest.fixture(scope="module")
 def identity_sg(hilbert2):
     op = ScaledIdentity(1.0, hilbert2)
-    return SqrtSemigroup(op, np.array([1.0, 0.0]), TimeGrid(40.0, 0.01))
+    return SqrtSemigroup(op, np.array([1.0, 0.0]), SolverConfig(TimeGrid(40.0, 0.01)))
 
 
 def test_exact_orbit(identity_sg):
@@ -178,7 +179,7 @@ def test_orbit_certification_failure(identity_sg):
 def identity_bundle(hilbert2):
     op = ScaledIdentity(1.0, hilbert2)
     x = np.array([1.0, 0.0])
-    sg = SqrtSemigroup(op, x, TimeGrid(100.0, 0.01))
+    sg = SqrtSemigroup(op, x, SolverConfig(TimeGrid(100.0, 0.01)))
     orbits = [
         make_almost_orbit(sg, "exact"),
         make_almost_orbit(sg, "additive_decay", v=np.array([0.0, 1.0]), lam=1.0),
@@ -189,7 +190,6 @@ def identity_bundle(hilbert2):
         x=x,
         modulus=MOD1,
         trajectory=sg.trajectory,
-        sg=sg,
         trusted_horizon=sg.trusted_horizon,
         orbits=orbits,
     )
@@ -249,7 +249,6 @@ def test_sweep_soundness_at_doubled_sampling(hilbert2, identity_bundle):
         x=identity_bundle.x,
         modulus=identity_bundle.modulus,
         trajectory=identity_bundle.trajectory,
-        sg=identity_bundle.sg,
         trusted_horizon=identity_bundle.trusted_horizon,
         sample_points=1000,
         orbits=identity_bundle.orbits,
@@ -271,9 +270,7 @@ def test_first_order_rotation_bundle_fails_cauchy(hilbert2):
         x=x,
         modulus=constant_modulus(0),
         trajectory=traj,
-        sg=None,
         trusted_horizon=39.0,
-        dynamics="first_order",
     )
     reports = sweep_theorem(bundle, "4.1", range(4))
     assert all(r.bound == 5 for r in reports)  # (D+1) with D = 4
@@ -414,7 +411,6 @@ def test_memoized_metastable_windows_match_cell_by_cell(identity_bundle):
         x=identity_bundle.x,
         modulus=identity_bundle.modulus,
         trajectory=identity_bundle.trajectory,
-        sg=identity_bundle.sg,
         trusted_horizon=identity_bundle.trusted_horizon,
         sample_points=137,
         orbits=identity_bundle.orbits,
