@@ -45,9 +45,13 @@ from .second_order import DEFAULT_SCHEDULE, SolverConfig, TimeGrid
 from .spaces import SpaceContext
 
 # resource caps: the sweeps cost O(sample_points^2) time and one report
-# per k (per orbit and counterfunction) in each sweep
+# per k (per orbit and counterfunction) in each sweep; each validation
+# sample is one graph pair or modulus evaluation; the Newton system holds
+# (horizon / step) dim x dim blocks
 MAX_SAMPLE_POINTS = 10_000
 MAX_K_VALUES = 1_000
+MAX_VALIDATION_SAMPLES = 1_000_000
+MAX_SYSTEM_ENTRIES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -421,6 +425,9 @@ def load_config(path: str | Path) -> ScenarioSpec:
         grid = TimeGrid(sol.get("horizon", 40.0, kind=float), sol.get("step", 0.01, kind=float))
     except ValueError as exc:
         raise ConfigError(str(exc), anchors.where("scenario.solver"))
+    if grid.n_steps * space.dim**2 > MAX_SYSTEM_ENTRIES:
+        message = f"(horizon / step) * dim^2 exceeds {MAX_SYSTEM_ENTRIES} Newton system entries"
+        sol.fail("step", message)
     try:
         solver = SolverConfig(
             grid,
@@ -459,6 +466,9 @@ def load_config(path: str | Path) -> ScenarioSpec:
     for i, entry in enumerate(raw_orbits):
         osec = _Section(entry, anchors, f"scenario.orbits[{i}]")
         kind, params = _lookup(osec, ORBITS, "orbit")
+        # sweeps and diagnostics name an orbit by its kind
+        if any(spec["kind"] == kind for spec in orbit_specs):
+            osec.fail("kind", f"orbit kind {kind!r} is defined twice")
         spec = {"kind": kind}
         for name, param in params.items():
             if param.default is None:
@@ -525,12 +535,15 @@ def load_config(path: str | Path) -> ScenarioSpec:
         )
 
     vsec = sc.section("validation", required=False)
+    samples = {}
+    for key in ("accretivity_samples", "monotonicity_samples", "modulus_samples"):
+        samples[key] = vsec.get(key, getattr(ValidationSpec, key), kind=int)
+        if not 1 <= samples[key] <= MAX_VALIDATION_SAMPLES:
+            vsec.fail(key, f"{key} must lie in [1, {MAX_VALIDATION_SAMPLES}]")
     validation = ValidationSpec(
-        accretivity_samples=vsec.get("accretivity_samples", 200, kind=int),
         region_radius=vsec.get("region_radius", 2.0, kind=float),
-        monotonicity_samples=vsec.get("monotonicity_samples", 10_000, kind=int),
-        modulus_samples=vsec.get("modulus_samples", 2_000, kind=int),
         run_modulus_check=vsec.get("run_modulus_check", True, kind=bool),
+        **samples,
     )
     lp_validate_radius = 2.0
     sp = sc.section("space")

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, SolverError
 from .spaces import SpaceContext
@@ -185,12 +184,13 @@ class AccretiveOperator:
 class LinearMatrix(AccretiveOperator):
     """General linear operator Ax = Bx.
 
-    Not validated for accretivity; PSD and skew catalog entries subclass
-    this with their structural checks.  The zero set is the nullspace and
-    its projector is the Euclidean orthogonal projection, which is the
-    nearest-point projection in the Hilbert kind.  In lp spaces a linear
-    operator is only admitted when its nullspace is trivial or full,
-    where the two projections coincide.
+    Not validated for accretivity; the scaled-identity, PSD and skew
+    catalog entries are factories that check their structure and return
+    one of these.  The zero set is the nullspace and its projector is the
+    Euclidean orthogonal projection, which is the nearest-point
+    projection in the Hilbert kind.  In lp spaces a linear operator is
+    only admitted when its nullspace is trivial or full, where the two
+    projections coincide.
     """
 
     def __init__(self, matrix: np.ndarray, space: SpaceContext | None = None):
@@ -203,10 +203,13 @@ class LinearMatrix(AccretiveOperator):
             raise ValueError("matrix size does not match space dimension")
         super().__init__(space)
         self.matrix = matrix
-        ns = scipy.linalg.null_space(matrix, rcond=_NULLSPACE_TOL)
-        self._null_proj = ns @ ns.T if ns.size else np.zeros((space.dim, space.dim))
-        null_dim = ns.shape[1] if ns.size else 0
-        if space.kind == "lp" and 0 < null_dim < space.dim:
+        # nullspace basis: right singular vectors past the singular values
+        # above _NULLSPACE_TOL times the largest
+        _, sing, vh = np.linalg.svd(matrix)
+        rank = int(np.sum(sing > _NULLSPACE_TOL * np.amax(sing, initial=0.0)))
+        ns = vh[rank:].T
+        self._null_proj = ns @ ns.T
+        if space.kind == "lp" and 0 < ns.shape[1] < space.dim:
             raise ValueError(
                 "linear operator with a proper nontrivial nullspace is only "
                 "supported in the Hilbert kind (nearest-point projection)"
@@ -250,85 +253,40 @@ class LinearMatrix(AccretiveOperator):
         return np.asarray(rows, dtype=float) @ self._null_proj.T
 
 
-class LinearPSD(LinearMatrix):
+def LinearPSD(matrix: np.ndarray, space: SpaceContext | None = None) -> LinearMatrix:
     """Symmetric positive-semidefinite linear operator."""
-
-    def __init__(self, matrix: np.ndarray, space: SpaceContext | None = None):
-        matrix = np.asarray(matrix, dtype=float)
-        if np.max(np.abs(matrix - matrix.T)) > 1e-10:
-            raise ValueError("PSD operator matrix must be symmetric")
-        eigvals = np.linalg.eigvalsh(matrix)
-        if eigvals.min() < -1e-10:
-            raise ValueError(f"matrix is not PSD (min eigenvalue {eigvals.min():.3e})")
-        super().__init__(matrix, space)
-        self.eigenvalues = eigvals
-
-    def smallest_positive_eigenvalue(self) -> float:
-        pos = self.eigenvalues[self.eigenvalues > _NULLSPACE_TOL]
-        if pos.size == 0:
-            raise ValueError("operator has no positive eigenvalue")
-        return float(pos.min())
+    matrix = np.asarray(matrix, dtype=float)
+    if np.max(np.abs(matrix - matrix.T)) > 1e-10:
+        raise ValueError("PSD operator matrix must be symmetric")
+    eigvals = np.linalg.eigvalsh(matrix)
+    if eigvals.min() < -1e-10:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {eigvals.min():.3e})")
+    return LinearMatrix(matrix, space)
 
 
-class Rotation(LinearMatrix):
+def Rotation(matrix: np.ndarray | None = None, space: SpaceContext | None = None) -> LinearMatrix:
     """2x2 skew operator: accretive with identically-zero pairing.
 
     Satisfies the accretivity inequality with equality everywhere, hence
     admits no modulus for the convergence condition.
     """
-
-    def __init__(self, matrix: np.ndarray | None = None, space: SpaceContext | None = None):
-        if matrix is None:
-            matrix = np.array([[0.0, -1.0], [1.0, 0.0]])
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (2, 2):
-            raise ValueError("rotation operator must be 2x2")
-        if np.max(np.abs(matrix + matrix.T)) > 1e-10:
-            raise ValueError("rotation operator matrix must be skew-symmetric")
-        if abs(matrix[0, 1]) < 1e-12:
-            raise ValueError("degenerate skew matrix; use the zero operator instead")
-        super().__init__(matrix, space)
+    if matrix is None:
+        matrix = np.array([[0.0, -1.0], [1.0, 0.0]])
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (2, 2):
+        raise ValueError("rotation operator must be 2x2")
+    if np.max(np.abs(matrix + matrix.T)) > 1e-10:
+        raise ValueError("rotation operator matrix must be skew-symmetric")
+    if abs(matrix[0, 1]) < 1e-12:
+        raise ValueError("degenerate skew matrix; use the zero operator instead")
+    return LinearMatrix(matrix, space)
 
 
-class ScaledIdentity(AccretiveOperator):
+def ScaledIdentity(c: float, space: SpaceContext) -> LinearMatrix:
     """Ax = c*x with c >= 0; c = 0 is the zero operator."""
-
-    def __init__(self, c: float, space: SpaceContext):
-        if c < 0.0:
-            raise ValueError("scale must be nonnegative")
-        super().__init__(space)
-        self.c = float(c)
-
-    @property
-    def linear_matrix(self) -> np.ndarray:
-        return self.c * np.eye(self.space.dim)
-
-    def select(self, x: np.ndarray) -> np.ndarray:
-        return self.c * self.space.check(x)
-
-    def select_many(self, rows: np.ndarray) -> np.ndarray:
-        return self.c * np.asarray(rows, dtype=float)
-
-    def resolvent(self, gamma: float, x: np.ndarray) -> np.ndarray:
-        if gamma <= 0.0:
-            raise ValueError("resolvent parameter must be positive")
-        return self.space.check(x) / (1.0 + gamma * self.c)
-
-    def resolvent_many(self, gamma: float, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(rows, dtype=float) / (1.0 + gamma * self.c)
-
-    def yosida_jacobian_many(self, r: float, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        jac = (self.c / (1.0 + r * self.c)) * np.eye(self.space.dim)
-        return np.broadcast_to(jac, (rows.shape[0],) + jac.shape)
-
-    def project_zeros(self, x: np.ndarray) -> np.ndarray:
-        x = self.space.check(x)
-        return x.copy() if self.c == 0.0 else np.zeros_like(x)
-
-    def project_zeros_many(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        return rows.copy() if self.c == 0.0 else np.zeros_like(rows)
+    if c < 0.0:
+        raise ValueError("scale must be nonnegative")
+    return LinearMatrix(float(c) * np.eye(space.dim), space)
 
 
 class NormSubdifferential(AccretiveOperator):

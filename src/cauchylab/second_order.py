@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import HorizonError, SolverError
 from .operators import AccretiveOperator
@@ -148,44 +146,58 @@ class SolverConfig:
         return self.grid.horizon - self.margin
 
 
-def _assemble_system(
-    op: AccretiveOperator,
-    r: float,
-    reg_p: float,
-    x: np.ndarray,
-    grid: TimeGrid,
-    u_inner: np.ndarray,
-):
-    """Residual and sparse Jacobian of the discrete system.
+def _residual(
+    op: AccretiveOperator, r: float, reg_p: float, x: np.ndarray, h: float, u: np.ndarray
+) -> np.ndarray:
+    """Residual of the discrete system.
 
     Unknowns are the nodes 1..N (node 0 clamped at x).  Interior rows are
     the central second difference minus the forcing F(u) = A_r(u) + p*u;
     the last row uses the ghost-node Neumann closure u_{N+1} = u_{N-1}.
     """
-    h = grid.step
-    n, dim = u_inner.shape
-    full = np.vstack([x[None, :], u_inner])
-    force = op.yosida_many(r, u_inner) + reg_p * u_inner
-    res = np.empty_like(u_inner)
+    n = u.shape[0]
+    full = np.vstack([x[None, :], u])
+    force = op.yosida_many(r, u) + reg_p * u
+    res = np.empty_like(u)
     res[: n - 1] = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (h * h) - force[: n - 1]
-    res[n - 1] = 2.0 * (u_inner[n - 2] - u_inner[n - 1]) / (h * h) - force[n - 1]
+    res[n - 1] = 2.0 * (u[n - 2] - u[n - 1]) / (h * h) - force[n - 1]
+    return res
 
-    fjac = op.yosida_jacobian_many(r, u_inner) + reg_p * np.eye(dim)[None, :, :]
-    inv_h2 = 1.0 / (h * h)
-    diag_blocks = -2.0 * inv_h2 * np.eye(dim)[None, :, :] - fjac
-    # vectorized coo assembly of the block diagonal; avoids building
-    # thousands of tiny sparse blocks
-    offs = np.arange(n)[:, None, None] * dim
-    rows = np.broadcast_to(offs + np.arange(dim)[None, :, None], (n, dim, dim))
-    cols = np.broadcast_to(offs + np.arange(dim)[None, None, :], (n, dim, dim))
-    main = scipy.sparse.coo_matrix(
-        (diag_blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n * dim, n * dim)
+
+def _solve_block_tridiagonal(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve lower[i] y[i-1] + diag[i] y[i] + upper[i] y[i+1] = rhs[i].
+
+    Blocks are (m, dim, dim) and rhs is (m, dim); lower[0] and upper[-1]
+    only ever meet zero padding.  Block cyclic reduction: each level
+    solves the odd rows for their even neighbours in one batched solve and
+    substitutes them into the even rows, a block-tridiagonal system of
+    half the size.
+    """
+    m, dim = rhs.shape
+    if m == 1:
+        return np.linalg.solve(diag[0], rhs[0])[None, :]
+    # odd row i: y[i] = phi - alpha y[i-1] - gamma y[i+1], kept as [alpha | gamma | phi]
+    odd = np.linalg.solve(
+        diag[1::2], np.concatenate([lower[1::2], upper[1::2], rhs[1::2, :, None]], axis=2)
     )
-    sub = np.full(n * dim - dim, inv_h2)
-    sub[-dim:] = 2.0 * inv_h2  # ghost-node closure doubles the last coupling
-    sup = np.full(n * dim - dim, inv_h2)
-    jac = main + scipy.sparse.diags(sub, -dim) + scipy.sparse.diags(sup, dim)
-    return res.ravel(), jac.tocsc()
+    # the odd rows before and after each even row, zero past the ends
+    pad = np.concatenate([np.zeros_like(odd[:1]), odd, np.zeros_like(odd[: m % 2])])
+    left, right = lower[::2] @ pad[:-1], upper[::2] @ pad[1:]
+    even = _solve_block_tridiagonal(
+        -left[:, :, :dim],
+        diag[::2] - left[:, :, dim:-1] - right[:, :, :dim],
+        -right[:, :, dim:-1],
+        rhs[::2] - left[:, :, -1] - right[:, :, -1],
+    )
+    # the even rows before and after each odd row, zero past the end
+    pad = np.concatenate([even, np.zeros_like(even[: 1 - m % 2])])
+    sides = np.concatenate([pad[:-1], pad[1:]], axis=1)[:, :, None]
+    y = np.empty_like(rhs)
+    y[::2] = even
+    y[1::2] = odd[:, :, -1] - (odd[:, :, :-1] @ sides)[:, :, 0]
+    return y
 
 
 def solve_regularized(
@@ -199,7 +211,10 @@ def solve_regularized(
     """Solve the doubly-regularized two-point problem by damped Newton.
 
     Linear catalog operators converge in a single step; the damping only
-    engages for the nonlinear entries.
+    engages for the nonlinear entries.  The Jacobian is block tridiagonal:
+    diagonal blocks -2/h^2 - F'(u_i), couplings 1/h^2 times the identity
+    (doubled on the ghost-node row).  It is evaluated only at accepted
+    iterates; line-search trials need the residual alone.
     """
     if r <= 0.0 or reg_p <= 0.0:
         raise ValueError("regularization parameters must be positive")
@@ -207,38 +222,47 @@ def solve_regularized(
     n = grid.n_steps
     if n < 4:
         raise ValueError("grid too coarse: need at least 4 steps")
+    dim = op.space.dim
     if init is None:
         u = np.tile(x, (n, 1))
     else:
         u = np.array(init, dtype=float)
-        if u.shape != (n, op.space.dim):
+        if u.shape != (n, dim):
             raise ValueError("warm-start shape mismatch")
 
-    res, jac = _assemble_system(op, r, reg_p, x, grid, u)
-    rnorm = float(np.max(np.abs(res)))
-    linear = op.linear_matrix is not None
-    lu = None
-    for _ in range(NEWTON_MAX_ITER):
-        if rnorm <= NEWTON_RESIDUAL_TOL:
-            break
-        if lu is None or not linear:
-            lu = scipy.sparse.linalg.splu(jac)
-        step = lu.solve(-res).reshape(u.shape)
-        lam = 1.0
-        while True:
-            u_new = u + lam * step
-            res_new, jac_new = _assemble_system(op, r, reg_p, x, grid, u_new)
-            rnorm_new = float(np.max(np.abs(res_new)))
-            if rnorm_new < rnorm or rnorm_new <= NEWTON_RESIDUAL_TOL:
-                u, res, jac, rnorm = u_new, res_new, jac_new, rnorm_new
+    h = grid.step
+    inv_h2 = 1.0 / (h * h)
+    eye = np.eye(dim)[None, :, :]
+    upper = np.broadcast_to(inv_h2 * eye, (n, dim, dim))
+    lower = upper.copy()
+    lower[-1] *= 2.0  # ghost-node closure doubles the last coupling
+    try:
+        res = _residual(op, r, reg_p, x, h, u)
+        rnorm = float(np.max(np.abs(res)))
+        for _ in range(NEWTON_MAX_ITER):
+            if rnorm <= NEWTON_RESIDUAL_TOL:
                 break
-            lam *= 0.5
-            if lam < NEWTON_MIN_DAMPING:
-                raise SolverError(
-                    f"regularized solve stalled at residual {rnorm:.3e} "
-                    f"(r={r:g}, p={reg_p:g})",
-                    rnorm,
-                )
+            fjac = op.yosida_jacobian_many(r, u) + reg_p * eye
+            diag = -2.0 * inv_h2 * eye - fjac
+            step = _solve_block_tridiagonal(lower, diag, upper, -res)
+            lam = 1.0
+            while True:
+                u_new = u + lam * step
+                res_new = _residual(op, r, reg_p, x, h, u_new)
+                rnorm_new = float(np.max(np.abs(res_new)))
+                if rnorm_new < rnorm or rnorm_new <= NEWTON_RESIDUAL_TOL:
+                    u, res, rnorm = u_new, res_new, rnorm_new
+                    break
+                lam *= 0.5
+                if lam < NEWTON_MIN_DAMPING:
+                    raise SolverError(
+                        f"regularized solve stalled at residual {rnorm:.3e} "
+                        f"(r={r:g}, p={reg_p:g})",
+                        rnorm,
+                    )
+    except np.linalg.LinAlgError as exc:
+        message = f"regularized solve hit a singular matrix (r={r:g}, p={reg_p:g})"
+        raise SolverError(message) from exc
     if rnorm > NEWTON_RESIDUAL_TOL:
         raise SolverError(
             f"regularized solve did not reach tolerance: residual {rnorm:.3e} "

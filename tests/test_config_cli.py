@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from importlib import resources
@@ -10,6 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cauchylab
 from cauchylab.cli import main as cli_main
 from cauchylab.config import load_config
 from cauchylab.errors import ConfigError
@@ -105,6 +109,18 @@ def test_bad_entries_rejected(tmp_path):
         ("step: 0.05}", "step: 0.05, margin: 10.0}", "margin"),
         ("step: 0.05}", "step: 0.05, schedule: [[0.1, 0.0]]}", "schedule"),
         ("step: 0.05}", "step: 1.0e-320}", "overflows"),
+        ("  sweeps:", "  validation: {monotonicity_samples: 0}\n  sweeps:", "monotonicity_samples"),
+        ("  sweeps:", "  validation: {accretivity_samples: -5}\n  sweeps:", "accretivity_samples"),
+        ("  sweeps:", "  validation: {modulus_samples: 1000001}\n  sweeps:", "modulus_samples"),
+        ("horizon: 10.0, step: 0.05", "horizon: 1.0e+6, step: 0.01", "Newton system"),
+        (
+            "  sweeps:",
+            "  orbits:\n"
+            "    - {kind: additive_decay, v: [0, 1]}\n"
+            "    - {kind: additive_decay, v: [1, 0]}\n"
+            "  sweeps:",
+            r"orbits\[1\]\.kind: orbit kind 'additive_decay' is defined twice",
+        ),
     ]
     for old, new, fragment in bad_cases:
         assert MINIMAL.count(old) == 1
@@ -242,6 +258,38 @@ def test_cli_run_and_exit_codes(tmp_path):
     missing = tmp_path / "nope.cfg"
     assert cli_main(["run", str(missing), "--out", str(tmp_path / "x")]) == 1
     assert cli_main(["run", str(cfg), "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 1
+
+
+def test_cli_singular_solve_is_one_error_line(tmp_path, capsys):
+    # I + rB is singular for B = -10 I at r = 0.1: a solver error, no traceback
+    text = MINIMAL.replace(
+        "kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[-10, 0], [0, -10]]"
+    ).replace("step: 0.05}", "step: 0.05, schedule: [[0.1, 0.1]]}")
+    cfg = write_cfg(tmp_path, text)
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "r=0.1, p=0.1" in err[0]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the only linear-algebra dependency: a run must not import scipy
+    src = Path(cauchylab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from cauchylab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    cfg = CFG_DIR / "linear_diag14.cfg"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", str(cfg), "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "reports.json").exists()
 
 
 def test_cli_summary_counts_extrapolated_apart(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,3 +237,33 @@ def test_resolvent_residual_property(coords, gamma):
     x = np.array(coords)
     z = op.resolvent(gamma, x)
     assert np.linalg.norm(z + gamma * op.select(z) - x) <= 1e-9 * (1 + np.linalg.norm(x))
+
+
+def _null_space_matrices():
+    """(matrix, nullity): diagonal, PSD, skew and non-symmetric entries with
+    trivial, one-dimensional and full nullspaces."""
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    g = rng.normal(size=(4, 4))
+    yield np.diag([1.0, 4.0]), 0
+    yield np.diag([0.0, 4.0, 2.5]), 1
+    yield np.zeros((3, 3)), 3
+    yield q @ np.diag([0.5, 2.0, 7.0, 1.0]) @ q.T, 0
+    yield q @ np.diag([0.0, 2.0, 7.0, 1.0]) @ q.T, 1
+    yield np.array([[0.0, -2.0], [2.0, 0.0]]), 0
+    yield np.array([[0.0, -1.0, 2.0], [1.0, 0.0, -3.0], [-2.0, 3.0, 0.0]]), 1
+    yield g, 0
+    yield g @ np.diag([1.0, 1.0, 1.0, 0.0]) @ rng.normal(size=(4, 4)), 1
+
+
+def test_null_projector_matches_scipy_null_space():
+    # scipy.linalg.null_space is the reference the projector must reproduce
+    for matrix, nullity in _null_space_matrices():
+        ns = scipy.linalg.null_space(matrix, rcond=1e-10)
+        assert ns.shape[1] == nullity
+        ref = ns @ ns.T if ns.size else np.zeros_like(matrix)
+        op = LinearMatrix(matrix)
+        x = np.arange(1.0, matrix.shape[0] + 1.0)
+        assert np.allclose(op.project_zeros(x), ref @ x, rtol=0.0, atol=1e-12)
+        eye = np.eye(matrix.shape[0])
+        assert np.allclose(op.project_zeros_many(eye), ref.T, rtol=0.0, atol=1e-12)

@@ -16,7 +16,11 @@ from cauchylab import (
     solve_second_order,
 )
 from cauchylab.errors import HorizonError
-from cauchylab.second_order import export_trajectory_csv, projection_profile
+from cauchylab.second_order import (
+    _solve_block_tridiagonal,
+    export_trajectory_csv,
+    projection_profile,
+)
 
 
 def test_time_grid_validation():
@@ -208,3 +212,58 @@ def test_trajectory_csv_export(tmp_path, hilbert2):
     assert data.shape == (traj.times.size, 5)
     assert np.allclose(data[:, 3], np.linalg.norm(traj.values, axis=1), atol=1e-12)
     assert np.allclose(data[:, 4], projection_profile(op, traj), atol=1e-12)
+
+
+def _dense(lower, diag, upper):
+    """The assembled matrix; lower[0] and upper[-1] lie outside it."""
+    m, dim, _ = diag.shape
+    mat = np.zeros((m * dim, m * dim))
+    for i in range(m):
+        rows = slice(i * dim, (i + 1) * dim)
+        mat[rows, rows] = diag[i]
+        if i > 0:
+            mat[rows, (i - 1) * dim : i * dim] = lower[i]
+        if i < m - 1:
+            mat[rows, (i + 1) * dim : (i + 2) * dim] = upper[i]
+    return mat
+
+
+def _block_systems(m, dim, rng):
+    """The Newton system's shape (identity couplings, doubled on the ghost
+    row, diagonal blocks -2/h^2 - F' with a rotation-like skew part), then
+    a general system of random non-symmetric blocks.  lower[0] and
+    upper[-1] hold junk, which the solver must ignore."""
+    inv_h2 = 1.0 / 0.01**2
+    eye = np.eye(dim)
+    skew = rng.normal(size=(m, dim, dim))
+    skew -= skew.transpose(0, 2, 1)
+    psd = rng.normal(size=(m, dim, dim))
+    fjac = psd @ psd.transpose(0, 2, 1) + 3.0 * skew + 0.01 * eye
+    upper = np.repeat(inv_h2 * eye[None], m, axis=0)
+    lower = upper.copy()
+    lower[-1] *= 2.0
+    lower[0] = upper[-1] = 7.0
+    yield lower, -2.0 * inv_h2 * eye - fjac, upper
+    lower = rng.normal(size=(m, dim, dim))
+    upper = rng.normal(size=(m, dim, dim))
+    yield lower, rng.normal(size=(m, dim, dim)) + 8.0 * eye, upper
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000])
+def test_block_cyclic_reduction_matches_dense_solve(m, dim):
+    rng = np.random.default_rng(1000 * m + dim)
+    for lower, diag, upper in _block_systems(m, dim, rng):
+        rhs = rng.normal(size=(m, dim))
+        y = _solve_block_tridiagonal(lower, diag, upper, rhs)
+        assert y.shape == (m, dim)
+        if m * dim <= 3000:
+            ref = np.linalg.solve(_dense(lower, diag, upper), rhs.ravel()).reshape(m, dim)
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+        else:
+            # a dense matrix of this size takes 288 MB: check the residual
+            # block by block instead
+            res = (diag @ y[:, :, None])[:, :, 0] - rhs
+            res[1:] += (lower[1:] @ y[:-1, :, None])[:, :, 0]
+            res[:-1] += (upper[:-1] @ y[1:, :, None])[:, :, 0]
+            assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
