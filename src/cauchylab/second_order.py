@@ -7,7 +7,8 @@ restoring term p*u, solve the resulting smooth problem on [0, T] by
 finite differences, then drive (r, p) to zero along a continuation
 schedule with warm starts until successive trajectories stabilize.
 The limiting trajectory realizes the square-root semigroup of A at the
-initial point.
+initial point.  A linear operator A = B needs no chain: its limit A_0 = B
+is exact, and the unregularized problem is solved once.
 
 Boundary treatment: the left end is clamped at x; the far end carries a
 zero-derivative (ghost-node) condition.  A Dirichlet far end would force
@@ -92,11 +93,17 @@ class Trajectory:
 
     def at(self, t: float) -> np.ndarray:
         """Linear interpolation between grid nodes."""
-        if t < 0.0 or t > self.grid.horizon:
-            raise HorizonError(f"time {t} outside [0, {self.grid.horizon}]")
-        pos = t / self.grid.step
-        i = min(int(pos), self.grid.n_steps - 1)
-        frac = pos - i
+        return self.at_many(np.array([t]))[0]
+
+    def at_many(self, times) -> np.ndarray:
+        """``at`` for an array of times, one row per time."""
+        ts = np.asarray(times, dtype=float)
+        outside = (ts < 0.0) | (ts > self.grid.horizon)
+        if outside.any():
+            raise HorizonError(f"time {float(ts[outside][0])} outside [0, {self.grid.horizon}]")
+        pos = ts / self.grid.step
+        i = np.minimum(pos.astype(int), self.grid.n_steps - 1)
+        frac = (pos - i)[:, None]
         return (1.0 - frac) * self.values[i] + frac * self.values[i + 1]
 
 
@@ -119,7 +126,7 @@ class AprioriBounds:
         return self.sup_ok and self.du_ok and self.ddu_ok
 
 
-# damped Newton for the regularized solves
+# damped Newton for the discrete solves
 NEWTON_RESIDUAL_TOL = 1e-8
 NEWTON_MAX_ITER = 60
 NEWTON_MIN_DAMPING = 1e-8
@@ -146,18 +153,15 @@ class SolverConfig:
         return self.grid.horizon - self.margin
 
 
-def _residual(
-    op: AccretiveOperator, r: float, reg_p: float, x: np.ndarray, h: float, u: np.ndarray
-) -> np.ndarray:
-    """Residual of the discrete system.
+def _residual(x: np.ndarray, h: float, u: np.ndarray, force: np.ndarray) -> np.ndarray:
+    """Residual of the discrete system u'' = F(u).
 
     Unknowns are the nodes 1..N (node 0 clamped at x).  Interior rows are
-    the central second difference minus the forcing F(u) = A_r(u) + p*u;
+    the central second difference minus the forcing ``force`` = F(u);
     the last row uses the ghost-node Neumann closure u_{N+1} = u_{N-1}.
     """
     n = u.shape[0]
     full = np.vstack([x[None, :], u])
-    force = op.yosida_many(r, u) + reg_p * u
     res = np.empty_like(u)
     res[: n - 1] = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (h * h) - force[: n - 1]
     res[n - 1] = 2.0 * (u[n - 2] - u[n - 1]) / (h * h) - force[n - 1]
@@ -200,24 +204,27 @@ def _solve_block_tridiagonal(
     return y
 
 
-def solve_regularized(
+def _newton(
     op: AccretiveOperator,
-    r: float,
-    reg_p: float,
     x: np.ndarray,
     grid: TimeGrid,
-    init: np.ndarray | None = None,
+    force,
+    force_jacobian,
+    init: np.ndarray | None,
+    label: str,
+    r: float,
+    reg_p: float,
 ) -> Trajectory:
-    """Solve the doubly-regularized two-point problem by damped Newton.
+    """Damped Newton on the discrete system u'' = force(u), started at
+    ``init`` (the constant x when None).  The forcing belongs to the
+    regularization (r, p), which errors name and the metadata records.
 
-    Linear catalog operators converge in a single step; the damping only
-    engages for the nonlinear entries.  The Jacobian is block tridiagonal:
-    diagonal blocks -2/h^2 - F'(u_i), couplings 1/h^2 times the identity
-    (doubled on the ghost-node row).  It is evaluated only at accepted
-    iterates; line-search trials need the residual alone.
+    The Jacobian is block tridiagonal: diagonal blocks -2/h^2 - F'(u_i),
+    couplings 1/h^2 times the identity (doubled on the ghost-node row).
+    It is evaluated only at accepted iterates; line-search trials need the
+    residual alone.  A linear forcing is solved by the first step; the
+    damping only engages for the nonlinear ones.
     """
-    if r <= 0.0 or reg_p <= 0.0:
-        raise ValueError("regularization parameters must be positive")
     x = op.space.check(x)
     n = grid.n_steps
     if n < 4:
@@ -230,25 +237,25 @@ def solve_regularized(
         if u.shape != (n, dim):
             raise ValueError("warm-start shape mismatch")
 
+    params = f"(r={r:g}, p={reg_p:g})"
     h = grid.step
     inv_h2 = 1.0 / (h * h)
-    eye = np.eye(dim)[None, :, :]
+    eye = np.eye(dim)
     upper = np.broadcast_to(inv_h2 * eye, (n, dim, dim))
     lower = upper.copy()
     lower[-1] *= 2.0  # ghost-node closure doubles the last coupling
     try:
-        res = _residual(op, r, reg_p, x, h, u)
+        res = _residual(x, h, u, force(u))
         rnorm = float(np.max(np.abs(res)))
         for _ in range(NEWTON_MAX_ITER):
             if rnorm <= NEWTON_RESIDUAL_TOL:
                 break
-            fjac = op.yosida_jacobian_many(r, u) + reg_p * eye
-            diag = -2.0 * inv_h2 * eye - fjac
+            diag = np.broadcast_to(-2.0 * inv_h2 * eye - force_jacobian(u), (n, dim, dim))
             step = _solve_block_tridiagonal(lower, diag, upper, -res)
             lam = 1.0
             while True:
                 u_new = u + lam * step
-                res_new = _residual(op, r, reg_p, x, h, u_new)
+                res_new = _residual(x, h, u_new, force(u_new))
                 rnorm_new = float(np.max(np.abs(res_new)))
                 if rnorm_new < rnorm or rnorm_new <= NEWTON_RESIDUAL_TOL:
                     u, res, rnorm = u_new, res_new, rnorm_new
@@ -256,24 +263,45 @@ def solve_regularized(
                 lam *= 0.5
                 if lam < NEWTON_MIN_DAMPING:
                     raise SolverError(
-                        f"regularized solve stalled at residual {rnorm:.3e} "
-                        f"(r={r:g}, p={reg_p:g})",
-                        rnorm,
+                        f"{label} stalled at residual {rnorm:.3e} {params}", rnorm
                     )
     except np.linalg.LinAlgError as exc:
-        message = f"regularized solve hit a singular matrix (r={r:g}, p={reg_p:g})"
-        raise SolverError(message) from exc
+        raise SolverError(f"{label} hit a singular matrix {params}") from exc
     if rnorm > NEWTON_RESIDUAL_TOL:
         raise SolverError(
-            f"regularized solve did not reach tolerance: residual {rnorm:.3e} "
-            f"(r={r:g}, p={reg_p:g})",
-            rnorm,
+            f"{label} did not reach tolerance: residual {rnorm:.3e} {params}", rnorm
         )
 
     values = np.vstack([x[None, :], u])
     traj = Trajectory(grid=grid, values=values, meta={"r": r, "reg_p": reg_p})
     _flag_far_end(op, x, traj)
     return traj
+
+
+def solve_regularized(
+    op: AccretiveOperator,
+    r: float,
+    reg_p: float,
+    x: np.ndarray,
+    grid: TimeGrid,
+    init: np.ndarray | None = None,
+) -> Trajectory:
+    """Solve the doubly-regularized two-point problem u'' = A_r(u) + p*u by
+    damped Newton."""
+    if r <= 0.0 or reg_p <= 0.0:
+        raise ValueError("regularization parameters must be positive")
+    eye = np.eye(op.space.dim)
+    return _newton(
+        op,
+        x,
+        grid,
+        lambda u: op.yosida_many(r, u) + reg_p * u,
+        lambda u: op.yosida_jacobian_many(r, u) + reg_p * eye,
+        init,
+        "regularized solve",
+        r,
+        reg_p,
+    )
 
 
 def _flag_far_end(op: AccretiveOperator, x: np.ndarray, traj: Trajectory) -> None:
@@ -300,18 +328,40 @@ def solve_second_order(
     auto_extend: bool = True,
     r_floor: float = 1e-9,
 ) -> Trajectory:
-    """Continuation along a decreasing (r, p) schedule with warm starts.
+    """Solve u'' in Au, u(0) = x, on the grid.
 
-    Stops when successive trajectories differ by at most ``stab_tol`` in
-    the sup norm.  When the supplied schedule is exhausted unstabilized
-    and ``auto_extend`` is set, both parameters keep shrinking by factors
-    of ten down to ``r_floor``; failing that, the trajectory is returned
-    with a warning flag in the metadata.
+    A linear operator A = B is its own limit A_0: the unregularized
+    problem u'' = Bu is solved once, at r = p = 0, and the schedule is not
+    used.  Otherwise continuation runs along the decreasing (r, p)
+    schedule with warm starts, and stops when successive trajectories
+    differ by at most ``stab_tol`` in the sup norm.  When the supplied
+    schedule is exhausted unstabilized and ``auto_extend`` is set, both
+    parameters keep shrinking by factors of ten down to ``r_floor``;
+    failing that, the trajectory is returned with a warning flag in the
+    metadata.
     """
     x = op.space.check(x)
     stages = [(float(r), float(p)) for r, p in schedule]
     if not stages:
         raise ValueError("continuation schedule is empty")
+    b = op.linear_matrix
+    if b is not None:
+        traj = _newton(
+            op,
+            x,
+            grid,
+            lambda u: u @ b.T,
+            lambda u: b,
+            None,
+            "linear solve",
+            0.0,
+            0.0,
+        )
+        # solved to the Newton tolerance at r = p = 0: nothing left to stabilize
+        traj.meta.update(
+            continuation=[(0.0, 0.0)], stage_diffs=[], stabilized=True, initial_point=x.copy()
+        )
+        return traj
     prev_traj = None
     warm = None
     diffs = []
@@ -373,11 +423,16 @@ class SqrtSemigroup:
         return self.solver.trusted_horizon
 
     def at(self, t: float) -> np.ndarray:
-        if t < 0.0 or t > self.trusted_horizon + 1e-12:
+        return self.at_many(np.array([t]))[0]
+
+    def at_many(self, times) -> np.ndarray:
+        ts = np.asarray(times, dtype=float)
+        outside = (ts < 0.0) | (ts > self.trusted_horizon + 1e-12)
+        if outside.any():
             raise HorizonError(
-                f"time {t} outside trusted range [0, {self.trusted_horizon}]"
+                f"time {float(ts[outside][0])} outside trusted range [0, {self.trusted_horizon}]"
             )
-        return self.trajectory.at(min(t, self.solver.grid.horizon))
+        return self.trajectory.at_many(np.minimum(ts, self.solver.grid.horizon))
 
     def restart_from(self, y: np.ndarray) -> "SqrtSemigroup":
         """Semigroup started at a new initial point (same solver setup)."""

@@ -269,15 +269,24 @@ class AlmostOrbit:
 
     kind: str
     description: str
-    evaluate: Callable[[float], np.ndarray]
+    curve: Callable[[np.ndarray], np.ndarray]  # times -> one row per time
     phi_roc: Counterfunction
     phi_meta: MetastabilityRate
     trusted_horizon: float
     base: SqrtSemigroup
     certificate: dict = field(default_factory=dict)
 
-    def values(self, times: np.ndarray) -> np.ndarray:
-        return np.stack([self.evaluate(float(t)) for t in times])
+    def evaluate(self, t: float) -> np.ndarray:
+        return self.curve(np.array([t]))[0]
+
+    def values(self, times) -> np.ndarray:
+        return self.curve(np.asarray(times, dtype=float))
+
+
+def _exp(xs: np.ndarray) -> np.ndarray:
+    # math.exp, element by element: np.exp may differ from it in the last
+    # ulp, and orbit samples must not move with the vectorization
+    return np.array([math.exp(x) for x in xs.tolist()])
 
 
 def make_almost_orbit(
@@ -303,7 +312,7 @@ def make_almost_orbit(
         orbit = AlmostOrbit(
             kind=kind,
             description="exact orbit",
-            evaluate=base.at,
+            curve=base.at_many,
             phi_roc=Counterfunction.constant(0, "0"),
             phi_meta=MetastabilityRate.zero(),
             trusted_horizon=base.trusted_horizon,
@@ -317,8 +326,8 @@ def make_almost_orbit(
         v = space.check(v)
         nv = space.norm(v)
 
-        def evaluate(t: float) -> np.ndarray:
-            return base.at(t) + math.exp(-lam * t) * v
+        def curve(ts: np.ndarray) -> np.ndarray:
+            return base.at_many(ts) + _exp(-lam * ts)[:, None] * v
 
         def roc(k: int) -> int:
             # defect <= 2 ||v|| e^{-lam s} by contraction + triangle inequality
@@ -329,7 +338,7 @@ def make_almost_orbit(
         orbit = AlmostOrbit(
             kind=kind,
             description=f"additive decay |v|={nv:g}, lam={lam:g}",
-            evaluate=evaluate,
+            curve=curve,
             phi_roc=Counterfunction(roc, f"additive-decay rate lam={lam:g}"),
             phi_meta=MetastabilityRate.from_convergence_rate(
                 roc, "additive-decay metastability"
@@ -345,8 +354,8 @@ def make_almost_orbit(
         deriv = base.trajectory.derivative()
         lip = float(np.max(space.norms(deriv)))
 
-        def evaluate(t: float) -> np.ndarray:
-            return base.at(t + delta * math.exp(-t))
+        def curve(ts: np.ndarray) -> np.ndarray:
+            return base.at_many(ts + delta * _exp(-ts))
 
         def roc(k: int) -> int:
             # |u(t+s) - S(t)u(s)| <= lip * delta * e^{-s}, sampled Lipschitz bound
@@ -358,7 +367,7 @@ def make_almost_orbit(
         orbit = AlmostOrbit(
             kind=kind,
             description=f"time warp delta={delta:g}",
-            evaluate=evaluate,
+            curve=curve,
             phi_roc=Counterfunction(roc, f"time-warp rate delta={delta:g}"),
             phi_meta=MetastabilityRate.from_convergence_rate(
                 roc, "time-warp metastability"
@@ -390,9 +399,8 @@ def _certify_orbit(orbit: AlmostOrbit, sample_ks: Sequence[int], cert_tol: float
         restart = restarts[s]
         t_max = min(orbit.trusted_horizon - s, restart.trusted_horizon)
         ts = np.linspace(0.0, t_max, 33)
-        defect = max(
-            float(base.op.space.norm(orbit.evaluate(s + t) - restart.at(t))) for t in ts
-        )
+        gaps = orbit.values(s + ts) - restart.at_many(ts)
+        defect = max(float(base.op.space.norm(gap)) for gap in gaps)
         worst = max(worst, defect)
         records.append({"k": int(k), "s": s, "defect": defect})
         if defect > 1.0 / (k + 1.0) + cert_tol:
@@ -441,8 +449,18 @@ class SampleSet:
 
     @cached_property
     def graph_bound(self) -> int:
-        """Worst operator graph bound over the samples (0 when empty)."""
-        return max((self.op.graph_bound(row) for row in self.values), default=0)
+        """Worst operator graph bound over the samples (0 when empty).
+
+        ceil(max(||x||, d(0, Ax))) is taken over all rows at once.  Rows
+        within rounding of an integer, where the batched norms could round
+        the other way than ``op.graph_bound``, are redone row by row, so
+        the result is the row-by-row maximum.
+        """
+        op, rows = self.op, self.values
+        level = np.maximum(op.space.norms(rows), op.space.norms(op.select_many(rows)))
+        near = np.abs(level - np.rint(level)) <= 1e-9 * np.maximum(level, 1.0)
+        batched = int(np.ceil(level[~near]).max(initial=0))
+        return max([batched] + [op.graph_bound(row) for row in rows[near]])
 
     @cached_property
     def _residual(self) -> np.ndarray | None:

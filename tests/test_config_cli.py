@@ -195,6 +195,18 @@ def test_bundled_identity_run(tmp_path):
     assert interior[0].bound == 80
 
 
+GOLDEN_REPORTS = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_report_rows_match_golden(tmp_path, name):
+    # every reports row of each bundled config at its shipped seed, exactly;
+    # diagnostics are left out, since solver changes may move their last digits
+    run_config(str(CFG_DIR / name), out_dir=tmp_path / "out")
+    payload = json.loads((tmp_path / "out" / "reports.json").read_text())
+    assert payload["reports"] == GOLDEN_REPORTS[name.removesuffix(".cfg")]
+
+
 def test_run_config_minimal(tmp_path):
     result = run_config(write_cfg(tmp_path, MINIMAL), out_dir=tmp_path / "out")
     assert result.exit_code == 0
@@ -261,15 +273,16 @@ def test_cli_run_and_exit_codes(tmp_path):
 
 
 def test_cli_singular_solve_is_one_error_line(tmp_path, capsys):
-    # I + rB is singular for B = -10 I at r = 0.1: a solver error, no traceback
+    # every odd diagonal block -2/h^2 I - B of the direct linear solve is
+    # zero for B = -8 I at h = 0.5: a solver error, no traceback
     text = MINIMAL.replace(
-        "kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[-10, 0], [0, -10]]"
-    ).replace("step: 0.05}", "step: 0.05, schedule: [[0.1, 0.1]]}")
+        "kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[-8, 0], [0, -8]]"
+    ).replace("step: 0.05}", "step: 0.5}")
     cfg = write_cfg(tmp_path, text)
     assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ") and "r=0.1, p=0.1" in err[0]
+    assert err[0].startswith("error: ") and "linear solve hit a singular matrix (r=0, p=0)" in err[0]
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -3,11 +3,14 @@ import pytest
 import scipy.linalg
 
 from cauchylab import (
+    LinearMatrix,
     LinearPSD,
     NormSubdifferential,
+    Rotation,
     ScaledIdentity,
     SolverConfig,
     SqrtSemigroup,
+    StronglyAccretive,
     TimeGrid,
     Trajectory,
     check_apriori,
@@ -15,7 +18,7 @@ from cauchylab import (
     solve_regularized,
     solve_second_order,
 )
-from cauchylab.errors import HorizonError
+from cauchylab.errors import HorizonError, SolverError
 from cauchylab.second_order import (
     _solve_block_tridiagonal,
     export_trajectory_csv,
@@ -85,6 +88,48 @@ def test_second_order_zero_operator_constant(hilbert2):
     x = np.array([0.7, -0.3])
     traj = solve_second_order(op, x, TimeGrid(40.0, 0.01))
     assert np.max(np.abs(traj.values - x)) <= 1e-5
+
+
+def test_direct_solve_zero_operator_is_exact(hilbert2):
+    # the chain stopped 3.5e-5 from x at T = 100 while claiming stabilization
+    op = ScaledIdentity(0.0, hilbert2)
+    x = np.array([0.7, -0.3])
+    traj = solve_second_order(op, x, TimeGrid(100.0, 0.01))
+    assert np.max(np.abs(traj.values - x)) <= 1e-12
+    assert traj.meta["stabilized"]
+
+
+@pytest.mark.parametrize(
+    "matrix", [1.3 * np.eye(2), np.array([[2.0, 1.0], [1.0, 1.0]]), np.zeros((2, 2))]
+)
+def test_direct_solve_long_horizon_oracle(hilbert2, matrix):
+    op = LinearPSD(matrix, hilbert2)
+    x = np.array([0.8, -0.6])
+    traj = solve_second_order(op, x, TimeGrid(100.0, 0.01))
+    expected = np.stack([linear_oracle(matrix, t, x) for t in traj.times[::50]])
+    assert np.max(np.abs(traj.values[::50] - expected)) <= 1e-5
+    assert traj.meta["continuation"] == [(0.0, 0.0)]
+    assert traj.meta["stage_diffs"] == []
+    assert traj.meta["far_end_ok"]
+
+
+def test_direct_solve_strongly_accretive_over_linear_base(hilbert2):
+    # A = B + c I is linear; its generic Yosida form divides by r, so the
+    # direct solve must go through linear_matrix
+    op = StronglyAccretive(Rotation(space=hilbert2), 1.0)
+    x = np.array([1.0, 0.0])
+    traj = solve_second_order(op, x, TimeGrid(40.0, 0.01))
+    assert traj.meta["continuation"] == [(0.0, 0.0)]
+    root = scipy.linalg.sqrtm(op.linear_matrix).real
+    expected = np.stack([scipy.linalg.expm(-t * root) @ x for t in traj.times[::100]])
+    assert np.max(np.abs(traj.values[::100] - expected)) <= 1e-4
+
+
+def test_regularized_singular_resolvent_is_solver_error(hilbert2):
+    # I + rB is singular for B = -10 I at r = 0.1
+    op = LinearMatrix(-10.0 * np.eye(2), hilbert2)
+    with pytest.raises(SolverError, match=r"r=0\.1, p=0\.1"):
+        solve_regularized(op, 0.1, 0.1, np.array([1.0, 0.0]), TimeGrid(10.0, 0.05))
 
 
 def test_second_order_scalar_closed_form(hilbert2):

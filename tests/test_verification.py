@@ -5,11 +5,13 @@ import pytest
 
 from cauchylab import (
     LinearPSD,
+    NormSubdifferential,
     Rotation,
     ScaledIdentity,
     SpaceContext,
     SolverConfig,
     SqrtSemigroup,
+    StronglyAccretive,
     TimeGrid,
     fejer_report,
     first_order_trajectory,
@@ -29,6 +31,7 @@ from cauchylab.semigroup import ExpFormulaConfig
 from cauchylab.verification import (
     SUFFIX_CHUNK,
     RateReport,
+    SampleSet,
     ScenarioBundle,
     _suffix_pair_sup,
 )
@@ -146,6 +149,61 @@ def test_time_warp_delta_must_fit_margin(identity_sg):
         make_almost_orbit(identity_sg, "time_warp", delta=2.0)
 
 
+def _interpolate_pointwise(sg, t):
+    # the one-time-at-a-time interpolation the batched orbit curves replace
+    t = min(t, sg.solver.grid.horizon)
+    pos = t / sg.solver.grid.step
+    i = min(int(pos), sg.solver.grid.n_steps - 1)
+    frac = pos - i
+    return (1.0 - frac) * sg.trajectory.values[i] + frac * sg.trajectory.values[i + 1]
+
+
+def test_orbit_values_match_pointwise_formulas(identity_sg):
+    v = np.array([0.3, -1.0])
+    lam, delta = 0.7, 0.5
+    pointwise = {
+        "exact": lambda t: _interpolate_pointwise(identity_sg, t),
+        "additive_decay": lambda t: _interpolate_pointwise(identity_sg, t)
+        + math.exp(-lam * t) * v,
+        "time_warp": lambda t: _interpolate_pointwise(identity_sg, t + delta * math.exp(-t)),
+    }
+    horizon = identity_sg.trusted_horizon - delta
+    rng = np.random.default_rng(3)
+    times = np.concatenate([[0.0, 0.01, 1.0, horizon], rng.uniform(0.0, horizon, 500)])
+    for kind, by_hand in pointwise.items():
+        orbit = make_almost_orbit(identity_sg, kind, v=v, lam=lam, delta=delta, certify=False)
+        assert np.array_equal(orbit.values(times), np.stack([by_hand(float(t)) for t in times]))
+        assert np.array_equal(orbit.evaluate(horizon), by_hand(horizon))
+
+
+@pytest.mark.parametrize(
+    "name", ["subdiff_inside_ball", "subdiff", "identity", "psd", "strong_subdiff", "lp_identity"]
+)
+def test_sample_set_graph_bound_matches_row_by_row(name, hilbert2, lp4):
+    ops = {
+        "subdiff_inside_ball": (NormSubdifferential(hilbert2), 0.7),
+        "subdiff": (NormSubdifferential(hilbert2), 3.0),
+        "identity": (ScaledIdentity(1.0, hilbert2), 3.0),
+        "psd": (LinearPSD(np.array([[2.0, 1.0], [1.0, 1.0]]), hilbert2), 2.0),
+        "strong_subdiff": (StronglyAccretive(NormSubdifferential(hilbert2), 0.5), 2.0),
+        "lp_identity": (ScaledIdentity(1.0, lp4), 3.0),
+    }
+    op, radius = ops[name]
+    rng = np.random.default_rng(11)
+    # random rows, plus rows whose norms are integers, where rounding decides the ceiling
+    rows = np.concatenate(
+        [
+            rng.uniform(-radius, radius, (3000, 2)),
+            [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.6, 0.8], [0.0, 0.0]],
+            rng.standard_normal((300, 2)) * 1e-3,
+        ]
+    )
+    bounds = [op.graph_bound(row) for row in rows]
+    assert SampleSet(op, np.arange(len(rows), dtype=float), rows).graph_bound == max(bounds)
+    for row, bound in zip(rows, bounds):
+        assert SampleSet(op, np.zeros(1), row[None]).graph_bound == bound
+
+
 def test_unknown_orbit_kind(identity_sg):
     with pytest.raises(ValueError):
         make_almost_orbit(identity_sg, "wobble")
@@ -160,7 +218,7 @@ def test_orbit_certification_failure(identity_sg):
     fake = orbit.__class__(
         kind="exact",
         description="fake",
-        evaluate=lambda t: identity_sg.at(t) + math.exp(-0.5 * t) * v,
+        curve=lambda ts: identity_sg.at_many(ts) + np.exp(-0.5 * ts)[:, None] * v,
         phi_roc=Counterfunction.constant(0),
         phi_meta=orbit.phi_meta,
         trusted_horizon=orbit.trusted_horizon,
