@@ -3,9 +3,9 @@
 Outputs land in the configured directory: ``reports.json`` (canonical,
 byte-reproducible for a fixed seed), ``reports.csv``, the scenario
 ``trajectories.csv``, and a ``plotdata/`` directory of plain-text .dat
-files plus a small plotting script.  All files are written to a
-temporary name and renamed into place, so a crash never leaves partial
-outputs behind.
+files plus a small plotting script.  Each file is written once, through
+one handle on a fresh temporary name, and renamed into place, so no
+output is ever left half written; a failed write removes its temporary.
 
 Exit code contract: 0 when every non-extrapolated report passes, 2 when
 any fails, 1 on configuration or solver errors.  Extrapolated reports
@@ -14,6 +14,7 @@ are diagnostics only and never count toward acceptance.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -26,12 +27,7 @@ import numpy as np
 
 from .config import ScenarioSpec, SweepSpec, load_config
 from .errors import CauchyLabError, ConfigError
-from .second_order import (
-    SqrtSemigroup,
-    check_apriori,
-    export_trajectory_csv,
-    projection_profile,
-)
+from .second_order import SqrtSemigroup, check_apriori, export_trajectory_csv
 from .semigroup import ExpFormulaConfig
 from .verification import (
     RateReport,
@@ -222,10 +218,24 @@ def observed_bound_monotonicity(reports: list[RateReport]) -> dict:
     return out
 
 
-def _atomic_write(path: Path, data: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """A text handle on a fresh ``<name>.tmp``, renamed over ``path`` on
+    success and removed on failure."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+    tmp.unlink(missing_ok=True)  # left by a killed run: never reopen it
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write(path: Path, data: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(data)
 
 
 def reports_json_text(spec: ScenarioSpec, reports, diagnostics) -> str:
@@ -278,10 +288,11 @@ import matplotlib.pyplot as plt
 import numpy as np
 
 here = pathlib.Path(__file__).parent
-profile = np.loadtxt(here / "trajectory_profile.dat")
+# columns t, u_0..u_{d-1}, norm_u, dist_to_zero_set
+traj = np.loadtxt(here.parent / "trajectories.csv", delimiter=",", skiprows=1, ndmin=2)
 fig, ax = plt.subplots()
-ax.plot(profile[:, 0], profile[:, 1], label="|u(t)|")
-ax.plot(profile[:, 0], profile[:, 2], label="dist to zero set")
+ax.plot(traj[:, 0], traj[:, -2], label="|u(t)|")
+ax.plot(traj[:, 0], traj[:, -1], label="dist to zero set")
 ax.set_xlabel("t")
 ax.set_yscale("log")
 ax.legend()
@@ -309,23 +320,11 @@ def write_outputs(
     _atomic_write(out_dir / "reports.json", reports_json_text(spec, reports, diagnostics))
     _atomic_write(out_dir / "reports.csv", reports_csv_text(reports))
 
-    traj_tmp = out_dir / "trajectories.csv.tmp"
-    export_trajectory_csv(bundle.op, bundle.trajectory, traj_tmp)
-    os.replace(traj_tmp, out_dir / "trajectories.csv")
+    with _atomic_open(out_dir / "trajectories.csv") as fh:
+        export_trajectory_csv(bundle.op, bundle.trajectory, fh)
 
     plot_dir = out_dir / "plotdata"
     plot_dir.mkdir(exist_ok=True)
-    ts = bundle.trajectory.times
-    norms = bundle.op.space.norms(bundle.trajectory.values)
-    dist = projection_profile(bundle.op, bundle.trajectory)
-    _atomic_write(
-        plot_dir / "trajectory_profile.dat",
-        "# t  norm_u  dist_to_zero_set\n"
-        + "\n".join(
-            f"{float(t)!r} {float(n)!r} {float(d)!r}" for t, n, d in zip(ts, norms, dist)
-        )
-        + "\n",
-    )
     by_theorem: dict[str, list] = {}
     for r in reports:
         by_theorem.setdefault(r.theorem, []).append(r)
@@ -361,10 +360,20 @@ def run_config(
                 raise ConfigError("seed must be a natural", "--seed")
             spec = replace(spec, seed=seed)
         out = Path(out_dir) if out_dir else Path(spec.output_dir or "out") / spec.scenario_id
+        try:  # before the solve, so a bad --out fails fast
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out}: {exc.strerror or exc}",
+                "--out" if out_dir else "output_dir",
+            ) from None
         bundle, diagnostics = materialize(spec)
         reports = run_sweeps(bundle, spec)
         diagnostics["bounds_monotone_in_k"] = observed_bound_monotonicity(reports)
-        write_outputs(out, spec, bundle, reports, diagnostics)
+        try:
+            write_outputs(out, spec, bundle, reports, diagnostics)
+        except OSError as exc:
+            raise CauchyLabError(f"cannot write outputs to {out}: {exc}") from None
         return RunResult(
             exit_code=exit_code_for(reports),
             reports=reports,

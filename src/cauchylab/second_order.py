@@ -499,12 +499,23 @@ def projection_profile(op: AccretiveOperator, traj: Trajectory) -> np.ndarray:
     return op.space.norms(traj.values - op.project_zeros_many(traj.values))
 
 
-def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, path) -> None:
-    """CSV columns: t, u_0..u_{d-1}, norm_u, dist_to_zero_set."""
-    ts = traj.times
-    norms = op.space.norms(traj.values)
-    dist = projection_profile(op, traj)
+CSV_BLOCK_ROWS = 2048
+
+
+def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out) -> None:
+    """Write the CSV to the open text handle ``out``, in blocks of rows.
+
+    Columns: t, u_0..u_{d-1}, norm_u, dist_to_zero_set, each value the
+    shortest string that parses back to the same float.  The caller opens
+    the file once: ``np.savetxt(path)`` creates, closes and reopens it, and
+    ext4 (``auto_da_alloc``) treats that truncation of an existing file as
+    a replace, forcing its blocks to be allocated at close.
+    """
     dim = traj.values.shape[1]
-    header = "t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set"
-    data = np.column_stack([ts, traj.values, norms, dist])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
+    out.write("t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set\n")
+    data = np.column_stack(
+        [traj.times, traj.values, op.space.norms(traj.values), projection_profile(op, traj)]
+    )
+    row = ",".join(["%r"] * data.shape[1]) + "\n"
+    for start in range(0, len(data), CSV_BLOCK_ROWS):
+        out.write("".join([row % tuple(r) for r in data[start : start + CSV_BLOCK_ROWS].tolist()]))

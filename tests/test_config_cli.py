@@ -1,11 +1,14 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
 import textwrap
+import types
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cauchylab
+from cauchylab import runner
 from cauchylab.cli import main as cli_main
 from cauchylab.config import load_config
 from cauchylab.errors import ConfigError
@@ -214,7 +218,8 @@ def test_run_config_minimal(tmp_path):
     assert (tmp_path / "out" / "reports.csv").exists()
     assert (tmp_path / "out" / "trajectories.csv").exists()
     assert (tmp_path / "out" / "plotdata" / "plot_all.py").exists()
-    assert (tmp_path / "out" / "plotdata" / "trajectory_profile.dat").exists()
+    # the trajectory profile is read from trajectories.csv, not repeated in a .dat
+    assert not (tmp_path / "out" / "plotdata" / "trajectory_profile.dat").exists()
     payload = json.loads((tmp_path / "out" / "reports.json").read_text())
     assert payload["config"]["seed"] == 7
     assert payload["diagnostics"]["accretivity"]["pass"] is True
@@ -368,3 +373,109 @@ def test_trajectory_csv_matches_library(tmp_path):
     assert data.shape[1] == 5  # t, two coordinates, norm, zero-set distance
     assert data[0, 1] == pytest.approx(1.0)
     assert np.all(np.diff(data[:, 0]) > 0)
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+def test_cli_out_on_a_file_is_one_error_line(tmp_path, capsys, monkeypatch, under):
+    # refused before the solve, as one error line anchored at --out
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under else blocker
+    monkeypatch.setattr(runner, "materialize", mock.Mock(side_effect=AssertionError("solved")))
+    assert cli_main(["run", str(write_cfg(tmp_path, MINIMAL)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: --out: cannot create output directory")
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_failed_write_leaves_no_tmp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "out"
+    assert cli_main(["run", str(write_cfg(tmp_path, MINIMAL)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: cannot write outputs") and "No space left" in err[0]
+    assert not list(out.rglob("*.tmp"))
+
+
+_write_opens: list | None = None  # recording only while a test sets it
+
+
+def _record_write_opens(event, args):
+    if event != "open" or _write_opens is None or not isinstance(args[0], (str, bytes, Path)):
+        return
+    path, mode, flags = args
+    writes = any(c in mode for c in "wxa+") if mode else flags & (os.O_WRONLY | os.O_RDWR)
+    if writes:
+        _write_opens.append((os.fsdecode(path), os.path.exists(path)))
+
+
+_audit_installed = False
+
+
+def test_run_opens_every_output_file_once_fresh(tmp_path):
+    # reopening or truncating an existing file makes ext4 allocate its blocks
+    # at close (auto_da_alloc), which makes deleting it later slow
+    global _write_opens, _audit_installed
+    if not _audit_installed:  # audit hooks cannot be removed: install one, once
+        sys.addaudithook(_record_write_opens)
+        _audit_installed = True
+    cfg = write_cfg(tmp_path, MINIMAL)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "trajectories.csv.tmp").write_text("left by a killed run\n")
+    _write_opens = []
+    try:
+        assert run_config(cfg, out_dir=tmp_path / "out").exit_code == 0
+        opens = _write_opens
+    finally:
+        _write_opens = None
+    assert [p for p, existed in opens if existed] == []
+    names = sorted(Path(p).name for p, _ in opens)
+    assert "trajectories.csv.tmp" in names and "reports.json.tmp" in names
+    assert len(names) == len(set(names))
+
+
+def test_plot_script_reads_trajectory_csv_and_bounds(tmp_path, monkeypatch, capsys):
+    # matplotlib is not a dependency: a stub records what the script would draw
+    text = MINIMAL.replace(
+        '    - {theorem: "4.1", k_range: [0, 1]}\n',
+        '    - {theorem: "4.1", k_range: [0, 1]}\n    - {theorem: "4.2", k_range: [0, 2]}\n',
+    )
+    result = run_config(write_cfg(tmp_path, text), out_dir=tmp_path / "out")
+    assert result.exit_code == 0
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    figures = []
+
+    def subplots():
+        figures.append((mock.Mock(), mock.Mock()))
+        return figures[-1]
+
+    pyplot.subplots = subplots
+    mpl = types.ModuleType("matplotlib")
+    mpl.use = mock.Mock()
+    mpl.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    plot_dir = tmp_path / "out" / "plotdata"
+    runpy.run_path(str(plot_dir / "plot_all.py"), run_name="__main__")
+    assert "wrote figures to" in capsys.readouterr().out
+
+    data = np.loadtxt(tmp_path / "out" / "trajectories.csv", delimiter=",", skiprows=1)
+    (fig, ax), *bounds_figs = figures
+    (t1, norm_u), _ = ax.plot.call_args_list[0]
+    (t2, dist), _ = ax.plot.call_args_list[1]
+    assert np.array_equal(t1, data[:, 0]) and np.array_equal(t2, data[:, 0])
+    assert np.array_equal(norm_u, data[:, 3]) and np.array_equal(dist, data[:, 4])
+    fig.savefig.assert_called_once_with(plot_dir / "trajectory_profile.png", dpi=150)
+
+    assert len(bounds_figs) == 2
+    for theorem, (fig, ax) in zip(["4.1", "4.2"], bounds_figs):
+        rows = sorted((r.k, r.bound) for r in result.reports if r.theorem == theorem)
+        (ks, bounds, _), _ = ax.semilogy.call_args_list[0]
+        assert ks.tolist() == [k for k, _ in rows] and bounds.tolist() == [b for _, b in rows]
+        name = "bounds_" + theorem.replace(".", "_") + ".png"
+        fig.savefig.assert_called_once_with(plot_dir / name, dpi=150)

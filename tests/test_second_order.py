@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,7 @@ from cauchylab import (
 )
 from cauchylab.errors import HorizonError, SolverError
 from cauchylab.second_order import (
+    CSV_BLOCK_ROWS,
     _solve_block_tridiagonal,
     export_trajectory_csv,
     projection_profile,
@@ -250,13 +253,38 @@ def test_trajectory_csv_export(tmp_path, hilbert2):
     x = np.array([1.0, 0.0])
     traj = solve_second_order(op, x, TimeGrid(5.0, 0.05))
     path = tmp_path / "traj.csv"
-    export_trajectory_csv(op, traj, path)
+    with open(path, "x") as fh:
+        export_trajectory_csv(op, traj, fh)
     header = path.read_text().splitlines()[0]
     assert header == "t,u_0,u_1,norm_u,dist_to_zero_set"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (traj.times.size, 5)
-    assert np.allclose(data[:, 3], np.linalg.norm(traj.values, axis=1), atol=1e-12)
-    assert np.allclose(data[:, 4], projection_profile(op, traj), atol=1e-12)
+    # shortest round-trip floats: every value parses back exactly
+    assert np.array_equal(data[:, 0], traj.times)
+    assert np.array_equal(data[:, 1:3], traj.values)
+    assert np.array_equal(data[:, 3], hilbert2.norms(traj.values))
+    assert np.array_equal(data[:, 4], projection_profile(op, traj))
+
+
+def test_trajectory_csv_is_written_in_row_blocks(hilbert2):
+    # more rows than one block: the blocks join into one table, in order
+    op = ScaledIdentity(1.0, hilbert2)
+    traj = solve_second_order(op, np.array([1.0, 0.0]), TimeGrid(50.0, 0.01))
+    assert traj.times.size > 2 * CSV_BLOCK_ROWS
+
+    class CountingWriter(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = CountingWriter()
+    export_trajectory_csv(op, traj, out)
+    assert out.writes == 1 + -(-traj.times.size // CSV_BLOCK_ROWS)  # header, then blocks
+    data = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], traj.times)
+    assert np.array_equal(data[:, 1:3], traj.values)
 
 
 def _dense(lower, diag, upper):
