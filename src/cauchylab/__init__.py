@@ -44,6 +44,7 @@ from .second_order import (
     Trajectory,
     check_apriori,
     linear_oracle,
+    norm_oracle,
     solve_regularized,
     solve_second_order,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "make_almost_orbit",
     "modulus_check",
     "modulus_strongly_accretive",
+    "norm_oracle",
     "parse_counterfunction",
     "projection_residual_rate",
     "query_budget",

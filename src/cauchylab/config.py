@@ -164,6 +164,15 @@ class _Section:
     def fail(self, key: str, message: str) -> NoReturn:
         raise ConfigError(message, self.anchors.where(self._sub(key)))
 
+    def known(self, *keys: str) -> None:
+        """Reject any key of the mapping that is not one of ``keys``: a
+        misspelt field must not silently take its default."""
+        for key in self.data:
+            if key not in keys:
+                self.fail(
+                    str(key), f"unknown key {str(key)!r} (allowed: {', '.join(keys)})"
+                )
+
     def require(self, key: str, kind=None):
         if key not in self.data:
             self.fail(key, f"missing required field {key!r}")
@@ -345,6 +354,7 @@ def _build(sec: _Section, menu: dict, what: str, *args):
     """Build the menu entry that ``sec`` names; what its build function rejects
     becomes a ConfigError anchored at the entry."""
     _, entry = _lookup(sec, menu, what)
+    sec.known("kind", *entry.params)
     try:
         return entry.build(sec, *args)
     except ConfigError:
@@ -353,18 +363,29 @@ def _build(sec: _Section, menu: dict, what: str, *args):
         raise ConfigError(str(exc), sec.anchors.where(sec.path))
 
 
-def _build_space(sec: _Section) -> SpaceContext:
+# the keys of each space kind; validate_radius bounds the strong-monotonicity
+# sampling, which only the lp kind runs
+SPACE_KEYS = {
+    "hilbert": ("kind", "dim"),
+    "lp": ("kind", "dim", "p", "M", "validate_radius"),
+}
+
+
+def _build_space(sec: _Section) -> tuple[SpaceContext, float]:
+    """The space and the radius its duality map is validated on."""
     kind = sec.require("kind", str)
+    if kind not in SPACE_KEYS:
+        sec.fail("kind", f"unknown space kind {kind!r}")
+    sec.known(*SPACE_KEYS[kind])
     dim = sec.require("dim", int)
     try:
         if kind == "hilbert":
-            return SpaceContext.hilbert(dim)
-        if kind == "lp":
+            space = SpaceContext.hilbert(dim)
+        else:
             space = SpaceContext.lp(dim, sec.require("p", float), sec.require("M", float))
-            return space
-        sec.fail("kind", f"unknown space kind {kind!r}")
     except ValueError as exc:
         raise ConfigError(str(exc), sec.anchors.where(sec.path))
+    return space, sec.get("validate_radius", 2.0, kind=float)
 
 
 def _parse_cf(text, named, anchors, path) -> Counterfunction:
@@ -389,15 +410,30 @@ def load_config(path: str | Path) -> ScenarioSpec:
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping", f"{path}:1")
     root = _Section(data, anchors, "")
+    root.known("seed", "output_dir", "scenario")
 
     seed = root.require("seed", int)
     if seed < 0:
         root.fail("seed", "seed must be a natural")
     output_dir = root.get("output_dir", kind=str)
     sc = root.section("scenario")
+    sc.known(
+        "id",
+        "space",
+        "operator",
+        "initial_point",
+        "dynamics",
+        "solver",
+        "modulus",
+        "rate_data",
+        "counterfunctions",
+        "orbits",
+        "sweeps",
+        "validation",
+    )
     scenario_id = sc.require("id", str)
 
-    space = _build_space(sc.section("space"))
+    space, lp_validate_radius = _build_space(sc.section("space"))
     # the initial point first: its length in the file bounds the dimension
     # that building the operator may allocate for
     x = sc.vector("initial_point", space.dim)
@@ -408,6 +444,15 @@ def load_config(path: str | Path) -> ScenarioSpec:
         sc.fail("dynamics", f"dynamics must be second_order or first_order, got {dynamics!r}")
 
     sol = sc.section("solver", required=False)
+    sol.known(
+        "horizon",
+        "step",
+        "margin",
+        "schedule",
+        "stabilization_tol",
+        "sample_points",
+        "first_order_n_max",
+    )
     first_order_n_max = sol.get("first_order_n_max", 2**16, kind=int)
     sample_points = sol.get("sample_points", 500, kind=int)
     if not 1 <= sample_points <= MAX_SAMPLE_POINTS:
@@ -434,7 +479,6 @@ def load_config(path: str | Path) -> ScenarioSpec:
             schedule,
             sol.get("stabilization_tol", 1e-6, kind=float),
             sol.get("margin", 1.0, kind=float),
-            sol.get("auto_extend", True, kind=bool),
         )
     except ValueError as exc:
         sol.fail("margin", str(exc))
@@ -442,6 +486,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
     modulus = _build(sc.section("modulus"), MODULI, "modulus")
 
     rd = sc.section("rate_data", required=False)
+    rd.known("b", "d_budget", "orbit_bound", "omega")
     b_override = rd.get("b", kind=float)
     d_override = rd.get("d_budget", kind=float)
     orbit_bound_override = rd.get("orbit_bound", kind=int)
@@ -466,6 +511,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
     for i, entry in enumerate(raw_orbits):
         osec = _Section(entry, anchors, f"scenario.orbits[{i}]")
         kind, params = _lookup(osec, ORBITS, "orbit")
+        osec.known("kind", *params)
         # sweeps and diagnostics name an orbit by its kind
         if any(spec["kind"] == kind for spec in orbit_specs):
             osec.fail("kind", f"orbit kind {kind!r} is defined twice")
@@ -485,6 +531,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
     raw_sweeps = sc.get("sweeps", kind=list) or []
     for i, entry in enumerate(raw_sweeps):
         ssec = _Section(entry, anchors, f"scenario.sweeps[{i}]")
+        ssec.known("theorem", "k_range", "counterfunctions", "orbits", "f_dom")
         theorem = str(ssec.require("theorem"))
         if theorem not in THEOREMS:
             ssec.fail("theorem", f"unknown theorem {theorem!r} (known: {', '.join(THEOREMS)})")
@@ -535,6 +582,13 @@ def load_config(path: str | Path) -> ScenarioSpec:
         )
 
     vsec = sc.section("validation", required=False)
+    vsec.known(
+        "accretivity_samples",
+        "region_radius",
+        "monotonicity_samples",
+        "modulus_samples",
+        "run_modulus_check",
+    )
     samples = {}
     for key in ("accretivity_samples", "monotonicity_samples", "modulus_samples"):
         samples[key] = vsec.get(key, getattr(ValidationSpec, key), kind=int)
@@ -545,11 +599,6 @@ def load_config(path: str | Path) -> ScenarioSpec:
         run_modulus_check=vsec.get("run_modulus_check", True, kind=bool),
         **samples,
     )
-    lp_validate_radius = 2.0
-    sp = sc.section("space")
-    if space.kind == "lp":
-        lp_validate_radius = sp.get("validate_radius", 2.0, kind=float)
-
     return ScenarioSpec(
         scenario_id=scenario_id,
         seed=seed,

@@ -9,10 +9,6 @@ class DimensionMismatch(CauchyLabError):
     """A vector does not match the dimension of its space."""
 
 
-class DomainError(CauchyLabError):
-    """A point lies outside the domain of an operator."""
-
-
 class SolverError(CauchyLabError):
     """An iterative solve failed to converge.
 

@@ -1,10 +1,11 @@
-"""Catalog of m-accretive operators with computable resolvents.
+"""Catalog of m-accretive operators with closed-form resolvents.
 
-Every operator exposes a minimal-norm selection of its graph, the
-resolvent (Id + gamma A)^{-1}, the Yosida approximate, the distance
-d(0, Ax) and the nearest-point projection onto its zero set.  Catalog
-entries have full domain and a nonempty zero set containing the origin;
-configurations declaring an empty zero set are rejected at load time.
+Every operator exposes, in closed form, a minimal-norm selection of its
+graph, the resolvent (Id + gamma A)^{-1}, the Yosida approximate and its
+Jacobian, the distance d(0, Ax) and the nearest-point projection onto
+its zero set.  Catalog entries have full domain and a nonempty zero set
+containing the origin; configurations declaring an empty zero set are
+rejected at load time.
 
 Multi-valued entries (the norm subdifferential) are exposed through
 their minimal-norm selection: every bound computed downstream only needs
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverError
 from .spaces import SpaceContext
 
 _NULLSPACE_TOL = 1e-10
@@ -33,8 +33,9 @@ class AccretivityReport:
 
 
 class AccretiveOperator:
-    """Base class; concrete entries override the hooks they can do in
-    closed form and inherit damped-Newton fallbacks for the rest."""
+    """The operator contract.  Every catalog entry states its graph
+    selection, resolvent, Yosida approximate with its Jacobian, and
+    zero-set projection in closed form; there are no fallbacks."""
 
     def __init__(self, space: SpaceContext):
         self.space = space
@@ -46,7 +47,8 @@ class AccretiveOperator:
         raise NotImplementedError
 
     def select_many(self, rows: np.ndarray) -> np.ndarray:
-        return np.stack([self.select(r) for r in np.asarray(rows, dtype=float)])
+        """``select`` of each row of an (n, dim) array."""
+        raise NotImplementedError
 
     def dist_zero(self, x: np.ndarray) -> float:
         """Infimum of ||y|| over y in Ax; the minimal-norm selection norm."""
@@ -64,51 +66,19 @@ class AccretiveOperator:
         """Natural bound on max(||x||, ||Ax||) used as domain-witness data."""
         return int(math.ceil(max(self.space.norm(x), self.dist_zero(x))))
 
-    def domain_witness(self, x: np.ndarray):
-        """Approximating graph pairs near x, indexed by precision.
-
-        Catalog operators have full domain, so the pair at x itself
-        serves every precision index: the witness is constant in n.
-        """
-        x = self.space.check(x)
-        y = self.select(x)
-        bound = self.graph_bound(x)
-        return lambda n: (x, y, bound)
-
     # -- resolvent and Yosida approximate --------------------------------------
 
     def resolvent(self, gamma: float, x: np.ndarray) -> np.ndarray:
-        """Solve z + gamma*A(z) = x.  Fallback: damped Newton."""
-        if gamma <= 0.0:
-            raise ValueError("resolvent parameter must be positive")
-        return self._newton_resolvent(gamma, self.space.check(x))
-
-    def resolvent_many(self, gamma: float, rows: np.ndarray) -> np.ndarray:
-        return np.stack([self.resolvent(gamma, r) for r in np.asarray(rows, dtype=float)])
-
-    def yosida(self, r: float, x: np.ndarray) -> np.ndarray:
-        if r <= 0.0:
-            raise ValueError("Yosida parameter must be positive")
-        x = self.space.check(x)
-        return (x - self.resolvent(r, x)) / r
+        """The solution z of z + gamma*A(z) = x."""
+        raise NotImplementedError
 
     def yosida_many(self, r: float, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        return (rows - self.resolvent_many(r, rows)) / r
+        """Yosida approximate A_r = (Id - J_r)/r of each row."""
+        raise NotImplementedError
 
     def yosida_jacobian_many(self, r: float, rows: np.ndarray) -> np.ndarray:
-        """(n, dim, dim) Jacobians of the Yosida approximate, by forward
-        differences unless a closed form is available."""
-        rows = np.asarray(rows, dtype=float)
-        n, dim = rows.shape
-        base = self.yosida_many(r, rows)
-        jac = np.empty((n, dim, dim))
-        eps = 1e-7
-        for c in range(dim):
-            pert = rows.copy()
-            pert[:, c] += eps
-            jac[:, :, c] = (self.yosida_many(r, pert) - base) / eps
-        return jac
+        """(n, dim, dim) Jacobians of the Yosida approximate at the rows."""
+        raise NotImplementedError
 
     # -- zero set ---------------------------------------------------------------
 
@@ -117,11 +87,8 @@ class AccretiveOperator:
         raise NotImplementedError
 
     def project_zeros_many(self, rows: np.ndarray) -> np.ndarray:
-        return np.stack([self.project_zeros(r) for r in np.asarray(rows, dtype=float)])
-
-    @property
-    def zero_point(self) -> np.ndarray:
-        return np.zeros(self.space.dim)
+        """``project_zeros`` of each row of an (n, dim) array."""
+        raise NotImplementedError
 
     # -- linearity hook ----------------------------------------------------------
 
@@ -129,56 +96,6 @@ class AccretiveOperator:
     def linear_matrix(self) -> np.ndarray | None:
         """Matrix B when A = B is linear; None otherwise."""
         return None
-
-    # -- internals ---------------------------------------------------------------
-
-    def _newton_resolvent(
-        self,
-        gamma: float,
-        x: np.ndarray,
-        tol: float = 1e-12,
-        max_iter: int = 200,
-    ) -> np.ndarray:
-        """Damped Newton on g(z) = z + gamma*A(z) - x, damping halved on
-        residual increase."""
-        dim = self.space.dim
-        z = x.copy()
-        res = z + gamma * self.select(z) - x
-        rnorm = float(np.linalg.norm(res))
-        for _ in range(max_iter):
-            if rnorm <= tol:
-                return z
-            jac = np.eye(dim) + gamma * self._select_jacobian(z)
-            try:
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular resolvent Jacobian: {exc}", rnorm)
-            lam = 1.0
-            while lam > 1e-10:
-                z_new = z + lam * step
-                res_new = z_new + gamma * self.select(z_new) - x
-                rnorm_new = float(np.linalg.norm(res_new))
-                if rnorm_new < rnorm:
-                    z, res, rnorm = z_new, res_new, rnorm_new
-                    break
-                lam *= 0.5
-            else:
-                break
-        if rnorm <= 1e-10:
-            return z
-        raise SolverError(
-            f"resolvent Newton stalled at residual {rnorm:.3e}", rnorm
-        )
-
-    def _select_jacobian(self, z: np.ndarray, eps: float = 1e-7) -> np.ndarray:
-        dim = self.space.dim
-        base = self.select(z)
-        jac = np.empty((dim, dim))
-        for c in range(dim):
-            pert = z.copy()
-            pert[c] += eps
-            jac[:, c] = (self.select(pert) - base) / eps
-        return jac
 
 
 class LinearMatrix(AccretiveOperator):
@@ -232,13 +149,10 @@ class LinearMatrix(AccretiveOperator):
         lhs = np.eye(self.space.dim) + gamma * self.matrix
         return np.linalg.solve(lhs, x)
 
-    def resolvent_many(self, gamma: float, rows: np.ndarray) -> np.ndarray:
-        lhs = np.eye(self.space.dim) + gamma * self.matrix
-        return np.linalg.solve(lhs, np.asarray(rows, dtype=float).T).T
-
     def yosida_many(self, r: float, rows: np.ndarray) -> np.ndarray:
         # closed form B (I + rB)^{-1}
-        return self.resolvent_many(r, rows) @ self.matrix.T
+        lhs = np.eye(self.space.dim) + r * self.matrix
+        return np.linalg.solve(lhs, np.asarray(rows, dtype=float).T).T @ self.matrix.T
 
     def yosida_jacobian_many(self, r: float, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -294,8 +208,8 @@ class NormSubdifferential(AccretiveOperator):
 
     Single-valued x/||x|| away from the origin; at the origin the
     minimal-norm subgradient is 0.  The resolvent is the proximal map of
-    gamma*||.||, a radial soft threshold, so no Newton iteration is ever
-    needed.  Hilbert kind only (the proximal map is Euclidean).
+    gamma*||.||, a radial soft threshold.  Hilbert kind only (the proximal
+    map is Euclidean).
     """
 
     def __init__(self, space: SpaceContext):
@@ -332,12 +246,6 @@ class NormSubdifferential(AccretiveOperator):
             return np.zeros_like(x)
         return (1.0 - gamma / n) * x
 
-    def resolvent_many(self, gamma: float, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        n = np.linalg.norm(rows, axis=1, keepdims=True)
-        factor = np.maximum(0.0, 1.0 - gamma / np.maximum(n, 1e-300))
-        return factor * rows
-
     def yosida_many(self, r: float, rows: np.ndarray) -> np.ndarray:
         # (x - prox)(1/r) = x / max(||x||, r)
         rows = np.asarray(rows, dtype=float)
@@ -370,9 +278,12 @@ class StronglyAccretive(AccretiveOperator):
     """A = base + c*Id with c > 0: strongly accretive whenever the base is
     accretive, with the unique zero at the origin (base(0) = 0 is checked).
 
-    The resolvent composes exactly through the base:
-        (Id + gamma A)^{-1} x = J^base_{gamma'}(x / (1 + gamma c)),
-    gamma' = gamma / (1 + gamma c).
+    The resolvent, the Yosida approximate and its Jacobian compose exactly
+    through the base, the latter two with no x - J_r x cancellation: with
+    s = 1 + gamma c (s = 1 + r c for the Yosida pair),
+        (Id + gamma A)^{-1} x = J^base_{gamma/s}(x / s),
+        A_r(x) = (c/s) x + base_{r/s}(x/s) / s,
+        A_r'(x) = (c/s) I + base'_{r/s}(x/s) / s^2.
     """
 
     def __init__(self, base: AccretiveOperator, c: float):
@@ -407,9 +318,16 @@ class StronglyAccretive(AccretiveOperator):
         scale = 1.0 + gamma * self.c
         return self.base.resolvent(gamma / scale, x / scale)
 
-    def resolvent_many(self, gamma: float, rows: np.ndarray) -> np.ndarray:
-        scale = 1.0 + gamma * self.c
-        return self.base.resolvent_many(gamma / scale, np.asarray(rows, dtype=float) / scale)
+    def yosida_many(self, r: float, rows: np.ndarray) -> np.ndarray:
+        scale = 1.0 + r * self.c
+        rows = np.asarray(rows, dtype=float)
+        return (self.c / scale) * rows + self.base.yosida_many(r / scale, rows / scale) / scale
+
+    def yosida_jacobian_many(self, r: float, rows: np.ndarray) -> np.ndarray:
+        scale = 1.0 + r * self.c
+        rows = np.asarray(rows, dtype=float)
+        base = self.base.yosida_jacobian_many(r / scale, rows / scale)
+        return (self.c / scale) * np.eye(self.space.dim) + base / (scale * scale)
 
     def project_zeros(self, x: np.ndarray) -> np.ndarray:
         return np.zeros(self.space.dim)

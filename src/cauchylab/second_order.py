@@ -142,7 +142,6 @@ class SolverConfig:
     schedule: tuple = DEFAULT_SCHEDULE
     stab_tol: float = 1e-6
     margin: float = 1.0
-    auto_extend: bool = True
 
     def __post_init__(self):
         if self.margin < 0.0 or self.margin >= self.grid.horizon:
@@ -325,7 +324,6 @@ def solve_second_order(
     grid: TimeGrid,
     schedule=DEFAULT_SCHEDULE,
     stab_tol: float = 1e-6,
-    auto_extend: bool = True,
     r_floor: float = 1e-9,
 ) -> Trajectory:
     """Solve u'' in Au, u(0) = x, on the grid.
@@ -335,10 +333,9 @@ def solve_second_order(
     used.  Otherwise continuation runs along the decreasing (r, p)
     schedule with warm starts, and stops when successive trajectories
     differ by at most ``stab_tol`` in the sup norm.  When the supplied
-    schedule is exhausted unstabilized and ``auto_extend`` is set, both
-    parameters keep shrinking by factors of ten down to ``r_floor``;
-    failing that, the trajectory is returned with a warning flag in the
-    metadata.
+    schedule is exhausted unstabilized, both parameters keep shrinking by
+    factors of ten down to ``r_floor``; failing that, the trajectory is
+    returned with a warning flag in the metadata.
     """
     x = op.space.check(x)
     stages = [(float(r), float(p)) for r, p in schedule]
@@ -371,7 +368,7 @@ def solve_second_order(
     while True:
         if i < len(stages):
             r, p = stages[i]
-        elif auto_extend and stages[-1][0] > r_floor:
+        elif stages[-1][0] > r_floor:
             r, p = stages[-1]
             r, p = max(r / 10.0, r_floor), max(p / 10.0, r_floor)
             stages.append((r, p))
@@ -415,7 +412,6 @@ class SqrtSemigroup:
             solver.grid,
             schedule=solver.schedule,
             stab_tol=solver.stab_tol,
-            auto_extend=solver.auto_extend,
         )
 
     @property
@@ -456,6 +452,34 @@ def linear_oracle(b: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(b)
     w = np.clip(w, 0.0, None)
     return v @ (np.exp(-t * np.sqrt(w)) * (v.T @ x))
+
+
+def norm_oracle(c: float, t: float, x: np.ndarray) -> np.ndarray:
+    """Independent closed form of u'' in (d||.|| + c Id) u, u(0) = x, for
+    c >= 0 in the Hilbert kind (c = 0 is the plain norm subdifferential).
+
+    The solution stays on the ray of x, u = rho(t) x / ||x||, where
+    rho'' = 1 + c rho until rho reaches 0 with zero slope at T*, and rho = 0
+    after T*.  For c > 0, rho(t) = (cosh(sqrt(c)(T* - t)) - 1)/c with
+    cosh(sqrt(c) T*) = 1 + c ||x||; for c = 0, rho(t) = (T* - t)^2/2 with
+    T* = sqrt(2 ||x||).  Shares no code with the trajectory solver.
+    """
+    if c < 0.0:
+        raise ValueError("strong-accretivity constant must be nonnegative")
+    if t < 0.0:
+        raise ValueError("time must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    rho0 = float(np.linalg.norm(x))
+    if rho0 == 0.0:
+        return np.zeros_like(x)
+    if c == 0.0:
+        t_star = math.sqrt(2.0 * rho0)
+        rho = 0.5 * (t_star - t) ** 2
+    else:
+        root = math.sqrt(c)
+        t_star = math.acosh(1.0 + c * rho0) / root
+        rho = (math.cosh(root * (t_star - t)) - 1.0) / c
+    return (rho / rho0) * x if t < t_star else np.zeros_like(x)
 
 
 def check_apriori(

@@ -565,9 +565,9 @@ class ScenarioBundle:
 
     def orbit_rate_data(self, orbit: AlmostOrbit) -> ScenarioRateData:
         space = self.op.space
-        p = self.op.zero_point
         samples = self.orbit_samples(orbit)
-        sup_dev = float(np.max(space.norms(samples.values - p[None, :])))
+        # deviation from the origin, which every catalog zero set contains
+        sup_dev = float(np.max(space.norms(samples.values)))
         orbit_bound = self.orbit_bound_override
         if orbit_bound is None:
             orbit_bound = max(1, math.ceil(sup_dev - 1e-9))

@@ -125,6 +125,32 @@ def test_bad_entries_rejected(tmp_path):
             "  sweeps:",
             r"orbits\[1\]\.kind: orbit kind 'additive_decay' is defined twice",
         ),
+        # a key no mapping reads is an error, never a silently ignored typo
+        (
+            "seed: 7",
+            "seed: 7\nsed: 3",
+            r":2: sed: unknown key 'sed' \(allowed: seed, output_dir, scenario\)",
+        ),
+        ("  id: mini", "  id: mini\n  dynamcs: first_order", r"scenario\.dynamcs: unknown key"),
+        ("step: 0.05}", "step: 0.05, stabilisation_tol: 0.5}", r"solver\.stabilisation_tol: unknown"),
+        ("horizon: 10.0", "horizn: 3.0", r"solver\.horizn: unknown key 'horizn' \(allowed: horizon,"),
+        ("step: 0.05}", "step: 0.05, auto_extend: false}", r"solver\.auto_extend: unknown key"),
+        ("dim: 2}", "dim: 2, validate_radius: 2.0}", r"allowed: kind, dim\)"),
+        (
+            "operator: {kind: scaled_identity, c: 1.0}",
+            "operator: {kind: scaled_identity, c: 1.0, cc: 2.0}",
+            r"operator\.cc: unknown key 'cc' \(allowed: kind, c\)",
+        ),
+        (
+            "operator: {kind: scaled_identity, c: 1.0}",
+            "operator: {kind: strongly_accretive, c: 1.0, base: {kind: zero, c: 3.0}}",
+            r"operator\.base\.c: unknown key 'c' \(allowed: kind\)",
+        ),
+        ("strongly_accretive, c: 1.0}", "strongly_accretive, c: 1.0, k: 1}", r"modulus\.k: unknown"),
+        ("  sweeps:", "  rate_data: {b: 1.0, bb: 2.0}\n  sweeps:", r"rate_data\.bb: unknown"),
+        ("  sweeps:", "  validation: {region_radius: 1.0, radius: 2}\n  sweeps:", r"validation\.radius"),
+        ("  sweeps:", "  orbits: [{kind: exact, lam: 1.0}]\n  sweeps:", r"orbits\[0\]\.lam: unknown"),
+        ("k_range: [0, 1]}", "k_range: [0, 1], theorm: 4.2}", r"sweeps\[0\]\.theorm: unknown"),
     ]
     for old, new, fragment in bad_cases:
         assert MINIMAL.count(old) == 1

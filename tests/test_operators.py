@@ -36,12 +36,12 @@ def test_resolvent_zero_operator_identity(hilbert2):
 
 def test_yosida_scaled_identity(hilbert2):
     op = ScaledIdentity(1.0, hilbert2)
-    assert np.allclose(op.yosida(1.0, np.array([2.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(op.yosida_many(1.0, np.array([[2.0, 0.0]])), [[1.0, 0.0]])
 
 
 def test_yosida_zero_operator(hilbert2):
     op = ScaledIdentity(0.0, hilbert2)
-    assert np.allclose(op.yosida(0.5, np.array([1.0, 2.0])), 0.0)
+    assert np.allclose(op.yosida_many(0.5, np.array([[1.0, 2.0]])), 0.0)
 
 
 def test_yosida_closed_form_matches_resolvent_composition(hilbert2):
@@ -115,7 +115,8 @@ def test_resolvent_identity_on_catalog(catalog):
         for _ in range(20):
             x = rng.uniform(-2, 2, size=2)
             r = float(rng.uniform(0.1, 2.0))
-            assert op.graph_distance(op.resolvent(r, x), op.yosida(r, x)) <= 1e-8
+            y = op.yosida_many(r, x[None, :])[0]
+            assert op.graph_distance(op.resolvent(r, x), y) <= 1e-8
 
 
 def test_verify_accretive_scaled_identity(hilbert2):
@@ -163,27 +164,31 @@ def test_strongly_accretive_requires_vanishing_base(hilbert2):
         StronglyAccretive(Shifted(hilbert2), 1.0)
 
 
-class _Cubic(AccretiveOperator):
-    """Componentwise x + x^3: monotone, no closed-form resolvent."""
-
-    kind = "cubic"
-
-    def select(self, x):
-        x = self.space.check(x)
-        return x + x ** 3
-
-    def project_zeros(self, x):
-        return np.zeros(self.space.dim)
-
-
-def test_newton_resolvent_fallback(hilbert2):
-    op = _Cubic(hilbert2)
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        x = rng.uniform(-3, 3, size=2)
-        gamma = float(rng.uniform(0.1, 2.0))
-        z = op.resolvent(gamma, x)
-        assert np.linalg.norm(z + gamma * op.select(z) - x) <= 1e-9
+@pytest.mark.parametrize(
+    "base",
+    [
+        NormSubdifferential(SpaceContext.hilbert(2)),
+        Rotation(space=SpaceContext.hilbert(2)),
+        LinearPSD(np.array([[2.0, 0.5], [0.5, 1.0]])),
+    ],
+    ids=["norm_subdifferential", "rotation", "linear_psd"],
+)
+@pytest.mark.parametrize("r", [0.1, 1.0])
+def test_strongly_accretive_yosida_closed_form(base, r):
+    # A_r through the base, against (x - J_r x)/r and central differences
+    op = StronglyAccretive(base, 0.7)
+    rows = np.random.default_rng(29).uniform(-2, 2, size=(12, 2))
+    composed = np.stack([(x - op.resolvent(r, x)) / r for x in rows])
+    assert np.allclose(op.yosida_many(r, rows), composed, rtol=0.0, atol=1e-12)
+    eps = 1e-6
+    central = np.stack(
+        [
+            (op.yosida_many(r, rows + eps * e) - op.yosida_many(r, rows - eps * e)) / (2 * eps)
+            for e in np.eye(2)
+        ],
+        axis=2,
+    )
+    assert np.allclose(op.yosida_jacobian_many(r, rows), central, rtol=0.0, atol=1e-6)
 
 
 def test_structural_validation(hilbert2):
@@ -212,18 +217,6 @@ def test_graph_bound(hilbert2):
     # max(||x||, ||Bx||) = sqrt(17), ceiled
     assert op.graph_bound(x) == 5
     assert ScaledIdentity(1.0, hilbert2).graph_bound(np.array([1.0, 0.0])) == 1
-
-
-def test_domain_witness_constant_in_index(hilbert2):
-    op = LinearPSD(np.diag([1.0, 4.0]), hilbert2)
-    x = np.array([1.0, 1.0])
-    witness = op.domain_witness(x)
-    for n in [0, 3, 10**6]:
-        wx, wy, bound = witness(n)
-        assert np.allclose(wx, x)
-        assert np.allclose(wy, op.select(x))
-        assert bound == 5
-        assert np.linalg.norm(wx - x) <= 1.0 / (n + 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import io
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from cauchylab import (
     Trajectory,
     check_apriori,
     linear_oracle,
+    norm_oracle,
     solve_regularized,
     solve_second_order,
 )
+from cauchylab.config import load_config
 from cauchylab.errors import HorizonError, SolverError
 from cauchylab.second_order import (
     CSV_BLOCK_ROWS,
@@ -188,6 +191,65 @@ def test_linear_oracle_against_scipy():
         assert np.allclose(
             linear_oracle(b, t, x), scipy.linalg.expm(-t * root) @ x, atol=1e-10
         )
+
+
+def test_norm_oracle_values():
+    x = np.array([0.6, -0.8])
+    # c = 0: rho = (T* - t)^2 / 2 with T* = sqrt(2)
+    assert np.allclose(norm_oracle(0.0, 0.0, x), x)
+    assert np.allclose(norm_oracle(0.0, 0.5, x), 0.5 * (np.sqrt(2.0) - 0.5) ** 2 * x)
+    assert np.allclose(norm_oracle(0.0, 1.5, x), 0.0)
+    # c > 0: rho'' = 1 + c rho along the ray, and rho = 0 after T*
+    c, h = 1.3, 1e-4
+    rho = lambda t: np.linalg.norm(norm_oracle(c, t, x))
+    assert rho(0.0) == pytest.approx(1.0)
+    for t in (0.2, 0.5, 0.8):
+        ddrho = (rho(t + h) - 2.0 * rho(t) + rho(t - h)) / (h * h)
+        assert ddrho == pytest.approx(1.0 + c * rho(t), rel=1e-5)
+    t_star = np.arccosh(1.0 + c) / np.sqrt(c)
+    assert rho(t_star - 1e-3) <= 1e-6
+    assert np.allclose(norm_oracle(c, t_star + 0.1, x), 0.0)
+    assert np.allclose(norm_oracle(c, 3.0, np.zeros(2)), 0.0)
+    with pytest.raises(ValueError):
+        norm_oracle(-1.0, 1.0, x)
+    with pytest.raises(ValueError):
+        norm_oracle(c, -1.0, x)
+
+
+def _norm_oracle_deviation(op, c, x, solver):
+    sg = SqrtSemigroup(op, x, solver)
+    traj = sg.trajectory
+    keep = traj.times <= sg.trusted_horizon
+    expected = np.stack([norm_oracle(c, t, x) for t in traj.times[keep]])
+    return traj, float(np.max(np.linalg.norm(traj.values[keep] - expected, axis=1)))
+
+
+@pytest.mark.parametrize(
+    "c, x",
+    [
+        # the first four stalled at r = 1e-7 when A_r' was a forward difference
+        (1.088, [1.38, 0.5887]),
+        (1.127, [-0.9187, -1.186]),
+        (0.9561, [-0.3676, 1.454]),
+        (1.05, [-0.6967, 1.328]),
+        (0.8605, [1.482, -0.2345]),
+        (0.9272, [0.0927, -1.497]),
+    ],
+)
+def test_strongly_accretive_norm_chain_matches_oracle(hilbert2, c, x):
+    # the long-horizon benchmark draws of c Id over the norm subdifferential
+    op = StronglyAccretive(NormSubdifferential(hilbert2), c)
+    solver = SolverConfig(TimeGrid(85.0, 85.0 / 12000), margin=1.0)
+    traj, deviation = _norm_oracle_deviation(op, c, np.array(x), solver)
+    assert traj.meta["stabilized"]
+    assert deviation <= 1e-5
+
+
+def test_subdifferential_norm_config_matches_oracle():
+    spec = load_config(str(resources.files("cauchylab") / "configs" / "subdifferential_norm.cfg"))
+    traj, deviation = _norm_oracle_deviation(spec.op, 0.0, spec.x, spec.solver)
+    assert traj.meta["stabilized"]
+    assert deviation <= 1e-5
 
 
 def test_check_apriori_zero_operator(hilbert2):
