@@ -48,7 +48,7 @@ from .second_order import (
     solve_regularized,
     solve_second_order,
 )
-from .semigroup import ExpFormulaConfig, exp_formula, semigroup_point
+from .semigroup import ExpFormulaConfig, exp_formula, semigroup_point, semigroup_points
 from .spaces import SpaceContext
 from .verification import (
     AlmostOrbit,
@@ -105,6 +105,7 @@ __all__ = [
     "residual_metastability_rate",
     "semigroup_cauchy_rate",
     "semigroup_point",
+    "semigroup_points",
     "solve_regularized",
     "solve_second_order",
     "sweep_theorem",

@@ -385,7 +385,15 @@ def _build_space(sec: _Section) -> tuple[SpaceContext, float]:
             space = SpaceContext.lp(dim, sec.require("p", float), sec.require("M", float))
     except ValueError as exc:
         raise ConfigError(str(exc), sec.anchors.where(sec.path))
-    return space, sec.get("validate_radius", 2.0, kind=float)
+    return space, _radius(sec, "validate_radius")
+
+
+def _radius(sec: _Section, key: str) -> float:
+    """A sampling radius: finite and positive, 2.0 when absent."""
+    radius = sec.get(key, 2.0, kind=float)
+    if radius <= 0.0:
+        sec.fail(key, f"{key} must be positive")
+    return radius
 
 
 def _parse_cf(text, named, anchors, path) -> Counterfunction:
@@ -595,7 +603,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
         if not 1 <= samples[key] <= MAX_VALIDATION_SAMPLES:
             vsec.fail(key, f"{key} must lie in [1, {MAX_VALIDATION_SAMPLES}]")
     validation = ValidationSpec(
-        region_radius=vsec.get("region_radius", 2.0, kind=float),
+        region_radius=_radius(vsec, "region_radius"),
         run_modulus_check=vsec.get("run_modulus_check", True, kind=bool),
         **samples,
     )

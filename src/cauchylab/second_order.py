@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -334,8 +335,11 @@ def solve_second_order(
     schedule with warm starts, and stops when successive trajectories
     differ by at most ``stab_tol`` in the sup norm.  When the supplied
     schedule is exhausted unstabilized, both parameters keep shrinking by
-    factors of ten down to ``r_floor``; failing that, the trajectory is
-    returned with a warning flag in the metadata.
+    decades down to ``r_floor``: the j-th extra stage is the last supplied
+    pair shifted j decimal places, so it holds the intended decimal value
+    (1e-07, not the 1.0000000000000002e-07 of repeated division by ten).
+    Failing that, the trajectory is returned with a warning flag in the
+    metadata.
     """
     x = op.space.check(x)
     stages = [(float(r), float(p)) for r, p in schedule]
@@ -365,12 +369,15 @@ def solve_second_order(
     stabilized = False
     used = []
     i = 0
+    supplied = len(stages)
     while True:
         if i < len(stages):
             r, p = stages[i]
         elif stages[-1][0] > r_floor:
-            r, p = stages[-1]
-            r, p = max(r / 10.0, r_floor), max(p / 10.0, r_floor)
+            r, p = (
+                max(float(Decimal(repr(v)).scaleb(supplied - 1 - i)), r_floor)
+                for v in stages[supplied - 1]
+            )
             stages.append((r, p))
         else:
             break

@@ -11,10 +11,18 @@ and the strong-monotonicity constant M is supplied per scenario and
 validated by sampling on a bounded region.  p < 2 is rejected: the
 formula degenerates at zero coordinates and no sampled bound would be
 trustworthy there.
+
+The sampling validators here, in ``operators`` and in ``verification``,
+draw and evaluate their samples in blocks of SAMPLE_CHUNK rows.  Batched
+norms and sums may round differently from the row-by-row code, so every
+row whose batched value could decide the result (a minimum candidate, or
+a value within RECHECK_REL of a threshold) is evaluated again row by
+row, and the row-by-row value is the one reported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +30,25 @@ import numpy as np
 from .errors import DimensionMismatch
 
 _IDENTITY_TOL = 1e-10
+# samples per block of the batched validators: a block holds a few
+# SAMPLE_CHUNK x 2 x dim float arrays, so memory stays bounded at any count
+SAMPLE_CHUNK = 1024
+# relative distance from a decision within which a batched value is redone
+# row by row; rounding differences are some 1e-16 relative
+RECHECK_REL = 1e-9
+
+
+def min_candidates(values: np.ndarray, errors: np.ndarray, best: float) -> np.ndarray:
+    """Indices of the rows that may hold the row-by-row minimum.
+
+    Each batched value lies within its error of the row-by-row one, so a
+    row qualifies when its lower end reaches the least upper end over the
+    batch and ``best`` (the minimum so far).  A row with a non-finite value
+    or error qualifies too: only the row-by-row code can tell.
+    """
+    unsure = ~(np.isfinite(values) & np.isfinite(errors))
+    upper = np.min((values + errors)[~unsure], initial=best)
+    return np.flatnonzero(unsure | (values - errors <= upper))
 
 
 @dataclass(frozen=True)
@@ -89,6 +116,15 @@ class SpaceContext:
             return np.linalg.norm(rows, axis=1)
         return np.linalg.norm(rows, ord=self.p, axis=1)
 
+    def duality_map_many(self, rows: np.ndarray) -> np.ndarray:
+        """``duality_map`` of each row of an (n, dim) array."""
+        rows = np.asarray(rows, dtype=float)
+        if self.kind == "hilbert":
+            return rows.copy()
+        nx = self.norms(rows)[:, None]
+        scale = np.where(nx > 0.0, nx, 1.0) ** (2.0 - self.p)
+        return np.where(nx > 0.0, scale * np.abs(rows) ** (self.p - 2.0) * rows, 0.0)
+
     def dual_norm(self, f: np.ndarray) -> float:
         f = self.check(f)
         if self.kind == "hilbert":
@@ -138,17 +174,29 @@ class SpaceContext:
         """
         if rng is None:
             rng = np.random.default_rng(0)
-        min_ratio = np.inf
-        for _ in range(samples):
-            x = rng.uniform(-radius, radius, size=self.dim)
-            y = rng.uniform(-radius, radius, size=self.dim)
+        min_ratio = math.inf
+        for start in range(0, samples, SAMPLE_CHUNK):
+            # one draw per block: the same stream as x, y drawn pair by pair
+            size = (min(SAMPLE_CHUNK, samples - start), 2, self.dim)
+            pairs = rng.uniform(-radius, radius, size=size)
+            x, y = pairs[:, 0], pairs[:, 1]
             d = x - y
-            nd = self.norm(d)
-            if nd < 1e-9:
-                continue
-            gap = self.dual_pair(self.duality_map(x) - self.duality_map(y), d)
-            min_ratio = min(min_ratio, gap / (nd * nd))
-        passed = bool(min_ratio >= self.M - 1e-12)
+            nd = self.norms(d)
+            gap = np.einsum("ij,ij->i", self.duality_map_many(x) - self.duality_map_many(y), d)
+            # |Jx|_* = |x|, so the pairing's terms sum to at most (|x| + |y|) |d|
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = gap / (nd * nd)
+                error = RECHECK_REL * (self.norms(x) + self.norms(y)) / nd
+            # pairs closer than 1e-9 are skipped; those near the cut are redone
+            near_cut = np.abs(nd - 1e-9) <= RECHECK_REL * 1e-9
+            ratio[near_cut] = np.nan
+            rows = np.flatnonzero(near_cut | (nd >= 1e-9))
+            for i in rows[min_candidates(ratio[rows], error[rows], min_ratio)]:
+                row_ratio = self._pair_ratio(x[i], y[i])
+                if row_ratio is not None:
+                    min_ratio = min(min_ratio, row_ratio)
+        # a check that compared no pair certifies nothing
+        passed = bool(min_ratio < math.inf and min_ratio >= self.M - 1e-12)
         return MonotonicityReport(
             constant=self.M,
             min_ratio=float(min_ratio),
@@ -156,3 +204,12 @@ class SpaceContext:
             radius=radius,
             passed=passed,
         )
+
+    def _pair_ratio(self, x: np.ndarray, y: np.ndarray) -> float | None:
+        """<Jx - Jy, x - y> / ||x - y||^2 of one pair, None below 1e-9 apart."""
+        d = x - y
+        nd = self.norm(d)
+        if nd < 1e-9:
+            return None
+        gap = self.dual_pair(self.duality_map(x) - self.duality_map(y), d)
+        return gap / (nd * nd)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .counterfunctions import Counterfunction, MetastabilityRate
 from .errors import (
+    CauchyLabError,
     ContractError,
     HorizonError,
     LemmaViolationError,
@@ -50,7 +51,10 @@ from .second_order import (
     Trajectory,
     projection_profile,
 )
-from .semigroup import ExpFormulaConfig, semigroup_point
+# semigroup_point stays importable from here: perfbench/spans.py counts
+# its calls under this name
+from .semigroup import ExpFormulaConfig, semigroup_point, semigroup_points  # noqa: F401
+from .spaces import RECHECK_REL, SAMPLE_CHUNK
 
 STEP_MONOTONE_TOL = 1e-6
 # rows per block of the suffix-diameter kernel: a block holds a few
@@ -175,35 +179,74 @@ def modulus_check(
 
     A counterexample is a pair within the norm cap whose pairing clears
     the modulus threshold while the projection distance stays large.
+    Samples are drawn in blocks and judged against a (k, cap) table of
+    thresholds; the rows a rounding could decide, and every
+    counterexample, are judged again by ``_modulus_row``.  The check stops
+    at the ``max_counterexamples``-th counterexample, and
+    ``samples_checked`` counts the samples within the caps up to it.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     space = op.space
     counterexamples = []
     checked = 0
-    for _ in range(n_samples):
-        cap = int(rng.integers(1, cap_max + 1))
-        x = rng.uniform(-cap, cap, size=space.dim)
-        y = op.select(x)
-        if space.norm(x) > cap or space.norm(y) > cap:
-            continue
-        checked += 1
-        px = op.project_zeros(x)
-        pairing = space.dual_pair(space.duality_map(x - px), y)
-        dist = space.norm(x - px)
+    table: dict[tuple[int, int], float] = {}
+    integers, uniform = rng.integers, rng.uniform
+
+    def threshold(k: int, cap: int) -> float:
+        if (k, cap) not in table:
+            try:
+                table[k, cap] = 1.0 / (modulus(k, cap) + 1.0)
+            except (CauchyLabError, OverflowError):
+                table[k, cap] = math.nan  # raised again by the row that needs it
+        return table[k, cap]
+
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        size = min(SAMPLE_CHUNK, n_samples - start)
+        caps = np.empty(size, dtype=int)
+        xs = np.empty((size, space.dim))
+        for i in range(size):  # the integer draws interleave with the uniform ones
+            cap = int(integers(1, cap_max + 1))
+            caps[i] = cap
+            xs[i] = uniform(-cap, cap, size=space.dim)
+        ys = op.select_many(xs)
+        nx, ny = space.norms(xs), space.norms(ys)
+        redo = ~(
+            (np.abs(nx - caps) > RECHECK_REL * caps) & (np.abs(ny - caps) > RECHECK_REL * caps)
+        )
+        inside = (nx <= caps) & (ny <= caps)
+        v = xs - op.project_zeros_many(xs)
+        pairing = np.einsum("ij,ij->i", space.duality_map_many(v), ys)
+        dist = space.norms(v)
+        # rounding bounds: |J(v)|_* = |v|, and v carries the rounding of |x|
+        pairing_error = RECHECK_REL * (nx + dist) * ny
+        dist_error = RECHECK_REL * nx
+        hit = np.zeros(size, dtype=bool)
+        open_rows = np.flatnonzero(inside & ~redo)
         for k in range(k_max + 1):
-            if pairing <= 1.0 / (modulus(k, cap) + 1.0) and dist > 1.0 / (k + 1.0) + tol:
-                counterexamples.append(
-                    {
-                        "x": x.tolist(),
-                        "y": y.tolist(),
-                        "k": k,
-                        "cap": cap,
-                        "pairing": float(pairing),
-                        "dist": float(dist),
-                    }
-                )
+            if not open_rows.size:
                 break
+            row_caps = caps[open_rows]
+            levels, where = np.unique(row_caps, return_inverse=True)
+            thr = np.array([threshold(k, int(c)) for c in levels])[where]
+            dthr = 1.0 / (k + 1.0) + tol
+            p, dd = pairing[open_rows], dist[open_rows]
+            sure = (np.abs(p - thr) > pairing_error[open_rows] + RECHECK_REL * thr) & (
+                np.abs(dd - dthr) > dist_error[open_rows] + RECHECK_REL * dthr
+            )
+            redo[open_rows[~sure]] = True
+            violated = sure & (p <= thr) & (dd > dthr)
+            hit[open_rows[violated]] = True
+            open_rows = open_rows[sure & ~violated]
+        counted = inside & ~redo
+        for i in np.flatnonzero(redo | hit):
+            counted[i], counterexample = _modulus_row(op, modulus, xs[i], int(caps[i]), k_max, tol)
+            if counterexample is not None:
+                counterexamples.append(counterexample)
+                if len(counterexamples) >= max_counterexamples:
+                    counted[i + 1 :] = False
+                    break
+        checked += int(np.count_nonzero(counted))
         if len(counterexamples) >= max_counterexamples:
             break
     return ModulusCheckReport(
@@ -211,6 +254,37 @@ def modulus_check(
         counterexamples=counterexamples,
         passed=not counterexamples,
     )
+
+
+def _modulus_row(
+    op: AccretiveOperator,
+    modulus: ConvergenceModulus,
+    x: np.ndarray,
+    cap: int,
+    k_max: int,
+    tol: float,
+) -> tuple[bool, dict | None]:
+    """One sample of ``modulus_check``, row by row: whether it lies within
+    the cap, and its counterexample record, if it is one."""
+    space = op.space
+    y = op.select(x)
+    if space.norm(x) > cap or space.norm(y) > cap:
+        return False, None
+    px = op.project_zeros(x)
+    pairing = space.dual_pair(space.duality_map(x - px), y)
+    dist = space.norm(x - px)
+    for k in range(k_max + 1):
+        if pairing <= 1.0 / (modulus(k, cap) + 1.0) and dist > 1.0 / (k + 1.0) + tol:
+            record = {
+                "x": x.tolist(),
+                "y": y.tolist(),
+                "k": k,
+                "cap": cap,
+                "pairing": float(pairing),
+                "dist": float(dist),
+            }
+            return True, record
+    return True, None
 
 
 # -- trajectory-level checks ---------------------------------------------------------
@@ -245,13 +319,9 @@ def first_order_trajectory(
     if cfg is None:
         cfg = ExpFormulaConfig(n_max=2**16)
     x = op.space.check(x)
-    values = np.empty((grid.n_steps + 1, op.space.dim))
-    converged = True
-    for i, t in enumerate(grid.nodes):
-        values[i], meta = semigroup_point(op, float(t), x, cfg)
-        converged = converged and meta.converged
+    values, _, _, converged = semigroup_points(op, grid.nodes, x, cfg)
     traj = Trajectory(grid=grid, values=values, meta={"dynamics": "first_order"})
-    traj.meta["exp_formula_converged"] = converged
+    traj.meta["exp_formula_converged"] = bool(np.all(converged))
     traj.meta["initial_point"] = x.copy()
     return traj
 

@@ -116,6 +116,25 @@ def test_bad_entries_rejected(tmp_path):
         ("  sweeps:", "  validation: {monotonicity_samples: 0}\n  sweeps:", "monotonicity_samples"),
         ("  sweeps:", "  validation: {accretivity_samples: -5}\n  sweeps:", "accretivity_samples"),
         ("  sweeps:", "  validation: {modulus_samples: 1000001}\n  sweeps:", "modulus_samples"),
+        # a sampling radius must be positive: -3 used to end in a traceback,
+        # and 0 in a vacuous pass
+        *(
+            (
+                "space: {kind: hilbert, dim: 2}",
+                f"space: {{kind: lp, dim: 2, p: 4.0, M: 0.02, validate_radius: {r}}}",
+                r"space\.validate_radius: validate_radius must be positive",
+            )
+            for r in ("-3.0", "0.0")
+        ),
+        *(
+            (
+                "  sweeps:",
+                f"  validation: {{region_radius: {r}}}\n  sweeps:",
+                r"validation\.region_radius: region_radius must be positive",
+            )
+            for r in ("-5.0", "0.0")
+        ),
+        ("  sweeps:", "  validation: {region_radius: .inf}\n  sweeps:", "region_radius"),
         ("horizon: 10.0, step: 0.05", "horizon: 1.0e+6, step: 0.01", "Newton system"),
         (
             "  sweeps:",

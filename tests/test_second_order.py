@@ -252,6 +252,22 @@ def test_subdifferential_norm_config_matches_oracle():
     assert deviation <= 1e-5
 
 
+def test_extended_continuation_holds_exact_decades(hilbert2):
+    # past the schedule, each stage is the last supplied pair shifted one
+    # decimal place: repeated division by ten read 1.0000000000000002e-06,
+    # and 0.1 / 10**6 reads 1.0000000000000001e-07
+    op = NormSubdifferential(hilbert2)
+    x = np.array([1.0, 0.5])
+    for schedule, r_floor in ((((0.1, 0.1),), 1e-7), (((0.5, 0.1), (1e-3, 1e-3)), 1e-8)):
+        traj = solve_second_order(
+            op, x, TimeGrid(5.0, 0.01), schedule=schedule, stab_tol=0.0, r_floor=r_floor
+        )
+        used = traj.meta["continuation"][len(schedule) - 1 :]
+        values = [v for pair in used for v in pair]
+        assert values == [float(f"{v:.1e}") for v in values]
+        assert used[-1][0] == r_floor and not traj.meta["stabilized"]
+
+
 def test_check_apriori_zero_operator(hilbert2):
     op = ScaledIdentity(0.0, hilbert2)
     x = np.array([0.7, -0.3])
