@@ -16,7 +16,9 @@ argument collapse those enumerations to a single probe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable
 
 from .counterfunctions import (
@@ -74,6 +76,11 @@ class ConvergenceModulus:
         value = self.fn(k, cap)
         if not isinstance(value, int) or value < 0:
             raise ContractError(f"modulus returned non-natural {value!r}")
+        if value > sys.float_info.max:
+            # its threshold 1/(value + 1) and every bound built on it are floats
+            raise ContractError(
+                f"modulus value {Decimal(value):.3e} at k={k}, K={cap} exceeds the float range"
+            )
         return value
 
 

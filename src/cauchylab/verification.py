@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -57,9 +58,14 @@ from .semigroup import ExpFormulaConfig, semigroup_point, semigroup_points  # no
 from .spaces import RECHECK_REL, SAMPLE_CHUNK
 
 STEP_MONOTONE_TOL = 1e-6
-# rows per block of the suffix-diameter kernel: a block holds a few
-# SUFFIX_CHUNK x n x dim float arrays, so memory grows linearly in n
+# rows per block of the sweep kernels: a block holds two SUFFIX_CHUNK x n
+# float buffers (Euclidean, below _SEQUENTIAL_DIM coordinates) or a
+# SUFFIX_CHUNK x n x dim difference tensor, so memory grows linearly in n
 SUFFIX_CHUNK = 64
+# numpy's add.reduce sums fewer terms than this strictly in order
+_SEQUENTIAL_DIM = 8
+# pairs of a block's leading square with an earlier sample
+_LOWER = np.tri(SUFFIX_CHUNK, k=-1, dtype=bool)
 
 
 # -- reports -------------------------------------------------------------------
@@ -197,7 +203,7 @@ def modulus_check(
         if (k, cap) not in table:
             try:
                 table[k, cap] = 1.0 / (modulus(k, cap) + 1.0)
-            except (CauchyLabError, OverflowError):
+            except CauchyLabError:
                 table[k, cap] = math.nan  # raised again by the row that needs it
         return table[k, cap]
 
@@ -484,22 +490,79 @@ def _certify_orbit(orbit: AlmostOrbit, sample_ks: Sequence[int], cert_tol: float
 # -- sweep machinery ----------------------------------------------------------------
 
 
+def _euclidean(space) -> bool:
+    # np.linalg.norm takes ord = 2 down its sum-of-squares path as well
+    return space.kind == "hilbert" or space.p == 2.0
+
+
+def _upper_row_max(values: np.ndarray, space) -> np.ndarray:
+    """row[i] = max over l >= i of the pair key of v_i and v_l: the
+    squared distance in a Euclidean space, the distance in l^p.
+
+    Rows are taken in blocks of SUFFIX_CHUNK against every sample from
+    the block's first on.  A Euclidean block below _SEQUENTIAL_DIM
+    coordinates is summed one coordinate at a time in two (rows, n)
+    buffers; any other block is numpy's own expression over the
+    difference tensor.  Only the leading square of a block pairs a row
+    with earlier samples; it is masked with -1, below every key.
+    """
+    n, dim = values.shape
+    euclidean = _euclidean(space)
+    by_column = euclidean and dim < _SEQUENTIAL_DIM
+    if by_column:
+        cols = np.ascontiguousarray(values.T)
+        buf = np.empty((2, min(SUFFIX_CHUNK, n) * n))
+    row = np.empty(n)
+    for a in range(0, n, SUFFIX_CHUNK):
+        b = min(a + SUFFIX_CHUNK, n)
+        if by_column:
+            shape = (b - a, n - a)
+            key, term = (flat[: shape[0] * shape[1]].reshape(shape) for flat in buf)
+            for k, col in enumerate(cols):
+                out = term if k else key
+                np.subtract(col[a:b, None], col[None, a:], out=out)
+                np.multiply(out, out, out=out)
+                if k:
+                    key += term
+        else:
+            diff = values[a:b, None, :] - values[None, a:, :]
+            if euclidean:
+                key = np.add.reduce(diff * diff, axis=2)
+            else:
+                key = np.linalg.norm(diff, ord=space.p, axis=2)
+        np.copyto(key[:, : b - a], -1.0, where=_LOWER[: b - a, : b - a])
+        row[a:b] = key.max(axis=1)
+    return row
+
+
+def _key_distance(key, space):
+    return np.sqrt(key) if _euclidean(space) else key
+
+
 def _suffix_pair_sup(values: np.ndarray, space) -> np.ndarray:
     """suffix[i] = sup over j, l >= i of ||v_j - v_l|| (space norm).
 
-    Rows are taken in blocks of SUFFIX_CHUNK against every later sample:
-    each block's upper-triangle row maxima, then one reversed running
-    maximum.  Every norm is taken over the same difference vector as in
-    the full n x n x dim tensor, so the profile is exactly the same.
+    The reversed running maximum of ``_upper_row_max``, bit for bit the
+    profile of the full n x n x dim distance tensor of ``np.linalg.norm``:
+
+    * every key sums the same squares in numpy's order.  Below
+      _SEQUENTIAL_DIM coordinates ``add.reduce`` sums them one after the
+      other, as the per-coordinate sum does; from there on it sums in
+      unrolled blocks, and those blocks keep numpy's reduction;
+    * a Euclidean space takes one square root per row, after the
+      maximum: IEEE sqrt is correctly rounded, hence monotone, so the
+      root of a maximum is the maximum of the roots;
+    * l^p keeps numpy's root per pair: libm ``pow`` is not correctly
+      rounded, so a root after the maximum is not provably equal.
     """
-    n = values.shape[0]
-    ord_ = None if space.kind == "hilbert" else space.p
-    row_max = np.empty(n)
-    for a in range(0, n, SUFFIX_CHUNK):
-        b = min(a + SUFFIX_CHUNK, n)
-        dist = np.linalg.norm(values[a:b, None, :] - values[None, a:, :], ord=ord_, axis=2)
-        row_max[a:b] = np.triu(dist).max(axis=1)
-    return np.maximum.accumulate(row_max[::-1])[::-1]
+    row = _upper_row_max(values, space)
+    return _key_distance(np.maximum.accumulate(row[::-1])[::-1], space)
+
+
+def _pair_sup(values: np.ndarray, space) -> float:
+    """max over j, l of ||v_j - v_l||: ``_suffix_pair_sup(values, space)[0]``
+    without the profile, and one square root in all."""
+    return float(_key_distance(_upper_row_max(values, space).max(), space))
 
 
 class SampleSet:
@@ -523,14 +586,21 @@ class SampleSet:
 
         ceil(max(||x||, d(0, Ax))) is taken over all rows at once.  Rows
         within rounding of an integer, where the batched norms could round
-        the other way than ``op.graph_bound``, are redone row by row, so
-        the result is the row-by-row maximum.
+        the other way than ``op.graph_bound``, are redone row by row, once
+        per distinct row, so the result is the row-by-row maximum.
         """
         op, rows = self.op, self.values
-        level = np.maximum(op.space.norms(rows), op.space.norms(op.select_many(rows)))
+        norm_x = op.space.norms(rows)
+        level = np.maximum(norm_x, op.space.norms(op.select_many(rows)))
         near = np.abs(level - np.rint(level)) <= 1e-9 * np.maximum(level, 1.0)
+        # a level in (0, 1/2) ceils to 1 however the norms round: the
+        # row-by-row level lies within rounding of it, so below 1, and is
+        # positive, since ||x|| > 0 means some power |x_i|^p is positive,
+        # and a sum of such powers is 0 only when every term is 0
+        near &= ~((norm_x > 0.0) & (level < 0.5))
         batched = int(np.ceil(level[~near]).max(initial=0))
-        return max([batched] + [op.graph_bound(row) for row in rows[near]])
+        redo = np.unique(rows[near], axis=0)
+        return max([batched] + [op.graph_bound(row) for row in redo])
 
     @cached_property
     def _residual(self) -> np.ndarray | None:
@@ -556,8 +626,10 @@ class SampleSet:
         window leaves the horizon, 0 when it holds at most one sample.
 
         The window is the contiguous index range that the time mask
-        times in [start - 1e-9, start + width + 1e-9] selects; its
-        diameter is memoized by that range.
+        times in [start - 1e-9, start + width + 1e-9] selects.  Its
+        diameter, ``_pair_sup`` of that range, is one maximum over all its
+        pairs, equal bit for bit to the first entry of its suffix profile,
+        and is memoized by the range.
         """
         if start + width > horizon + 1e-9:
             return math.inf
@@ -567,7 +639,7 @@ class SampleSet:
             return 0.0
         key = (lo, hi)
         if key not in self._diameters:
-            self._diameters[key] = float(_suffix_pair_sup(self.values[lo:hi], self.op.space)[0])
+            self._diameters[key] = _pair_sup(self.values[lo:hi], self.op.space)
         return self._diameters[key]
 
 
@@ -676,6 +748,16 @@ class ScenarioBundle:
         return float(self.trajectory.times[idx[0]])
 
 
+def _margin(bound: int, observed: float) -> float:
+    """bound - observed, -inf when nothing was observed."""
+    if not math.isfinite(observed):
+        return -math.inf
+    try:
+        return bound - observed
+    except OverflowError:  # an integer bound beyond the float range
+        raise ContractError(f"rate bound {Decimal(bound):.3e} exceeds the float range") from None
+
+
 def _cauchy_report(
     bundle: ScenarioBundle,
     theorem: str,
@@ -703,7 +785,6 @@ def _cauchy_report(
         passed = tau is not None
         if passed and not math.isfinite(observed):
             observed = tau
-    margin = bound - observed if math.isfinite(observed) else -math.inf
     return RateReport(
         scenario=bundle.scenario_id,
         theorem=theorem,
@@ -711,7 +792,7 @@ def _cauchy_report(
         f_desc=f_desc,
         bound=bound,
         observed=observed,
-        margin=margin,
+        margin=_margin(bound, observed),
         passed=passed,
         extrapolated=extrapolated,
     )
@@ -783,20 +864,21 @@ def _sweep_metastable(
                         f_desc=f.description,
                         bound=bound,
                         observed=float(witness),
-                        margin=bound - float(witness),
+                        margin=_margin(bound, float(witness)),
                         passed=True,
                         extrapolated=False,
                     )
                 else:
                     tau = samples.residual_threshold(eps / 2.0)
+                    observed = tau if tau is not None else math.inf
                     report = RateReport(
                         scenario=f"{bundle.scenario_id}/{orbit.kind}",
                         theorem="5.1",
                         k=int(k),
                         f_desc=f.description,
                         bound=bound,
-                        observed=tau if tau is not None else math.inf,
-                        margin=bound - tau if tau is not None else -math.inf,
+                        observed=observed,
+                        margin=_margin(bound, observed),
                         passed=tau is not None,
                         extrapolated=True,
                     )

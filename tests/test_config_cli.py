@@ -322,17 +322,42 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", str(cfg), "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 1
 
 
-def test_cli_singular_solve_is_one_error_line(tmp_path, capsys):
-    # every odd diagonal block -2/h^2 I - B of the direct linear solve is
-    # zero for B = -8 I at h = 0.5: a solver error, no traceback
+def _huge_modulus(zeros, check=True):
     text = MINIMAL.replace(
-        "kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[-8, 0], [0, -8]]"
-    ).replace("step: 0.05}", "step: 0.5}")
+        "kind: strongly_accretive, c: 1.0", f'kind: expression, text: "k * 1{"0" * zeros}"'
+    )
+    if check:
+        return text
+    return text.replace("  sweeps:", "  validation: {run_modulus_check: false}\n  sweeps:")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # every odd diagonal block -2/h^2 I - B of the direct linear solve is
+        # zero for B = -8 I at h = 0.5
+        (
+            MINIMAL.replace(
+                "kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[-8, 0], [0, -8]]"
+            ).replace("step: 0.05}", "step: 0.5}"),
+            "linear solve hit a singular matrix (r=0, p=0)",
+        ),
+        # a modulus value beyond the float range, met by the modulus check
+        # or, with the check off, by the 4.1 sweep
+        (_huge_modulus(400), "modulus value 1.000e+400 at k=1, K="),
+        (_huge_modulus(400, check=False), "modulus value 1.000e+400 at k=1, K=1 exceeds"),
+        # a modulus value of 1e200 squares to a bound beyond the float range
+        (_huge_modulus(200, check=False), "rate bound 5.000e+400 exceeds the float range"),
+    ],
+    ids=["singular_solve", "modulus_in_check", "modulus_in_sweep", "bound_in_sweep"],
+)
+def test_cli_error_is_one_line(tmp_path, capsys, text, message):
+    # an error, no traceback
     cfg = write_cfg(tmp_path, text)
     assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ") and "linear solve hit a singular matrix (r=0, p=0)" in err[0]
+    assert err[0].startswith("error: ") and message in err[0]
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,15 +192,29 @@ def test_sample_set_graph_bound_matches_row_by_row(name, hilbert2, lp4):
     op, radius = ops[name]
     rng = np.random.default_rng(11)
     # random rows, plus rows whose norms are integers, where rounding decides the ceiling
-    rows = np.concatenate(
-        [
-            rng.uniform(-radius, radius, (3000, 2)),
-            [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.6, 0.8], [0.0, 0.0]],
-            rng.standard_normal((300, 2)) * 1e-3,
-        ]
-    )
+    groups = {
+        "random": rng.uniform(-radius, radius, (3000, 2)),
+        "integer": np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.6, 0.8], [0.0, 0.0]]),
+        "small": rng.standard_normal((300, 2)) * 1e-3,
+        # a decayed tail: exact zeros, levels near 0 and 1/2, and rows whose
+        # squares underflow to 0
+        "tail": np.concatenate(
+            [
+                np.zeros((40, 2)),
+                rng.standard_normal((40, 2)) * 1e-12,
+                [[0.5, 0.0], [0.0, np.nextafter(0.5, 0.0)], [5e-324, 0.0]],
+                rng.standard_normal((40, 2)) * 1e-170,
+            ]
+        ),
+        # an orbit at rest on a point of integer norm
+        "constant": np.tile([[0.6, 0.8]], (50, 1)),
+    }
+    rows = np.concatenate(list(groups.values()))
     bounds = [op.graph_bound(row) for row in rows]
     assert SampleSet(op, np.arange(len(rows), dtype=float), rows).graph_bound == max(bounds)
+    for label, group in groups.items():
+        expected = max(op.graph_bound(row) for row in group)
+        assert SampleSet(op, np.arange(len(group), dtype=float), group).graph_bound == expected, label
     for row, bound in zip(rows, bounds):
         assert SampleSet(op, np.zeros(1), row[None]).graph_bound == bound
 
@@ -369,19 +384,51 @@ KERNEL_SPACES = {
     "hilbert": SpaceContext.hilbert(3),
     "lp1.5": SpaceContext(kind="lp", dim=2, p=1.5),
     "lp3": SpaceContext(kind="lp", dim=3, p=3.0),
+    # np.linalg.norm takes p = 2 down its sum-of-squares path
+    "lp2": SpaceContext(kind="lp", dim=3, p=2.0),
 }
+# numpy sums the coordinates in order below 8 and in unrolled blocks from
+# 8 on; linear_diag14 runs in 14
+for _dim in [1, 2, 3, 4, 5, 6, 7, 8, 14]:
+    KERNEL_SPACES[f"hilbert_dim{_dim}"] = SpaceContext.hilbert(_dim)
+    KERNEL_SPACES[f"lp1.5_dim{_dim}"] = SpaceContext(kind="lp", dim=_dim, p=1.5)
+    KERNEL_SPACES[f"lp3_dim{_dim}"] = SpaceContext(kind="lp", dim=_dim, p=3.0)
+# n = SUFFIX_CHUNK * k + 1 ends in a block of one row, whose only later
+# sample is itself
+KERNEL_SIZES = [1, 2, SUFFIX_CHUNK - 1, SUFFIX_CHUNK, SUFFIX_CHUNK + 1, 3 * SUFFIX_CHUNK + 1]
+# the reference's full tensor of 2000 samples takes 31 MiB per coordinate
+KERNEL_CASES = [(name, 2000) for name in ["hilbert", "lp1.5", "lp3"]] + [
+    (name, n) for name in sorted(KERNEL_SPACES) for n in KERNEL_SIZES
+]
 
 
-@pytest.mark.parametrize("n", [1, 2, SUFFIX_CHUNK - 1, SUFFIX_CHUNK, SUFFIX_CHUNK + 1, 2000])
-@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+def _kernel_inputs(n, dim, seed):
+    """A decaying random walk, like a sampled trajectory; constant samples,
+    where every distance is 0; and a tail near 1e-14 moving by single ulps."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.standard_normal((n, dim)), axis=0) / (1.0 + np.arange(n))[:, None]
+    constant = np.tile(rng.standard_normal(dim), (n, 1))
+    steps = np.where(rng.integers(0, 2, (n, dim)) == 1, np.inf, -np.inf)
+    tail = np.empty((n, dim))
+    tail[0] = 1e-14 * (1.0 + rng.uniform(size=dim))
+    for i in range(1, n):
+        tail[i] = np.nextafter(tail[i - 1], steps[i])
+    return {"walk": walk, "constant": constant, "ulp_tail": tail}
+
+
+@pytest.mark.parametrize("name, n", KERNEL_CASES)
 def test_chunked_suffix_kernel_matches_full_tensor(name, n):
     space = KERNEL_SPACES[name]
-    rng = np.random.default_rng([n, space.dim])
-    # a decaying random walk, like a sampled trajectory
-    values = np.cumsum(rng.standard_normal((n, space.dim)), axis=0) / (1.0 + np.arange(n))[:, None]
-    assert np.array_equal(
-        _suffix_pair_sup(values, space), _suffix_pair_sup_reference(values, space)
-    )
+    for label, values in _kernel_inputs(n, space.dim, [n, space.dim]).items():
+        reference = _suffix_pair_sup_reference(values, space)
+        assert np.array_equal(_suffix_pair_sup(values, space), reference), label
+        # window diameters, memoized by index range, against the same tensor
+        samples = SampleSet(SimpleNamespace(space=space), np.arange(n, dtype=float), values)
+        for lo, width in [(0, n - 1), (0, 1), (n // 3, n // 2), (n - 2, 1)]:
+            if lo < 0 or lo + width >= n or width < 1:
+                continue
+            expected = _suffix_pair_sup_reference(values[lo : lo + width + 1], space)[0]
+            assert samples.window_diameter(lo, width, n - 1.0) == expected, (label, lo, width)
 
 
 def test_chunked_suffix_kernel_matches_full_tensor_in_high_dimension():
