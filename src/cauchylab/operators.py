@@ -50,9 +50,17 @@ class AccretiveOperator:
         """``select`` of each row of an (n, dim) array."""
         raise NotImplementedError
 
+    # True when dist_zero and dist_zero_many return the same float for every
+    # point, so a batched d(0, Ax) needs no row-by-row re-check
+    exact_dist_zero = False
+
     def dist_zero(self, x: np.ndarray) -> float:
         """Infimum of ||y|| over y in Ax; the minimal-norm selection norm."""
         return self.space.norm(self.select(x))
+
+    def dist_zero_many(self, rows: np.ndarray) -> np.ndarray:
+        """``dist_zero`` of each row of an (n, dim) array."""
+        return self.space.norms(self.select_many(rows))
 
     def graph_distance(self, x: np.ndarray, y: np.ndarray) -> float:
         """Distance from y to the set Ax; zero iff (x, y) is a graph pair.
@@ -216,10 +224,19 @@ class NormSubdifferential(AccretiveOperator):
     map is Euclidean).
     """
 
+    # ||x/||x|| || is 1, which the division may round to just above 1.0
+    exact_dist_zero = True
+
     def __init__(self, space: SpaceContext):
         if space.kind != "hilbert":
             raise ValueError("norm subdifferential catalog entry is Hilbert-only")
         super().__init__(space)
+
+    def dist_zero(self, x: np.ndarray) -> float:
+        return 1.0 if np.linalg.norm(self.space.check(x)) > 0.0 else 0.0
+
+    def dist_zero_many(self, rows: np.ndarray) -> np.ndarray:
+        return (np.linalg.norm(np.asarray(rows, dtype=float), axis=1) > 0.0).astype(float)
 
     def select(self, x: np.ndarray) -> np.ndarray:
         x = self.space.check(x)

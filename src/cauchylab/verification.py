@@ -587,17 +587,20 @@ class SampleSet:
         ceil(max(||x||, d(0, Ax))) is taken over all rows at once.  Rows
         within rounding of an integer, where the batched norms could round
         the other way than ``op.graph_bound``, are redone row by row, once
-        per distinct row, so the result is the row-by-row maximum.
+        per distinct row, so the result is the row-by-row maximum.  When
+        the operator's d(0, Ax) is exact, only ||x|| can round the other
+        way, since ceil(max(a, b)) = max(ceil(a), ceil(b)).
         """
         op, rows = self.op, self.values
         norm_x = op.space.norms(rows)
-        level = np.maximum(norm_x, op.space.norms(op.select_many(rows)))
-        near = np.abs(level - np.rint(level)) <= 1e-9 * np.maximum(level, 1.0)
-        # a level in (0, 1/2) ceils to 1 however the norms round: the
-        # row-by-row level lies within rounding of it, so below 1, and is
+        level = np.maximum(norm_x, op.dist_zero_many(rows))
+        rounded = norm_x if op.exact_dist_zero else level
+        near = np.abs(rounded - np.rint(rounded)) <= 1e-9 * np.maximum(rounded, 1.0)
+        # a value in (0, 1/2) ceils to 1 however the norms round: the
+        # row-by-row value lies within rounding of it, so below 1, and is
         # positive, since ||x|| > 0 means some power |x_i|^p is positive,
         # and a sum of such powers is 0 only when every term is 0
-        near &= ~((norm_x > 0.0) & (level < 0.5))
+        near &= ~((norm_x > 0.0) & (rounded < 0.5))
         batched = int(np.ceil(level[~near]).max(initial=0))
         redo = np.unique(rows[near], axis=0)
         return max([batched] + [op.graph_bound(row) for row in redo])

@@ -247,6 +247,37 @@ def test_bundled_identity_run(tmp_path):
 GOLDEN_REPORTS = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
 
 
+def test_exact_orbit_restart_reuses_base_solve(tmp_path, monkeypatch):
+    # the exact orbit restarts at s = 0 from the base's own initial point:
+    # that restart is the base semigroup, one _newton call fewer, and the
+    # certificates are the ones cold restarts give
+    from cauchylab import second_order
+
+    newton = second_order._newton
+
+    def certify(out):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(second_order, "_newton", counted)
+        run_config(str(CFG_DIR / "identity_hilbert.cfg"), out_dir=out)
+        payload = json.loads((out / "reports.json").read_text())
+        return len(calls), json.dumps(payload["diagnostics"]["orbits"])
+
+    reused = certify(tmp_path / "reused")
+    monkeypatch.setattr(
+        second_order.SqrtSemigroup,
+        "restart_from",
+        lambda self, y: second_order.SqrtSemigroup(self.op, y, self.solver),
+    )
+    cold = certify(tmp_path / "cold")
+    assert reused[0] == cold[0] - 1
+    assert reused[1] == cold[1]
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_report_rows_match_golden(tmp_path, name):
     # every reports row of each bundled config at its shipped seed, exactly;

@@ -26,6 +26,7 @@ from cauchylab.config import load_config
 from cauchylab.errors import HorizonError, SolverError
 from cauchylab.second_order import (
     CSV_BLOCK_ROWS,
+    _eliminate,
     _solve_block_tridiagonal,
     export_trajectory_csv,
     projection_profile,
@@ -382,8 +383,11 @@ def _dense(lower, diag, upper):
 def _block_systems(m, dim, rng):
     """The Newton system's shape (identity couplings, doubled on the ghost
     row, diagonal blocks -2/h^2 - F' with a rotation-like skew part), then
-    a general system of random non-symmetric blocks.  lower[0] and
-    upper[-1] hold junk, which the solver must ignore."""
+    a general system of random non-symmetric blocks, then (dim >= 2) that
+    system with the first two equations of every block row swapped and a
+    zero leading entry in every diagonal block, so the elimination must
+    swap rows.  lower[0] and upper[-1] hold junk, which the solver must
+    ignore."""
     inv_h2 = 1.0 / 0.01**2
     eye = np.eye(dim)
     skew = rng.normal(size=(m, dim, dim))
@@ -397,10 +401,17 @@ def _block_systems(m, dim, rng):
     yield lower, -2.0 * inv_h2 * eye - fjac, upper
     lower = rng.normal(size=(m, dim, dim))
     upper = rng.normal(size=(m, dim, dim))
-    yield lower, rng.normal(size=(m, dim, dim)) + 8.0 * eye, upper
+    diag = rng.normal(size=(m, dim, dim)) + 8.0 * eye
+    yield lower, diag, upper
+    if dim >= 2:
+        diag[:, 1, 0] = 0.0
+        swap = [1, 0] + list(range(2, dim))
+        yield lower[:, swap], diag[:, swap], upper[:, swap]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+# below _ELIMINATION_DIM = 8 coordinates the levels of 100 odd blocks or
+# more (m = 1000 here) are solved by _eliminate; from 8 up, by LAPACK
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 8, 14])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000])
 def test_block_cyclic_reduction_matches_dense_solve(m, dim):
     rng = np.random.default_rng(1000 * m + dim)
@@ -418,3 +429,43 @@ def test_block_cyclic_reduction_matches_dense_solve(m, dim):
             res[1:] += (lower[1:] @ y[:-1, :, None])[:, :, 0]
             res[:-1] += (upper[:-1] @ y[1:, :, None])[:, :, 0]
             assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("k", [1, 5, 150])
+def test_eliminate_matches_lapack(k, dim):
+    # diagonally dominant blocks, every other one with its rows reversed
+    # and a zero leading entry, so the elimination must swap rows
+    rng = np.random.default_rng(100 * k + dim)
+    a = rng.normal(size=(k, dim, dim)) + 8.0 * np.eye(dim)
+    if dim > 1:
+        a[::2, -1, 0] = 0.0
+        a[::2] = a[::2, ::-1]
+    b = rng.normal(size=(k, dim, 2 * dim + 1))
+    ref = np.linalg.solve(a, b)
+    assert np.max(np.abs(_eliminate(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [2, 8, 14])
+def test_block_cyclic_reduction_singular_block_raises(dim):
+    # an all-ones block leaves an exactly zero pivot after one elimination
+    # step; its level has 200 odd blocks, solved by _eliminate below 8
+    # coordinates and by LAPACK from 8 up
+    eye = np.eye(dim)
+    lower = upper = np.repeat(eye[None], 401, axis=0)
+    diag = np.repeat(4.0 * eye[None], 401, axis=0)
+    diag[5] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_block_tridiagonal(lower, diag, upper, np.ones((401, dim)))
+    with pytest.raises(np.linalg.LinAlgError):
+        _eliminate(diag[1::2], np.ones((200, dim, 1)))
+
+
+@pytest.mark.parametrize("dim", [2, 14])
+def test_singular_newton_block_is_solver_error(dim):
+    # B = -5 I at r = 0.1 and p = 2 gives A_r' + p = -8 I, which cancels
+    # -2/h^2 at h = 0.5: every diagonal block of the Newton step is zero
+    op = LinearMatrix(-5.0 * np.eye(dim))
+    x = np.ones(dim)
+    with pytest.raises(SolverError, match=r"singular matrix \(r=0\.1, p=2\)"):
+        solve_regularized(op, 0.1, 2.0, x, TimeGrid(200.0, 0.5))

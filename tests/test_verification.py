@@ -219,6 +219,21 @@ def test_sample_set_graph_bound_matches_row_by_row(name, hilbert2, lp4):
         assert SampleSet(op, np.zeros(1), row[None]).graph_bound == bound
 
 
+def test_norm_subdifferential_graph_bound_inside_unit_ball(hilbert2):
+    # ||x/||x|| || rounds above 1.0 for some rows, which once made the
+    # graph bound read 2 for an orbit inside the unit ball; d(0, Ax) is
+    # exactly 1 off the origin and 0 at it, in both paths
+    op = NormSubdifferential(hilbert2)
+    rows = np.random.default_rng(5).uniform(-0.6, 0.6, (5000, 2))
+    rows[:7] = 0.0
+    assert np.max(np.linalg.norm(op.select_many(rows), axis=1)) > 1.0
+    expected = (np.linalg.norm(rows, axis=1) > 0.0).astype(float)
+    assert np.array_equal(op.dist_zero_many(rows), expected)
+    assert np.array_equal([op.dist_zero(row) for row in rows], expected)
+    assert max(op.graph_bound(row) for row in rows) == 1
+    assert SampleSet(op, np.arange(len(rows), dtype=float), rows).graph_bound == 1
+
+
 def test_unknown_orbit_kind(identity_sg):
     with pytest.raises(ValueError):
         make_almost_orbit(identity_sg, "wobble")
