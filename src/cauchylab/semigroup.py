@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import AccretiveOperator
-from .spaces import RECHECK_REL
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,10 @@ def semigroup_points(
     Returns the values, one row per time, and per time the n used, the
     last successive difference and whether it converged.  Hitting n_max
     without agreement is flagged, not an error: the last iterate is still
-    the best available value.  Differences within RECHECK_REL of the
-    tolerance are taken again with the space's own norm, so each time
-    stops where a one-time evaluation would.
+    the best available value.  A time stops at the first doubling whose
+    difference is within the tolerance and is then left out of the
+    following doublings; ``semigroup_point`` is this function at one time,
+    so a one-time evaluation stops where the batched one does.
     """
     if cfg is None:
         cfg = ExpFormulaConfig()
@@ -103,9 +103,6 @@ def semigroup_points(
         n *= 2
         cur = exp_formula(op, times[active], x, n)
         diff = op.space.norms(cur - values[active])
-        unsure = np.flatnonzero(~(np.abs(diff - cfg.tol) > RECHECK_REL * cfg.tol))
-        for i in unsure:
-            diff[i] = op.space.norm(cur[i] - values[active[i]])
         values[active] = cur
         n_used[active] = n
         achieved[active] = diff

@@ -55,7 +55,7 @@ from .second_order import (
 # semigroup_point stays importable from here: perfbench/spans.py counts
 # its calls under this name
 from .semigroup import ExpFormulaConfig, semigroup_point, semigroup_points  # noqa: F401
-from .spaces import RECHECK_REL, SAMPLE_CHUNK
+from .spaces import SAMPLE_CHUNK
 
 STEP_MONOTONE_TOL = 1e-6
 # rows per block of the sweep kernels: a block holds two SUFFIX_CHUNK x n
@@ -185,112 +185,82 @@ def modulus_check(
 
     A counterexample is a pair within the norm cap whose pairing clears
     the modulus threshold while the projection distance stays large.
-    Samples are drawn in blocks and judged against a (k, cap) table of
-    thresholds; the rows a rounding could decide, and every
-    counterexample, are judged again by ``_modulus_row``.  The check stops
-    at the ``max_counterexamples``-th counterexample, and
-    ``samples_checked`` counts the samples within the caps up to it.
+    Samples are drawn in blocks, caps first, and each block is judged at
+    once against a lazily built (k, cap) table of thresholds.  The check
+    stops at the ``max_counterexamples``-th counterexample, and
+    ``samples_checked`` counts the samples within the caps up to it.  A
+    modulus that fails at an entry raises when a sample up to that stop
+    needs the entry.  A check that judged no sample does not pass.
     """
+    if max_counterexamples < 1:
+        raise ContractError("max_counterexamples must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
     space = op.space
     counterexamples = []
     checked = 0
     table: dict[tuple[int, int], float] = {}
-    integers, uniform = rng.integers, rng.uniform
+    failures: dict[tuple[int, int], CauchyLabError] = {}
 
     def threshold(k: int, cap: int) -> float:
         if (k, cap) not in table:
             try:
                 table[k, cap] = 1.0 / (modulus(k, cap) + 1.0)
-            except CauchyLabError:
-                table[k, cap] = math.nan  # raised again by the row that needs it
+            except CauchyLabError as exc:
+                table[k, cap] = math.nan  # raised by the first sample that needs it
+                failures[k, cap] = exc
         return table[k, cap]
 
     for start in range(0, n_samples, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, n_samples - start)
-        caps = np.empty(size, dtype=int)
-        xs = np.empty((size, space.dim))
-        for i in range(size):  # the integer draws interleave with the uniform ones
-            cap = int(integers(1, cap_max + 1))
-            caps[i] = cap
-            xs[i] = uniform(-cap, cap, size=space.dim)
+        caps = rng.integers(1, cap_max + 1, size=size)
+        xs = rng.uniform(-caps[:, None], caps[:, None], size=(size, space.dim))
         ys = op.select_many(xs)
-        nx, ny = space.norms(xs), space.norms(ys)
-        redo = ~(
-            (np.abs(nx - caps) > RECHECK_REL * caps) & (np.abs(ny - caps) > RECHECK_REL * caps)
-        )
-        inside = (nx <= caps) & (ny <= caps)
+        inside = (space.norms(xs) <= caps) & (space.norms(ys) <= caps)
         v = xs - op.project_zeros_many(xs)
         pairing = np.einsum("ij,ij->i", space.duality_map_many(v), ys)
         dist = space.norms(v)
-        # rounding bounds: |J(v)|_* = |v|, and v carries the rounding of |x|
-        pairing_error = RECHECK_REL * (nx + dist) * ny
-        dist_error = RECHECK_REL * nx
-        hit = np.zeros(size, dtype=bool)
-        open_rows = np.flatnonzero(inside & ~redo)
+        # per row, the k of its counterexample and the k of a failing
+        # modulus entry it needs, -1 for none
+        hit_k = np.full(size, -1)
+        failed_k = np.full(size, -1)
+        open_rows = np.flatnonzero(inside)
         for k in range(k_max + 1):
             if not open_rows.size:
                 break
-            row_caps = caps[open_rows]
-            levels, where = np.unique(row_caps, return_inverse=True)
+            levels, where = np.unique(caps[open_rows], return_inverse=True)
             thr = np.array([threshold(k, int(c)) for c in levels])[where]
-            dthr = 1.0 / (k + 1.0) + tol
-            p, dd = pairing[open_rows], dist[open_rows]
-            sure = (np.abs(p - thr) > pairing_error[open_rows] + RECHECK_REL * thr) & (
-                np.abs(dd - dthr) > dist_error[open_rows] + RECHECK_REL * dthr
+            unknown = np.isnan(thr)
+            failed_k[open_rows[unknown]] = k
+            violated = (pairing[open_rows] <= thr) & (dist[open_rows] > 1.0 / (k + 1.0) + tol)
+            hit_k[open_rows[violated]] = k
+            open_rows = open_rows[~(violated | unknown)]
+        room = max_counterexamples - len(counterexamples)
+        hits = np.flatnonzero(hit_k >= 0)[:room]
+        # the last row judged: the stopping counterexample, or the block's end
+        stop = hits[-1] if hits.size == room else size - 1
+        needs = np.flatnonzero(failed_k[: stop + 1] >= 0)
+        if needs.size:
+            raise failures[int(failed_k[needs[0]]), int(caps[needs[0]])]
+        for i in hits:
+            counterexamples.append(
+                {
+                    "x": xs[i].tolist(),
+                    "y": ys[i].tolist(),
+                    "k": int(hit_k[i]),
+                    "cap": int(caps[i]),
+                    "pairing": float(pairing[i]),
+                    "dist": float(dist[i]),
+                }
             )
-            redo[open_rows[~sure]] = True
-            violated = sure & (p <= thr) & (dd > dthr)
-            hit[open_rows[violated]] = True
-            open_rows = open_rows[sure & ~violated]
-        counted = inside & ~redo
-        for i in np.flatnonzero(redo | hit):
-            counted[i], counterexample = _modulus_row(op, modulus, xs[i], int(caps[i]), k_max, tol)
-            if counterexample is not None:
-                counterexamples.append(counterexample)
-                if len(counterexamples) >= max_counterexamples:
-                    counted[i + 1 :] = False
-                    break
-        checked += int(np.count_nonzero(counted))
+        checked += int(np.count_nonzero(inside[: stop + 1]))
         if len(counterexamples) >= max_counterexamples:
             break
     return ModulusCheckReport(
         samples_checked=checked,
         counterexamples=counterexamples,
-        passed=not counterexamples,
+        passed=checked > 0 and not counterexamples,
     )
-
-
-def _modulus_row(
-    op: AccretiveOperator,
-    modulus: ConvergenceModulus,
-    x: np.ndarray,
-    cap: int,
-    k_max: int,
-    tol: float,
-) -> tuple[bool, dict | None]:
-    """One sample of ``modulus_check``, row by row: whether it lies within
-    the cap, and its counterexample record, if it is one."""
-    space = op.space
-    y = op.select(x)
-    if space.norm(x) > cap or space.norm(y) > cap:
-        return False, None
-    px = op.project_zeros(x)
-    pairing = space.dual_pair(space.duality_map(x - px), y)
-    dist = space.norm(x - px)
-    for k in range(k_max + 1):
-        if pairing <= 1.0 / (modulus(k, cap) + 1.0) and dist > 1.0 / (k + 1.0) + tol:
-            record = {
-                "x": x.tolist(),
-                "y": y.tolist(),
-                "k": k,
-                "cap": cap,
-                "pairing": float(pairing),
-                "dist": float(dist),
-            }
-            return True, record
-    return True, None
 
 
 # -- trajectory-level checks ---------------------------------------------------------
@@ -582,28 +552,8 @@ class SampleSet:
 
     @cached_property
     def graph_bound(self) -> int:
-        """Worst operator graph bound over the samples (0 when empty).
-
-        ceil(max(||x||, d(0, Ax))) is taken over all rows at once.  Rows
-        within rounding of an integer, where the batched norms could round
-        the other way than ``op.graph_bound``, are redone row by row, once
-        per distinct row, so the result is the row-by-row maximum.  When
-        the operator's d(0, Ax) is exact, only ||x|| can round the other
-        way, since ceil(max(a, b)) = max(ceil(a), ceil(b)).
-        """
-        op, rows = self.op, self.values
-        norm_x = op.space.norms(rows)
-        level = np.maximum(norm_x, op.dist_zero_many(rows))
-        rounded = norm_x if op.exact_dist_zero else level
-        near = np.abs(rounded - np.rint(rounded)) <= 1e-9 * np.maximum(rounded, 1.0)
-        # a value in (0, 1/2) ceils to 1 however the norms round: the
-        # row-by-row value lies within rounding of it, so below 1, and is
-        # positive, since ||x|| > 0 means some power |x_i|^p is positive,
-        # and a sum of such powers is 0 only when every term is 0
-        near &= ~((norm_x > 0.0) & (rounded < 0.5))
-        batched = int(np.ceil(level[~near]).max(initial=0))
-        redo = np.unique(rows[near], axis=0)
-        return max([batched] + [op.graph_bound(row) for row in redo])
+        """Worst operator graph bound over the samples (0 when empty)."""
+        return int(self.op.graph_bound_many(self.values).max(initial=0))
 
     @cached_property
     def _residual(self) -> np.ndarray | None:

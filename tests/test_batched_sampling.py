@@ -1,9 +1,11 @@
-"""The batched samplers against the row-by-row loops they replace.
+"""The batched samplers against row-by-row references.
 
-Each reference below is the sequential loop the library ran before its
-samplers were batched: same draws, same arithmetic, one sample or one
-grid node at a time.  The batched code must reproduce its results
-exactly, including the rows that only rounding decides.
+Each reference below is a sequential loop: same draws, same arithmetic,
+one sample or one grid node at a time.  The batched code must take every
+decision the reference takes: pass flags, samples checked, the sampled
+points of counterexamples and witnesses, and the steps of first-order
+orbits.  Reported minima, pairings and distances may differ in rounding,
+by at most ROUNDING times the bound on the sum of their terms.
 """
 
 import tracemalloc
@@ -29,6 +31,12 @@ from cauchylab import (
 )
 from cauchylab.errors import ContractError
 from cauchylab.rates import ConvergenceModulus, constant_modulus
+from cauchylab.spaces import SAMPLE_CHUNK
+
+# Both paths evaluate a pairing as a dot of at most 5 terms whose factors
+# carry a few ulps each from the norms and the powers in J: under 32 ulps
+# of the terms' sum per path, so under 64 between the two.  Measured: 3.4.
+ROUNDING = 64 * np.finfo(float).eps
 
 SPACES = [("hilbert", None)] + [("lp", p) for p in (2.0, 3.0, 4.0)]
 
@@ -43,7 +51,8 @@ def make_space(kind, p, dim):
 
 
 def monotonicity_reference(space, radius, samples, rng):
-    min_ratio = np.inf
+    """(ratio, rounding bound) of each pair at least 1e-9 apart."""
+    rows = []
     for _ in range(samples):
         x = rng.uniform(-radius, radius, size=space.dim)
         y = rng.uniform(-radius, radius, size=space.dim)
@@ -52,55 +61,81 @@ def monotonicity_reference(space, radius, samples, rng):
         if nd < 1e-9:
             continue
         gap = space.dual_pair(space.duality_map(x) - space.duality_map(y), d)
-        min_ratio = min(min_ratio, gap / (nd * nd))
-    return min_ratio
+        # |Jx - Jy|_* <= |x| + |y|, so the ratio's terms sum to at most
+        # (|x| + |y|) / |d|
+        rows.append((gap / (nd * nd), ROUNDING * (space.norm(x) + space.norm(y)) / nd))
+    return rows
 
 
 def accretivity_reference(op, sample_count, region_radius, rng):
+    """(pairing, rounding bound, x1, x2) of each sampled pair."""
     space = op.space
-    min_pairing = np.inf
-    witness = None
+    rows = []
     for _ in range(sample_count):
         x1 = rng.uniform(-region_radius, region_radius, size=space.dim)
         x2 = rng.uniform(-region_radius, region_radius, size=space.dim)
         y1, y2 = op.select(x1), op.select(x2)
         pairing = space.dual_pair(space.duality_map(x1 - x2), y1 - y2)
-        if pairing < min_pairing:
-            min_pairing = pairing
-            witness = (x1, x2)
-    return min_pairing, witness
+        # |J(d)|_* = |d|, so the terms sum to at most |d| (|y1| + |y2|)
+        bound = ROUNDING * space.norm(x1 - x2) * (space.norm(y1) + space.norm(y2))
+        rows.append((pairing, bound, x1, x2))
+    return rows
+
+
+def assert_min_within(got, rows):
+    """``got`` is the minimum of values each within its bound of the
+    reference value of its row."""
+    values = np.array([row[0] for row in rows])
+    bounds = np.array([row[1] for row in rows])
+    j = int(np.argmin(values))
+    assert np.min(values - bounds) <= got <= values[j] + bounds[j]
 
 
 def modulus_reference(op, modulus, k_max, cap_max, n_samples, rng, tol=1e-9, max_cex=10):
     space = op.space
     counterexamples = []
     checked = 0
-    for _ in range(n_samples):
-        cap = int(rng.integers(1, cap_max + 1))
-        x = rng.uniform(-cap, cap, size=space.dim)
-        y = op.select(x)
-        if space.norm(x) > cap or space.norm(y) > cap:
-            continue
-        checked += 1
-        px = op.project_zeros(x)
-        pairing = space.dual_pair(space.duality_map(x - px), y)
-        dist = space.norm(x - px)
-        for k in range(k_max + 1):
-            if pairing <= 1.0 / (modulus(k, cap) + 1.0) and dist > 1.0 / (k + 1.0) + tol:
-                counterexamples.append(
-                    {
-                        "x": x.tolist(),
-                        "y": y.tolist(),
-                        "k": k,
-                        "cap": cap,
-                        "pairing": float(pairing),
-                        "dist": float(dist),
-                    }
-                )
-                break
-        if len(counterexamples) >= max_cex:
-            break
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        # the library's draw order: a block's caps, then its points
+        size = min(SAMPLE_CHUNK, n_samples - start)
+        caps = rng.integers(1, cap_max + 1, size=size)
+        xs = rng.uniform(-caps[:, None], caps[:, None], size=(size, space.dim))
+        for cap, x in zip(caps.tolist(), xs):
+            y = op.select(x)
+            if space.norm(x) > cap or space.norm(y) > cap:
+                continue
+            checked += 1
+            px = op.project_zeros(x)
+            pairing = space.dual_pair(space.duality_map(x - px), y)
+            dist = space.norm(x - px)
+            for k in range(k_max + 1):
+                if pairing <= 1.0 / (modulus(k, cap) + 1.0) and dist > 1.0 / (k + 1.0) + tol:
+                    counterexamples.append(
+                        {
+                            "x": x.tolist(),
+                            "y": y.tolist(),
+                            "k": k,
+                            "cap": cap,
+                            "pairing": float(pairing),
+                            "dist": float(dist),
+                        }
+                    )
+                    break
+            if len(counterexamples) >= max_cex:
+                return checked, counterexamples
     return checked, counterexamples
+
+
+def assert_counterexamples_match(got, want):
+    """Same points, k and cap; pairing and dist within rounding.  v = x - Px
+    carries the rounding of |x|, and |J(v)|_* = |v|, so the pairing's terms
+    sum to at most (|x| + |v|) |y|."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g["x"], g["y"], g["k"], g["cap"]) == (w["x"], w["y"], w["k"], w["cap"])
+        nx, ny = np.linalg.norm(w["x"]), np.linalg.norm(w["y"])
+        assert abs(g["pairing"] - w["pairing"]) <= ROUNDING * (nx + w["dist"]) * ny
+        assert abs(g["dist"] - w["dist"]) <= ROUNDING * nx
 
 
 def exp_formula_reference(op, t, x, n):
@@ -132,19 +167,21 @@ def semigroup_point_reference(op, t, x, cfg):
 
 
 class ScriptedRng:
-    """Replays fixed (cap, x) draws in the order modulus_check makes them."""
+    """Replays fixed (cap, x) draws in the order modulus_check makes them:
+    a block's caps, then its points."""
 
     def __init__(self, draws):
-        self._draws = iter(draws)
-        self._x = None
+        self._draws = list(draws)
+        self._block = None
 
-    def integers(self, low, high):
-        cap, self._x = next(self._draws)
-        assert low <= cap < high
-        return cap
+    def integers(self, low, high, size):
+        self._block, self._draws = self._draws[:size], self._draws[size:]
+        caps = np.array([cap for cap, _ in self._block])
+        assert np.all((low <= caps) & (caps < high))
+        return caps
 
     def uniform(self, low, high, size):
-        return np.array(self._x, dtype=float).reshape(size)
+        return np.array([x for _, x in self._block], dtype=float).reshape(size)
 
 
 # -- strong monotonicity ---------------------------------------------------------------
@@ -154,12 +191,11 @@ class ScriptedRng:
 @pytest.mark.parametrize("kind,p", SPACES)
 def test_min_ratio_equals_reference(kind, p, dim):
     space = make_space(kind, p, dim)
-    # at seed 15 some minimum rows are not batched minima: only their
-    # rounding margin makes them candidates
     for seed in (0, 1, 15):
         report = space.validate_strong_monotonicity(1.5, 2000, np.random.default_rng(seed))
-        expected = monotonicity_reference(space, 1.5, 2000, np.random.default_rng(seed))
-        assert report.min_ratio == expected
+        rows = monotonicity_reference(space, 1.5, 2000, np.random.default_rng(seed))
+        assert_min_within(report.min_ratio, rows)
+        assert report.passed == (min(ratio for ratio, _ in rows) >= space.M - 1e-12)
 
 
 def test_min_ratio_with_no_pair_compared_fails():
@@ -194,11 +230,19 @@ def test_min_pairing_and_witness_equal_reference(kind, p, dim):
     space = make_space(kind, p, dim)
     for op in accretivity_operators(space):
         report = verify_accretive(op, 1500, 2.0, np.random.default_rng(11))
-        pairing, witness = accretivity_reference(op, 1500, 2.0, np.random.default_rng(11))
-        assert report.min_pairing == pairing
-        assert np.signbit(report.min_pairing) == np.signbit(pairing)
-        assert np.array_equal(report.witness[0], witness[0])
-        assert np.array_equal(report.witness[1], witness[1])
+        rows = accretivity_reference(op, 1500, 2.0, np.random.default_rng(11))
+        assert_min_within(report.min_pairing, rows)
+        pairings = [pairing for pairing, _, _, _ in rows]
+        assert report.passed == (min(pairings) >= -1e-9)
+        # the witness is a sampled pair; where it is not the reference's,
+        # the two pairings tie within rounding (the rotation's zeros)
+        w = next(
+            i
+            for i, (_, _, x1, x2) in enumerate(rows)
+            if np.array_equal(x1, report.witness[0]) and np.array_equal(x2, report.witness[1])
+        )
+        j = int(np.argmin(pairings))
+        assert w == j or pairings[w] - pairings[j] <= rows[w][1] + rows[j][1]
 
 
 # -- modulus check ---------------------------------------------------------------------
@@ -227,8 +271,8 @@ def test_modulus_check_equals_reference(kind, p, dim):
         report = modulus_check(op, modulus, n_samples=2500, rng=np.random.default_rng(5))
         checked, cex = modulus_reference(op, modulus, 5, 10, 2500, np.random.default_rng(5))
         assert report.samples_checked == checked
-        assert report.counterexamples == cex
-        assert report.passed == (not cex)
+        assert_counterexamples_match(report.counterexamples, cex)
+        assert report.passed == (checked > 0 and not cex)
 
 
 def test_modulus_check_rotation_stops_at_tenth_counterexample(hilbert2):
@@ -238,7 +282,7 @@ def test_modulus_check_rotation_stops_at_tenth_counterexample(hilbert2):
     checked, cex = modulus_reference(op, constant_modulus(0), 5, 10, 5000, rng)
     assert len(report.counterexamples) == 10
     assert report.samples_checked == checked < 5000
-    assert report.counterexamples == cex
+    assert_counterexamples_match(report.counterexamples, cex)
 
 
 def test_modulus_check_cap_and_threshold_edges():
@@ -258,6 +302,19 @@ def test_modulus_check_cap_and_threshold_edges():
     checked, cex = modulus_reference(op, modulus, 5, 10, len(draws), ScriptedRng(draws))
     assert (report.samples_checked, report.counterexamples) == (checked, cex)
     assert checked == 12 and [c["k"] for c in cex] == [1, 2, 1] * 3
+
+
+def test_modulus_check_with_no_sample_inside_the_caps_fails():
+    # |Ax| = 1000 |x| exceeds every cap up to 10 unless |x| <= 0.01, which
+    # no sample of the default caps reaches in dimension 6
+    op = ScaledIdentity(1000.0, SpaceContext.hilbert(6))
+    report = modulus_check(op, constant_modulus(0), n_samples=2000, rng=np.random.default_rng(0))
+    assert report.samples_checked == 0
+    assert report.counterexamples == []
+    assert not report.passed
+    # and a check that may stop at no counterexample is refused
+    with pytest.raises(ContractError, match="max_counterexamples"):
+        modulus_check(op, constant_modulus(0), n_samples=10, max_counterexamples=0)
 
 
 def test_modulus_check_raises_where_the_reference_raises(hilbert2):
@@ -280,7 +337,28 @@ def test_modulus_check_raises_where_the_reference_raises(hilbert2):
         if expect_error:
             assert got == want == "modulus returned non-natural -1"
         else:
-            assert (got.samples_checked, got.counterexamples) == want
+            assert got.samples_checked == want[0]
+            assert_counterexamples_match(got.counterexamples, want[1])
+
+
+@pytest.mark.parametrize("before,after,raises", [(9, 1, True), (10, 0, False), (5, 0, True)])
+def test_modulus_check_raises_only_up_to_the_stopping_row(before, after, raises):
+    # counterexamples at cap 1 around one row that needs the failing entry
+    # (0, 5), in one block: it raises before the tenth counterexample and
+    # as the block's last row, not after the tenth
+    op = ScaledIdentity(1.0, SpaceContext.hilbert(1))
+    bad = ConvergenceModulus(fn=lambda k, cap: -1 if (k, cap) == (0, 5) else 0)
+    draws = [(1, [1.0])] * before + [(5, [0.5])] + [(1, [1.0])] * after
+    if raises:
+        with pytest.raises(ContractError, match="non-natural -1"):
+            modulus_check(op, bad, n_samples=len(draws), rng=ScriptedRng(draws))
+        with pytest.raises(ContractError, match="non-natural -1"):
+            modulus_reference(op, bad, 5, 10, len(draws), ScriptedRng(draws))
+    else:
+        report = modulus_check(op, bad, n_samples=len(draws), rng=ScriptedRng(draws))
+        checked, cex = modulus_reference(op, bad, 5, 10, len(draws), ScriptedRng(draws))
+        assert (report.samples_checked, report.counterexamples) == (checked, cex)
+        assert checked == 10 and len(cex) == 10
 
 
 # -- first-order orbits ------------------------------------------------------------------

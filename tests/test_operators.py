@@ -123,6 +123,9 @@ def test_verify_accretive_scaled_identity(hilbert2):
     report = verify_accretive(ScaledIdentity(1.0, hilbert2), 200, 2.0)
     assert report.passed
     assert report.min_pairing >= 0.0
+    # a check that compared no pair certifies nothing
+    empty = verify_accretive(ScaledIdentity(1.0, hilbert2), 0, 2.0)
+    assert (empty.min_pairing, empty.witness, empty.passed) == (np.inf, None, False)
 
 
 def test_verify_accretive_rotation_boundary(hilbert2):
@@ -217,6 +220,9 @@ def test_graph_bound(hilbert2):
     # max(||x||, ||Bx||) = sqrt(17), ceiled
     assert op.graph_bound(x) == 5
     assert ScaledIdentity(1.0, hilbert2).graph_bound(np.array([1.0, 0.0])) == 1
+    # ||(0.6, 0.8)|| rounds to 1.0 exactly, in the one-row and the batched form
+    assert ScaledIdentity(1.0, hilbert2).graph_bound(np.array([0.6, 0.8])) == 1
+    assert NormSubdifferential(hilbert2).graph_bound(np.array([0.6, 0.8])) == 1
 
 
 @settings(max_examples=100, deadline=None)
