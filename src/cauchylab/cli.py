@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     if args.command == "list-catalog":
         _print_catalog(args.json)
         return 0
-    result = run_config(args.config, out_dir=args.out, jobs=args.jobs, seed=args.seed)
+    result = run_config(args.config, out_dir=args.out, seed=args.seed)
     if result.error is not None:
         print(f"error: {result.error}", file=sys.stderr)
         return result.exit_code

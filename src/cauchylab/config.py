@@ -41,7 +41,7 @@ from .operators import (
     StronglyAccretive,
 )
 from .rates import ConvergenceModulus, constant_modulus, modulus_strongly_accretive
-from .second_order import DEFAULT_SCHEDULE, SolverConfig, TimeGrid
+from .second_order import SolverConfig, TimeGrid
 from .spaces import SpaceContext
 
 # resource caps: the sweeps cost O(sample_points^2) time and one report
@@ -93,8 +93,6 @@ class ScenarioSpec:
     validation: ValidationSpec
     output_dir: str | None
     lp_validate_radius: float = 2.0
-    first_order_n_max: int = 2**16
-    sample_points: int = 500
 
 
 class _Anchors:
@@ -461,11 +459,11 @@ def load_config(path: str | Path) -> ScenarioSpec:
         "sample_points",
         "first_order_n_max",
     )
-    first_order_n_max = sol.get("first_order_n_max", 2**16, kind=int)
-    sample_points = sol.get("sample_points", 500, kind=int)
+    # every default is SolverConfig's own
+    sample_points = sol.get("sample_points", SolverConfig.sample_points, kind=int)
     if not 1 <= sample_points <= MAX_SAMPLE_POINTS:
         sol.fail("sample_points", f"sample_points must lie in [1, {MAX_SAMPLE_POINTS}]")
-    schedule = DEFAULT_SCHEDULE
+    schedule = SolverConfig.schedule
     raw = sol.get("schedule", kind=list)
     if raw is not None:
         if not raw or not all(
@@ -485,8 +483,10 @@ def load_config(path: str | Path) -> ScenarioSpec:
         solver = SolverConfig(
             grid,
             schedule,
-            sol.get("stabilization_tol", 1e-6, kind=float),
-            sol.get("margin", 1.0, kind=float),
+            sol.get("stabilization_tol", SolverConfig.stab_tol, kind=float),
+            sol.get("margin", SolverConfig.margin, kind=float),
+            sample_points,
+            sol.get("first_order_n_max", SolverConfig.first_order_n_max, kind=int),
         )
     except ValueError as exc:
         sol.fail("margin", str(exc))
@@ -498,6 +498,11 @@ def load_config(path: str | Path) -> ScenarioSpec:
     b_override = rd.get("b", kind=float)
     d_override = rd.get("d_budget", kind=float)
     orbit_bound_override = rd.get("orbit_bound", kind=int)
+    for key, value in (("b", b_override), ("d_budget", d_override)):
+        if value is not None and value < 0.0:
+            rd.fail(key, f"{key} must be nonnegative")
+    if orbit_bound_override is not None and orbit_bound_override < 0:
+        rd.fail("orbit_bound", "orbit_bound must be a natural")
     omega = None
     omega_text = rd.get("omega", kind=str)
     if omega_text is not None and omega_text.strip() != "k":
@@ -625,6 +630,4 @@ def load_config(path: str | Path) -> ScenarioSpec:
         validation=validation,
         output_dir=output_dir,
         lp_validate_radius=lp_validate_radius,
-        first_order_n_max=first_order_n_max,
-        sample_points=sample_points,
     )

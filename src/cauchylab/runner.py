@@ -108,9 +108,8 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         sg = SqrtSemigroup(spec.op, spec.x, spec.solver)
         trajectory = sg.trajectory
     else:
-        trajectory = first_order_trajectory(
-            spec.op, spec.x, spec.solver.grid, ExpFormulaConfig(n_max=spec.first_order_n_max)
-        )
+        cfg = ExpFormulaConfig(n_max=spec.solver.first_order_n_max)
+        trajectory = first_order_trajectory(spec.op, spec.x, spec.solver.grid, cfg)
     diagnostics["solver"] = {
         "stabilized": trajectory.meta.get("stabilized"),
         "far_end_ok": trajectory.meta.get("far_end_ok"),
@@ -134,13 +133,11 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         x=spec.x,
         modulus=spec.modulus,
         trajectory=trajectory,
-        trusted_horizon=spec.solver.trusted_horizon,
+        solver=spec.solver,
         omega=spec.omega,
         b_override=spec.b_override,
         d_override=spec.d_override,
         orbit_bound_override=spec.orbit_bound_override,
-        num_tol=1e-6 + spec.solver.stab_tol,
-        sample_points=spec.sample_points,
         orbits=orbits,
     )
 
@@ -345,14 +342,9 @@ def exit_code_for(reports) -> int:
     return 0
 
 
-def run_config(
-    config_path, out_dir=None, jobs: int = 1, seed: int | None = None
-) -> RunResult:
-    """Load, run and write one scenario config.
-
-    ``jobs`` is accepted for compatibility and has no effect: sweeps run
-    sequentially, since they share the bundle's cached sample profiles.
-    """
+def run_config(config_path, out_dir=None, seed: int | None = None) -> RunResult:
+    """Load, run and write one scenario config.  Sweeps run sequentially,
+    since they share the bundle's cached sample profiles."""
     try:
         spec = load_config(config_path)
         if seed is not None:

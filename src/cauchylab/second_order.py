@@ -137,12 +137,17 @@ NEWTON_MIN_DAMPING = 1e-8
 class SolverConfig:
     """How a second-order trajectory is solved, and how much of it is
     trusted: times beyond horizon - margin are not, since the far-end
-    closure bends the tail."""
+    closure bends the tail.  It is the config's ``solver:`` section, and
+    its defaults are the only ones: ``sample_points`` sets how many
+    trajectory samples the sweeps compare, and ``first_order_n_max`` caps
+    n in the exponential formula of first-order dynamics."""
 
     grid: TimeGrid
     schedule: tuple = DEFAULT_SCHEDULE
     stab_tol: float = 1e-6
     margin: float = 1.0
+    sample_points: int = 500
+    first_order_n_max: int = 2**16
 
     def __post_init__(self):
         if self.margin < 0.0 or self.margin >= self.grid.horizon:
@@ -151,6 +156,12 @@ class SolverConfig:
     @property
     def trusted_horizon(self) -> float:
         return self.grid.horizon - self.margin
+
+    @property
+    def num_tol(self) -> float:
+        """Allowance of the sweeps' distance comparisons: the solver's
+        stabilization tolerance on top of 1e-6."""
+        return 1e-6 + self.stab_tol
 
 
 def _residual(x: np.ndarray, h: float, u: np.ndarray, force: np.ndarray) -> np.ndarray:
@@ -366,27 +377,26 @@ def _flag_far_end(op: AccretiveOperator, x: np.ndarray, traj: Trajectory) -> Non
 def solve_second_order(
     op: AccretiveOperator,
     x: np.ndarray,
-    grid: TimeGrid,
-    schedule=DEFAULT_SCHEDULE,
-    stab_tol: float = 1e-6,
+    solver: SolverConfig,
     r_floor: float = 1e-9,
 ) -> Trajectory:
-    """Solve u'' in Au, u(0) = x, on the grid.
+    """Solve u'' in Au, u(0) = x, on the solver's grid.
 
     A linear operator A = B is its own limit A_0: the unregularized
     problem u'' = Bu is solved once, at r = p = 0, and the schedule is not
     used.  Otherwise continuation runs along the decreasing (r, p)
-    schedule with warm starts, and stops when successive trajectories
-    differ by at most ``stab_tol`` in the sup norm.  When the supplied
-    schedule is exhausted unstabilized, both parameters keep shrinking by
-    decades down to ``r_floor``: the j-th extra stage is the last supplied
-    pair shifted j decimal places, so it holds the intended decimal value
-    (1e-07, not the 1.0000000000000002e-07 of repeated division by ten).
-    Failing that, the trajectory is returned with a warning flag in the
-    metadata.
+    ``solver.schedule`` with warm starts, and stops when successive
+    trajectories differ by at most ``solver.stab_tol`` in the sup norm.
+    When the supplied schedule is exhausted unstabilized, both parameters
+    keep shrinking by decades down to ``r_floor``: the j-th extra stage is
+    the last supplied pair shifted j decimal places, so it holds the
+    intended decimal value (1e-07, not the 1.0000000000000002e-07 of
+    repeated division by ten).  Failing that, the trajectory is returned
+    with a warning flag in the metadata.
     """
     x = op.space.check(x)
-    stages = [(float(r), float(p)) for r, p in schedule]
+    grid = solver.grid
+    stages = [(float(r), float(p)) for r, p in solver.schedule]
     if not stages:
         raise ValueError("continuation schedule is empty")
     b = op.linear_matrix
@@ -430,7 +440,7 @@ def solve_second_order(
         if prev_traj is not None:
             diff = float(np.max(op.space.norms(traj.values - prev_traj.values)))
             diffs.append(diff)
-            if diff <= stab_tol:
+            if diff <= solver.stab_tol:
                 stabilized = True
                 prev_traj = traj
                 break
@@ -457,13 +467,7 @@ class SqrtSemigroup:
         self.op = op
         self.x = op.space.check(x)
         self.solver = solver
-        self.trajectory = solve_second_order(
-            op,
-            x,
-            solver.grid,
-            schedule=solver.schedule,
-            stab_tol=solver.stab_tol,
-        )
+        self.trajectory = solve_second_order(op, x, solver)
 
     @property
     def trusted_horizon(self) -> float:

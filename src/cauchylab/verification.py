@@ -47,6 +47,7 @@ from .rates import (
     semigroup_cauchy_rate,
 )
 from .second_order import (
+    SolverConfig,
     SqrtSemigroup,
     TimeGrid,
     Trajectory,
@@ -291,9 +292,10 @@ def first_order_trajectory(
     grid: TimeGrid,
     cfg: ExpFormulaConfig | None = None,
 ) -> Trajectory:
-    """Orbit of the first-order semigroup sampled on the grid."""
+    """Orbit of the first-order semigroup sampled on the grid; ``cfg``
+    defaults to the ``SolverConfig`` cap on the formula's n."""
     if cfg is None:
-        cfg = ExpFormulaConfig(n_max=2**16)
+        cfg = ExpFormulaConfig(n_max=SolverConfig.first_order_n_max)
     x = op.space.check(x)
     values, _, _, converged = semigroup_points(op, grid.nodes, x, cfg)
     traj = Trajectory(grid=grid, values=values, meta={"dynamics": "first_order"})
@@ -557,10 +559,11 @@ class SampleSet:
 
     @cached_property
     def _residual(self) -> np.ndarray | None:
-        """Zero-set residual at the samples, None unless it is monotone."""
+        """Zero-set residual at the samples, None unless it is monotone:
+        no increment above STEP_MONOTONE_TOL, the rule of ``fejer_report``."""
         residual = self.op.space.norms(self.values - self.op.project_zeros_many(self.values))
         increments = np.diff(residual)
-        if increments.size and np.max(increments) > 10 * STEP_MONOTONE_TOL:
+        if increments.size and np.max(increments) > STEP_MONOTONE_TOL:
             return None
         return residual
 
@@ -598,36 +601,39 @@ class SampleSet:
 
 @dataclass
 class ScenarioBundle:
-    """Everything a sweep needs about one scenario, solved and sampled."""
+    """Everything a sweep needs about one scenario, solved and sampled.
+
+    ``solver`` is the trajectory's solver setup: its trusted horizon and
+    ``sample_points`` set the samples, and its ``num_tol`` the allowance
+    of every distance comparison."""
 
     scenario_id: str
     op: AccretiveOperator
     x: np.ndarray
     modulus: ConvergenceModulus
     trajectory: Trajectory
-    trusted_horizon: float
+    solver: SolverConfig
     omega: Callable[[int, int], int] | None = None
     b_override: float | None = None
     d_override: float | None = None
     orbit_bound_override: int | None = None
-    num_tol: float = 2e-6
-    sample_points: int = 500
     orbits: list[AlmostOrbit] = field(default_factory=list)
 
     def __post_init__(self):
         grid = self.trajectory.grid
-        stride = max(grid.step, self.trusted_horizon / self.sample_points)
+        trusted = self.solver.trusted_horizon
+        stride = max(grid.step, trusted / self.solver.sample_points)
         idx = np.unique(
-            np.round(
-                np.arange(0.0, self.trusted_horizon + 1e-9, stride) / grid.step
-            ).astype(int)
+            np.round(np.arange(0.0, trusted + 1e-9, stride) / grid.step).astype(int)
         )
         idx = idx[idx <= grid.n_steps]
         self.sample_times = grid.nodes[idx]
         self.sample_values = self.trajectory.values[idx]
         self.samples = SampleSet(self.op, self.sample_times, self.sample_values)
+        # every grid node, for the residual of the 4.1 and 4.2 sweeps only:
+        # its suffix profile is never built
+        self.grid_samples = SampleSet(self.op, self.trajectory.times, self.trajectory.values)
         self._orbit_samples: dict[AlmostOrbit, SampleSet] = {}
-        self._residual = projection_profile(self.op, self.trajectory)
 
     def orbit_samples(self, orbit: AlmostOrbit) -> SampleSet:
         """The orbit at the sample times inside its trusted horizon,
@@ -674,31 +680,7 @@ class ScenarioBundle:
         def family(s: int) -> Counterfunction:
             return Counterfunction.constant(worst, "graph bound over the orbit")
 
-        base = self.point_rate_data()
-        return ScenarioRateData(
-            m_const=base.m_const,
-            norm_x=base.norm_x,
-            dist_proj=base.dist_proj,
-            dist_zero=base.dist_zero,
-            b=base.b,
-            d_budget=base.d_budget,
-            orbit_bound=orbit_bound,
-            omega=base.omega,
-            f_family=family,
-        )
-
-    # -- sampled profiles --------------------------------------------------------
-
-    def residual_threshold(self, level: float) -> float | None:
-        """First grid time where the projection residual drops to level,
-        provided the residual is monotone on the horizon."""
-        increments = np.diff(self._residual)
-        if increments.size and np.max(increments) > STEP_MONOTONE_TOL:
-            return None
-        idx = np.nonzero(self._residual <= level)[0]
-        if idx.size == 0:
-            return None
-        return float(self.trajectory.times[idx[0]])
+        return replace(self.point_rate_data(), orbit_bound=orbit_bound, f_family=family)
 
 
 def _margin(bound: int, observed: float) -> float:
@@ -718,23 +700,25 @@ def _cauchy_report(
     bound: int,
     f_desc: str,
     samples: SampleSet,
-    residual_threshold: Callable[[float], float | None],
+    residual: SampleSet,
 ) -> RateReport:
+    """One Cauchy-type report on ``samples``; beyond their horizon, the
+    monotone residual of ``residual`` certifies it."""
     eps = 1.0 / (k + 1.0)
     times = samples.times
     suffix = samples.suffix
-    ok_mask = suffix <= eps + bundle.num_tol
+    ok_mask = suffix <= eps + bundle.solver.num_tol
     idx_ok = np.nonzero(ok_mask)[0]
     observed = float(times[idx_ok[0]]) if idx_ok.size else math.inf
     horizon = float(times[-1]) if times.size else 0.0
     if bound <= horizon:
         at_bound = int(np.searchsorted(times, bound - 1e-9))
         at_bound = min(at_bound, len(times) - 1)
-        passed = bool(suffix[at_bound] <= eps + bundle.num_tol)
+        passed = bool(suffix[at_bound] <= eps + bundle.solver.num_tol)
         extrapolated = False
     else:
         extrapolated = True
-        tau = residual_threshold(eps / 2.0)
+        tau = residual.residual_threshold(eps / 2.0)
         passed = tau is not None
         if passed and not math.isfinite(observed):
             observed = tau
@@ -757,9 +741,7 @@ def _sweep_interior(bundle: ScenarioBundle, ks: Sequence[int]) -> list[RateRepor
     for k in ks:
         bound = semigroup_cauchy_rate(int(k), bundle.modulus, data)
         reports.append(
-            _cauchy_report(
-                bundle, "4.1", int(k), bound, "", bundle.samples, bundle.residual_threshold
-            )
+            _cauchy_report(bundle, "4.1", int(k), bound, "", bundle.samples, bundle.grid_samples)
         )
     return reports
 
@@ -779,7 +761,7 @@ def _sweep_closure(
                 bound,
                 f_dom.description,
                 bundle.samples,
-                bundle.residual_threshold,
+                bundle.grid_samples,
             )
         )
     return reports
@@ -798,6 +780,7 @@ def _sweep_metastable(
         horizon = float(samples.times[-1]) if samples.times.size else 0.0
         for k in ks:
             eps = 1.0 / (int(k) + 1.0)
+            level = eps + bundle.solver.num_tol
             for f in counterfunctions:
                 bound = cauchy_metastability_rate(
                     int(k), f, orbit.phi_meta, bundle.modulus, data
@@ -805,7 +788,7 @@ def _sweep_metastable(
                 witness = None
                 n = 0
                 while n <= bound and n <= horizon:
-                    if samples.window_diameter(n, f(n), horizon) <= eps + bundle.num_tol:
+                    if samples.window_diameter(n, f(n), horizon) <= level:
                         witness = n
                         break
                     n += 1
@@ -857,7 +840,7 @@ def _sweep_roc(
                 bound,
                 orbit.phi_roc.description,
                 samples,
-                samples.residual_threshold,
+                samples,
             )
             reports.append(
                 replace(report, scenario=f"{bundle.scenario_id}/{orbit.kind}")

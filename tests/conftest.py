@@ -6,6 +6,7 @@ from cauchylab import (
     NormSubdifferential,
     Rotation,
     ScaledIdentity,
+    SolverConfig,
     SpaceContext,
     StronglyAccretive,
     TimeGrid,
@@ -50,5 +51,5 @@ def catalog(hilbert2):
 def catalog_trajectories(catalog):
     grid = TimeGrid(40.0, 0.01)
     return [
-        (name, op, x, solve_second_order(op, x, grid)) for name, op, x in catalog
+        (name, op, x, solve_second_order(op, x, SolverConfig(grid))) for name, op, x in catalog
     ]

@@ -63,7 +63,7 @@ def identity_bundle(hilbert2):
         x=x,
         modulus=MOD1,
         trajectory=sg.trajectory,
-        trusted_horizon=sg.trusted_horizon,
+        solver=sg.solver,
     )
 
 
@@ -88,7 +88,7 @@ def orbit_bundles(hilbert2):
                 x=x,
                 modulus=MOD1,
                 trajectory=sg.trajectory,
-                trusted_horizon=sg.trusted_horizon,
+                solver=sg.solver,
                 orbits=orbits,
             )
         )
@@ -130,7 +130,7 @@ def test_criterion_02_apriori_bounds(catalog_trajectories, lp4):
     # the lp catalog scenario carries its own sampled constant
     lp_op = ScaledIdentity(1.0, lp4)
     lp_x = np.array([1.0, 0.0])
-    lp_traj = solve_second_order(lp_op, lp_x, TimeGrid(40.0, 0.01))
+    lp_traj = solve_second_order(lp_op, lp_x, SolverConfig(TimeGrid(40.0, 0.01)))
     assert check_apriori(lp_op, lp_x, lp_traj, lp4.M).passed
     # unit-scale reference values: integral 1/2 against cap 2
     identity = next(t for t in catalog_trajectories if t[0] == "identity")
@@ -242,7 +242,7 @@ def test_criterion_08_counterexample_necessity(hilbert2, tmp_path):
         x=x,
         modulus=constant_modulus(0),
         trajectory=traj,
-        trusted_horizon=39.0,
+        solver=SolverConfig(TimeGrid(40.0, 0.05)),
     )
     reports = sweep_theorem(bundle, "4.1", range(4))
     hard_failures = [r for r in reports if not r.passed and not r.extrapolated]

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cauchylab
-from cauchylab import runner
+from cauchylab import SolverConfig, TimeGrid, runner
 from cauchylab.cli import main as cli_main
 from cauchylab.config import load_config
 from cauchylab.errors import ConfigError
@@ -70,6 +70,20 @@ def test_minimal_config_fields(tmp_path):
     assert spec.dynamics == "second_order"
     assert spec.sweeps[0].theorem == "4.1"
     assert spec.sweeps[0].ks == (0, 1)
+    # every other solver field takes SolverConfig's default
+    assert spec.solver == SolverConfig(TimeGrid(10.0, 0.05))
+
+
+def test_each_solver_key_reaches_its_field(tmp_path):
+    # every value differs from its default, so a dropped key shows
+    solver = (
+        "solver: {horizon: 20.0, step: 0.1, margin: 2.0, schedule: [[0.5, 0.25]], "
+        "stabilization_tol: 1.0e-4, sample_points: 42, first_order_n_max: 1024}"
+    )
+    text = MINIMAL.replace("solver: {horizon: 10.0, step: 0.05}", solver)
+    spec = load_config(write_cfg(tmp_path, text))
+    assert spec.solver == SolverConfig(TimeGrid(20.0, 0.1), ((0.5, 0.25),), 1e-4, 2.0, 42, 1024)
+    assert spec.solver.num_tol == 1e-6 + 1e-4
 
 
 def test_missing_seed(tmp_path):
@@ -170,6 +184,19 @@ def test_bad_entries_rejected(tmp_path):
         ("  sweeps:", "  validation: {region_radius: 1.0, radius: 2}\n  sweeps:", r"validation\.radius"),
         ("  sweeps:", "  orbits: [{kind: exact, lam: 1.0}]\n  sweeps:", r"orbits\[0\]\.lam: unknown"),
         ("k_range: [0, 1]}", "k_range: [0, 1], theorm: 4.2}", r"sweeps\[0\]\.theorm: unknown"),
+        # rate-data overrides are naturals or nonnegative: orbit_bound -3 gave
+        # the bounds of 1, and negative b or d_budget failed only in the sweep
+        (
+            "  sweeps:",
+            "  rate_data: {orbit_bound: -3}\n  sweeps:",
+            r"rate_data\.orbit_bound: orbit_bound must be a natural",
+        ),
+        ("  sweeps:", "  rate_data: {b: -1.0}\n  sweeps:", r"rate_data\.b: b must be nonnegative"),
+        (
+            "  sweeps:",
+            "  rate_data: {d_budget: -5.0}\n  sweeps:",
+            r"rate_data\.d_budget: d_budget must be nonnegative",
+        ),
     ]
     for old, new, fragment in bad_cases:
         assert MINIMAL.count(old) == 1
@@ -327,9 +354,9 @@ def test_determinism_same_seed(tmp_path):
 
 
 def test_jobs_do_not_change_output(tmp_path):
-    cfg = write_cfg(tmp_path, MINIMAL)
-    run_config(cfg, out_dir=tmp_path / "a", jobs=1)
-    run_config(cfg, out_dir=tmp_path / "b", jobs=4)
+    cfg = str(write_cfg(tmp_path, MINIMAL))
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "a"), "--jobs", "1"]) == 0
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "b"), "--jobs", "4"]) == 0
     assert (tmp_path / "a" / "reports.json").read_bytes() == (
         tmp_path / "b" / "reports.json"
     ).read_bytes()

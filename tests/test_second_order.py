@@ -82,7 +82,7 @@ def test_regularized_rejects_bad_parameters(hilbert2):
 def test_second_order_linear_psd_oracle(hilbert2):
     op = LinearPSD(np.diag([1.0, 4.0]), hilbert2)
     x = np.array([1.0, 1.0])
-    traj = solve_second_order(op, x, TimeGrid(20.0, 0.01))
+    traj = solve_second_order(op, x, SolverConfig(TimeGrid(20.0, 0.01)))
     expected = np.stack(
         [linear_oracle(op.matrix, t, x) for t in traj.times[:: 100]]
     )
@@ -93,7 +93,7 @@ def test_second_order_linear_psd_oracle(hilbert2):
 def test_second_order_zero_operator_constant(hilbert2):
     op = ScaledIdentity(0.0, hilbert2)
     x = np.array([0.7, -0.3])
-    traj = solve_second_order(op, x, TimeGrid(40.0, 0.01))
+    traj = solve_second_order(op, x, SolverConfig(TimeGrid(40.0, 0.01)))
     assert np.max(np.abs(traj.values - x)) <= 1e-5
 
 
@@ -101,7 +101,7 @@ def test_direct_solve_zero_operator_is_exact(hilbert2):
     # the chain stopped 3.5e-5 from x at T = 100 while claiming stabilization
     op = ScaledIdentity(0.0, hilbert2)
     x = np.array([0.7, -0.3])
-    traj = solve_second_order(op, x, TimeGrid(100.0, 0.01))
+    traj = solve_second_order(op, x, SolverConfig(TimeGrid(100.0, 0.01)))
     assert np.max(np.abs(traj.values - x)) <= 1e-12
     assert traj.meta["stabilized"]
 
@@ -112,7 +112,7 @@ def test_direct_solve_zero_operator_is_exact(hilbert2):
 def test_direct_solve_long_horizon_oracle(hilbert2, matrix):
     op = LinearPSD(matrix, hilbert2)
     x = np.array([0.8, -0.6])
-    traj = solve_second_order(op, x, TimeGrid(100.0, 0.01))
+    traj = solve_second_order(op, x, SolverConfig(TimeGrid(100.0, 0.01)))
     expected = np.stack([linear_oracle(matrix, t, x) for t in traj.times[::50]])
     assert np.max(np.abs(traj.values[::50] - expected)) <= 1e-5
     assert traj.meta["continuation"] == [(0.0, 0.0)]
@@ -125,7 +125,7 @@ def test_direct_solve_strongly_accretive_over_linear_base(hilbert2):
     # direct solve must go through linear_matrix
     op = StronglyAccretive(Rotation(space=hilbert2), 1.0)
     x = np.array([1.0, 0.0])
-    traj = solve_second_order(op, x, TimeGrid(40.0, 0.01))
+    traj = solve_second_order(op, x, SolverConfig(TimeGrid(40.0, 0.01)))
     assert traj.meta["continuation"] == [(0.0, 0.0)]
     root = scipy.linalg.sqrtm(op.linear_matrix).real
     expected = np.stack([scipy.linalg.expm(-t * root) @ x for t in traj.times[::100]])
@@ -141,7 +141,7 @@ def test_regularized_singular_resolvent_is_solver_error(hilbert2):
 
 def test_second_order_scalar_closed_form(hilbert2):
     op = ScaledIdentity(4.0, hilbert2)
-    traj = solve_second_order(op, np.array([1.0, 0.0]), TimeGrid(20.0, 0.01))
+    traj = solve_second_order(op, np.array([1.0, 0.0]), SolverConfig(TimeGrid(20.0, 0.01)))
     expected = np.exp(-2.0 * traj.times)
     assert np.max(np.abs(traj.values[:, 0] - expected)) <= 1e-4
 
@@ -260,9 +260,8 @@ def test_extended_continuation_holds_exact_decades(hilbert2):
     op = NormSubdifferential(hilbert2)
     x = np.array([1.0, 0.5])
     for schedule, r_floor in ((((0.1, 0.1),), 1e-7), (((0.5, 0.1), (1e-3, 1e-3)), 1e-8)):
-        traj = solve_second_order(
-            op, x, TimeGrid(5.0, 0.01), schedule=schedule, stab_tol=0.0, r_floor=r_floor
-        )
+        solver = SolverConfig(TimeGrid(5.0, 0.01), schedule, stab_tol=0.0)
+        traj = solve_second_order(op, x, solver, r_floor=r_floor)
         used = traj.meta["continuation"][len(schedule) - 1 :]
         values = [v for pair in used for v in pair]
         assert values == [float(f"{v:.1e}") for v in values]
@@ -272,7 +271,7 @@ def test_extended_continuation_holds_exact_decades(hilbert2):
 def test_check_apriori_zero_operator(hilbert2):
     op = ScaledIdentity(0.0, hilbert2)
     x = np.array([0.7, -0.3])
-    traj = solve_second_order(op, x, TimeGrid(40.0, 0.01))
+    traj = solve_second_order(op, x, SolverConfig(TimeGrid(40.0, 0.01)))
     bounds = check_apriori(op, x, traj, 1.0)
     assert bounds.passed
     assert bounds.int_du_sq <= 1e-6
@@ -282,7 +281,7 @@ def test_check_apriori_zero_operator(hilbert2):
 def test_check_apriori_identity_margins(hilbert2):
     op = ScaledIdentity(1.0, hilbert2)
     x = np.array([1.0, 0.0])
-    traj = solve_second_order(op, x, TimeGrid(40.0, 0.01))
+    traj = solve_second_order(op, x, SolverConfig(TimeGrid(40.0, 0.01)))
     bounds = check_apriori(op, x, traj, 1.0)
     assert bounds.passed
     # closed forms: both integrals equal 1/2 against the cap 2
@@ -295,7 +294,7 @@ def test_check_apriori_identity_margins(hilbert2):
 def test_subdifferential_extinction_closed_form(hilbert2):
     # radial flow: u(t) = (sqrt(|x|) - t/sqrt(2))_+^2 along x
     op = NormSubdifferential(hilbert2)
-    traj = solve_second_order(op, np.array([1.0, 0.0]), TimeGrid(20.0, 0.01))
+    traj = solve_second_order(op, np.array([1.0, 0.0]), SolverConfig(TimeGrid(20.0, 0.01)))
     expected = np.maximum(1.0 - traj.times / np.sqrt(2.0), 0.0) ** 2
     assert np.max(np.abs(traj.values[:, 0] - expected)) <= 1e-3
 
@@ -305,7 +304,7 @@ def test_grid_refinement_second_order(hilbert2):
     x = np.array([1.0, 0.0])
     errs = []
     for h in [0.04, 0.02]:
-        traj = solve_second_order(op, x, TimeGrid(20.0, h))
+        traj = solve_second_order(op, x, SolverConfig(TimeGrid(20.0, h)))
         errs.append(np.max(np.abs(traj.values[:, 0] - np.exp(-traj.times))))
     assert 3.0 <= errs[0] / errs[1] <= 5.5
 
@@ -330,7 +329,7 @@ def test_derivatives_second_order_accuracy():
 def test_trajectory_csv_export(tmp_path, hilbert2):
     op = ScaledIdentity(1.0, hilbert2)
     x = np.array([1.0, 0.0])
-    traj = solve_second_order(op, x, TimeGrid(5.0, 0.05))
+    traj = solve_second_order(op, x, SolverConfig(TimeGrid(5.0, 0.05)))
     path = tmp_path / "traj.csv"
     with open(path, "x") as fh:
         export_trajectory_csv(op, traj, fh)
@@ -348,7 +347,7 @@ def test_trajectory_csv_export(tmp_path, hilbert2):
 def test_trajectory_csv_is_written_in_row_blocks(hilbert2):
     # more rows than one block: the blocks join into one table, in order
     op = ScaledIdentity(1.0, hilbert2)
-    traj = solve_second_order(op, np.array([1.0, 0.0]), TimeGrid(50.0, 0.01))
+    traj = solve_second_order(op, np.array([1.0, 0.0]), SolverConfig(TimeGrid(50.0, 0.01)))
     assert traj.times.size > 2 * CSV_BLOCK_ROWS
 
     class CountingWriter(io.StringIO):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,6 +235,16 @@ def test_norm_subdifferential_graph_bound_inside_unit_ball(hilbert2):
     assert SampleSet(op, np.arange(len(rows), dtype=float), rows).graph_bound == 1
 
 
+def test_sample_set_residual_is_judged_at_the_step_tolerance(hilbert2):
+    # the zero set of the identity is {0}, so the residual is the norm; a
+    # rise of 5e-6 exceeds STEP_MONOTONE_TOL, the rule fejer_report applies
+    op = ScaledIdentity(1.0, hilbert2)
+    times = np.arange(4, dtype=float)
+    for norms, expected in (([1.0, 0.5, 0.4, 0.2], 3.0), ([1.0, 0.5, 0.500005, 0.2], None)):
+        values = np.column_stack([norms, np.zeros(4)])
+        assert SampleSet(op, times, values).residual_threshold(0.3) == expected
+
+
 def test_unknown_orbit_kind(identity_sg):
     with pytest.raises(ValueError):
         make_almost_orbit(identity_sg, "wobble")
@@ -278,7 +289,7 @@ def identity_bundle(hilbert2):
         x=x,
         modulus=MOD1,
         trajectory=sg.trajectory,
-        trusted_horizon=sg.trusted_horizon,
+        solver=sg.solver,
         orbits=orbits,
     )
 
@@ -337,8 +348,7 @@ def test_sweep_soundness_at_doubled_sampling(hilbert2, identity_bundle):
         x=identity_bundle.x,
         modulus=identity_bundle.modulus,
         trajectory=identity_bundle.trajectory,
-        trusted_horizon=identity_bundle.trusted_horizon,
-        sample_points=1000,
+        solver=replace(identity_bundle.solver, sample_points=1000),
         orbits=identity_bundle.orbits,
     )
     for theorem in ["4.1", "4.2"]:
@@ -358,7 +368,7 @@ def test_first_order_rotation_bundle_fails_cauchy(hilbert2):
         x=x,
         modulus=constant_modulus(0),
         trajectory=traj,
-        trusted_horizon=39.0,
+        solver=SolverConfig(TimeGrid(40.0, 0.05)),
     )
     reports = sweep_theorem(bundle, "4.1", range(4))
     assert all(r.bound == 5 for r in reports)  # (D+1) with D = 4
@@ -493,14 +503,14 @@ def _metastable_reports_by_cell(bundle, ks, fs, orbits):
                         window = values[mask]
                         if window.shape[0] == 0:
                             window = orbit.values(np.array([float(n)]))
-                        if _suffix_pair_sup_reference(window, space)[0] <= eps + bundle.num_tol:
+                        if _suffix_pair_sup_reference(window, space)[0] <= eps + bundle.solver.num_tol:
                             witness = n
                             break
                     n += 1
                 tau = None
                 if witness is None:
                     residual = space.norms(values - bundle.op.project_zeros_many(values))
-                    if np.max(np.diff(residual)) <= 1e-5:
+                    if np.max(np.diff(residual)) <= 1e-6:
                         hits = np.nonzero(residual <= eps / 2.0)[0]
                         tau = float(times[hits[0]]) if hits.size else None
                 observed = float(witness) if witness is not None else tau
@@ -531,8 +541,7 @@ def test_memoized_metastable_windows_match_cell_by_cell(identity_bundle):
         x=identity_bundle.x,
         modulus=identity_bundle.modulus,
         trajectory=identity_bundle.trajectory,
-        trusted_horizon=identity_bundle.trusted_horizon,
-        sample_points=137,
+        solver=replace(identity_bundle.solver, sample_points=137),
         orbits=identity_bundle.orbits,
     )
     fs = [parse_counterfunction(t) for t in ["0", "1", "5", "n", "2*n+3", "max(n, 30)", "n+200"]]
