@@ -42,6 +42,7 @@ from .operators import (
 )
 from .rates import ConvergenceModulus, constant_modulus, modulus_strongly_accretive
 from .second_order import SolverConfig, TimeGrid
+from .semigroup import ExpFormulaConfig
 from .spaces import SpaceContext
 
 # resource caps: the sweeps cost O(sample_points^2) time and one report
@@ -95,16 +96,30 @@ class ScenarioSpec:
     lp_validate_radius: float = 2.0
 
 
+# libyaml's parser where PyYAML has it, else the pure-Python one; both
+# resolve scalars by the same Python rules, so they give equal data
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse(filename: str, text: str) -> tuple[object, "_Anchors"]:
+    """The config's data and its line anchors, from one parse of the text."""
+    loader = _LOADER(text)
+    try:
+        root = loader.get_single_node()
+        data = None if root is None else loader.construct_document(root)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"not valid YAML: {exc}", filename)
+    finally:
+        loader.dispose()
+    return data, _Anchors(filename, root)
+
+
 class _Anchors:
     """Line positions of config nodes, for anchored error messages."""
 
-    def __init__(self, filename: str, text: str):
+    def __init__(self, filename: str, root: yaml.Node | None):
         self.filename = filename
         self.lines: dict[str, int] = {}
-        try:
-            root = yaml.compose(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"not valid YAML: {exc}", filename)
         if root is not None:
             self._walk(root, "")
 
@@ -408,11 +423,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path))
-    anchors = _Anchors(str(path), text)
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"not valid YAML: {exc}", str(path))
+    data, anchors = _parse(str(path), text)
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping", f"{path}:1")
     root = _Section(data, anchors, "")
@@ -479,14 +490,22 @@ def load_config(path: str | Path) -> ScenarioSpec:
     if grid.n_steps * space.dim**2 > MAX_SYSTEM_ENTRIES:
         message = f"(horizon / step) * dim^2 exceeds {MAX_SYSTEM_ENTRIES} Newton system entries"
         sol.fail("step", message)
+    stab_tol = sol.get("stabilization_tol", SolverConfig.stab_tol, kind=float)
+    if stab_tol < 0.0:
+        sol.fail("stabilization_tol", "stabilization_tol must be nonnegative")
+    # the exponential formula's own range of n
+    n_lo, n_hi = ExpFormulaConfig.n_min, ExpFormulaConfig.n_max
+    first_order_n_max = sol.get("first_order_n_max", SolverConfig.first_order_n_max, kind=int)
+    if not n_lo <= first_order_n_max <= n_hi:
+        sol.fail("first_order_n_max", f"first_order_n_max must lie in [{n_lo}, {n_hi}]")
     try:
         solver = SolverConfig(
             grid,
             schedule,
-            sol.get("stabilization_tol", SolverConfig.stab_tol, kind=float),
+            stab_tol,
             sol.get("margin", SolverConfig.margin, kind=float),
             sample_points,
-            sol.get("first_order_n_max", SolverConfig.first_order_n_max, kind=int),
+            first_order_n_max,
         )
     except ValueError as exc:
         sol.fail("margin", str(exc))

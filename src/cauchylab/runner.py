@@ -6,6 +6,10 @@ byte-reproducible for a fixed seed), ``reports.csv``, the scenario
 files plus a small plotting script.  Each file is written once, through
 one handle on a fresh temporary name, and renamed into place, so no
 output is ever left half written; a failed write removes its temporary.
+A rerun into the same directory unlinks each old file just before the
+rename, since ext4 forces a file renamed over an existing one out to
+disk; the price is that a crash or a failed rename between the two
+loses the old file.
 
 Exit code contract: 0 when every non-extrapolated report passes, 2 when
 any fails, 1 on configuration or solver errors.  Extrapolated reports
@@ -217,13 +221,16 @@ def observed_bound_monotonicity(reports: list[RateReport]) -> dict:
 
 @contextlib.contextmanager
 def _atomic_open(path: Path):
-    """A text handle on a fresh ``<name>.tmp``, renamed over ``path`` on
-    success and removed on failure."""
+    """A text handle on a fresh ``<name>.tmp``, renamed to ``path`` on
+    success and removed on failure.  An existing ``path`` is unlinked just
+    before the rename: ext4 (``auto_da_alloc``) forces a file renamed over
+    an existing one out to disk."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.unlink(missing_ok=True)  # left by a killed run: never reopen it
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             yield fh
+        path.unlink(missing_ok=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

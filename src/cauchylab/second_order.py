@@ -179,83 +179,187 @@ def _residual(x: np.ndarray, h: float, u: np.ndarray, force: np.ndarray) -> np.n
     return res
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a[i] z[i] = b[i] for (k, dim, dim) blocks and (k, dim, q)
-    right-hand sides, as ``np.linalg.solve`` does.
+def _eliminate(aug: np.ndarray, dim: int) -> np.ndarray:
+    """Solve a[:, :, i] z[:, :, i] = b[:, :, i] in place, for the batch-last
+    augmented blocks aug = [a | b] of shape (dim, dim + q, k); returns z,
+    the (dim, q, k) view of aug's last q columns.
 
     Gaussian elimination with partial pivoting, one pivot column at a time,
-    each step a numpy operation over all k blocks.  The blocks are laid out
-    batch-last, (dim, dim + q, k), so every step runs over contiguous rows
-    of length k.  An exactly zero pivot raises ``LinAlgError``.
+    each step a numpy operation over contiguous rows of length k.  An
+    exactly zero pivot raises ``LinAlgError``.
     """
-    k, dim, _ = a.shape
-    aug = np.empty((dim, dim + b.shape[2], k))
-    aug[:, :dim] = a.transpose(1, 2, 0)
-    aug[:, dim:] = b.transpose(1, 2, 0)
     for j in range(dim):
-        pivot = j + np.argmax(np.abs(aug[j:, j]), axis=0)
-        swap = np.nonzero(pivot != j)[0]
-        if swap.size:
-            rows = pivot[swap]
-            top = aug[j, :, swap]
-            aug[j, :, swap] = aug[rows, :, swap]
-            aug[rows, :, swap] = top
-        if not np.all(aug[j, j]):
+        if j + 1 < dim:
+            # argmax along the short first axis is slow: find the blocks
+            # whose pivot is not already in place first
+            mag = np.abs(aug[j:, j])
+            below = mag[1] if j + 2 == dim else np.max(mag[1:], axis=0)
+            swap = np.flatnonzero(below > mag[0])
+            if swap.size:
+                rows = j + np.argmax(mag[:, swap], axis=0)
+                top = aug[j, j:, swap]
+                aug[j, j:, swap] = aug[rows, j:, swap]
+                aug[rows, j:, swap] = top
+        if not aug[j, j].all():
             raise np.linalg.LinAlgError("Singular matrix")
-        factor = aug[j + 1 :, j] / aug[j, j]
-        aug[j + 1 :, j + 1 :] -= factor[:, None] * aug[j, j + 1 :]
+        if j + 1 < dim:
+            factor = aug[j + 1 :, j] / aug[j, j]
+            aug[j + 1 :, j + 1 :] -= factor[:, None] * aug[j, j + 1 :]
     z = aug[:, dim:]
     for j in range(dim - 1, -1, -1):
         z[j] /= aug[j, j]
-        z[:j] -= aug[:j, j, None] * z[j]
-    return z.transpose(2, 0, 1)
+        if j:
+            z[:j] -= aug[:j, j, None] * z[j]
+    return z
 
 
-# _eliminate beats LAPACK's batched solve on a reduction level's odd-row
-# blocks below this many coordinates, once there are at least this many
-# blocks; LAPACK pays less per call and more per block (measured with
-# 2*dim + 1 right-hand sides, see README)
-_ELIMINATION_DIM = 8
-_ELIMINATION_BLOCKS = 100
+# _eliminate beats LAPACK's batched solve on a level's odd-row blocks below
+# this many coordinates, once there are at least this many blocks per
+# coordinate; LAPACK pays less per call and more per block (see README)
+_ELIMINATION_DIM = 13
+_ELIMINATION_BLOCKS = 24
 
 
-def _solve_block_tridiagonal(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve lower[i] y[i-1] + diag[i] y[i] + upper[i] y[i+1] = rhs[i].
+def _solve_blocks(aug: np.ndarray, dim: int) -> np.ndarray:
+    """The solution of batch-last augmented blocks [a | b], by ``_eliminate``
+    (in place) or LAPACK, chosen by shape."""
+    if dim < _ELIMINATION_DIM and aug.shape[2] >= _ELIMINATION_BLOCKS * dim:
+        return _eliminate(aug, dim)
+    batch = aug.transpose(2, 0, 1)
+    return np.linalg.solve(batch[:, :, :dim], batch[:, :, dim:]).transpose(1, 2, 0)
 
-    Blocks are (m, dim, dim) and rhs is (m, dim); lower[0] and upper[-1]
-    only ever meet zero padding.  Block cyclic reduction: each level
-    solves the odd rows for their even neighbours in one batched solve and
-    substitutes them into the even rows, a block-tridiagonal system of
-    half the size.  Partial pivoting within each block suffices, since the
-    reduction keeps a block diagonally dominant system so (Heller, SIAM J.
-    Numer. Anal. 1976).
+
+# einsum's fused loops over contiguous rows beat matmul on the blockwise
+# products below this many coordinates; from it up, matmul (see README)
+_EINSUM_DIM = 4
+
+
+def _block_products(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Blockwise products a[:, :, i] @ z[:, :, i] of batch-last blocks."""
+    if a.shape[0] < _EINSUM_DIM:
+        return np.einsum("ack,cbk->abk", a, z)
+    return (a.transpose(2, 0, 1) @ z.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+# a level costs tens of microseconds in numpy calls however few its rows, so
+# a system of at most this many unknowns is solved densely instead
+_DENSE_UNKNOWNS = 96
+
+
+def _parts(level: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The D, L, U and r views of a batch-last [D | L | U | r] level."""
+    dim = level.shape[0]
+    return level[:, :dim], level[:, dim : 2 * dim], level[:, 2 * dim : 3 * dim], level[:, 3 * dim]
+
+
+def _solve_dense(level: np.ndarray) -> np.ndarray:
+    """``_reduce``'s system, assembled and solved by one LAPACK call."""
+    dim, _, m = level.shape
+    diag, lower, upper, rhs = _parts(level)
+    mat = np.zeros((m, dim, m, dim))
+    i = np.arange(m)
+    mat[i, :, i] = diag.transpose(2, 0, 1)
+    mat[i[1:], :, i[:-1]] = lower[:, :, 1:].transpose(2, 0, 1)
+    mat[i[:-1], :, i[1:]] = upper[:, :, :-1].transpose(2, 0, 1)
+    y = np.linalg.solve(mat.reshape(m * dim, m * dim), rhs.T.ravel())
+    return y.reshape(m, dim).T
+
+
+def _reduce(level: np.ndarray) -> np.ndarray:
+    """Solve L[i] y[i-1] + D[i] y[i] + U[i] y[i+1] = r[i] by block cyclic
+    reduction; returns y as (dim, m).
+
+    ``level`` holds the m block rows batch-last, as one (dim, 3 dim + 1, m)
+    array [D | L | U | r]; L of the first row and U of the last (finite)
+    never reach the solution.  Each level solves the odd rows for their even
+    neighbours in one batched solve, y[i] = phi - alpha y[i-1] - gamma y[i+1]
+    with [alpha | gamma | phi] = D^-1 [L | U | r], and substitutes them into
+    the even rows, a block-tridiagonal system of half the size.  Partial
+    pivoting within each block suffices, since the reduction keeps a block
+    diagonally dominant system so (Heller, SIAM J. Numer. Anal. 1976).
     """
-    m, dim = rhs.shape
-    if m == 1:
-        return np.linalg.solve(diag[0], rhs[0])[None, :]
-    eliminate = dim < _ELIMINATION_DIM and m // 2 >= _ELIMINATION_BLOCKS
-    solve = _eliminate if eliminate else np.linalg.solve
-    # odd row i: y[i] = phi - alpha y[i-1] - gamma y[i+1], kept as [alpha | gamma | phi]
-    odd = solve(
-        diag[1::2], np.concatenate([lower[1::2], upper[1::2], rhs[1::2, :, None]], axis=2)
-    )
-    # the odd rows before and after each even row, zero past the ends
-    pad = np.concatenate([np.zeros_like(odd[:1]), odd, np.zeros_like(odd[: m % 2])])
-    left, right = lower[::2] @ pad[:-1], upper[::2] @ pad[1:]
-    even = _solve_block_tridiagonal(
-        -left[:, :, :dim],
-        diag[::2] - left[:, :, dim:-1] - right[:, :, :dim],
-        -right[:, :, dim:-1],
-        rhs[::2] - left[:, :, -1] - right[:, :, -1],
-    )
+    dim, _, m = level.shape
+    if m == 1 or m * dim <= _DENSE_UNKNOWNS:
+        return _solve_dense(level)
+    n_odd, n_even = m // 2, (m + 1) // 2
+    odd = _solve_blocks(level[:, :, 1::2].copy(), dim)
+    # each even row meets the odd rows before (left) and after (right) it
+    even_diag, even_lower, even_upper, even_rhs = _parts(level[:, :, ::2])
+    left = _block_products(even_lower[:, :, 1:], odd[:, :, : n_even - 1])
+    right = _block_products(even_upper[:, :, :n_odd], odd)
+    nxt = np.empty((dim, 3 * dim + 1, n_even))
+    diag, lower, upper, rhs = _parts(nxt)
+    diag[...] = even_diag
+    diag[:, :, 1:] -= left[:, dim : 2 * dim]
+    diag[:, :, :n_odd] -= right[:, :dim]
+    lower[:, :, 0] = 0.0
+    np.negative(left[:, :dim], out=lower[:, :, 1:])
+    np.negative(right[:, dim : 2 * dim], out=upper[:, :, :n_odd])
+    upper[:, :, n_odd:] = 0.0
+    rhs[...] = even_rhs
+    rhs[:, 1:] -= left[:, 2 * dim]
+    rhs[:, :n_odd] -= right[:, 2 * dim]
+    del left, right  # not needed by the levels below: free them first
+    y = np.empty((dim, m))
+    y[:, ::2] = _reduce(nxt)
     # the even rows before and after each odd row, zero past the end
-    pad = np.concatenate([even, np.zeros_like(even[: 1 - m % 2])])
-    sides = np.concatenate([pad[:-1], pad[1:]], axis=1)[:, :, None]
-    y = np.empty_like(rhs)
-    y[::2] = even
-    y[1::2] = odd[:, :, -1] - (odd[:, :, :-1] @ sides)[:, :, 0]
+    sides = np.zeros((2 * dim, n_odd))
+    sides[:dim] = y[:, 0 : 2 * n_odd : 2]
+    sides[dim:, : n_even - 1] = y[:, 2::2]
+    y[:, 1::2] = odd[:, 2 * dim] - np.einsum("ack,ck->ak", odd[:, : 2 * dim], sides)
+    return y
+
+
+def _solve_newton_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve c y[i-1] + diag[i] y[i] + c y[i+1] = rhs[i] for i < n, the
+    Newton step's system, whose last row is the ghost node's: its lower
+    coupling is 2c and it has no upper one.  Blocks are batch-last, diag
+    (dim, dim, n) and rhs (dim, n); returns y as (dim, n).
+
+    The first reduction level, specialized: every coupling is c times the
+    identity, so the odd rows solve D X = [cI | r], with dim + 1 columns,
+    and alpha = gamma = X[:, :dim] (alpha = 2 X[:, :dim] on the ghost row);
+    the even rows take scalar multiples of X.  Later levels go to
+    ``_reduce``.
+    """
+    dim, n = rhs.shape
+    if n == 1:
+        return np.linalg.solve(diag[:, :, 0], rhs[:, 0])[:, None]
+    n_odd, n_even = n // 2, (n + 1) // 2
+    aug = np.zeros((dim, 2 * dim + 1, n_odd))
+    aug[:, :dim] = diag[:, :, 1::2]
+    aug[np.arange(dim), dim + np.arange(dim)] = c
+    aug[:, 2 * dim] = rhs[:, 1::2]
+    x = _solve_blocks(aug, dim)
+    w = -c * x  # -c alpha and -c phi of every odd row
+    nxt = np.empty((dim, 3 * dim + 1, n_even))
+    d, lower, upper, r = _parts(nxt)
+    d[...] = diag[:, :, ::2]
+    d[:, :, 1:] += w[:, :dim, : n_even - 1]
+    d[:, :, :n_odd] += w[:, :dim]
+    lower[:, :, 0] = 0.0
+    lower[:, :, 1:] = w[:, :dim, : n_even - 1]
+    upper[:, :, :n_odd] = w[:, :dim]
+    upper[:, :, n_odd:] = 0.0
+    r[...] = rhs[:, ::2]
+    r[:, 1:] += w[:, dim, : n_even - 1]
+    r[:, :n_odd] += w[:, dim]
+    if n % 2:
+        # the ghost row is even: its whole lower coupling doubles
+        lower[:, :, -1] *= 2.0
+        d[:, :, -1] += w[:, :dim, -1]
+        r[:, -1] += w[:, dim, -1]
+    else:
+        # the ghost row is odd: its alpha doubles
+        d[:, :, -1] += w[:, :dim, -1]
+    del w  # not needed by the levels below: free it first
+    y = np.empty((dim, n))
+    y[:, ::2] = even = _reduce(nxt)
+    sides = even[:, :n_odd].copy()
+    sides[:, : n_even - 1] += even[:, 1:]
+    if n % 2 == 0:
+        sides[:, -1] *= 2.0
+    y[:, 1::2] = x[:, dim] - np.einsum("ack,ck->ak", x[:, :dim], sides)
     return y
 
 
@@ -296,17 +400,20 @@ def _newton(
     h = grid.step
     inv_h2 = 1.0 / (h * h)
     eye = np.eye(dim)
-    upper = np.broadcast_to(inv_h2 * eye, (n, dim, dim))
-    lower = upper.copy()
-    lower[-1] *= 2.0  # ghost-node closure doubles the last coupling
     try:
         res = _residual(x, h, u, force(u))
         rnorm = float(np.max(np.abs(res)))
         for _ in range(NEWTON_MAX_ITER):
             if rnorm <= NEWTON_RESIDUAL_TOL:
                 break
-            diag = np.broadcast_to(-2.0 * inv_h2 * eye - force_jacobian(u), (n, dim, dim))
-            step = _solve_block_tridiagonal(lower, diag, upper, -res)
+            diag = -2.0 * inv_h2 * eye - force_jacobian(u)
+            if diag.ndim == 3:
+                # one transposing copy: the reduction's strided reads of a
+                # transposed view would cost several
+                diag = np.ascontiguousarray(diag.transpose(1, 2, 0))
+            else:
+                diag = np.broadcast_to(diag[:, :, None], (dim, dim, n))
+            step = _solve_newton_system(inv_h2, diag, -res.T).T
             lam = 1.0
             while True:
                 u_new = u + lam * step

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -104,105 +105,166 @@ def test_missing_lp_constant_names_field_and_line(tmp_path):
     assert f"{path}:4" in message  # anchored at the space mapping line
 
 
+BAD_CASES = [
+    ("operator: {kind: scaled_identity, c: 1.0}", "operator: {kind: warp}", "warp"),
+    ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "7.7", k_range: [0, 1]}', "7.7"),
+    ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "4.1", k_range: [3, 1]}', "k_range"),
+    ("initial_point: [1.0, 0.0]", "initial_point: [1.0, 0.0, 3.0]", "dimension"),
+    ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "5.1", k_range: [0, 1]}', "orbit"),
+    ("k_range: [0, 1]", "k_range: [0, 100000000]", "k_range"),
+    ("step: 0.05}", "step: 0.05, sample_points: 0}", "sample_points"),
+    ("step: 0.05}", "step: 0.05, sample_points: -5}", "sample_points"),
+    ("step: 0.05}", "step: 0.05, sample_points: 10001}", "sample_points"),
+    ("c: 1.0}\n  initial", "c: .nan}\n  initial", "finite"),
+    ("initial_point: [1.0, 0.0]", 'initial_point: ["a", 0.0]', "initial_point"),
+    ("initial_point: [1.0, 0.0]", "initial_point: [.nan, 0.0]", "initial_point"),
+    ("initial_point: [1.0, 0.0]", "initial_point: [.inf, 0.0]", "initial_point"),
+    ("  sweeps:", "  orbits: [{kind: additive_decay, v: [0, 1], lam: -1}]\n  sweeps:", "lam"),
+    ("  sweeps:", "  orbits: [{kind: time_warp, delta: 5.0}]\n  sweeps:", "delta"),
+    ("  sweeps:", '  orbits: [{kind: additive_decay, v: ["x", 1]}]\n  sweeps:', "'v'"),
+    ("kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[1, 0], [0, {a: 1}]]", "matrix"),
+    ("seed: 7", "seed: -7", "seed"),
+    ("step: 0.05}", "step: 0.05, margin: 10.0}", "margin"),
+    ("step: 0.05}", "step: 0.05, schedule: [[0.1, 0.0]]}", "schedule"),
+    ("step: 0.05}", "step: 1.0e-320}", "overflows"),
+    ("  sweeps:", "  validation: {monotonicity_samples: 0}\n  sweeps:", "monotonicity_samples"),
+    ("  sweeps:", "  validation: {accretivity_samples: -5}\n  sweeps:", "accretivity_samples"),
+    ("  sweeps:", "  validation: {modulus_samples: 1000001}\n  sweeps:", "modulus_samples"),
+    # a sampling radius must be positive: -3 used to end in a traceback,
+    # and 0 in a vacuous pass
+    *(
+        (
+            "space: {kind: hilbert, dim: 2}",
+            f"space: {{kind: lp, dim: 2, p: 4.0, M: 0.02, validate_radius: {r}}}",
+            r"space\.validate_radius: validate_radius must be positive",
+        )
+        for r in ("-3.0", "0.0")
+    ),
+    *(
+        (
+            "  sweeps:",
+            f"  validation: {{region_radius: {r}}}\n  sweeps:",
+            r"validation\.region_radius: region_radius must be positive",
+        )
+        for r in ("-5.0", "0.0")
+    ),
+    ("  sweeps:", "  validation: {region_radius: .inf}\n  sweeps:", "region_radius"),
+    ("horizon: 10.0, step: 0.05", "horizon: 1.0e+6, step: 0.01", "Newton system"),
+    (
+        "  sweeps:",
+        "  orbits:\n"
+        "    - {kind: additive_decay, v: [0, 1]}\n"
+        "    - {kind: additive_decay, v: [1, 0]}\n"
+        "  sweeps:",
+        r"orbits\[1\]\.kind: orbit kind 'additive_decay' is defined twice",
+    ),
+    # a key no mapping reads is an error, never a silently ignored typo
+    (
+        "seed: 7",
+        "seed: 7\nsed: 3",
+        r":2: sed: unknown key 'sed' \(allowed: seed, output_dir, scenario\)",
+    ),
+    ("  id: mini", "  id: mini\n  dynamcs: first_order", r"scenario\.dynamcs: unknown key"),
+    ("step: 0.05}", "step: 0.05, stabilisation_tol: 0.5}", r"solver\.stabilisation_tol: unknown"),
+    ("horizon: 10.0", "horizn: 3.0", r"solver\.horizn: unknown key 'horizn' \(allowed: horizon,"),
+    ("step: 0.05}", "step: 0.05, auto_extend: false}", r"solver\.auto_extend: unknown key"),
+    ("dim: 2}", "dim: 2, validate_radius: 2.0}", r"allowed: kind, dim\)"),
+    (
+        "operator: {kind: scaled_identity, c: 1.0}",
+        "operator: {kind: scaled_identity, c: 1.0, cc: 2.0}",
+        r"operator\.cc: unknown key 'cc' \(allowed: kind, c\)",
+    ),
+    (
+        "operator: {kind: scaled_identity, c: 1.0}",
+        "operator: {kind: strongly_accretive, c: 1.0, base: {kind: zero, c: 3.0}}",
+        r"operator\.base\.c: unknown key 'c' \(allowed: kind\)",
+    ),
+    ("strongly_accretive, c: 1.0}", "strongly_accretive, c: 1.0, k: 1}", r"modulus\.k: unknown"),
+    ("  sweeps:", "  rate_data: {b: 1.0, bb: 2.0}\n  sweeps:", r"rate_data\.bb: unknown"),
+    ("  sweeps:", "  validation: {region_radius: 1.0, radius: 2}\n  sweeps:", r"validation\.radius"),
+    ("  sweeps:", "  orbits: [{kind: exact, lam: 1.0}]\n  sweeps:", r"orbits\[0\]\.lam: unknown"),
+    ("k_range: [0, 1]}", "k_range: [0, 1], theorm: 4.2}", r"sweeps\[0\]\.theorm: unknown"),
+    # rate-data overrides are naturals or nonnegative: orbit_bound -3 gave
+    # the bounds of 1, and negative b or d_budget failed only in the sweep
+    (
+        "  sweeps:",
+        "  rate_data: {orbit_bound: -3}\n  sweeps:",
+        r"rate_data\.orbit_bound: orbit_bound must be a natural",
+    ),
+    ("  sweeps:", "  rate_data: {b: -1.0}\n  sweeps:", r"rate_data\.b: b must be nonnegative"),
+    (
+        "  sweeps:",
+        "  rate_data: {d_budget: -5.0}\n  sweeps:",
+        r"rate_data\.d_budget: d_budget must be nonnegative",
+    ),
+    # solver keys range-checked in the loader: first_order_n_max 0 ended in
+    # a ValueError traceback, and a negative stabilization_tol loaded
+    *(
+        (
+            "step: 0.05}",
+            f"step: 0.05, first_order_n_max: {n}}}",
+            r"solver\.first_order_n_max: first_order_n_max must lie in \[16, 1048576\]",
+        )
+        for n in (0, 15, 2**20 + 1)
+    ),
+    (
+        "step: 0.05}",
+        "step: 0.05, stabilization_tol: -1.0}",
+        r"solver\.stabilization_tol: stabilization_tol must be nonnegative",
+    ),
+]
+
+
 def test_bad_entries_rejected(tmp_path):
-    bad_cases = [
-        ("operator: {kind: scaled_identity, c: 1.0}", "operator: {kind: warp}", "warp"),
-        ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "7.7", k_range: [0, 1]}', "7.7"),
-        ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "4.1", k_range: [3, 1]}', "k_range"),
-        ("initial_point: [1.0, 0.0]", "initial_point: [1.0, 0.0, 3.0]", "dimension"),
-        ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "5.1", k_range: [0, 1]}', "orbit"),
-        ("k_range: [0, 1]", "k_range: [0, 100000000]", "k_range"),
-        ("step: 0.05}", "step: 0.05, sample_points: 0}", "sample_points"),
-        ("step: 0.05}", "step: 0.05, sample_points: -5}", "sample_points"),
-        ("step: 0.05}", "step: 0.05, sample_points: 10001}", "sample_points"),
-        ("c: 1.0}\n  initial", "c: .nan}\n  initial", "finite"),
-        ("initial_point: [1.0, 0.0]", 'initial_point: ["a", 0.0]', "initial_point"),
-        ("initial_point: [1.0, 0.0]", "initial_point: [.nan, 0.0]", "initial_point"),
-        ("initial_point: [1.0, 0.0]", "initial_point: [.inf, 0.0]", "initial_point"),
-        ("  sweeps:", "  orbits: [{kind: additive_decay, v: [0, 1], lam: -1}]\n  sweeps:", "lam"),
-        ("  sweeps:", "  orbits: [{kind: time_warp, delta: 5.0}]\n  sweeps:", "delta"),
-        ("  sweeps:", '  orbits: [{kind: additive_decay, v: ["x", 1]}]\n  sweeps:', "'v'"),
-        ("kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[1, 0], [0, {a: 1}]]", "matrix"),
-        ("seed: 7", "seed: -7", "seed"),
-        ("step: 0.05}", "step: 0.05, margin: 10.0}", "margin"),
-        ("step: 0.05}", "step: 0.05, schedule: [[0.1, 0.0]]}", "schedule"),
-        ("step: 0.05}", "step: 1.0e-320}", "overflows"),
-        ("  sweeps:", "  validation: {monotonicity_samples: 0}\n  sweeps:", "monotonicity_samples"),
-        ("  sweeps:", "  validation: {accretivity_samples: -5}\n  sweeps:", "accretivity_samples"),
-        ("  sweeps:", "  validation: {modulus_samples: 1000001}\n  sweeps:", "modulus_samples"),
-        # a sampling radius must be positive: -3 used to end in a traceback,
-        # and 0 in a vacuous pass
-        *(
-            (
-                "space: {kind: hilbert, dim: 2}",
-                f"space: {{kind: lp, dim: 2, p: 4.0, M: 0.02, validate_radius: {r}}}",
-                r"space\.validate_radius: validate_radius must be positive",
-            )
-            for r in ("-3.0", "0.0")
-        ),
-        *(
-            (
-                "  sweeps:",
-                f"  validation: {{region_radius: {r}}}\n  sweeps:",
-                r"validation\.region_radius: region_radius must be positive",
-            )
-            for r in ("-5.0", "0.0")
-        ),
-        ("  sweeps:", "  validation: {region_radius: .inf}\n  sweeps:", "region_radius"),
-        ("horizon: 10.0, step: 0.05", "horizon: 1.0e+6, step: 0.01", "Newton system"),
-        (
-            "  sweeps:",
-            "  orbits:\n"
-            "    - {kind: additive_decay, v: [0, 1]}\n"
-            "    - {kind: additive_decay, v: [1, 0]}\n"
-            "  sweeps:",
-            r"orbits\[1\]\.kind: orbit kind 'additive_decay' is defined twice",
-        ),
-        # a key no mapping reads is an error, never a silently ignored typo
-        (
-            "seed: 7",
-            "seed: 7\nsed: 3",
-            r":2: sed: unknown key 'sed' \(allowed: seed, output_dir, scenario\)",
-        ),
-        ("  id: mini", "  id: mini\n  dynamcs: first_order", r"scenario\.dynamcs: unknown key"),
-        ("step: 0.05}", "step: 0.05, stabilisation_tol: 0.5}", r"solver\.stabilisation_tol: unknown"),
-        ("horizon: 10.0", "horizn: 3.0", r"solver\.horizn: unknown key 'horizn' \(allowed: horizon,"),
-        ("step: 0.05}", "step: 0.05, auto_extend: false}", r"solver\.auto_extend: unknown key"),
-        ("dim: 2}", "dim: 2, validate_radius: 2.0}", r"allowed: kind, dim\)"),
-        (
-            "operator: {kind: scaled_identity, c: 1.0}",
-            "operator: {kind: scaled_identity, c: 1.0, cc: 2.0}",
-            r"operator\.cc: unknown key 'cc' \(allowed: kind, c\)",
-        ),
-        (
-            "operator: {kind: scaled_identity, c: 1.0}",
-            "operator: {kind: strongly_accretive, c: 1.0, base: {kind: zero, c: 3.0}}",
-            r"operator\.base\.c: unknown key 'c' \(allowed: kind\)",
-        ),
-        ("strongly_accretive, c: 1.0}", "strongly_accretive, c: 1.0, k: 1}", r"modulus\.k: unknown"),
-        ("  sweeps:", "  rate_data: {b: 1.0, bb: 2.0}\n  sweeps:", r"rate_data\.bb: unknown"),
-        ("  sweeps:", "  validation: {region_radius: 1.0, radius: 2}\n  sweeps:", r"validation\.radius"),
-        ("  sweeps:", "  orbits: [{kind: exact, lam: 1.0}]\n  sweeps:", r"orbits\[0\]\.lam: unknown"),
-        ("k_range: [0, 1]}", "k_range: [0, 1], theorm: 4.2}", r"sweeps\[0\]\.theorm: unknown"),
-        # rate-data overrides are naturals or nonnegative: orbit_bound -3 gave
-        # the bounds of 1, and negative b or d_budget failed only in the sweep
-        (
-            "  sweeps:",
-            "  rate_data: {orbit_bound: -3}\n  sweeps:",
-            r"rate_data\.orbit_bound: orbit_bound must be a natural",
-        ),
-        ("  sweeps:", "  rate_data: {b: -1.0}\n  sweeps:", r"rate_data\.b: b must be nonnegative"),
-        (
-            "  sweeps:",
-            "  rate_data: {d_budget: -5.0}\n  sweeps:",
-            r"rate_data\.d_budget: d_budget must be nonnegative",
-        ),
-    ]
-    for old, new, fragment in bad_cases:
+    for old, new, fragment in BAD_CASES:
         assert MINIMAL.count(old) == 1
         path = write_cfg(tmp_path, MINIMAL.replace(old, new))
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
+
+
+def _state(value, seen=()):
+    """A comparable picture of a loaded spec: arrays by their bytes, objects
+    by type and attributes, closures by code and captured values."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(_state(v, seen) for v in value))
+    if isinstance(value, dict):
+        return ("dict", tuple((k, _state(v, seen)) for k, v in value.items()))
+    if id(value) in seen:  # a recursive closure
+        return ("cycle", type(value).__name__)
+    seen = (*seen, id(value))
+    if isinstance(value, types.FunctionType):
+        cells = tuple(_state(c.cell_contents, seen) for c in value.__closure__ or ())
+        return ("function", value.__code__, cells)
+    if hasattr(value, "__dict__") and not isinstance(value, (type, types.ModuleType)):
+        return (type(value).__qualname__, _state(vars(value), seen))
+    return value
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_c_and_python_yaml_parsers_load_alike(tmp_path, monkeypatch):
+    # the loader parses once, with libyaml where PyYAML has it: the pure-Python
+    # parser must give the same spec, and the same anchored error
+    from cauchylab import config
+
+    def load(loader, path):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        try:
+            return _state(load_config(path))
+        except ConfigError as exc:
+            return str(exc)
+
+    for name in BUNDLED:
+        spec = load(yaml.CSafeLoader, CFG_DIR / name)
+        assert not isinstance(spec, str)
+        assert spec == load(yaml.SafeLoader, CFG_DIR / name)
+    for old, new, fragment in BAD_CASES:
+        path = write_cfg(tmp_path, MINIMAL.replace(old, new))
+        message = load(yaml.CSafeLoader, path)
+        assert isinstance(message, str) and re.search(fragment, message)
+        assert message == load(yaml.SafeLoader, path)
 
 
 def _field_paths(node, path=()):
@@ -531,9 +593,12 @@ def test_failed_write_leaves_no_tmp_file(tmp_path, capsys, monkeypatch):
 
 
 _write_opens: list | None = None  # recording only while a test sets it
+_moves: list | None = None  # likewise: removes and renames, in order
 
 
 def _record_write_opens(event, args):
+    if event in ("os.remove", "os.rename") and _moves is not None:
+        _moves.append((event, *(os.fsdecode(a) for a in args if isinstance(a, (str, Path)))))
     if event != "open" or _write_opens is None or not isinstance(args[0], (str, bytes, Path)):
         return
     path, mode, flags = args
@@ -545,13 +610,18 @@ def _record_write_opens(event, args):
 _audit_installed = False
 
 
-def test_run_opens_every_output_file_once_fresh(tmp_path):
-    # reopening or truncating an existing file makes ext4 allocate its blocks
-    # at close (auto_da_alloc), which makes deleting it later slow
-    global _write_opens, _audit_installed
+def _install_audit_hook():
+    global _audit_installed
     if not _audit_installed:  # audit hooks cannot be removed: install one, once
         sys.addaudithook(_record_write_opens)
         _audit_installed = True
+
+
+def test_run_opens_every_output_file_once_fresh(tmp_path):
+    # reopening or truncating an existing file makes ext4 allocate its blocks
+    # at close (auto_da_alloc), which makes deleting it later slow
+    global _write_opens
+    _install_audit_hook()
     cfg = write_cfg(tmp_path, MINIMAL)
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "trajectories.csv.tmp").write_text("left by a killed run\n")
@@ -565,6 +635,34 @@ def test_run_opens_every_output_file_once_fresh(tmp_path):
     names = sorted(Path(p).name for p, _ in opens)
     assert "trajectories.csv.tmp" in names and "reports.json.tmp" in names
     assert len(names) == len(set(names))
+
+
+def test_rerun_into_same_out_rewrites_identical_files(tmp_path):
+    # a rerun unlinks each old output just before renaming the new one in:
+    # ext4 (auto_da_alloc) forces a file renamed over an existing one out
+    # to disk
+    global _moves
+    _install_audit_hook()
+    cfg = write_cfg(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+
+    def snapshot():
+        return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    assert run_config(cfg, out_dir=out).exit_code == 0
+    first = snapshot()
+    _moves = []
+    try:
+        assert run_config(cfg, out_dir=out).exit_code == 0
+        moves = _moves
+    finally:
+        _moves = None
+    assert snapshot() == first
+    assert not list(out.rglob("*.tmp"))
+    renames = [i for i, move in enumerate(moves) if move[0] == "os.rename"]
+    assert sorted(moves[i][2] for i in renames) == sorted(str(p) for p in first)
+    for i in renames:
+        assert moves[i - 1] == ("os.remove", moves[i][2])
 
 
 def test_plot_script_reads_trajectory_csv_and_bounds(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,8 @@ from importlib import resources
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cauchylab import (
     LinearMatrix,
@@ -27,7 +29,8 @@ from cauchylab.errors import HorizonError, SolverError
 from cauchylab.second_order import (
     CSV_BLOCK_ROWS,
     _eliminate,
-    _solve_block_tridiagonal,
+    _reduce,
+    _solve_newton_system,
     export_trajectory_csv,
     projection_profile,
 )
@@ -379,6 +382,11 @@ def _dense(lower, diag, upper):
     return mat
 
 
+def _level(lower, diag, upper, rhs):
+    """The batch-last [D | L | U | r] array that ``_reduce`` takes."""
+    return np.concatenate([diag, lower, upper, rhs[:, :, None]], axis=2).transpose(1, 2, 0)
+
+
 def _block_systems(m, dim, rng):
     """The Newton system's shape (identity couplings, doubled on the ghost
     row, diagonal blocks -2/h^2 - F' with a rotation-like skew part), then
@@ -386,7 +394,7 @@ def _block_systems(m, dim, rng):
     system with the first two equations of every block row swapped and a
     zero leading entry in every diagonal block, so the elimination must
     swap rows.  lower[0] and upper[-1] hold junk, which the solver must
-    ignore."""
+    ignore.  The first system also yields its coupling 1/h^2."""
     inv_h2 = 1.0 / 0.01**2
     eye = np.eye(dim)
     skew = rng.normal(size=(m, dim, dim))
@@ -397,40 +405,45 @@ def _block_systems(m, dim, rng):
     lower = upper.copy()
     lower[-1] *= 2.0
     lower[0] = upper[-1] = 7.0
-    yield lower, -2.0 * inv_h2 * eye - fjac, upper
+    yield lower, -2.0 * inv_h2 * eye - fjac, upper, inv_h2
     lower = rng.normal(size=(m, dim, dim))
     upper = rng.normal(size=(m, dim, dim))
     diag = rng.normal(size=(m, dim, dim)) + 8.0 * eye
-    yield lower, diag, upper
+    yield lower, diag, upper, None
     if dim >= 2:
         diag[:, 1, 0] = 0.0
         swap = [1, 0] + list(range(2, dim))
-        yield lower[:, swap], diag[:, swap], upper[:, swap]
+        yield lower[:, swap], diag[:, swap], upper[:, swap], None
 
 
-# below _ELIMINATION_DIM = 8 coordinates the levels of 100 odd blocks or
-# more (m = 1000 here) are solved by _eliminate; from 8 up, by LAPACK
+# a level of fewer than _ELIMINATION_BLOCKS = 24 odd blocks per coordinate
+# is solved by LAPACK, and so is every level from _ELIMINATION_DIM = 13
+# coordinates up; a system of at most 96 unknowns is solved densely
 @pytest.mark.parametrize("dim", [1, 2, 3, 6, 8, 14])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000])
 def test_block_cyclic_reduction_matches_dense_solve(m, dim):
     rng = np.random.default_rng(1000 * m + dim)
-    for lower, diag, upper in _block_systems(m, dim, rng):
+    for lower, diag, upper, coupling in _block_systems(m, dim, rng):
         rhs = rng.normal(size=(m, dim))
-        y = _solve_block_tridiagonal(lower, diag, upper, rhs)
-        assert y.shape == (m, dim)
+        solves = [_reduce(_level(lower, diag, upper, rhs)).T]
+        if coupling is not None:
+            solves.append(_solve_newton_system(coupling, diag.transpose(1, 2, 0), rhs.T).T)
         if m * dim <= 3000:
             ref = np.linalg.solve(_dense(lower, diag, upper), rhs.ravel()).reshape(m, dim)
-            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
-        else:
-            # a dense matrix of this size takes 288 MB: check the residual
-            # block by block instead
-            res = (diag @ y[:, :, None])[:, :, 0] - rhs
-            res[1:] += (lower[1:] @ y[:-1, :, None])[:, :, 0]
-            res[:-1] += (upper[:-1] @ y[1:, :, None])[:, :, 0]
-            assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
+        for y in solves:
+            assert y.shape == (m, dim)
+            if m * dim <= 3000:
+                assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+            else:
+                # a dense matrix of this size takes 288 MB: check the
+                # residual block by block instead
+                res = (diag @ y[:, :, None])[:, :, 0] - rhs
+                res[1:] += (lower[1:] @ y[:-1, :, None])[:, :, 0]
+                res[:-1] += (upper[:-1] @ y[1:, :, None])[:, :, 0]
+                assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 7, 8, 12])
 @pytest.mark.parametrize("k", [1, 5, 150])
 def test_eliminate_matches_lapack(k, dim):
     # diagonally dominant blocks, every other one with its rows reversed
@@ -442,22 +455,88 @@ def test_eliminate_matches_lapack(k, dim):
         a[::2] = a[::2, ::-1]
     b = rng.normal(size=(k, dim, 2 * dim + 1))
     ref = np.linalg.solve(a, b)
-    assert np.max(np.abs(_eliminate(a, b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    aug = np.concatenate([a, b], axis=2).transpose(1, 2, 0).copy()
+    z = _eliminate(aug, dim).transpose(2, 0, 1)
+    assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("dim", [2, 8, 14])
 def test_block_cyclic_reduction_singular_block_raises(dim):
     # an all-ones block leaves an exactly zero pivot after one elimination
-    # step; its level has 200 odd blocks, solved by _eliminate below 8
-    # coordinates and by LAPACK from 8 up
+    # step; its level has 200 odd blocks, solved by _eliminate at 2 and 8
+    # coordinates and by LAPACK at 14
     eye = np.eye(dim)
     lower = upper = np.repeat(eye[None], 401, axis=0)
     diag = np.repeat(4.0 * eye[None], 401, axis=0)
     diag[5] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
-        _solve_block_tridiagonal(lower, diag, upper, np.ones((401, dim)))
+        _reduce(_level(lower, diag, upper, np.ones((401, dim))))
     with pytest.raises(np.linalg.LinAlgError):
-        _eliminate(diag[1::2], np.ones((200, dim, 1)))
+        _solve_newton_system(1.0, diag.transpose(1, 2, 0), np.ones((dim, 401)))
+    aug = np.concatenate([diag[1::2], np.ones((200, dim, 1))], axis=2)
+    with pytest.raises(np.linalg.LinAlgError):
+        _eliminate(aug.transpose(1, 2, 0).copy(), dim)
+
+
+def _banded_newton(c, diag):
+    """The Newton system's matrix (couplings c I, 2c I into the ghost row)
+    in LAPACK's banded storage, ab[u + i - j, j] = a[i, j], with
+    u = 2 dim - 1 bands on either side of the diagonal."""
+    m, dim, _ = diag.shape
+    u = 2 * dim - 1
+    ab = np.zeros((2 * u + 1, m * dim))
+    for i in range(m):
+        for a in range(dim):
+            row = i * dim + a
+            cols = np.arange(i * dim, (i + 1) * dim)
+            ab[u + row - cols, cols] = diag[i, a]
+            if i > 0:
+                ab[u + dim, row - dim] = 2.0 * c if i == m - 1 else c
+            if i < m - 1:
+                ab[u - dim, row + dim] = c
+    return ab
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 300),
+    dim=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 14]),
+    h=st.floats(0.005, 2.0),
+    pivoting=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=300, dim=14, h=0.01, pivoting=True, seed=1)
+@example(m=299, dim=8, h=0.01, pivoting=True, seed=2)
+@example(m=300, dim=2, h=0.01, pivoting=True, seed=3)
+@example(m=299, dim=3, h=0.5, pivoting=True, seed=4)
+@example(m=1, dim=2, h=0.1, pivoting=False, seed=5)
+@example(m=2, dim=7, h=0.1, pivoting=True, seed=6)
+def test_newton_system_matches_direct_solve(m, dim, h, pivoting, seed):
+    """c y[i-1] + D[i] y[i] + c y[i+1] = r[i] with c = 1/h^2 and the ghost
+    row's 2c, against LAPACK's banded solve of the assembled matrix (a
+    direct solve with partial pivoting over whole columns; its dense
+    matrix would take up to 141 MB here).  Diagonal blocks are -2c - F'
+    with a rotation-like F', or, with ``pivoting``, about half of them a
+    row swap of a dominant block with an exactly zero leading entry, so
+    the elimination must swap rows."""
+    rng = np.random.default_rng(seed)
+    c = 1.0 / (h * h)
+    eye = np.eye(dim)
+    skew = rng.normal(size=(m, dim, dim))
+    skew -= skew.transpose(0, 2, 1)
+    psd = rng.normal(size=(m, dim, dim))
+    diag = -2.0 * c * eye - (psd @ psd.transpose(0, 2, 1) + 3.0 * skew + 0.01 * eye)
+    if pivoting and dim >= 2:
+        dominant = 4.0 * (c + 1.0) * (eye + 0.1 * rng.normal(size=(m, dim, dim)))
+        dominant[:, 1, 0] = 0.0
+        swap = [1, 0] + list(range(2, dim))
+        swapped = rng.random(m) < 0.5
+        diag[swapped] = dominant[swapped][:, swap]
+    rhs = rng.normal(size=(m, dim))
+    y = _solve_newton_system(c, diag.transpose(1, 2, 0), rhs.T).T
+    u = 2 * dim - 1
+    ref = scipy.linalg.solve_banded((u, u), _banded_newton(c, diag), rhs.ravel())
+    assert np.max(np.abs(y.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("dim", [2, 14])
