@@ -101,7 +101,7 @@ class ScenarioSpec:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _parse(filename: str, text: str) -> tuple[object, "_Anchors"]:
+def _parse(filename: str, text: str) -> tuple[object, _Anchors]:
     """The config's data and its line anchors, from one parse of the text."""
     loader = _LOADER(text)
     try:
