@@ -9,15 +9,19 @@ error instead of hanging.
 A tiny expression grammar lets configurations define counterfunctions
 over the variable n: natural constants, +, *, max(a, b), parentheses,
 and composition with previously named functions.  All arithmetic is
-exact Python integer arithmetic.
+exact Python integer arithmetic, capped at the float range: every rate
+bound built on a value is compared as a float, so a literal or an
+intermediate value above ``sys.float_info.max`` is a ``ContractError``.
 """
 
 from __future__ import annotations
 
 import contextvars
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable, Mapping
 
 from .errors import ContractError, EvaluationCapExceeded
@@ -27,7 +31,7 @@ GRAMMAR = (
     "expr := term ('+' term)* ; term := atom ('*' atom)* ; "
     "atom := natural | 'n' | 'max(' expr ',' expr ')' | name '(' expr ')' "
     "| '(' expr ')'  -- names refer to earlier entries in "
-    "scenario.counterfunctions; all arithmetic is exact"
+    "scenario.counterfunctions; all arithmetic is exact, up to the float range"
 )
 
 _active_budget: contextvars.ContextVar["EvaluationBudget | None"] = contextvars.ContextVar(
@@ -148,6 +152,13 @@ class MetastabilityRate:
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+*,]))")
 
 
+def _capped(value) -> int:
+    """``value`` as an int; above the float range, a ContractError instead."""
+    if value > sys.float_info.max:
+        raise ContractError(f"expression value {Decimal(value):.3e} exceeds the float range")
+    return int(value)
+
+
 class _Node:
     def evaluate(self, env: Mapping[str, int]) -> int:
         raise NotImplementedError
@@ -178,9 +189,9 @@ class _BinOp(_Node):
     def evaluate(self, env):
         a, b = self.left.evaluate(env), self.right.evaluate(env)
         if self.op == "+":
-            return a + b
+            return _capped(a + b)
         if self.op == "*":
-            return a * b
+            return _capped(a * b)
         return max(a, b)
 
 
@@ -211,7 +222,8 @@ class _Parser:
             if m is None or m.end() == pos:
                 raise ContractError(f"bad token in counterfunction expression at {text[pos:]!r}")
             if m.group(1):
-                tokens.append(("nat", int(m.group(1))))
+                # a Decimal: int() of a long digit string meets Python's digit limit
+                tokens.append(("nat", _capped(Decimal(m.group(1)))))
             elif m.group(2):
                 tokens.append(("name", m.group(2)))
             else:

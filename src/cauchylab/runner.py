@@ -188,7 +188,7 @@ def _run_sweep(bundle: ScenarioBundle, sweep: SweepSpec) -> list[RateReport]:
         sweep.theorem,
         sweep.ks,
         counterfunctions=sweep.counterfunctions,
-        orbits=orbits if orbits else None,
+        orbits=orbits,
         f_dom=sweep.f_dom,
     )
 

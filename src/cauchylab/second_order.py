@@ -686,9 +686,9 @@ def check_apriori(
     )
 
 
-def projection_profile(op: AccretiveOperator, traj: Trajectory) -> np.ndarray:
-    """||u(t) - Pu(t)|| along the trajectory."""
-    return op.space.norms(traj.values - op.project_zeros_many(traj.values))
+def projection_profile(op: AccretiveOperator, values: np.ndarray) -> np.ndarray:
+    """||u - Pu|| for each row u of ``values``: the zero-set residual."""
+    return op.space.norms(values - op.project_zeros_many(values))
 
 
 CSV_BLOCK_ROWS = 2048
@@ -706,7 +706,7 @@ def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out) -> None:
     dim = traj.values.shape[1]
     out.write("t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set\n")
     data = np.column_stack(
-        [traj.times, traj.values, op.space.norms(traj.values), projection_profile(op, traj)]
+        [traj.times, traj.values, op.space.norms(traj.values), projection_profile(op, traj.values)]
     )
     row = ",".join(["%r"] * data.shape[1]) + "\n"
     for start in range(0, len(data), CSV_BLOCK_ROWS):

@@ -12,7 +12,9 @@ checks the corresponding conclusion against a sampled trajectory:
   reports are second class and never count toward acceptance.
 * Metastability conclusions are existential: the sweep searches for a
   witness index n at most the computed bound whose window [n, n + f(n)]
-  realizes the target inequality.
+  realizes the target inequality.  Without a witness the report is
+  extrapolated only when the search stopped at the horizon before the
+  bound or some window left the horizon; otherwise it fails.
 
 The module also houses the liminf search behind the window-length
 formula, the empirical modulus validity check, and the almost-orbit
@@ -267,6 +269,12 @@ def modulus_check(
 # -- trajectory-level checks ---------------------------------------------------------
 
 
+def _max_increase(profile: np.ndarray) -> float:
+    """Largest step-to-step increase of a profile, 0.0 below two entries."""
+    increments = np.diff(profile)
+    return float(np.max(increments)) if increments.size else 0.0
+
+
 def fejer_report(
     op: AccretiveOperator,
     traj: Trajectory,
@@ -274,13 +282,13 @@ def fejer_report(
 ) -> FejerReport:
     """Monotonicity of the zero-set distance along the trajectory, plus
     the two-sided step bound ||u(t+h) - u(t)|| <= 2||u(t) - Pu(t)||."""
-    residual = projection_profile(op, traj)
-    increments = np.diff(residual)
+    residual = projection_profile(op, traj.values)
+    rise = _max_increase(residual)
     steps = op.space.norms(np.diff(traj.values, axis=0))
     excess = steps - 2.0 * residual[:-1]
     return FejerReport(
-        max_step_increase=float(np.max(increments)) if increments.size else 0.0,
-        monotone=bool(np.all(increments <= step_tol)),
+        max_step_increase=rise,
+        monotone=rise <= step_tol,
         max_stability_excess=float(np.max(excess)) if excess.size else 0.0,
         stable=bool(np.all(excess <= step_tol)),
     )
@@ -561,21 +569,14 @@ class SampleSet:
     def _residual(self) -> np.ndarray | None:
         """Zero-set residual at the samples, None unless it is monotone:
         no increment above STEP_MONOTONE_TOL, the rule of ``fejer_report``."""
-        residual = self.op.space.norms(self.values - self.op.project_zeros_many(self.values))
-        increments = np.diff(residual)
-        if increments.size and np.max(increments) > STEP_MONOTONE_TOL:
-            return None
-        return residual
+        residual = projection_profile(self.op, self.values)
+        return residual if _max_increase(residual) <= STEP_MONOTONE_TOL else None
 
     def residual_threshold(self, level: float) -> float | None:
         """First sample time where the residual drops to level, provided
         the sampled residual is monotone."""
-        if self._residual is None:
-            return None
-        idx = np.nonzero(self._residual <= level)[0]
-        if idx.size == 0:
-            return None
-        return float(self.times[idx[0]])
+        hits = [] if self._residual is None else np.flatnonzero(self._residual <= level)
+        return float(self.times[hits[0]]) if len(hits) else None
 
     def window_diameter(self, start: int, width: int, horizon: float) -> float:
         """Diameter of the samples in [start, start + width]; inf when the
@@ -693,159 +694,41 @@ def _margin(bound: int, observed: float) -> float:
         raise ContractError(f"rate bound {Decimal(bound):.3e} exceeds the float range") from None
 
 
-def _cauchy_report(
-    bundle: ScenarioBundle,
-    theorem: str,
-    k: int,
-    bound: int,
-    f_desc: str,
-    samples: SampleSet,
-    residual: SampleSet,
-) -> RateReport:
-    """One Cauchy-type report on ``samples``; beyond their horizon, the
-    monotone residual of ``residual`` certifies it."""
-    eps = 1.0 / (k + 1.0)
+def _observe(
+    theorem: str, eps: float, level: float, bound: int, f, samples: SampleSet, residual: SampleSet
+) -> tuple[float, bool, bool]:
+    """(observed, passed, extrapolated) of one report at precision eps.
+
+    5.1 searches for the first n <= bound whose window [n, n + f(n)] has
+    diameter at most ``level``; the other theorems read the suffix profile
+    at the bound.  When the samples cannot decide (the bound, or for 5.1
+    the search or one of its windows, lies beyond the horizon), the
+    monotone residual of ``residual`` certifies the report instead.
+    """
     times = samples.times
-    suffix = samples.suffix
-    ok_mask = suffix <= eps + bundle.solver.num_tol
-    idx_ok = np.nonzero(ok_mask)[0]
-    observed = float(times[idx_ok[0]]) if idx_ok.size else math.inf
     horizon = float(times[-1]) if times.size else 0.0
-    if bound <= horizon:
-        at_bound = int(np.searchsorted(times, bound - 1e-9))
-        at_bound = min(at_bound, len(times) - 1)
-        passed = bool(suffix[at_bound] <= eps + bundle.solver.num_tol)
-        extrapolated = False
+    if theorem == "5.1":
+        n, left = 0, False  # left: some window left the horizon
+        while n <= bound and n <= horizon:
+            diameter = samples.window_diameter(n, f(n), horizon)
+            if diameter <= level:
+                return float(n), True, False
+            left = left or diameter == math.inf
+            n += 1
+        if n > bound and not left:  # every window up to the bound was sampled
+            return math.inf, False, False
+        observed = math.inf
     else:
-        extrapolated = True
-        tau = residual.residual_threshold(eps / 2.0)
-        passed = tau is not None
-        if passed and not math.isfinite(observed):
-            observed = tau
-    return RateReport(
-        scenario=bundle.scenario_id,
-        theorem=theorem,
-        k=k,
-        f_desc=f_desc,
-        bound=bound,
-        observed=observed,
-        margin=_margin(bound, observed),
-        passed=passed,
-        extrapolated=extrapolated,
-    )
-
-
-def _sweep_interior(bundle: ScenarioBundle, ks: Sequence[int]) -> list[RateReport]:
-    data = bundle.point_rate_data()
-    reports = []
-    for k in ks:
-        bound = semigroup_cauchy_rate(int(k), bundle.modulus, data)
-        reports.append(
-            _cauchy_report(bundle, "4.1", int(k), bound, "", bundle.samples, bundle.grid_samples)
-        )
-    return reports
-
-
-def _sweep_closure(
-    bundle: ScenarioBundle, ks: Sequence[int], f_dom: Counterfunction
-) -> list[RateReport]:
-    data = bundle.point_rate_data()
-    reports = []
-    for k in ks:
-        bound = closure_cauchy_rate(int(k), bundle.modulus, f_dom, data)
-        reports.append(
-            _cauchy_report(
-                bundle,
-                "4.2",
-                int(k),
-                bound,
-                f_dom.description,
-                bundle.samples,
-                bundle.grid_samples,
-            )
-        )
-    return reports
-
-
-def _sweep_metastable(
-    bundle: ScenarioBundle,
-    ks: Sequence[int],
-    counterfunctions: Sequence[Counterfunction],
-    orbits: Sequence[AlmostOrbit],
-) -> list[RateReport]:
-    reports = []
-    for orbit in orbits:
-        data = bundle.orbit_rate_data(orbit)
-        samples = bundle.orbit_samples(orbit)
-        horizon = float(samples.times[-1]) if samples.times.size else 0.0
-        for k in ks:
-            eps = 1.0 / (int(k) + 1.0)
-            level = eps + bundle.solver.num_tol
-            for f in counterfunctions:
-                bound = cauchy_metastability_rate(
-                    int(k), f, orbit.phi_meta, bundle.modulus, data
-                )
-                witness = None
-                n = 0
-                while n <= bound and n <= horizon:
-                    if samples.window_diameter(n, f(n), horizon) <= level:
-                        witness = n
-                        break
-                    n += 1
-                if witness is not None:
-                    report = RateReport(
-                        scenario=f"{bundle.scenario_id}/{orbit.kind}",
-                        theorem="5.1",
-                        k=int(k),
-                        f_desc=f.description,
-                        bound=bound,
-                        observed=float(witness),
-                        margin=_margin(bound, float(witness)),
-                        passed=True,
-                        extrapolated=False,
-                    )
-                else:
-                    tau = samples.residual_threshold(eps / 2.0)
-                    observed = tau if tau is not None else math.inf
-                    report = RateReport(
-                        scenario=f"{bundle.scenario_id}/{orbit.kind}",
-                        theorem="5.1",
-                        k=int(k),
-                        f_desc=f.description,
-                        bound=bound,
-                        observed=observed,
-                        margin=_margin(bound, observed),
-                        passed=tau is not None,
-                        extrapolated=True,
-                    )
-                reports.append(report)
-    return reports
-
-
-def _sweep_roc(
-    bundle: ScenarioBundle, ks: Sequence[int], orbits: Sequence[AlmostOrbit]
-) -> list[RateReport]:
-    reports = []
-    for orbit in orbits:
-        data = bundle.orbit_rate_data(orbit)
-        samples = bundle.orbit_samples(orbit)
-        for k in ks:
-            bound = almost_orbit_cauchy_rate(
-                int(k), orbit.phi_roc, bundle.modulus, data
-            )
-            report = _cauchy_report(
-                bundle,
-                "5.3",
-                int(k),
-                bound,
-                orbit.phi_roc.description,
-                samples,
-                samples,
-            )
-            reports.append(
-                replace(report, scenario=f"{bundle.scenario_id}/{orbit.kind}")
-            )
-    return reports
+        suffix = samples.suffix
+        hits = np.nonzero(suffix <= level)[0]
+        observed = float(times[hits[0]]) if hits.size else math.inf
+        if bound <= horizon:
+            at_bound = min(int(np.searchsorted(times, bound - 1e-9)), len(times) - 1)
+            return observed, bool(suffix[at_bound] <= level), False
+    tau = residual.residual_threshold(eps / 2.0)
+    if tau is not None and not math.isfinite(observed):
+        observed = tau
+    return observed, tau is not None, True
 
 
 def sweep_theorem(
@@ -856,25 +739,55 @@ def sweep_theorem(
     orbits: Sequence[AlmostOrbit] | None = None,
     f_dom: Counterfunction | None = None,
 ) -> list[RateReport]:
-    """Run one theorem sweep over the precision range ``ks``."""
-    if theorem == "4.1":
-        return _sweep_interior(bundle, ks)
-    if theorem == "4.2":
-        if f_dom is None:
-            f_dom = Counterfunction.constant(
-                bundle.op.graph_bound(bundle.x), "graph bound at x"
-            )
-        return _sweep_closure(bundle, ks, f_dom)
-    if theorem == "5.1":
-        if not counterfunctions:
+    """Run one theorem sweep over the precision range ``ks``: one report
+    per target, k and function, in that order.
+
+    The target of 4.1 and 4.2 is the point x: its samples, with the
+    residual taken at every grid node.  5.1 and 5.3 have one target per
+    orbit (``bundle.orbits`` unless ``orbits`` is given), whose samples
+    are their own residual.
+    """
+    if theorem in ("4.1", "4.2"):
+        if theorem == "4.1":
+            f_dom = None
+        elif f_dom is None:
+            f_dom = Counterfunction.constant(bundle.op.graph_bound(bundle.x), "graph bound at x")
+        targets = [(bundle.samples, bundle.point_rate_data(), None)]
+    elif theorem in ("5.1", "5.3"):
+        if theorem == "5.1" and not counterfunctions:
             raise ContractError("metastability sweep needs counterfunctions")
-        orbits = orbits if orbits is not None else bundle.orbits
+        orbits = bundle.orbits if orbits is None else orbits
         if not orbits:
-            raise ContractError("metastability sweep needs at least one orbit")
-        return _sweep_metastable(bundle, ks, counterfunctions, orbits)
-    if theorem == "5.3":
-        orbits = orbits if orbits is not None else bundle.orbits
-        if not orbits:
-            raise ContractError("rate-of-convergence sweep needs at least one orbit")
-        return _sweep_roc(bundle, ks, orbits)
-    raise ContractError(f"unknown theorem id {theorem!r}")
+            raise ContractError(f"theorem {theorem} sweeps need at least one orbit")
+        targets = [(bundle.orbit_samples(o), bundle.orbit_rate_data(o), o) for o in orbits]
+    else:
+        raise ContractError(f"unknown theorem id {theorem!r}")
+    reports = []
+    for samples, data, orbit in targets:
+        if orbit is None:
+            scenario, residual, fs = bundle.scenario_id, bundle.grid_samples, [f_dom]
+        else:
+            scenario, residual = f"{bundle.scenario_id}/{orbit.kind}", samples
+            fs = counterfunctions if theorem == "5.1" else [orbit.phi_roc]
+        for k in map(int, ks):
+            eps = 1.0 / (k + 1.0)
+            for f in fs:
+                if theorem == "4.1":
+                    bound = semigroup_cauchy_rate(k, bundle.modulus, data)
+                elif theorem == "4.2":
+                    bound = closure_cauchy_rate(k, bundle.modulus, f, data)
+                elif theorem == "5.1":
+                    bound = cauchy_metastability_rate(k, f, orbit.phi_meta, bundle.modulus, data)
+                else:
+                    bound = almost_orbit_cauchy_rate(k, f, bundle.modulus, data)
+                observed, passed, extrapolated = _observe(
+                    theorem, eps, eps + bundle.solver.num_tol, bound, f, samples, residual
+                )
+                f_desc = f.description if f is not None else ""
+                margin = _margin(bound, observed)
+                reports.append(
+                    RateReport(
+                        scenario, theorem, k, f_desc, bound, observed, margin, passed, extrapolated
+                    )
+                )
+    return reports

@@ -149,6 +149,16 @@ BAD_CASES = [
         for r in ("-5.0", "0.0")
     ),
     ("  sweeps:", "  validation: {region_radius: .inf}\n  sweeps:", "region_radius"),
+    # an expression literal above the float range: a 5000-digit one ended in
+    # a ValueError traceback from the int-string limit
+    *(
+        (
+            "  sweeps:",
+            f"  {section}: {{{key}: \"{'9' * 5000}\"}}\n  sweeps:",
+            rf"{section}\.{key}: expression value 1\.000e\+5000 exceeds the float range",
+        )
+        for section, key in (("counterfunctions", "big"), ("rate_data", "omega"))
+    ),
     ("horizon: 10.0, step: 0.05", "horizon: 1.0e+6, step: 0.01", "Newton system"),
     (
         "  sweeps:",
@@ -443,8 +453,10 @@ def test_cli_run_and_exit_codes(tmp_path):
 
 
 def _huge_modulus(zeros, check=True):
+    # a constant: an expression stops at the float range, and the loader
+    # rejects a literal beyond it
     text = MINIMAL.replace(
-        "kind: strongly_accretive, c: 1.0", f'kind: expression, text: "k * 1{"0" * zeros}"'
+        "kind: strongly_accretive, c: 1.0", f"kind: constant, value: 1{'0' * zeros}"
     )
     if check:
         return text
@@ -464,7 +476,7 @@ def _huge_modulus(zeros, check=True):
         ),
         # a modulus value beyond the float range, met by the modulus check
         # or, with the check off, by the 4.1 sweep
-        (_huge_modulus(400), "modulus value 1.000e+400 at k=1, K="),
+        (_huge_modulus(400), "modulus value 1.000e+400 at k=0, K="),
         (_huge_modulus(400, check=False), "modulus value 1.000e+400 at k=1, K=1 exceeds"),
         # a modulus value of 1e200 squares to a bound beyond the float range
         (_huge_modulus(200, check=False), "rate bound 5.000e+400 exceeds the float range"),

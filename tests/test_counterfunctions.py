@@ -44,6 +44,24 @@ def test_bit_exact_big_integers():
     assert f(n) == (n + 1) ** 3
 
 
+def test_values_beyond_the_float_range_are_contract_errors():
+    # s_i(n) = n^(2^(2^(i-1)) * ...): exact arithmetic on s6(2) alone would
+    # not finish; the first product above the float range stops it
+    named = {"s1": parse_counterfunction("n*n")}
+    for i in range(2, 7):
+        named[f"s{i}"] = parse_counterfunction(f"s{i - 1}(s{i - 1}(n))", named)
+    f = parse_counterfunction("s6(n+2)", named)
+    with pytest.raises(ContractError, match="exceeds the float range"):
+        f(0)
+    assert named["s3"](2) == 2**16
+    # a literal is checked before it is converted, so no digit limit applies
+    with pytest.raises(ContractError, match=r"1\.000e\+5000 exceeds the float range"):
+        parse_counterfunction("1" + "0" * 5000)
+    with pytest.raises(ContractError, match="exceeds the float range"):
+        parse_nat_function2("k + " + "9" * 400, ("r", "k"))
+    assert parse_counterfunction("0" * 5000 + "7")(3) == 7
+
+
 def test_parse_errors():
     for bad in ["", "q", "2 - n", "f(n", "max(n)", "n n", "(((n)"]:
         with pytest.raises(ContractError):

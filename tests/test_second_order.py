@@ -344,7 +344,7 @@ def test_trajectory_csv_export(tmp_path, hilbert2):
     assert np.array_equal(data[:, 0], traj.times)
     assert np.array_equal(data[:, 1:3], traj.values)
     assert np.array_equal(data[:, 3], hilbert2.norms(traj.values))
-    assert np.array_equal(data[:, 4], projection_profile(op, traj))
+    assert np.array_equal(data[:, 4], projection_profile(op, traj.values))
 
 
 def test_trajectory_csv_is_written_in_row_blocks(hilbert2):

@@ -22,7 +22,11 @@ from cauchylab import (
     modulus_check,
     sweep_theorem,
 )
-from cauchylab.counterfunctions import Counterfunction, parse_counterfunction
+from cauchylab.counterfunctions import (
+    Counterfunction,
+    MetastabilityRate,
+    parse_counterfunction,
+)
 from cauchylab.errors import ContractError, OrbitConstructionError
 from cauchylab.rates import (
     cauchy_metastability_rate,
@@ -32,6 +36,7 @@ from cauchylab.rates import (
 from cauchylab.semigroup import ExpFormulaConfig
 from cauchylab.verification import (
     SUFFIX_CHUNK,
+    AlmostOrbit,
     RateReport,
     SampleSet,
     ScenarioBundle,
@@ -375,6 +380,40 @@ def test_first_order_rotation_bundle_fails_cauchy(hilbert2):
     assert all(not r.passed and not r.extrapolated for r in reports)
 
 
+def test_metastable_report_without_witness_inside_the_samples_fails(hilbert2):
+    # a unit circle never settles: every window [n, n + 5] has diameter 2.
+    # With bound 11 every window up to the bound lies inside the samples,
+    # so the samples decide and the report fails; windows of n + 200 leave
+    # the horizon, so only the residual can speak, and it stays at 1
+    op = Rotation(space=hilbert2)
+    x = np.array([1.0, 0.0])
+    sg = SqrtSemigroup(op, x, SolverConfig(TimeGrid(100.0, 0.01)))
+    circle = AlmostOrbit(
+        kind="circle",
+        description="unit circle",
+        curve=lambda ts: np.column_stack([np.cos(ts), np.sin(ts)]),
+        phi_roc=Counterfunction.constant(0),
+        phi_meta=MetastabilityRate.zero(),
+        trusted_horizon=sg.trusted_horizon,
+        base=sg,
+    )
+    bundle = ScenarioBundle(
+        scenario_id="circle",
+        op=op,
+        x=x,
+        modulus=constant_modulus(0),
+        trajectory=sg.trajectory,
+        solver=sg.solver,
+        orbits=[circle],
+    )
+    fs = [parse_counterfunction("5"), parse_counterfunction("n+200")]
+    inside, outside = sweep_theorem(bundle, "5.1", [0], counterfunctions=fs)
+    assert sg.trusted_horizon == 99.0 and inside.bound == 11
+    assert not inside.passed and not inside.extrapolated
+    assert inside.observed == math.inf
+    assert not outside.passed and outside.extrapolated
+
+
 def test_orbit_rate_data_bounds(identity_bundle):
     additive = identity_bundle.orbits[1]
     data = identity_bundle.orbit_rate_data(additive)
@@ -482,7 +521,8 @@ def test_chunked_suffix_kernel_memory_is_linear():
 def _metastable_reports_by_cell(bundle, ks, fs, orbits):
     """5.1 reports computed cell by cell: every (k, f, n) window is masked
     out of freshly evaluated orbit samples and measured with the full
-    tensor, and the residual is recomputed for every unwitnessed cell."""
+    tensor, and the residual is recomputed for every unwitnessed cell
+    that the samples cannot decide."""
     space = bundle.op.space
     reports = []
     for orbit in orbits:
@@ -495,9 +535,11 @@ def _metastable_reports_by_cell(bundle, ks, fs, orbits):
                 bound = cauchy_metastability_rate(k, f, orbit.phi_meta, bundle.modulus, data)
                 horizon = float(times[-1])
                 witness = None
+                left = False
                 n = 0
                 while n <= bound and n <= horizon:
                     width = f(n)
+                    left = left or n + width > horizon + 1e-9
                     if n + width <= horizon + 1e-9:
                         mask = (times >= n - 1e-9) & (times <= n + width + 1e-9)
                         window = values[mask]
@@ -508,7 +550,8 @@ def _metastable_reports_by_cell(bundle, ks, fs, orbits):
                             break
                     n += 1
                 tau = None
-                if witness is None:
+                extrapolated = witness is None and (left or n <= bound)
+                if extrapolated:
                     residual = space.norms(values - bundle.op.project_zeros_many(values))
                     if np.max(np.diff(residual)) <= 1e-6:
                         hits = np.nonzero(residual <= eps / 2.0)[0]
@@ -524,7 +567,7 @@ def _metastable_reports_by_cell(bundle, ks, fs, orbits):
                         observed=math.inf if observed is None else observed,
                         margin=-math.inf if observed is None else bound - observed,
                         passed=observed is not None,
-                        extrapolated=witness is None,
+                        extrapolated=extrapolated,
                     )
                 )
     return reports
