@@ -99,6 +99,9 @@ class ScenarioSpec:
 # libyaml's parser where PyYAML has it, else the pure-Python one; both
 # resolve scalars by the same Python rules, so they give equal data
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# PyYAML converts an integer scalar with int(), which refuses a decimal
+# string longer than this (sys.int_info) with a bare ValueError
+MAX_INT_DIGITS = 4300
 
 
 def _parse(filename: str, text: str) -> tuple[object, _Anchors]:
@@ -106,12 +109,13 @@ def _parse(filename: str, text: str) -> tuple[object, _Anchors]:
     loader = _LOADER(text)
     try:
         root = loader.get_single_node()
+        anchors = _Anchors(filename, root)  # first: it bounds the integer scalars
         data = None if root is None else loader.construct_document(root)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. the date 2020-02-30
         raise ConfigError(f"not valid YAML: {exc}", filename)
     finally:
         loader.dispose()
-    return data, _Anchors(filename, root)
+    return data, anchors
 
 
 class _Anchors:
@@ -125,6 +129,8 @@ class _Anchors:
 
     def _walk(self, node, path):
         self.lines[path] = node.start_mark.line + 1
+        if node.tag == "tag:yaml.org,2002:int" and len(node.value) > MAX_INT_DIGITS:
+            raise ConfigError(f"integer of more than {MAX_INT_DIGITS} digits", self.where(path))
         if isinstance(node, yaml.MappingNode):
             for key_node, value_node in node.value:
                 key = str(key_node.value)
@@ -268,6 +274,13 @@ def _modulus_expression(sec: _Section) -> ConvergenceModulus:
     return ConvergenceModulus(fn=fn, provenance="user-supplied", description=text)
 
 
+def _modulus_strongly_accretive(sec: _Section) -> ConvergenceModulus:
+    try:
+        return modulus_strongly_accretive(sec.require("c", float))
+    except (ValueError, CauchyLabError) as exc:  # c <= 0, or 1/c beyond the float range
+        sec.fail("c", str(exc))
+
+
 OPERATORS = {
     "scaled_identity": Kind(
         lambda sec, space: ScaledIdentity(sec.require("c", float), space),
@@ -308,10 +321,7 @@ OPERATORS = {
 }
 
 MODULI = {
-    "strongly_accretive": Kind(
-        lambda sec: modulus_strongly_accretive(sec.require("c", float)),
-        {"c": "constant > 0"},
-    ),
+    "strongly_accretive": Kind(_modulus_strongly_accretive, {"c": "constant > 0"}),
     "constant": Kind(
         lambda sec: constant_modulus(sec.require("value", int)), {"value": "natural"}
     ),

@@ -39,9 +39,11 @@ def trunc_sub(a: int, b: int) -> int:
 
 
 def ceil_nat(x: float) -> int:
-    """Ceiling to a natural; rejects negatives."""
+    """Ceiling to a natural; rejects negatives and non-finite values."""
     if x < 0:
         raise ContractError(f"cannot ceil negative value {x} to a natural")
+    if isinstance(x, float) and not math.isfinite(x):  # an int may exceed the float range
+        raise ContractError(f"cannot ceil non-finite value {x} to a natural")
     return int(math.ceil(x))
 
 
@@ -93,6 +95,7 @@ def modulus_strongly_accretive(c: float) -> ConvergenceModulus:
     """
     if c <= 0.0:
         raise ValueError("strong-accretivity constant must be positive")
+    ceil_nat(1.0 / c)  # the smallest value, at k = 0, must lie in the float range
     return ConvergenceModulus(
         fn=lambda k, cap: ceil_nat((k + 1) * (k + 1) / c) - 1,
         provenance="strongly-accretive-derived",

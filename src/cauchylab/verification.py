@@ -772,19 +772,26 @@ def sweep_theorem(
         for k in map(int, ks):
             eps = 1.0 / (k + 1.0)
             for f in fs:
-                if theorem == "4.1":
-                    bound = semigroup_cauchy_rate(k, bundle.modulus, data)
-                elif theorem == "4.2":
-                    bound = closure_cauchy_rate(k, bundle.modulus, f, data)
-                elif theorem == "5.1":
-                    bound = cauchy_metastability_rate(k, f, orbit.phi_meta, bundle.modulus, data)
-                else:
-                    bound = almost_orbit_cauchy_rate(k, f, bundle.modulus, data)
-                observed, passed, extrapolated = _observe(
-                    theorem, eps, eps + bundle.solver.num_tol, bound, f, samples, residual
-                )
                 f_desc = f.description if f is not None else ""
-                margin = _margin(bound, observed)
+                try:
+                    if theorem == "4.1":
+                        bound = semigroup_cauchy_rate(k, bundle.modulus, data)
+                    elif theorem == "4.2":
+                        bound = closure_cauchy_rate(k, bundle.modulus, f, data)
+                    elif theorem == "5.1":
+                        bound = cauchy_metastability_rate(
+                            k, f, orbit.phi_meta, bundle.modulus, data
+                        )
+                    else:
+                        bound = almost_orbit_cauchy_rate(k, f, bundle.modulus, data)
+                    observed, passed, extrapolated = _observe(
+                        theorem, eps, eps + bundle.solver.num_tol, bound, f, samples, residual
+                    )
+                    margin = _margin(bound, observed)
+                except ContractError as exc:  # name the report that could not be made
+                    source = f"theorem {theorem} sweep over {scenario} at k={k}"
+                    source += f", f = {f_desc}" if f_desc else ""
+                    raise ContractError(f"{source}: {exc}") from None
                 reports.append(
                     RateReport(
                         scenario, theorem, k, f_desc, bound, observed, margin, passed, extrapolated

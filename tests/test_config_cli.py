@@ -222,6 +222,22 @@ BAD_CASES = [
         "step: 0.05, stabilization_tol: -1.0}",
         r"solver\.stabilization_tol: stabilization_tol must be nonnegative",
     ),
+    # a strong-accretivity constant so small that 1/c is infinite ended in an
+    # OverflowError traceback from ceil_nat in the 4.1 sweep
+    (
+        "strongly_accretive, c: 1.0}",
+        "strongly_accretive, c: 1.0e-320}",
+        r":8: scenario\.modulus\.c: cannot ceil non-finite value inf to a natural",
+    ),
+    # an integer beyond Python's digit limit ended in a ValueError traceback
+    # from PyYAML's int constructor
+    (
+        "kind: strongly_accretive, c: 1.0",
+        f"kind: constant, value: 1{'0' * 5000}",
+        r":8: scenario\.modulus\.value: integer of more than 4300 digits",
+    ),
+    # a scalar that PyYAML resolves to an impossible date ended likewise
+    ("  id: mini", "  id: 2020-02-30", r"not valid YAML: day is out of range for month"),
 ]
 
 

@@ -1,7 +1,10 @@
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cauchylab.cli import main as cli_main
 from cauchylab.counterfunctions import (
     Counterfunction,
     MetastabilityRate,
@@ -60,6 +63,35 @@ def test_values_beyond_the_float_range_are_contract_errors():
     with pytest.raises(ContractError, match="exceeds the float range"):
         parse_nat_function2("k + " + "9" * 400, ("r", "k"))
     assert parse_counterfunction("0" * 5000 + "7")(3) == 7
+
+
+def test_value_beyond_the_float_range_in_a_sweep_names_its_source(tmp_path, capsys):
+    # the s6(n+2) chain above as the domain function of a 4.2 sweep: the one
+    # error line names the theorem, the k and the expression
+    chain = ", ".join(['s1: "n*n"'] + [f's{i}: "s{i - 1}(s{i - 1}(n))"' for i in range(2, 7)])
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(
+        textwrap.dedent(
+            f"""\
+            seed: 7
+            scenario:
+              id: chain
+              space: {{kind: hilbert, dim: 2}}
+              operator: {{kind: scaled_identity, c: 1.0}}
+              initial_point: [1.0, 0.0]
+              solver: {{horizon: 10.0, step: 0.05}}
+              modulus: {{kind: strongly_accretive, c: 1.0}}
+              counterfunctions: {{{chain}}}
+              sweeps:
+                - {{theorem: "4.2", k_range: [0, 1], f_dom: "s6(n+2)"}}
+            """
+        )
+    )
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: theorem 4.2 sweep over chain at k=0, f = s6(n+2): "
+        "expression value 1.798e+308 exceeds the float range"
+    ]
 
 
 def test_parse_errors():

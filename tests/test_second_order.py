@@ -1,4 +1,7 @@
 import io
+import math
+import os
+import time
 from importlib import resources
 
 import numpy as np
@@ -14,6 +17,7 @@ from cauchylab import (
     Rotation,
     ScaledIdentity,
     SolverConfig,
+    SpaceContext,
     SqrtSemigroup,
     StronglyAccretive,
     TimeGrid,
@@ -25,9 +29,12 @@ from cauchylab import (
     solve_second_order,
 )
 from cauchylab.config import load_config
+from cauchylab import second_order
 from cauchylab.errors import HorizonError, SolverError
+from cauchylab.runner import run_config
 from cauchylab.second_order import (
     CSV_BLOCK_ROWS,
+    CSV_SPLIT_VALUES,
     _eliminate,
     _reduce,
     _solve_newton_system,
@@ -366,6 +373,114 @@ def test_trajectory_csv_is_written_in_row_blocks(hilbert2):
     data = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], traj.times)
     assert np.array_equal(data[:, 1:3], traj.values)
+
+
+def _just_split_table(dim):
+    """An identity trajectory whose table just reaches CSV_SPLIT_VALUES."""
+    op = ScaledIdentity(1.0, SpaceContext.hilbert(dim))
+    rows = CSV_SPLIT_VALUES // (dim + 3) + 1
+    traj = solve_second_order(op, np.ones(dim), SolverConfig(TimeGrid((rows - 1) * 0.01, 0.01)))
+    assert traj.times.size == rows
+    return op, traj
+
+
+@pytest.fixture
+def split_anywhere(monkeypatch):
+    """Every CPU this process may use counts as another one, so the writer
+    forks even on a one-CPU host; returns the list of forks made."""
+    assert second_order._other_cpus() <= os.sched_getaffinity(0)
+    monkeypatch.setattr(second_order, "_other_cpus", lambda: os.sched_getaffinity(0))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def _fail_in_child(monkeypatch, failure):
+    """Formatting that calls ``failure`` in any process but this one."""
+    parent, blocks = os.getpid(), second_order._csv_blocks
+
+    def child_fails(data, row):
+        if os.getpid() != parent:
+            failure()
+        return blocks(data, row)
+
+    monkeypatch.setattr(second_order, "_csv_blocks", child_fails)
+
+
+@pytest.mark.parametrize("dim, blocks", [(2, 4), (3, 3)], ids=["even_blocks", "odd_blocks"])
+def test_split_csv_is_the_serial_bytes(monkeypatch, split_anywhere, dim, blocks):
+    # just above the split threshold: the child's tail half joins the
+    # parent's head into exactly the bytes of the serial table
+    op, traj = _just_split_table(dim)
+    assert -(-traj.times.size // CSV_BLOCK_ROWS) == blocks
+    split = io.StringIO()
+    export_trajectory_csv(op, traj, split)
+    assert len(split_anywhere) == 1
+    monkeypatch.setattr(second_order, "CSV_SPLIT_VALUES", math.inf)
+    serial = io.StringIO()
+    export_trajectory_csv(op, traj, serial)
+    assert len(split_anywhere) == 1
+    assert split.getvalue() == serial.getvalue()
+    data = np.loadtxt(io.StringIO(split.getvalue()), delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], traj.times)
+    assert np.array_equal(data[:, 1 : dim + 1], traj.values)
+    assert np.array_equal(data[:, -2], op.space.norms(traj.values))
+    assert np.array_equal(data[:, -1], projection_profile(op, traj.values))
+
+
+def test_failed_split_child_fails_the_run(tmp_path, monkeypatch, split_anywhere):
+    # a child whose formatting raises: exit 1, no .tmp file and no child left
+    def fail():
+        raise ValueError("formatting failed")
+
+    _fail_in_child(monkeypatch, fail)
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(
+        "seed: 7\n"
+        "scenario:\n"
+        "  id: split\n"
+        "  space: {kind: hilbert, dim: 2}\n"
+        "  operator: {kind: scaled_identity, c: 1.0}\n"
+        "  initial_point: [1.0, 0.0]\n"
+        "  solver: {horizon: 70.0, step: 0.01}\n"  # 7,001 rows of 5 values
+        "  modulus: {kind: strongly_accretive, c: 1.0}\n"
+        "  sweeps:\n"
+        '    - {theorem: "4.1", k_range: [0, 0]}\n'
+    )
+    out = tmp_path / "out"
+    result = run_config(cfg, out)
+    assert len(split_anywhere) == 1
+    assert result.exit_code == 1
+    assert result.error.startswith(f"cannot write outputs to {out}")
+    assert result.error.endswith("exited with status 1")
+    assert not list(out.rglob("*.tmp"))
+    assert not (out / "trajectories.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_write_during_split_reaps_the_child_at_once(monkeypatch, split_anywhere):
+    # the parent's second block fails to write while the child still formats
+    # (here: sleeps for a minute); the export raises at once, child reaped
+    _fail_in_child(monkeypatch, lambda: time.sleep(60))
+    op, traj = _just_split_table(2)
+
+    class FullDisk(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:  # header, first block, second block
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+    start = time.monotonic()
+    with pytest.raises(OSError, match="No space left on device"):
+        export_trajectory_csv(op, traj, FullDisk())
+    assert time.monotonic() - start < 30
+    assert len(split_anywhere) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _dense(lower, diag, upper):
