@@ -17,6 +17,7 @@ reproducible: identical config and seed give byte-identical reports.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NoReturn
@@ -157,6 +158,31 @@ def _finite(value) -> bool:
         return False
 
 
+# YAML 1.1, which PyYAML follows, wants a dot in a float, a digit before a
+# signed dot and a sign on the exponent: 1e6, 1.0e6, 2E-3 and -.5 load as
+# strings
+_NUMBER_TEXT = re.compile(r"([-+]?)([0-9_]*)\.?([0-9_]*)(?:([eE])([-+]?)([0-9_]+))?")
+
+
+def _string_number_note(values) -> str:
+    """For the first string among ``values`` that Python reads as a finite
+    number: that YAML read it as a string, and a spelling YAML reads as
+    that float.  '' if there is none."""
+    for value in values:
+        match = isinstance(value, str) and _NUMBER_TEXT.fullmatch(value)
+        try:
+            if not match or not math.isfinite(float(value)):
+                continue
+        except ValueError:
+            continue
+        sign, whole, frac, e, exp_sign, exp = match.groups()
+        spelling = f"{sign}{whole or '0'}.{frac or '0'}"
+        if e:
+            spelling += f"{e}{exp_sign or '+'}{exp.replace('_', '')}"
+        return f"; YAML 1.1 read {value!r} as a string, write {spelling}"
+    return ""
+
+
 _TYPE_NAMES = {
     float: "a finite number",
     int: "an integer",
@@ -212,7 +238,8 @@ class _Section:
         else:
             ok = isinstance(value, kind)
         if not ok:
-            self.fail(key, f"field {key!r} must be {_TYPE_NAMES[kind]}")
+            note = _string_number_note([value]) if kind is float else ""
+            self.fail(key, f"field {key!r} must be {_TYPE_NAMES[kind]}{note}")
         return float(value) if kind is float else value
 
     def vector(self, key: str, dim: int) -> np.ndarray:
@@ -220,7 +247,9 @@ class _Section:
         value = self.require(key, list)
         if len(value) != dim or not all(_finite(v) for v in value):
             self.fail(
-                key, f"field {key!r} must be {dim} finite numbers (the space dimension)"
+                key,
+                f"field {key!r} must be {dim} finite numbers (the space dimension)"
+                + _string_number_note(value),
             )
         return np.array(value, dtype=float)
 
@@ -231,7 +260,8 @@ class _Section:
             isinstance(row, list) and len(row) == len(rows[0]) and all(_finite(v) for v in row)
             for row in rows
         ):
-            self.fail(key, f"field {key!r} must be rows of finite numbers, all of one length")
+            note = _string_number_note(v for row in rows if isinstance(row, list) for v in row)
+            self.fail(key, f"field {key!r} must be rows of finite numbers, all of one length{note}")
         return np.array(rows, dtype=float)
 
     def section(self, key: str, required: bool = True) -> "_Section":
@@ -491,7 +521,8 @@ def load_config(path: str | Path) -> ScenarioSpec:
             isinstance(pair, list) and len(pair) == 2 and all(_finite(v) and v > 0 for v in pair)
             for pair in raw
         ):
-            sol.fail("schedule", "schedule must be a nonempty list of positive [r, p] pairs")
+            note = _string_number_note(v for pair in raw if isinstance(pair, list) for v in pair)
+            sol.fail("schedule", f"schedule must be a nonempty list of positive [r, p] pairs{note}")
         schedule = tuple((float(r), float(p)) for r, p in raw)
     try:
         grid = TimeGrid(sol.get("horizon", 40.0, kind=float), sol.get("step", 0.01, kind=float))

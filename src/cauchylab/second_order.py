@@ -20,10 +20,7 @@ A drift monitor flags horizons too short for the asymptotics to settle.
 
 from __future__ import annotations
 
-import gc
 import math
-import os
-import signal
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -102,7 +99,7 @@ class Trajectory:
     def at_many(self, times) -> np.ndarray:
         """``at`` for an array of times, one row per time."""
         ts = np.asarray(times, dtype=float)
-        outside = (ts < 0.0) | (ts > self.grid.horizon)
+        outside = ~((ts >= 0.0) & (ts <= self.grid.horizon))  # NaN is outside too
         if outside.any():
             raise HorizonError(f"time {float(ts[outside][0])} outside [0, {self.grid.horizon}]")
         pos = ts / self.grid.step
@@ -588,7 +585,7 @@ class SqrtSemigroup:
 
     def at_many(self, times) -> np.ndarray:
         ts = np.asarray(times, dtype=float)
-        outside = (ts < 0.0) | (ts > self.trusted_horizon + 1e-12)
+        outside = ~((ts >= 0.0) & (ts <= self.trusted_horizon + 1e-12))  # NaN too
         if outside.any():
             raise HorizonError(
                 f"time {float(ts[outside][0])} outside trusted range [0, {self.trusted_horizon}]"
@@ -695,24 +692,6 @@ def projection_profile(op: AccretiveOperator, values: np.ndarray) -> np.ndarray:
 
 
 CSV_BLOCK_ROWS = 2048
-# a table of at least this many values has its tail half formatted by a
-# forked child on another CPU; measured break-even 25,000-35,000 values
-CSV_SPLIT_VALUES = 2**15
-
-
-def _csv_blocks(data: np.ndarray, row: str):
-    """The rows of ``data`` through the template ``row``, joined per block."""
-    for start in range(0, len(data), CSV_BLOCK_ROWS):
-        yield "".join([row % tuple(r) for r in data[start : start + CSV_BLOCK_ROWS].tolist()])
-
-
-def _other_cpus() -> set[int]:
-    """The CPUs this process may use but is not running on; none off Linux."""
-    try:
-        with open("/proc/self/stat") as fh:
-            return os.sched_getaffinity(0) - {int(fh.read().rsplit(")", 1)[1].split()[36])}
-    except (OSError, AttributeError):
-        return set()
 
 
 def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out) -> None:
@@ -724,47 +703,21 @@ def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out) -> None:
     ext4 (``auto_da_alloc``) treats that truncation of an existing file as
     a replace, forcing its blocks to be allocated at close.
 
-    A large table is formatted on two CPUs: a forked child formats the
-    tail half and pipes it back while this process writes the head.  The
-    child is pinned away from this CPU, as a host without load balancing
-    would leave it there.  A failed child is an OSError.
+    A converging trajectory repeats its values, so each distinct double
+    (by bits: -0.0 is not 0.0) is formatted once, and the rows index those
+    strings; the bytes are those of a ``%r`` row template.
     """
     dim = traj.values.shape[1]
     out.write("t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set\n")
     data = np.column_stack(
         [traj.times, traj.values, op.space.norms(traj.values), projection_profile(op, traj.values)]
     )
-    row = ",".join(["%r"] * data.shape[1]) + "\n"
-    others = _other_cpus() if data.size >= CSV_SPLIT_VALUES else None
-    if not others:
-        for text in _csv_blocks(data, row):
-            out.write(text)
-        return
-    half = -(-len(data) // (2 * CSV_BLOCK_ROWS)) * CSV_BLOCK_ROWS
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # never returns into the caller, nor flushes inherited buffers
-        code = 1
-        try:
-            gc.disable()  # a collection would copy every page it touches
-            os.sched_setaffinity(0, others)
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write("".join(_csv_blocks(data[half:], row)).encode())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:  # closed before the wait: a blocked child gets EPIPE
-            for text in _csv_blocks(data[:half], row):
-                out.write(text)
-            tail = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise OSError(f"the process formatting the table's tail exited with status {status}")
-    out.write(tail.decode())
+    # a 1-D input: the inverse's shape for a 2-D one differs across numpy versions
+    bits, inverse = np.unique(data.view(np.uint64).ravel(), return_inverse=True)
+    inverse = inverse.reshape(data.shape)
+    del data  # the strings and the blocks set the peak: free the rest first
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    del bits
+    for start in range(0, len(inverse), CSV_BLOCK_ROWS):
+        rows = texts[inverse[start : start + CSV_BLOCK_ROWS]].tolist()
+        out.write("\n".join(map(",".join, rows)) + "\n")

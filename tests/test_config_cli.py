@@ -238,7 +238,35 @@ BAD_CASES = [
     ),
     # a scalar that PyYAML resolves to an impossible date ended likewise
     ("  id: mini", "  id: 2020-02-30", r"not valid YAML: day is out of range for month"),
+    # YAML 1.1 reads 1e6 as a string: the error says so, and how to spell it
+    (
+        "horizon: 10.0",
+        "horizon: 1e6",
+        r"solver\.horizon: field 'horizon' must be a finite number; "
+        r"YAML 1\.1 read '1e6' as a string, write 1\.0e\+6$",
+    ),
+    (
+        "initial_point: [1.0, 0.0]",
+        "initial_point: [1e308, 1e308]",
+        r"initial_point: .*; YAML 1\.1 read '1e308' as a string, write 1\.0e\+308$",
+    ),
+    (
+        "step: 0.05}",
+        "step: 0.05, schedule: [[0.1, 0.1], [1e-3, 1.0e-3]]}",
+        r"solver\.schedule: .*; YAML 1\.1 read '1e-3' as a string, write 1\.0e-3$",
+    ),
 ]
+
+
+@pytest.mark.parametrize("text", ["1e6", "1e-6", "1.0e6", "2E-3", "-.5", "+5.e3", "1_0e1_0"])
+def test_number_read_as_a_string_names_a_spelling_that_loads(tmp_path, text):
+    point = "initial_point: [1.0, 0.0]"
+    path = write_cfg(tmp_path, MINIMAL.replace(point, f"initial_point: [{text}, 0.0]"))
+    with pytest.raises(ConfigError, match=f"read {re.escape(repr(text))} as a string") as err:
+        load_config(path)
+    spelling = str(err.value).rsplit(" ", 1)[1]
+    path = write_cfg(tmp_path, MINIMAL.replace(point, f"initial_point: [{spelling}, 0.0]"))
+    assert load_config(path).x[0] == float(text)
 
 
 def test_bad_entries_rejected(tmp_path):

@@ -1,8 +1,6 @@
 import io
-import math
-import os
-import time
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,12 +27,9 @@ from cauchylab import (
     solve_second_order,
 )
 from cauchylab.config import load_config
-from cauchylab import second_order
 from cauchylab.errors import HorizonError, SolverError
-from cauchylab.runner import run_config
 from cauchylab.second_order import (
     CSV_BLOCK_ROWS,
-    CSV_SPLIT_VALUES,
     _eliminate,
     _reduce,
     _solve_newton_system,
@@ -166,6 +161,16 @@ def test_sqrt_semigroup_queries(hilbert2):
         sg.at(19.5)
     with pytest.raises(HorizonError):
         sg.at(-0.1)
+
+
+def test_nan_time_is_outside_the_horizon(hilbert2):
+    # NaN compares false with both ends, so it must not slip into indexing
+    op = LinearPSD(np.diag([1.0, 4.0]), hilbert2)
+    sg = SqrtSemigroup(op, np.array([1.0, 1.0]), SolverConfig(TimeGrid(20.0, 0.01)))
+    with pytest.raises(HorizonError, match="time nan outside trusted range"):
+        sg.at_many(np.array([1.0, np.nan]))
+    with pytest.raises(HorizonError, match=r"time nan outside \[0, 20\.0\]"):
+        sg.trajectory.at_many(np.array([1.0, np.nan]))
 
 
 def test_sqrt_semigroup_law(hilbert2):
@@ -375,112 +380,76 @@ def test_trajectory_csv_is_written_in_row_blocks(hilbert2):
     assert np.array_equal(data[:, 1:3], traj.values)
 
 
-def _just_split_table(dim):
-    """An identity trajectory whose table just reaches CSV_SPLIT_VALUES."""
-    op = ScaledIdentity(1.0, SpaceContext.hilbert(dim))
-    rows = CSV_SPLIT_VALUES // (dim + 3) + 1
-    traj = solve_second_order(op, np.ones(dim), SolverConfig(TimeGrid((rows - 1) * 0.01, 0.01)))
-    assert traj.times.size == rows
-    return op, traj
+# the helpers split the rows into lines: pytest reports the first line that
+# differs at once, where a diff of two long strings takes minutes
 
 
-@pytest.fixture
-def split_anywhere(monkeypatch):
-    """Every CPU this process may use counts as another one, so the writer
-    forks even on a one-CPU host; returns the list of forks made."""
-    assert second_order._other_cpus() <= os.sched_getaffinity(0)
-    monkeypatch.setattr(second_order, "_other_cpus", lambda: os.sched_getaffinity(0))
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-    return forks
-
-
-def _fail_in_child(monkeypatch, failure):
-    """Formatting that calls ``failure`` in any process but this one."""
-    parent, blocks = os.getpid(), second_order._csv_blocks
-
-    def child_fails(data, row):
-        if os.getpid() != parent:
-            failure()
-        return blocks(data, row)
-
-    monkeypatch.setattr(second_order, "_csv_blocks", child_fails)
-
-
-@pytest.mark.parametrize("dim, blocks", [(2, 4), (3, 3)], ids=["even_blocks", "odd_blocks"])
-def test_split_csv_is_the_serial_bytes(monkeypatch, split_anywhere, dim, blocks):
-    # just above the split threshold: the child's tail half joins the
-    # parent's head into exactly the bytes of the serial table
-    op, traj = _just_split_table(dim)
-    assert -(-traj.times.size // CSV_BLOCK_ROWS) == blocks
-    split = io.StringIO()
-    export_trajectory_csv(op, traj, split)
-    assert len(split_anywhere) == 1
-    monkeypatch.setattr(second_order, "CSV_SPLIT_VALUES", math.inf)
-    serial = io.StringIO()
-    export_trajectory_csv(op, traj, serial)
-    assert len(split_anywhere) == 1
-    assert split.getvalue() == serial.getvalue()
-    data = np.loadtxt(io.StringIO(split.getvalue()), delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], traj.times)
-    assert np.array_equal(data[:, 1 : dim + 1], traj.values)
-    assert np.array_equal(data[:, -2], op.space.norms(traj.values))
-    assert np.array_equal(data[:, -1], projection_profile(op, traj.values))
-
-
-def test_failed_split_child_fails_the_run(tmp_path, monkeypatch, split_anywhere):
-    # a child whose formatting raises: exit 1, no .tmp file and no child left
-    def fail():
-        raise ValueError("formatting failed")
-
-    _fail_in_child(monkeypatch, fail)
-    cfg = tmp_path / "split.cfg"
-    cfg.write_text(
-        "seed: 7\n"
-        "scenario:\n"
-        "  id: split\n"
-        "  space: {kind: hilbert, dim: 2}\n"
-        "  operator: {kind: scaled_identity, c: 1.0}\n"
-        "  initial_point: [1.0, 0.0]\n"
-        "  solver: {horizon: 70.0, step: 0.01}\n"  # 7,001 rows of 5 values
-        "  modulus: {kind: strongly_accretive, c: 1.0}\n"
-        "  sweeps:\n"
-        '    - {theorem: "4.1", k_range: [0, 0]}\n'
+def _reference_csv_rows(op, traj):
+    """The table's lines as the ``%r`` row template formats them."""
+    data = np.column_stack(
+        [traj.times, traj.values, op.space.norms(traj.values), projection_profile(op, traj.values)]
     )
-    out = tmp_path / "out"
-    result = run_config(cfg, out)
-    assert len(split_anywhere) == 1
-    assert result.exit_code == 1
-    assert result.error.startswith(f"cannot write outputs to {out}")
-    assert result.error.endswith("exited with status 1")
-    assert not list(out.rglob("*.tmp"))
-    assert not (out / "trajectories.csv").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    row = ",".join(["%r"] * data.shape[1]) + "\n"
+    return "".join([row % tuple(r) for r in data.tolist()]).split("\n")
 
 
-def test_failed_write_during_split_reaps_the_child_at_once(monkeypatch, split_anywhere):
-    # the parent's second block fails to write while the child still formats
-    # (here: sleeps for a minute); the export raises at once, child reaped
-    _fail_in_child(monkeypatch, lambda: time.sleep(60))
-    op, traj = _just_split_table(2)
+def _csv_rows(op, traj):
+    out = io.StringIO()
+    export_trajectory_csv(op, traj, out)
+    return out.getvalue().split("\n")[1:]
 
-    class FullDisk(io.StringIO):
-        writes = 0
 
-        def write(self, text):
-            self.writes += 1
-            if self.writes == 3:  # header, first block, second block
-                raise OSError(28, "No space left on device")
-            return super().write(text)
+# signed zeros, the smallest subnormal and normal doubles, values whose
+# squares underflow, and both sides of repr's switches to exponent form
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    1.2345678901234567e-173,
+    -9.87e-174,
+    1e-05,
+    0.0001,
+    1e16,
+    9999999999999998.0,
+    -1e16,
+    0.1,
+    1.0,
+]
 
-    start = time.monotonic()
-    with pytest.raises(OSError, match="No space left on device"):
-        export_trajectory_csv(op, traj, FullDisk())
-    assert time.monotonic() - start < 30
-    assert len(split_anywhere) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+
+def test_trajectory_csv_edge_values_are_the_template_bytes():
+    op = ScaledIdentity(1.0, SpaceContext.hilbert(2))
+    rng = np.random.default_rng(5)
+    times = np.array(EDGE_VALUES * 3)
+    values = rng.choice(EDGE_VALUES, size=(times.size, 2))
+    values[:2, 0] = [0.0, -0.0]  # both zeros in one column
+    traj = SimpleNamespace(times=times, values=values)
+    lines = _csv_rows(op, traj)
+    assert lines == _reference_csv_rows(op, traj)
+    assert lines[0].split(",")[1] == "0.0"
+    assert lines[1].split(",")[1] == "-0.0"
+    cells = {cell for line in lines for cell in line.split(",")}
+    assert {"5e-324", "2.2250738585072014e-308", "1e-05", "0.0001", "1e+16"} <= cells
+    assert "9999999999999998.0" in cells
+
+
+@pytest.mark.parametrize(
+    "rows", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1], ids=["one_row", "one_block", "block_plus_one"]
+)
+@pytest.mark.parametrize("table", ["repeated", "distinct"])
+def test_trajectory_csv_is_the_template_bytes(rows, table):
+    # a multi-row table fails here too if the writer indexes the inverse of
+    # np.unique without reshaping it to the table's rows
+    op = ScaledIdentity(1.0, SpaceContext.hilbert(3))
+    rng = np.random.default_rng(rows)
+    if table == "repeated":
+        values = np.tile(rng.normal(size=(3, 3)), (-(-rows // 3), 1))[:rows]
+    else:
+        values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-150, 150, size=(rows, 3))
+    traj = SimpleNamespace(times=np.arange(rows) * 0.01, values=values)
+    assert _csv_rows(op, traj) == _reference_csv_rows(op, traj)
 
 
 def _dense(lower, diag, upper):
