@@ -2,16 +2,20 @@
 
 A configuration file describes one scenario: the space, the operator,
 the initial point, solver parameters, the modulus for the convergence
-condition, optional rate-data overrides, almost-orbit constructions and
-the theorem sweeps to run.  ``load_config`` parses and validates it,
-reporting violations with file and line anchors, and builds the live
-objects (space, operator, modulus, counterfunctions) without doing any
-solving.  Every operator, modulus, almost-orbit and theorem a config may
-name is declared once, in the catalog tables below, which the loader
-reads and ``cauchylab list-catalog`` prints.
+condition, almost-orbit constructions and the theorem sweeps to run.
+``load_config`` parses and validates it, reporting violations with file
+and line anchors, and builds the live objects (space, operator, modulus,
+counterfunctions) without doing any solving.  Every operator, modulus,
+almost-orbit and theorem a config may name is declared once, in the
+catalog tables below, which the loader reads and ``cauchylab
+list-catalog`` prints.
 
 A mandatory RNG seed makes every sampling-based validation
 reproducible: identical config and seed give byte-identical reports.
+A config sets no rate data and no validation budget: the sweeps compute
+b, D, B and omega from the scenario, and every run samples at the
+defaults of ``verify_accretive``, ``validate_strong_monotonicity`` and
+``modulus_check``.
 """
 
 from __future__ import annotations
@@ -42,17 +46,15 @@ from .operators import (
     StronglyAccretive,
 )
 from .rates import ConvergenceModulus, constant_modulus, modulus_strongly_accretive
-from .second_order import SolverConfig, TimeGrid
+from .second_order import MIN_STEPS, SolverConfig, TimeGrid
 from .semigroup import ExpFormulaConfig
 from .spaces import SpaceContext
 
 # resource caps: the sweeps cost O(sample_points^2) time and one report
-# per k (per orbit and counterfunction) in each sweep; each validation
-# sample is one graph pair or modulus evaluation; the Newton system holds
-# (horizon / step) dim x dim blocks
+# per k (per orbit and counterfunction) in each sweep; the Newton system
+# holds (horizon / step) dim x dim blocks
 MAX_SAMPLE_POINTS = 10_000
 MAX_K_VALUES = 1_000
-MAX_VALIDATION_SAMPLES = 1_000_000
 MAX_SYSTEM_ENTRIES = 10_000_000
 
 
@@ -63,15 +65,6 @@ class SweepSpec:
     counterfunctions: tuple[Counterfunction, ...] = ()
     orbit_kinds: tuple[str, ...] = ()
     f_dom: Counterfunction | None = None
-
-
-@dataclass(frozen=True)
-class ValidationSpec:
-    accretivity_samples: int = 200
-    region_radius: float = 2.0
-    monotonicity_samples: int = 10_000
-    modulus_samples: int = 2_000
-    run_modulus_check: bool = True
 
 
 @dataclass
@@ -86,15 +79,10 @@ class ScenarioSpec:
     dynamics: str
     solver: SolverConfig
     modulus: ConvergenceModulus
-    omega: Callable[[int, int], int] | None
-    b_override: float | None
-    d_override: float | None
-    orbit_bound_override: int | None
     orbit_specs: tuple[dict, ...]
     sweeps: tuple[SweepSpec, ...]
-    validation: ValidationSpec
+    run_modulus_check: bool
     output_dir: str | None
-    lp_validate_radius: float = 2.0
 
 
 # libyaml's parser where PyYAML has it, else the pure-Python one; both
@@ -416,16 +404,14 @@ def _build(sec: _Section, menu: dict, what: str, *args):
         raise ConfigError(str(exc), sec.anchors.where(sec.path))
 
 
-# the keys of each space kind; validate_radius bounds the strong-monotonicity
-# sampling, which only the lp kind runs
+# the keys of each space kind
 SPACE_KEYS = {
     "hilbert": ("kind", "dim"),
-    "lp": ("kind", "dim", "p", "M", "validate_radius"),
+    "lp": ("kind", "dim", "p", "M"),
 }
 
 
-def _build_space(sec: _Section) -> tuple[SpaceContext, float]:
-    """The space and the radius its duality map is validated on."""
+def _build_space(sec: _Section) -> SpaceContext:
     kind = sec.require("kind", str)
     if kind not in SPACE_KEYS:
         sec.fail("kind", f"unknown space kind {kind!r}")
@@ -433,20 +419,10 @@ def _build_space(sec: _Section) -> tuple[SpaceContext, float]:
     dim = sec.require("dim", int)
     try:
         if kind == "hilbert":
-            space = SpaceContext.hilbert(dim)
-        else:
-            space = SpaceContext.lp(dim, sec.require("p", float), sec.require("M", float))
+            return SpaceContext.hilbert(dim)
+        return SpaceContext.lp(dim, sec.require("p", float), sec.require("M", float))
     except ValueError as exc:
         raise ConfigError(str(exc), sec.anchors.where(sec.path))
-    return space, _radius(sec, "validate_radius")
-
-
-def _radius(sec: _Section, key: str) -> float:
-    """A sampling radius: finite and positive, 2.0 when absent."""
-    radius = sec.get(key, 2.0, kind=float)
-    if radius <= 0.0:
-        sec.fail(key, f"{key} must be positive")
-    return radius
 
 
 def _parse_cf(text, named, anchors, path) -> Counterfunction:
@@ -482,7 +458,6 @@ def load_config(path: str | Path) -> ScenarioSpec:
         "dynamics",
         "solver",
         "modulus",
-        "rate_data",
         "counterfunctions",
         "orbits",
         "sweeps",
@@ -490,7 +465,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
     )
     scenario_id = sc.require("id", str)
 
-    space, lp_validate_radius = _build_space(sc.section("space"))
+    space = _build_space(sc.section("space"))
     # the initial point first: its length in the file bounds the dimension
     # that building the operator may allocate for
     x = sc.vector("initial_point", space.dim)
@@ -531,6 +506,8 @@ def load_config(path: str | Path) -> ScenarioSpec:
     if grid.n_steps * space.dim**2 > MAX_SYSTEM_ENTRIES:
         message = f"(horizon / step) * dim^2 exceeds {MAX_SYSTEM_ENTRIES} Newton system entries"
         sol.fail("step", message)
+    if dynamics == "second_order" and grid.n_steps < MIN_STEPS:
+        sol.fail("step", f"a second-order grid needs horizon / step >= {MIN_STEPS}")
     stab_tol = sol.get("stabilization_tol", SolverConfig.stab_tol, kind=float)
     if stab_tol < 0.0:
         sol.fail("stabilization_tol", "stabilization_tol must be nonnegative")
@@ -552,24 +529,6 @@ def load_config(path: str | Path) -> ScenarioSpec:
         sol.fail("margin", str(exc))
 
     modulus = _build(sc.section("modulus"), MODULI, "modulus")
-
-    rd = sc.section("rate_data", required=False)
-    rd.known("b", "d_budget", "orbit_bound", "omega")
-    b_override = rd.get("b", kind=float)
-    d_override = rd.get("d_budget", kind=float)
-    orbit_bound_override = rd.get("orbit_bound", kind=int)
-    for key, value in (("b", b_override), ("d_budget", d_override)):
-        if value is not None and value < 0.0:
-            rd.fail(key, f"{key} must be nonnegative")
-    if orbit_bound_override is not None and orbit_bound_override < 0:
-        rd.fail("orbit_bound", "orbit_bound must be a natural")
-    omega = None
-    omega_text = rd.get("omega", kind=str)
-    if omega_text is not None and omega_text.strip() != "k":
-        try:
-            omega = parse_nat_function2(omega_text, ("r", "k"))
-        except CauchyLabError as exc:
-            rd.fail("omega", str(exc))
 
     named: dict[str, Counterfunction] = {}
     raw_named = sc.get("counterfunctions", kind=dict)
@@ -655,23 +614,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
         )
 
     vsec = sc.section("validation", required=False)
-    vsec.known(
-        "accretivity_samples",
-        "region_radius",
-        "monotonicity_samples",
-        "modulus_samples",
-        "run_modulus_check",
-    )
-    samples = {}
-    for key in ("accretivity_samples", "monotonicity_samples", "modulus_samples"):
-        samples[key] = vsec.get(key, getattr(ValidationSpec, key), kind=int)
-        if not 1 <= samples[key] <= MAX_VALIDATION_SAMPLES:
-            vsec.fail(key, f"{key} must lie in [1, {MAX_VALIDATION_SAMPLES}]")
-    validation = ValidationSpec(
-        region_radius=_radius(vsec, "region_radius"),
-        run_modulus_check=vsec.get("run_modulus_check", True, kind=bool),
-        **samples,
-    )
+    vsec.known("run_modulus_check")
     return ScenarioSpec(
         scenario_id=scenario_id,
         seed=seed,
@@ -681,13 +624,8 @@ def load_config(path: str | Path) -> ScenarioSpec:
         dynamics=dynamics,
         solver=solver,
         modulus=modulus,
-        omega=omega,
-        b_override=b_override,
-        d_override=d_override,
-        orbit_bound_override=orbit_bound_override,
         orbit_specs=tuple(orbit_specs),
         sweeps=tuple(sweeps),
-        validation=validation,
+        run_modulus_check=vsec.get("run_modulus_check", True, kind=bool),
         output_dir=output_dir,
-        lp_validate_radius=lp_validate_radius,
     )

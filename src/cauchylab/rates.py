@@ -138,7 +138,7 @@ class _MonotoneGuard:
 class ScenarioRateData:
     """Quantitative scenario data feeding the rate functionals.
 
-    ``b`` dominates both ||x|| and ||x - Px||; ``d_budget`` is the ceiled
+    ``b`` is max(||x||, ||x - Px||); ``d_budget`` is the ceiled
     integral budget (1 + b^2)(2/M^2) d(0,Ax)^{1/2} b^{3/2}; ``orbit_bound``
     is a natural B with ||u(t) - p|| <= B on the certified horizon; ``omega``
     is the uniform-continuity modulus of the zero-set projection (clamped
@@ -162,28 +162,14 @@ class ScenarioRateData:
         norm_x: float,
         dist_proj: float,
         dist_zero: float,
-        b: float | None = None,
-        d_budget: float | None = None,
         orbit_bound: int | None = None,
         omega: Callable[[int, int], int] | None = None,
         f_family: Callable[[int], Counterfunction] | None = None,
     ) -> "ScenarioRateData":
         if m_const <= 0.0:
             raise ContractError("strong-monotonicity constant must be positive")
-        if b is None:
-            b = max(norm_x, dist_proj)
-        if b + 1e-9 < max(norm_x, dist_proj):
-            raise ContractError(
-                f"b={b} must dominate both the norm {norm_x} and the "
-                f"projection distance {dist_proj}"
-            )
-        floor = (1.0 + b * b) * (2.0 / (m_const * m_const)) * math.sqrt(dist_zero) * b ** 1.5
-        if d_budget is None:
-            d_budget = floor
-        elif d_budget + 1e-9 < floor:
-            raise ContractError(
-                f"budget D={d_budget} below required floor {floor:.6g}"
-            )
+        b = max(norm_x, dist_proj)
+        d_budget = (1.0 + b * b) * (2.0 / (m_const * m_const)) * math.sqrt(dist_zero) * b ** 1.5
         if orbit_bound is not None and orbit_bound < 0:
             raise ContractError("orbit bound must be a natural")
         return ScenarioRateData(

@@ -73,14 +73,13 @@ def _jsonable(obj):
 
 
 def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
-    """Solve the scenario trajectory, build orbits, run load validations."""
+    """Solve the scenario trajectory, build orbits, run load validations,
+    each at its validator's default budget."""
     diagnostics: dict = {"scenario": spec.scenario_id, "dynamics": spec.dynamics}
 
     if spec.space.kind == "lp":
         rng = np.random.default_rng([spec.seed, 1])
-        mono = spec.space.validate_strong_monotonicity(
-            spec.lp_validate_radius, spec.validation.monotonicity_samples, rng
-        )
+        mono = spec.space.validate_strong_monotonicity(rng=rng)
         diagnostics["strong_monotonicity"] = {
             "constant": mono.constant,
             "min_ratio": mono.min_ratio,
@@ -95,12 +94,7 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
             )
 
     rng = np.random.default_rng([spec.seed, 2])
-    acc = verify_accretive(
-        spec.op,
-        spec.validation.accretivity_samples,
-        spec.validation.region_radius,
-        rng,
-    )
+    acc = verify_accretive(spec.op, rng=rng)
     diagnostics["accretivity"] = {
         "min_pairing": acc.min_pairing,
         "samples": acc.samples,
@@ -138,10 +132,6 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         modulus=spec.modulus,
         trajectory=trajectory,
         solver=spec.solver,
-        omega=spec.omega,
-        b_override=spec.b_override,
-        d_override=spec.d_override,
-        orbit_bound_override=spec.orbit_bound_override,
         orbits=orbits,
     )
 
@@ -165,11 +155,9 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         "pass": fj.passed,
     }
 
-    if spec.validation.run_modulus_check:
+    if spec.run_modulus_check:
         rng = np.random.default_rng([spec.seed, 3])
-        mc = modulus_check(
-            spec.op, spec.modulus, n_samples=spec.validation.modulus_samples, rng=rng
-        )
+        mc = modulus_check(spec.op, spec.modulus, rng=rng)
         diagnostics["modulus_check"] = {
             "samples_checked": mc.samples_checked,
             "counterexamples": _jsonable(mc.counterexamples),

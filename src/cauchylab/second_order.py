@@ -30,6 +30,8 @@ from .errors import HorizonError, SolverError
 from .operators import AccretiveOperator
 
 DEFAULT_SCHEDULE = ((0.1, 0.1), (0.01, 0.01), (0.001, 0.001))
+# the fewest grid steps the discrete two-point system is solved on
+MIN_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -386,8 +388,8 @@ def _newton(
     """
     x = op.space.check(x)
     n = grid.n_steps
-    if n < 4:
-        raise ValueError("grid too coarse: need at least 4 steps")
+    if n < MIN_STEPS:
+        raise ValueError(f"grid too coarse: need at least {MIN_STEPS} steps")
     dim = op.space.dim
     if init is None:
         u = np.tile(x, (n, 1))

@@ -146,7 +146,7 @@ class SpaceContext:
 
     def validate_strong_monotonicity(
         self,
-        radius: float,
+        radius: float = 2.0,
         samples: int = 10_000,
         rng: np.random.Generator | None = None,
     ) -> MonotonicityReport:
@@ -155,6 +155,8 @@ class SpaceContext:
         For the Hilbert kind the inequality is an identity with M = 1, so
         the report is a formality.  For lp the configured M is a scenario
         datum; the sampled minimum ratio certifies it on the region only.
+        J is 1-homogeneous, so a pair's ratio is scale-free: ``radius``
+        moves no verdict.
         """
         if rng is None:
             rng = np.random.default_rng(0)

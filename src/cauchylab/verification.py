@@ -179,7 +179,7 @@ def modulus_check(
     modulus: ConvergenceModulus,
     k_max: int = 5,
     cap_max: int = 10,
-    n_samples: int = 10_000,
+    n_samples: int = 2_000,
     rng: np.random.Generator | None = None,
     tol: float = 1e-9,
     max_counterexamples: int = 10,
@@ -606,7 +606,8 @@ class ScenarioBundle:
 
     ``solver`` is the trajectory's solver setup: its trusted horizon and
     ``sample_points`` set the samples, and its ``num_tol`` the allowance
-    of every distance comparison."""
+    of every distance comparison.  The rate data b, D, B and omega are
+    computed from the scenario, never supplied."""
 
     scenario_id: str
     op: AccretiveOperator
@@ -614,10 +615,6 @@ class ScenarioBundle:
     modulus: ConvergenceModulus
     trajectory: Trajectory
     solver: SolverConfig
-    omega: Callable[[int, int], int] | None = None
-    b_override: float | None = None
-    d_override: float | None = None
-    orbit_bound_override: int | None = None
     orbits: list[AlmostOrbit] = field(default_factory=list)
 
     def __post_init__(self):
@@ -652,17 +649,14 @@ class ScenarioBundle:
         space = self.op.space
         norm_x = space.norm(self.x)
         dist_proj = space.norm(self.x - self.op.project_zeros(self.x))
-        # the identity modulus is valid whenever the zero-set projection is
-        # nonexpansive (always in the Hilbert kind); configs may override
-        omega = self.omega if self.omega is not None else (lambda r, k: k)
         return ScenarioRateData.for_point(
             m_const=space.M,
             norm_x=norm_x,
             dist_proj=dist_proj,
             dist_zero=self.op.dist_zero(self.x),
-            b=self.b_override,
-            d_budget=self.d_override,
-            omega=omega,
+            # the identity modulus: every catalog zero-set projection is
+            # nonexpansive
+            omega=lambda r, k: k,
         )
 
     def orbit_rate_data(self, orbit: AlmostOrbit) -> ScenarioRateData:
@@ -670,9 +664,7 @@ class ScenarioBundle:
         samples = self.orbit_samples(orbit)
         # deviation from the origin, which every catalog zero set contains
         sup_dev = float(np.max(space.norms(samples.values)))
-        orbit_bound = self.orbit_bound_override
-        if orbit_bound is None:
-            orbit_bound = max(1, math.ceil(sup_dev - 1e-9))
+        orbit_bound = max(1, math.ceil(sup_dev - 1e-9))
         worst = samples.graph_bound
 
         # one uniform bound for the whole family: valid at every orbit

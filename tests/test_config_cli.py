@@ -87,6 +87,17 @@ def test_each_solver_key_reaches_its_field(tmp_path):
     assert spec.solver.num_tol == 1e-6 + 1e-4
 
 
+def test_one_step_first_order_grid_loads(tmp_path):
+    # only the second-order Newton system needs 4 steps
+    text = MINIMAL.replace(
+        "  solver: {horizon: 10.0, step: 0.05}",
+        "  solver: {horizon: 0.01, step: 0.01, margin: 0.0}\n  dynamics: first_order",
+    )
+    spec = load_config(write_cfg(tmp_path, text))
+    assert spec.dynamics == "first_order"
+    assert spec.solver.grid.n_steps == 1
+
+
 def test_missing_seed(tmp_path):
     path = write_cfg(tmp_path, MINIMAL.replace("seed: 7\n", ""))
     with pytest.raises(ConfigError, match="seed"):
@@ -130,13 +141,14 @@ BAD_CASES = [
     ("  sweeps:", "  validation: {monotonicity_samples: 0}\n  sweeps:", "monotonicity_samples"),
     ("  sweeps:", "  validation: {accretivity_samples: -5}\n  sweeps:", "accretivity_samples"),
     ("  sweeps:", "  validation: {modulus_samples: 1000001}\n  sweeps:", "modulus_samples"),
-    # a sampling radius must be positive: -3 used to end in a traceback,
-    # and 0 in a vacuous pass
+    # the sampling radii are fixed: a negative one once ended in a
+    # traceback, and 0 in a vacuous pass
     *(
         (
             "space: {kind: hilbert, dim: 2}",
             f"space: {{kind: lp, dim: 2, p: 4.0, M: 0.02, validate_radius: {r}}}",
-            r"space\.validate_radius: validate_radius must be positive",
+            r":4: scenario\.space\.validate_radius: unknown key 'validate_radius' "
+            r"\(allowed: kind, dim, p, M\)",
         )
         for r in ("-3.0", "0.0")
     ),
@@ -144,20 +156,23 @@ BAD_CASES = [
         (
             "  sweeps:",
             f"  validation: {{region_radius: {r}}}\n  sweeps:",
-            r"validation\.region_radius: region_radius must be positive",
+            r"scenario\.validation\.region_radius: unknown key 'region_radius' "
+            r"\(allowed: run_modulus_check\)",
         )
         for r in ("-5.0", "0.0")
     ),
     ("  sweeps:", "  validation: {region_radius: .inf}\n  sweeps:", "region_radius"),
     # an expression literal above the float range: a 5000-digit one ended in
     # a ValueError traceback from the int-string limit
-    *(
-        (
-            "  sweeps:",
-            f"  {section}: {{{key}: \"{'9' * 5000}\"}}\n  sweeps:",
-            rf"{section}\.{key}: expression value 1\.000e\+5000 exceeds the float range",
-        )
-        for section, key in (("counterfunctions", "big"), ("rate_data", "omega"))
+    (
+        "  sweeps:",
+        f"  counterfunctions: {{big: \"{'9' * 5000}\"}}\n  sweeps:",
+        r"counterfunctions\.big: expression value 1\.000e\+5000 exceeds the float range",
+    ),
+    (
+        "  sweeps:",
+        f"  rate_data: {{omega: \"{'9' * 5000}\"}}\n  sweeps:",
+        r"scenario\.rate_data: unknown key 'rate_data'",
     ),
     ("horizon: 10.0, step: 0.05", "horizon: 1.0e+6, step: 0.01", "Newton system"),
     (
@@ -190,22 +205,31 @@ BAD_CASES = [
         r"operator\.base\.c: unknown key 'c' \(allowed: kind\)",
     ),
     ("strongly_accretive, c: 1.0}", "strongly_accretive, c: 1.0, k: 1}", r"modulus\.k: unknown"),
-    ("  sweeps:", "  rate_data: {b: 1.0, bb: 2.0}\n  sweeps:", r"rate_data\.bb: unknown"),
-    ("  sweeps:", "  validation: {region_radius: 1.0, radius: 2}\n  sweeps:", r"validation\.radius"),
+    ("  sweeps:", "  rate_data: {b: 1.0, bb: 2.0}\n  sweeps:", r"scenario\.rate_data: unknown"),
+    (
+        "  sweeps:",
+        "  validation: {region_radius: 1.0, radius: 2}\n  sweeps:",
+        r"validation\.region_radius: unknown key",
+    ),
     ("  sweeps:", "  orbits: [{kind: exact, lam: 1.0}]\n  sweeps:", r"orbits\[0\]\.lam: unknown"),
     ("k_range: [0, 1]}", "k_range: [0, 1], theorm: 4.2}", r"sweeps\[0\]\.theorm: unknown"),
-    # rate-data overrides are naturals or nonnegative: orbit_bound -3 gave
-    # the bounds of 1, and negative b or d_budget failed only in the sweep
-    (
-        "  sweeps:",
-        "  rate_data: {orbit_bound: -3}\n  sweeps:",
-        r"rate_data\.orbit_bound: orbit_bound must be a natural",
+    # the program computes the rate data: an override could only loosen the
+    # bounds, and an orbit_bound below the orbit's deviation (0, or -3) broke
+    # the theorems' hypothesis while the reports still passed
+    *(
+        (
+            "  sweeps:",
+            f"  rate_data: {{{entry}}}\n  sweeps:",
+            r":9: scenario\.rate_data: unknown key 'rate_data' \(allowed: id, space,",
+        )
+        for entry in ("orbit_bound: -3", "orbit_bound: 0", "b: -1.0", "d_budget: -5.0")
     ),
-    ("  sweeps:", "  rate_data: {b: -1.0}\n  sweeps:", r"rate_data\.b: b must be nonnegative"),
+    # the discrete second-order system needs 4 steps: 3 ended in a
+    # ValueError traceback from the Newton solve
     (
-        "  sweeps:",
-        "  rate_data: {d_budget: -5.0}\n  sweeps:",
-        r"rate_data\.d_budget: d_budget must be nonnegative",
+        "solver: {horizon: 10.0, step: 0.05}",
+        "solver: {horizon: 0.03, step: 0.01, margin: 0.0}",
+        r":7: scenario\.solver\.step: a second-order grid needs horizon / step >= 4$",
     ),
     # solver keys range-checked in the loader: first_order_n_max 0 ended in
     # a ValueError traceback, and a negative stabilization_tol loaded

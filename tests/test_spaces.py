@@ -60,6 +60,30 @@ def test_duality_identities_random(coords, kind):
     assert space.check_duality_identities(np.array(coords))
 
 
+# a coordinate: 0, or of magnitude in [1e-6, 1e3], so no power underflows
+_COORD = st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(2.0, 8.0),
+    lam=st.floats(1e-3, 1e3),
+    rows=st.integers(1, 4).flatmap(
+        lambda dim: st.lists(st.lists(_COORD, min_size=dim, max_size=dim), min_size=1, max_size=6)
+    ),
+)
+def test_lp_duality_map_is_one_homogeneous(p, lam, rows):
+    # J(lam x) = lam J(x): a pair's ratio <Jx - Jy, x - y> / ||x - y||^2 is
+    # the same at every scale, so the monotonicity sampling radius moves no
+    # verdict
+    rows = np.array(rows)
+    space = SpaceContext.lp(rows.shape[1], p, 0.02)
+    scaled = space.duality_map_many(lam * rows)
+    expected = lam * space.duality_map_many(rows)
+    err = np.abs(scaled - expected).max(axis=1)
+    assert np.all(err <= 1e-12 * np.abs(expected).max(axis=1))
+
+
 def test_hilbert_strong_monotonicity_exact(hilbert2):
     rng = np.random.default_rng(7)
     for _ in range(100):
