@@ -1,9 +1,9 @@
 """Batch execution of a scenario config: solve, validate, sweep, report.
 
 Outputs land in the configured directory: ``reports.json`` (canonical,
-byte-reproducible for a fixed seed), ``reports.csv``, the scenario
-``trajectories.csv``, and a ``plotdata/`` directory of plain-text .dat
-files plus a small plotting script.  Each file is written once, through
+byte-reproducible for a fixed seed, and the only report file), the
+scenario ``trajectories.csv``, and ``plotdata/plot_all.py``, a small
+script that plots both.  Each file is written once, through
 one handle on a fresh temporary name, and renamed into place, so no
 output is ever left half written; a failed write removes its temporary.
 A rerun into the same directory unlinks each old file just before the
@@ -19,8 +19,6 @@ are diagnostics only and never count toward acceptance.
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import json
 import math
 import os
@@ -245,33 +243,10 @@ def reports_json_text(spec: ScenarioSpec, reports, diagnostics) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def reports_csv_text(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["scenario", "theorem", "k", "f_desc", "bound", "observed", "margin", "pass", "extrapolated"]
-    )
-    for r in reports:
-        d = r.to_dict()
-        writer.writerow(
-            [
-                d["scenario"],
-                d["theorem"],
-                d["k"],
-                d["f_desc"],
-                d["bound"],
-                "" if d["observed"] is None else repr(d["observed"]),
-                "" if d["margin"] is None else repr(d["margin"]),
-                int(d["pass"]),
-                int(d["extrapolated"]),
-            ]
-        )
-    return buf.getvalue()
-
-
 _PLOT_SCRIPT = """\
 #!/usr/bin/env python3
-\"\"\"Render the .dat files next to this script into PNG figures.\"\"\"
+\"\"\"Render ../trajectories.csv and the rows of ../reports.json into PNG figures.\"\"\"
+import json
 import pathlib
 
 import matplotlib
@@ -290,17 +265,24 @@ ax.set_yscale("log")
 ax.legend()
 fig.savefig(here / "trajectory_profile.png", dpi=150)
 
-for dat in sorted(here.glob("bounds_*.dat")):
-    data = np.loadtxt(dat, ndmin=2)
+# one figure per theorem, two lines per (scenario, f_desc) series
+series = {}
+for r in json.loads((here.parent / "reports.json").read_text())["reports"]:
+    series.setdefault(r["theorem"], {}).setdefault((r["scenario"], r["f_desc"]), []).append(r)
+for theorem, groups in sorted(series.items()):
     fig, ax = plt.subplots()
-    ax.semilogy(data[:, 0], data[:, 1], "o-", label="computed bound")
-    finite = data[:, 2] >= 0
-    ax.semilogy(data[finite, 0], np.maximum(data[finite, 2], 1e-6), "s--",
-                label="observed threshold")
+    for (scenario, f_desc), rows in sorted(groups.items()):
+        rows.sort(key=lambda r: r["k"])
+        name = scenario + (f", f = {f_desc}" if f_desc else "")
+        seen = [r for r in rows if r["observed"] is not None]
+        ax.semilogy([r["k"] for r in rows], [r["bound"] for r in rows], "o-",
+                    label=f"{name}: computed bound")
+        ax.semilogy([r["k"] for r in seen], [max(r["observed"], 1e-6) for r in seen], "s--",
+                    label=f"{name}: observed threshold")
     ax.set_xlabel("k")
-    ax.set_title(dat.stem)
-    ax.legend()
-    fig.savefig(dat.with_suffix(".png"), dpi=150)
+    ax.set_title(f"Theorem {theorem}")
+    ax.legend(fontsize="x-small")
+    fig.savefig(here / ("bounds_" + theorem.replace(".", "_") + ".png"), dpi=150)
 print("wrote figures to", here)
 """
 
@@ -310,24 +292,12 @@ def write_outputs(
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "reports.json", reports_json_text(spec, reports, diagnostics))
-    _atomic_write(out_dir / "reports.csv", reports_csv_text(reports))
 
     with _atomic_open(out_dir / "trajectories.csv") as fh:
         export_trajectory_csv(bundle.op, bundle.trajectory, fh)
 
-    plot_dir = out_dir / "plotdata"
-    plot_dir.mkdir(exist_ok=True)
-    by_theorem: dict[str, list] = {}
-    for r in reports:
-        by_theorem.setdefault(r.theorem, []).append(r)
-    for theorem, rows in sorted(by_theorem.items()):
-        text = "# k  bound  observed(-1 if none)\n"
-        for r in sorted(rows, key=lambda r: (r.k, r.scenario, r.f_desc)):
-            observed = float(r.observed) if math.isfinite(r.observed) else -1.0
-            text += f"{r.k} {int(r.bound)!r} {observed!r}\n"
-        name = "bounds_" + theorem.replace(".", "_") + ".dat"
-        _atomic_write(plot_dir / name, text)
-    _atomic_write(plot_dir / "plot_all.py", _PLOT_SCRIPT)
+    (out_dir / "plotdata").mkdir(exist_ok=True)
+    _atomic_write(out_dir / "plotdata" / "plot_all.py", _PLOT_SCRIPT)
 
 
 def exit_code_for(reports) -> int:

@@ -457,12 +457,12 @@ def test_bundled_report_rows_match_golden(tmp_path, name):
 def test_run_config_minimal(tmp_path):
     result = run_config(write_cfg(tmp_path, MINIMAL), out_dir=tmp_path / "out")
     assert result.exit_code == 0
-    assert (tmp_path / "out" / "reports.json").exists()
-    assert (tmp_path / "out" / "reports.csv").exists()
-    assert (tmp_path / "out" / "trajectories.csv").exists()
-    assert (tmp_path / "out" / "plotdata" / "plot_all.py").exists()
-    # the trajectory profile is read from trajectories.csv, not repeated in a .dat
-    assert not (tmp_path / "out" / "plotdata" / "trajectory_profile.dat").exists()
+    out = tmp_path / "out"
+    # reports.json is the only report file; the plot script reads it and
+    # trajectories.csv, so a run writes nothing else
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert files == ["plotdata/plot_all.py", "reports.json", "trajectories.csv"]
+    assert not (out / "reports.csv").exists()
     payload = json.loads((tmp_path / "out" / "reports.json").read_text())
     assert payload["config"]["seed"] == 7
     assert payload["diagnostics"]["accretivity"]["pass"] is True
@@ -474,14 +474,6 @@ def test_run_config_error_exit_1(tmp_path):
     result = run_config(path, out_dir=tmp_path / "out")
     assert result.exit_code == 1
     assert "seed" in result.error
-
-
-def test_reports_csv_schema(tmp_path):
-    result = run_config(write_cfg(tmp_path, MINIMAL), out_dir=tmp_path / "out")
-    assert result.exit_code == 0
-    lines = (tmp_path / "out" / "reports.csv").read_text().splitlines()
-    assert lines[0] == "scenario,theorem,k,f_desc,bound,observed,margin,pass,extrapolated"
-    assert len(lines) == 1 + len(result.reports)
 
 
 def test_determinism_same_seed(tmp_path):
@@ -745,14 +737,9 @@ def test_rerun_into_same_out_rewrites_identical_files(tmp_path):
         assert moves[i - 1] == ("os.remove", moves[i][2])
 
 
-def test_plot_script_reads_trajectory_csv_and_bounds(tmp_path, monkeypatch, capsys):
-    # matplotlib is not a dependency: a stub records what the script would draw
-    text = MINIMAL.replace(
-        '    - {theorem: "4.1", k_range: [0, 1]}\n',
-        '    - {theorem: "4.1", k_range: [0, 1]}\n    - {theorem: "4.2", k_range: [0, 2]}\n',
-    )
-    result = run_config(write_cfg(tmp_path, text), out_dir=tmp_path / "out")
-    assert result.exit_code == 0
+def _run_plot_script(out, monkeypatch, capsys):
+    """Run ``out/plotdata/plot_all.py`` under a matplotlib stub (matplotlib
+    is not a dependency); return the (fig, ax) mocks it drew on."""
     pyplot = types.ModuleType("matplotlib.pyplot")
     figures = []
 
@@ -766,11 +753,24 @@ def test_plot_script_reads_trajectory_csv_and_bounds(tmp_path, monkeypatch, caps
     mpl.pyplot = pyplot
     monkeypatch.setitem(sys.modules, "matplotlib", mpl)
     monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
-    plot_dir = tmp_path / "out" / "plotdata"
-    runpy.run_path(str(plot_dir / "plot_all.py"), run_name="__main__")
+    runpy.run_path(str(out / "plotdata" / "plot_all.py"), run_name="__main__")
     assert "wrote figures to" in capsys.readouterr().out
+    return figures
 
-    data = np.loadtxt(tmp_path / "out" / "trajectories.csv", delimiter=",", skiprows=1)
+
+def test_plot_script_reads_trajectory_csv_and_bounds(tmp_path, monkeypatch, capsys):
+    text = MINIMAL.replace(
+        '    - {theorem: "4.1", k_range: [0, 1]}\n',
+        '    - {theorem: "4.1", k_range: [0, 1]}\n    - {theorem: "4.2", k_range: [0, 2]}\n',
+    )
+    out = tmp_path / "out"
+    assert run_config(write_cfg(tmp_path, text), out_dir=out).exit_code == 0
+    # the run wrote only reports.json, trajectories.csv and the script
+    # (test_run_config_minimal), so those are all the script can read
+    figures = _run_plot_script(out, monkeypatch, capsys)
+    plot_dir = out / "plotdata"
+
+    data = np.loadtxt(out / "trajectories.csv", delimiter=",", skiprows=1)
     (fig, ax), *bounds_figs = figures
     (t1, norm_u), _ = ax.plot.call_args_list[0]
     (t2, dist), _ = ax.plot.call_args_list[1]
@@ -778,10 +778,42 @@ def test_plot_script_reads_trajectory_csv_and_bounds(tmp_path, monkeypatch, caps
     assert np.array_equal(norm_u, data[:, 3]) and np.array_equal(dist, data[:, 4])
     fig.savefig.assert_called_once_with(plot_dir / "trajectory_profile.png", dpi=150)
 
+    reports = json.loads((out / "reports.json").read_text())["reports"]
     assert len(bounds_figs) == 2
     for theorem, (fig, ax) in zip(["4.1", "4.2"], bounds_figs):
-        rows = sorted((r.k, r.bound) for r in result.reports if r.theorem == theorem)
+        rows = sorted((r["k"], r["bound"]) for r in reports if r["theorem"] == theorem)
         (ks, bounds, _), _ = ax.semilogy.call_args_list[0]
-        assert ks.tolist() == [k for k, _ in rows] and bounds.tolist() == [b for _, b in rows]
+        assert ks == [k for k, _ in rows] and bounds == [b for _, b in rows]
         name = "bounds_" + theorem.replace(".", "_") + ".png"
         fig.savefig.assert_called_once_with(plot_dir / name, dpi=150)
+
+
+def test_plot_script_draws_one_bound_line_per_series(tmp_path, monkeypatch, capsys):
+    # every (orbit, counterfunction) series of a theorem gets its own bound
+    # and observed lines over the sweep's ks, not one line through all rows
+    text = MINIMAL.replace(
+        '  sweeps:\n    - {theorem: "4.1", k_range: [0, 1]}\n',
+        "  orbits:\n"
+        "    - {kind: exact}\n"
+        "    - {kind: additive_decay, v: [0.0, 1.0], lam: 1.0}\n"
+        "  sweeps:\n"
+        '    - {theorem: "5.1", k_range: [0, 2], counterfunctions: ["0", "n"]}\n',
+    )
+    out = tmp_path / "out"
+    assert run_config(write_cfg(tmp_path, text), out_dir=out).exit_code == 0
+    figures = _run_plot_script(out, monkeypatch, capsys)
+    assert len(figures) == 2
+    fig, ax = figures[1]
+    calls = ax.semilogy.call_args_list
+    bound_lines = [c for c in calls if c.args[2] == "o-"]
+    observed_lines = [c for c in calls if c.args[2] == "s--"]
+    assert len(bound_lines) == 4 and len(observed_lines) == 4
+    assert all(c.args[0] == [0, 1, 2] for c in bound_lines)
+    labels = [c.kwargs["label"] for c in bound_lines]
+    assert labels == [
+        "mini/additive_decay, f = 0: computed bound",
+        "mini/additive_decay, f = n: computed bound",
+        "mini/exact, f = 0: computed bound",
+        "mini/exact, f = n: computed bound",
+    ]
+    fig.savefig.assert_called_once_with(out / "plotdata" / "bounds_5_1.png", dpi=150)
