@@ -365,12 +365,96 @@ def _solve_newton_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndar
     return y
 
 
+def _solve_toeplitz_dense(blocks: tuple, rhs: np.ndarray) -> np.ndarray:
+    """``_solve_toeplitz_system``'s dense tail: a level's five blocks
+    spread over its m >= 2 rows, solved by ``_solve_dense``."""
+    diag, coupling, first, last, last_lower = blocks
+    dim, m = rhs.shape
+    level = np.empty((dim, 3 * dim + 1, m))
+    d, lower, upper, r = _parts(level)
+    d[...] = diag[:, :, None]
+    d[:, :, 0] = first
+    d[:, :, -1] = last
+    lower[...] = coupling[:, :, None]
+    lower[:, :, -1] = last_lower
+    upper[...] = coupling[:, :, None]
+    r[...] = rhs
+    return _solve_dense(level)
+
+
+def _solve_toeplitz_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_solve_newton_system`` for a constant (dim, dim) diagonal block:
+    solve c y[i-1] + diag y[i] + c y[i+1] = rhs[i] for i < n, with the
+    ghost row's lower coupling 2c.  rhs is (dim, n), n >= 3; returns y as
+    (dim, n).
+
+    Block-Toeplitz cyclic reduction (Buzbee, Golub & Nielson, SIAM J.
+    Numer. Anal. 1970).  Every block of every level is a rational function
+    of diag and c, so a level is five dim x dim blocks and its right-hand
+    side: the interior D and coupling C (lower and upper alike), the first
+    row's D and the last row's D and lower coupling.  A level inverts D
+    once; its odd rows are y[i] = phi[i] - D^-1 C (y[i-1] + y[i+1]) with
+    phi = D^-1 r, and its even rows, a system of half the size, take
+    r - C (phi[i-1] + phi[i+1]).  An odd last row is solved with its own
+    blocks.  The first level is always reduced, so a singular diag raises
+    ``LinAlgError`` however few the unknowns; once at most
+    ``_DENSE_UNKNOWNS`` unknowns are left, they are solved densely.
+    Memory is O(n dim): each level keeps its phi for the back-substitution.
+    """
+    dim, n = rhs.shape
+    if n < 3:
+        raise ValueError("a block-Toeplitz reduction needs at least 3 rows")
+    coupling = c * np.eye(dim)
+    blocks = (diag, coupling, diag, diag, 2.0 * coupling)
+    levels = []
+    while not levels or (rhs.shape[1] * dim > _DENSE_UNKNOWNS and rhs.shape[1] >= 3):
+        diag, coupling, first, last, last_lower = blocks
+        m = rhs.shape[1]
+        n_odd, n_even = m // 2, (m + 1) // 2
+        inv = np.linalg.inv(diag)
+        alpha = inv @ coupling
+        phi = inv @ rhs[:, 1::2]
+        schur = coupling @ alpha  # C D^-1 C
+        if m % 2:
+            # the last row is even: its odd neighbour couples by last_lower
+            last_alpha = None
+            nxt_last_lower = -(last_lower @ alpha)
+            nxt_last = last + nxt_last_lower
+        else:
+            # the last row is odd: the even row before it becomes the last
+            last_alpha = np.linalg.solve(last, last_lower)
+            phi[:, -1] = np.linalg.solve(last, rhs[:, -1])
+            nxt_last_lower = -schur
+            nxt_last = diag - schur - coupling @ last_alpha
+        sums = np.zeros((dim, n_even))
+        sums[:, :n_odd] = phi
+        sums[:, 1:] += phi[:, : n_even - 1]
+        nxt = rhs[:, ::2] - coupling @ sums
+        if m % 2:
+            nxt[:, -1] = rhs[:, -1] - last_lower @ sums[:, -1]
+        levels.append((alpha, phi, last_alpha))
+        blocks = (diag - 2.0 * schur, -schur, first - schur, nxt_last, nxt_last_lower)
+        rhs = nxt
+    y = _solve_toeplitz_dense(blocks, rhs)
+    for alpha, phi, last_alpha in reversed(levels):
+        n_odd, n_even = phi.shape[1], y.shape[1]
+        full = np.empty((dim, n_odd + n_even))
+        full[:, ::2] = y
+        sides = y[:, :n_odd].copy()
+        sides[:, : n_even - 1] += y[:, 1:]
+        full[:, 1::2] = phi - alpha @ sides
+        if last_alpha is not None:
+            full[:, -1] = phi[:, -1] - last_alpha @ sides[:, -1]
+        y = full
+    return y
+
+
 def _newton(
     op: AccretiveOperator,
     x: np.ndarray,
     grid: TimeGrid,
     force,
-    force_jacobian,
+    solve_step,
     init: np.ndarray | None,
     label: str,
     r: float,
@@ -380,11 +464,16 @@ def _newton(
     ``init`` (the constant x when None).  The forcing belongs to the
     regularization (r, p), which errors name and the metadata records.
 
-    The Jacobian is block tridiagonal: diagonal blocks -2/h^2 - F'(u_i),
-    couplings 1/h^2 times the identity (doubled on the ghost-node row).
-    It is evaluated only at accepted iterates; line-search trials need the
-    residual alone.  A linear forcing is solved by the first step; the
-    damping only engages for the nonlinear ones.
+    ``solve_step(u, rhs)`` solves the Newton system at the iterate u for
+    a batch-last right-hand side rhs (dim, n).  Its Jacobian is block
+    tridiagonal: diagonal blocks -2/h^2 - F'(u_i), couplings 1/h^2 times
+    the identity (doubled on the ghost-node row).  A nonlinear forcing
+    passes its Jacobian blocks to ``_solve_newton_system``; a linear one,
+    F = B, has the one block -2/h^2 - B and uses
+    ``_solve_toeplitz_system``.  It is called only at accepted iterates;
+    line-search trials need the residual alone.  A linear forcing is
+    solved by the first step; the damping only engages for the nonlinear
+    ones.
     """
     x = op.space.check(x)
     n = grid.n_steps
@@ -400,22 +489,13 @@ def _newton(
 
     params = f"(r={r:g}, p={reg_p:g})"
     h = grid.step
-    inv_h2 = 1.0 / (h * h)
-    eye = np.eye(dim)
     try:
         res = _residual(x, h, u, force(u))
         rnorm = float(np.max(np.abs(res)))
         for _ in range(NEWTON_MAX_ITER):
             if rnorm <= NEWTON_RESIDUAL_TOL:
                 break
-            diag = -2.0 * inv_h2 * eye - force_jacobian(u)
-            if diag.ndim == 3:
-                # one transposing copy: the reduction's strided reads of a
-                # transposed view would cost several
-                diag = np.ascontiguousarray(diag.transpose(1, 2, 0))
-            else:
-                diag = np.broadcast_to(diag[:, :, None], (dim, dim, n))
-            step = _solve_newton_system(inv_h2, diag, -res.T).T
+            step = solve_step(u, -res.T).T
             lam = 1.0
             while True:
                 u_new = u + lam * step
@@ -455,12 +535,20 @@ def solve_regularized(
     if r <= 0.0 or reg_p <= 0.0:
         raise ValueError("regularization parameters must be positive")
     eye = np.eye(op.space.dim)
+    inv_h2 = 1.0 / (grid.step * grid.step)
+
+    def solve_step(u, rhs):
+        diag = -2.0 * inv_h2 * eye - (op.yosida_jacobian_many(r, u) + reg_p * eye)
+        # one transposing copy: the reduction's strided reads of a
+        # transposed view would cost several
+        return _solve_newton_system(inv_h2, np.ascontiguousarray(diag.transpose(1, 2, 0)), rhs)
+
     return _newton(
         op,
         x,
         grid,
         lambda u: op.yosida_many(r, u) + reg_p * u,
-        lambda u: op.yosida_jacobian_many(r, u) + reg_p * eye,
+        solve_step,
         init,
         "regularized solve",
         r,
@@ -493,15 +581,17 @@ def solve_second_order(
 
     A linear operator A = B is its own limit A_0: the unregularized
     problem u'' = Bu is solved once, at r = p = 0, and the schedule is not
-    used.  Otherwise continuation runs along the decreasing (r, p)
-    ``solver.schedule`` with warm starts, and stops when successive
-    trajectories differ by at most ``solver.stab_tol`` in the sup norm.
-    When the supplied schedule is exhausted unstabilized, both parameters
-    keep shrinking by decades down to ``r_floor``: the j-th extra stage is
-    the last supplied pair shifted j decimal places, so it holds the
-    intended decimal value (1e-07, not the 1.0000000000000002e-07 of
-    repeated division by ten).  Failing that, the trajectory is returned
-    with a warning flag in the metadata.
+    used.  Its Newton system has the one diagonal block -2/h^2 - B on
+    every row, so a step is one block-Toeplitz reduction
+    (``_solve_toeplitz_system``) in O(n dim) memory.  Otherwise
+    continuation runs along the decreasing (r, p) ``solver.schedule`` with
+    warm starts, and stops when successive trajectories differ by at most
+    ``solver.stab_tol`` in the sup norm.  When the supplied schedule is
+    exhausted unstabilized, both parameters keep shrinking by decades down
+    to ``r_floor``: the j-th extra stage is the last supplied pair shifted
+    j decimal places, so it holds the intended decimal value (1e-07, not
+    the 1.0000000000000002e-07 of repeated division by ten).  Failing
+    that, the trajectory is returned with a warning flag in the metadata.
     """
     x = op.space.check(x)
     grid = solver.grid
@@ -510,12 +600,14 @@ def solve_second_order(
         raise ValueError("continuation schedule is empty")
     b = op.linear_matrix
     if b is not None:
+        inv_h2 = 1.0 / (grid.step * grid.step)
+        diag = -2.0 * inv_h2 * np.eye(op.space.dim) - b
         traj = _newton(
             op,
             x,
             grid,
             lambda u: u @ b.T,
-            lambda u: b,
+            lambda u, rhs: _solve_toeplitz_system(inv_h2, diag, rhs),
             None,
             "linear solve",
             0.0,

@@ -194,6 +194,11 @@ def modulus_check(
     ``samples_checked`` counts the samples within the caps up to it.  A
     modulus that fails at an entry raises when a sample up to that stop
     needs the entry.  A check that judged no sample does not pass.
+
+    Only samples with ||x|| and ||Ax|| within the cap are judged, so a
+    linear operator's points (A = B) are scaled by 1 / max(1, ||B||_2)
+    after the draw: the random stream is the same, and every draw with
+    ||x|| within the cap is judged however large ||B|| is.
     """
     if max_counterexamples < 1:
         raise ContractError("max_counterexamples must be positive")
@@ -204,6 +209,8 @@ def modulus_check(
     checked = 0
     table: dict[tuple[int, int], float] = {}
     failures: dict[tuple[int, int], CauchyLabError] = {}
+    b = op.linear_matrix
+    spread = 1.0 if b is None else max(1.0, float(np.linalg.norm(b, 2)))
 
     def threshold(k: int, cap: int) -> float:
         if (k, cap) not in table:
@@ -217,7 +224,7 @@ def modulus_check(
     for start in range(0, n_samples, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, n_samples - start)
         caps = rng.integers(1, cap_max + 1, size=size)
-        xs = rng.uniform(-caps[:, None], caps[:, None], size=(size, space.dim))
+        xs = rng.uniform(-caps[:, None], caps[:, None], size=(size, space.dim)) / spread
         ys = op.select_many(xs)
         inside = (space.norms(xs) <= caps) & (space.norms(ys) <= caps)
         v = xs - op.project_zeros_many(xs)

@@ -100,6 +100,9 @@ def modulus_reference(op, modulus, k_max, cap_max, n_samples, rng, tol=1e-9, max
         size = min(SAMPLE_CHUNK, n_samples - start)
         caps = rng.integers(1, cap_max + 1, size=size)
         xs = rng.uniform(-caps[:, None], caps[:, None], size=(size, space.dim))
+        if op.linear_matrix is not None:
+            # a linear operator's points are scaled into the region it can judge
+            xs = xs / max(1.0, np.linalg.norm(op.linear_matrix, 2))
         for cap, x in zip(caps.tolist(), xs):
             y = op.select(x)
             if space.norm(x) > cap or space.norm(y) > cap:
@@ -305,9 +308,10 @@ def test_modulus_check_cap_and_threshold_edges():
 
 
 def test_modulus_check_with_no_sample_inside_the_caps_fails():
-    # |Ax| = 1000 |x| exceeds every cap up to 10 unless |x| <= 0.01, which
-    # no sample of the default caps reaches in dimension 6
-    op = ScaledIdentity(1000.0, SpaceContext.hilbert(6))
+    # |Ax| = 1 + 1000 |x| exceeds every cap up to 10 unless |x| <= 0.009,
+    # which no sample of the default caps reaches in dimension 6; the
+    # operator is nonlinear, so its points are not scaled by 1 / |A|
+    op = StronglyAccretive(NormSubdifferential(SpaceContext.hilbert(6)), 1000.0)
     report = modulus_check(op, constant_modulus(0), n_samples=2000, rng=np.random.default_rng(0))
     assert report.samples_checked == 0
     assert report.counterexamples == []

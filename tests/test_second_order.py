@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from importlib import resources
 from types import SimpleNamespace
 
@@ -30,9 +31,11 @@ from cauchylab.config import load_config
 from cauchylab.errors import HorizonError, SolverError
 from cauchylab.second_order import (
     CSV_BLOCK_ROWS,
+    MIN_STEPS,
     _eliminate,
     _reduce,
     _solve_newton_system,
+    _solve_toeplitz_system,
     export_trajectory_csv,
     projection_profile,
 )
@@ -631,3 +634,112 @@ def test_singular_newton_block_is_solver_error(dim):
     x = np.ones(dim)
     with pytest.raises(SolverError, match=r"singular matrix \(r=0\.1, p=2\)"):
         solve_regularized(op, 0.1, 2.0, x, TimeGrid(200.0, 0.5))
+
+
+def _linear_newton_residual(c, diag, y, rhs):
+    """c y[i-1] + diag y[i] + c y[i+1] - rhs[i] row by row, with the ghost
+    row's 2c y[n-2]; y and rhs are (n, dim)."""
+    res = y @ diag.T - rhs
+    res[1:] += c * y[:-1]
+    res[:-1] += c * y[1:]
+    res[-1] += c * y[-2]
+    return res
+
+
+def _linear_matrix(kind, dim, rng):
+    """B of a linear operator: symmetric PSD, skew (a rotation generator),
+    or general with a PSD symmetric part."""
+    g = rng.normal(size=(dim, dim))
+    skew = 2.0 * (g - g.T)
+    psd = rng.normal(size=(dim, dim))
+    psd = psd @ psd.T
+    if rng.random() < 0.3:  # a nontrivial nullspace
+        w, v = np.linalg.eigh(psd)
+        psd = (v * np.where(np.arange(dim) < dim // 2, 0.0, w)) @ v.T
+    return {"psd": psd, "skew": skew, "general": psd + skew}[kind]
+
+
+# the first level is always reduced; a level of at most 96 unknowns is the
+# dense tail, so small n * dim reach it after one level and large ones after many
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(MIN_STEPS, 3000),
+    dim=st.integers(1, 14),
+    kind=st.sampled_from(["psd", "skew", "general"]),
+    h=st.floats(0.01, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=MIN_STEPS, dim=1, kind="psd", h=0.01, seed=1)
+@example(n=5, dim=14, kind="general", h=0.5, seed=2)
+@example(n=96, dim=1, kind="psd", h=0.1, seed=3)
+@example(n=97, dim=1, kind="psd", h=0.1, seed=4)
+@example(n=194, dim=1, kind="skew", h=0.1, seed=5)
+@example(n=1500, dim=1, kind="general", h=0.01, seed=6)
+@example(n=3000, dim=14, kind="general", h=0.01, seed=7)
+@example(n=2999, dim=6, kind="skew", h=0.02, seed=8)
+@example(n=100, dim=13, kind="psd", h=1.5, seed=9)
+def test_toeplitz_reduction_matches_dense_solve(n, dim, kind, h, seed):
+    """The Newton system of a linear forcing (one diagonal block -2c - B,
+    couplings c = 1/h^2, 2c into the ghost row), against LAPACK's solve of
+    the assembled matrix while that fits in 18 MB, and by its residual
+    everywhere."""
+    rng = np.random.default_rng(seed)
+    c = 1.0 / (h * h)
+    b = _linear_matrix(kind, dim, rng)
+    diag = -2.0 * c * np.eye(dim) - b
+    rhs = rng.normal(size=(n, dim))
+    y = _solve_toeplitz_system(c, diag, rhs.T).T
+    assert y.shape == (n, dim)
+    # normwise: the matrix's infinity norm is that of diag plus 2c
+    scale = (np.linalg.norm(diag, np.inf) + 2.0 * c) * np.max(np.abs(y))
+    res = _linear_newton_residual(c, diag, y, rhs)
+    assert np.max(np.abs(res)) <= 1e-10 * scale
+    if n * dim <= 1500:
+        eye = np.eye(dim)
+        lower = np.repeat(c * eye[None], n, axis=0)
+        lower[-1] *= 2.0
+        upper = np.repeat(c * eye[None], n, axis=0)
+        mat = _dense(lower, np.repeat(diag[None], n, axis=0), upper)
+        ref = np.linalg.solve(mat, rhs.ravel()).reshape(n, dim)
+        assert np.max(np.abs(y - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [MIN_STEPS, 5, 48, 49, 401])
+@pytest.mark.parametrize("dim", [1, 2, 14])
+def test_toeplitz_reduction_singular_block_raises(n, dim):
+    # B = -8 I at h = 0.5 cancels -2/h^2: the diagonal block is zero, while
+    # the assembled matrix of an even n is not singular; the reduction must
+    # raise whether the dense tail comes after one level or after many
+    diag = -2.0 * 4.0 * np.eye(dim) - (-8.0 * np.eye(dim))  # -2c - B, exactly zero
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_toeplitz_system(4.0, diag, np.ones((dim, n)))
+    with pytest.raises(ValueError):
+        _solve_toeplitz_system(4.0, -10.0 * np.eye(dim), np.ones((dim, 2)))
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_singular_linear_solve_is_solver_error(dim):
+    # 4 grid steps of a dim-2 system are 8 unknowns, one dense solve after
+    # the first level
+    op = LinearMatrix(-8.0 * np.eye(dim))
+    solver = SolverConfig(TimeGrid(2.0, 0.5), margin=0.5)
+    with pytest.raises(SolverError, match=r"linear solve hit a singular matrix \(r=0, p=0\)"):
+        solve_second_order(op, np.ones(dim), solver)
+
+
+def test_linear_newton_step_memory_is_linear():
+    # 12,000 nodes at dim 6: the reduction keeps a few (dim, nodes) arrays;
+    # the block-per-row reduction it replaced peaked at 20.4 MiB here
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(6, 6))
+    c = 1.0 / 0.01**2
+    diag = -2.0 * c * np.eye(6) - g @ g.T
+    rhs = rng.normal(size=(12_000, 6)).T
+    tracemalloc.start()
+    try:
+        y = _solve_toeplitz_system(c, diag, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+    assert np.max(np.abs(_linear_newton_residual(c, diag, y.T, rhs.T))) <= 1e-8

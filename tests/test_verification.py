@@ -105,6 +105,20 @@ def test_modulus_check_rotation_counterexamples(hilbert2):
     assert ce["dist"] > 1.0 / (ce["k"] + 1.0)
 
 
+def test_modulus_check_linear_points_are_scaled_into_the_cap():
+    # A = B + I with B PSD and ||A|| = 3 in dim 5: uniform points in
+    # [-cap, cap]^5 seldom have ||Ax|| <= cap; unscaled, this check judged
+    # 13 of its 2,000 samples
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    psd = q @ np.diag([0.0, 0.5, 1.0, 1.5, 2.0]) @ q.T
+    op = StronglyAccretive(LinearPSD(psd), 1.0)
+    assert abs(np.linalg.norm(op.linear_matrix, 2) - 3.0) <= 1e-12
+    report = modulus_check(op, modulus_strongly_accretive(1.0), rng=np.random.default_rng(7001))
+    assert report.passed
+    assert report.samples_checked >= 1000
+
+
 def test_modulus_check_zero_operator_vacuous(hilbert2):
     op = ScaledIdentity(0.0, hilbert2)
     report = modulus_check(op, constant_modulus(0), n_samples=500)
