@@ -1,8 +1,9 @@
 """Numerical laboratory for accretive-operator semigroups and their
 explicit convergence and metastability rates.
 
-The package solves the second-order flow u'' in Au by a regularized
-continuation scheme, exposes the resulting square-root semigroup, and
+The package solves the second-order flow u'' in Au by finite differences
+at r = 0, warm-started for a nonlinear A by a regularized continuation,
+exposes the resulting square-root semigroup, and
 certifies the package's explicit rate functionals against sampled
 trajectories and closed-form linear oracles.
 """

@@ -267,18 +267,15 @@ class NormSubdifferential(AccretiveOperator):
         return rows / np.maximum(n, r)
 
     def yosida_jacobian_many(self, r: float, rows: np.ndarray) -> np.ndarray:
+        # I/r inside the ball of radius r, (I - x x^T/||x||^2)/||x|| outside:
+        # with s = 1/max(||x||, r), s I - s^3 x x^T on the outside rows only
         rows = np.asarray(rows, dtype=float)
-        n_rows, dim = rows.shape
         norms = np.linalg.norm(rows, axis=1)
-        jac = np.empty((n_rows, dim, dim))
-        eye = np.eye(dim)
-        inside = norms <= r
-        jac[inside] = eye / r
-        out_idx = np.nonzero(~inside)[0]
-        if out_idx.size:
-            u = rows[out_idx] / norms[out_idx, None]
-            outer = np.einsum("ni,nj->nij", u, u)
-            jac[out_idx] = (eye[None, :, :] - outer) / norms[out_idx, None, None]
+        s = 1.0 / np.maximum(norms, r)
+        weight = np.where(norms > r, -(s**3), 0.0)
+        jac = np.einsum("ni,nj->nij", rows * weight[:, None], rows)
+        diag = np.arange(rows.shape[1])
+        jac[:, diag, diag] += s[:, None]
         return jac
 
     def project_zeros(self, x: np.ndarray) -> np.ndarray:
@@ -339,8 +336,10 @@ class StronglyAccretive(AccretiveOperator):
     def yosida_jacobian_many(self, r: float, rows: np.ndarray) -> np.ndarray:
         scale = 1.0 + r * self.c
         rows = np.asarray(rows, dtype=float)
-        base = self.base.yosida_jacobian_many(r / scale, rows / scale)
-        return (self.c / scale) * np.eye(self.space.dim) + base / (scale * scale)
+        jac = self.base.yosida_jacobian_many(r / scale, rows / scale) / (scale * scale)
+        diag = np.arange(self.space.dim)
+        jac[:, diag, diag] += self.c / scale
+        return jac
 
     def project_zeros(self, x: np.ndarray) -> np.ndarray:
         return np.zeros(self.space.dim)

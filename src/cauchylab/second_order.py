@@ -1,14 +1,15 @@
-"""Second-order flow u'' in Au via regularized two-point boundary solves.
+"""Second-order flow u'' in Au via two-point boundary solves at r = p = 0.
 
 The incomplete problem (second derivative in Au, bounded on the half
-line, u(0) = x) is approached through its regularization chain: first
-replace A by its Yosida approximate at parameter r and add a linear
-restoring term p*u, solve the resulting smooth problem on [0, T] by
-finite differences, then drive (r, p) to zero along a continuation
-schedule with warm starts until successive trajectories stabilize.
-The limiting trajectory realizes the square-root semigroup of A at the
-initial point.  A linear operator A = B needs no chain: its limit A_0 = B
-is exact, and the unregularized problem is solved once.
+line, u(0) = x) is solved by finite differences on [0, T].  A linear
+operator A = B is its own limit A_0, and u'' = Bu is solved once.  For a
+nonlinear one, each stage of the (r, p) schedule replaces A by its Yosida
+approximate at parameter r plus a linear restoring term p*u and solves
+that smooth problem, warm-started from the stage before.  The last stage
+then starts a semismooth Newton solve of the unregularized inclusion,
+written with the resolvent at sigma = the last r as
+u_i = J_sigma(u_i + sigma u_i''); nodes in the zero set's basin come out
+exactly 0.
 
 Boundary treatment: the left end is clamped at x; the far end carries a
 zero-derivative (ghost-node) condition.  A Dirichlet far end would force
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 import numpy as np
 
@@ -140,9 +140,11 @@ class SolverConfig:
     """How a second-order trajectory is solved, and how much of it is
     trusted: times beyond horizon - margin are not, since the far-end
     closure bends the tail.  It is the config's ``solver:`` section, and
-    its defaults are the only ones: ``sample_points`` sets how many
-    trajectory samples the sweeps compare, and ``first_order_n_max`` caps
-    n in the exponential formula of first-order dynamics."""
+    its defaults are the only ones: ``schedule`` lists the warm-start
+    stages of a nonlinear solve, ``stab_tol`` only sets ``num_tol``,
+    ``sample_points`` sets how many trajectory samples the sweeps compare,
+    and ``first_order_n_max`` caps n in the exponential formula of
+    first-order dynamics."""
 
     grid: TimeGrid
     schedule: tuple = DEFAULT_SCHEDULE
@@ -161,24 +163,21 @@ class SolverConfig:
 
     @property
     def num_tol(self) -> float:
-        """Allowance of the sweeps' distance comparisons: the solver's
-        stabilization tolerance on top of 1e-6."""
+        """Allowance of the sweeps' distance comparisons: ``stab_tol`` on
+        top of 1e-6."""
         return 1e-6 + self.stab_tol
 
 
-def _residual(x: np.ndarray, h: float, u: np.ndarray, force: np.ndarray) -> np.ndarray:
-    """Residual of the discrete system u'' = F(u).
-
-    Unknowns are the nodes 1..N (node 0 clamped at x).  Interior rows are
-    the central second difference minus the forcing ``force`` = F(u);
-    the last row uses the ghost-node Neumann closure u_{N+1} = u_{N-1}.
-    """
+def _second_difference(x: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
+    """Central second difference at the unknowns, the nodes 1..N (node 0
+    clamped at x); the last row uses the ghost-node Neumann closure
+    u_{N+1} = u_{N-1}."""
     n = u.shape[0]
     full = np.vstack([x[None, :], u])
-    res = np.empty_like(u)
-    res[: n - 1] = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (h * h) - force[: n - 1]
-    res[n - 1] = 2.0 * (u[n - 2] - u[n - 1]) / (h * h) - force[n - 1]
-    return res
+    out = np.empty_like(u)
+    out[: n - 1] = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (h * h)
+    out[n - 1] = 2.0 * (u[n - 2] - u[n - 1]) / (h * h)
+    return out
 
 
 def _eliminate(aug: np.ndarray, dim: int) -> np.ndarray:
@@ -365,6 +364,26 @@ def _solve_newton_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndar
     return y
 
 
+# OpenBLAS spreads one gemm over its threads once m n k passes about 10^6,
+# and on a small shared host that can cost far more than it gains: a
+# (14, 14) x (14, 6000) product took 0.5 ms threaded against 0.07 ms on one
+# thread.  Products of a (dim, dim) block and many columns are cut into
+# column blocks of at most this many multiply-adds, well below that
+_GEMM_MNK = 2**18
+
+
+def _columns_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a (dim, dim) block a and (dim, k) columns b, in column
+    blocks of at most ``_GEMM_MNK`` multiply-adds each."""
+    width = max(1, _GEMM_MNK // a.size)
+    if b.shape[1] <= width:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for j in range(0, b.shape[1], width):
+        np.matmul(a, b[:, j : j + width], out=out[:, j : j + width])
+    return out
+
+
 def _solve_toeplitz_dense(blocks: tuple, rhs: np.ndarray) -> np.ndarray:
     """``_solve_toeplitz_system``'s dense tail: a level's five blocks
     spread over its m >= 2 rows, solved by ``_solve_dense``."""
@@ -413,7 +432,7 @@ def _solve_toeplitz_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.nd
         n_odd, n_even = m // 2, (m + 1) // 2
         inv = np.linalg.inv(diag)
         alpha = inv @ coupling
-        phi = inv @ rhs[:, 1::2]
+        phi = _columns_product(inv, rhs[:, 1::2])
         schur = coupling @ alpha  # C D^-1 C
         if m % 2:
             # the last row is even: its odd neighbour couples by last_lower
@@ -429,7 +448,7 @@ def _solve_toeplitz_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.nd
         sums = np.zeros((dim, n_even))
         sums[:, :n_odd] = phi
         sums[:, 1:] += phi[:, : n_even - 1]
-        nxt = rhs[:, ::2] - coupling @ sums
+        nxt = rhs[:, ::2] - _columns_product(coupling, sums)
         if m % 2:
             nxt[:, -1] = rhs[:, -1] - last_lower @ sums[:, -1]
         levels.append((alpha, phi, last_alpha))
@@ -442,7 +461,7 @@ def _solve_toeplitz_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.nd
         full[:, ::2] = y
         sides = y[:, :n_odd].copy()
         sides[:, : n_even - 1] += y[:, 1:]
-        full[:, 1::2] = phi - alpha @ sides
+        full[:, 1::2] = phi - _columns_product(alpha, sides)
         if last_alpha is not None:
             full[:, -1] = phi[:, -1] - last_alpha @ sides[:, -1]
         y = full
@@ -453,27 +472,28 @@ def _newton(
     op: AccretiveOperator,
     x: np.ndarray,
     grid: TimeGrid,
-    force,
+    residual,
     solve_step,
     init: np.ndarray | None,
     label: str,
     r: float,
     reg_p: float,
 ) -> Trajectory:
-    """Damped Newton on the discrete system u'' = force(u), started at
-    ``init`` (the constant x when None).  The forcing belongs to the
-    regularization (r, p), which errors name and the metadata records.
+    """Damped Newton on the discrete system residual(u) = 0 in the
+    unknowns u (n, dim), started at ``init`` (the constant x when None).
+    The system belongs to the regularization (r, p), which errors name and
+    the metadata records.
 
     ``solve_step(u, rhs)`` solves the Newton system at the iterate u for
-    a batch-last right-hand side rhs (dim, n).  Its Jacobian is block
-    tridiagonal: diagonal blocks -2/h^2 - F'(u_i), couplings 1/h^2 times
-    the identity (doubled on the ghost-node row).  A nonlinear forcing
-    passes its Jacobian blocks to ``_solve_newton_system``; a linear one,
-    F = B, has the one block -2/h^2 - B and uses
-    ``_solve_toeplitz_system``.  It is called only at accepted iterates;
-    line-search trials need the residual alone.  A linear forcing is
-    solved by the first step; the damping only engages for the nonlinear
-    ones.
+    a batch-last right-hand side rhs (dim, n).  For u'' = F(u) the
+    residual is u'' - F(u) and the Jacobian is block tridiagonal:
+    diagonal blocks -2/h^2 - F'(u_i), couplings 1/h^2 times the identity
+    (doubled on the ghost-node row).  A nonlinear forcing passes its
+    Jacobian blocks to ``_solve_newton_system``; a linear one, F = B, has
+    the one block -2/h^2 - B and uses ``_solve_toeplitz_system``.  It is
+    called only at accepted iterates; line-search trials need the residual
+    alone.  A linear forcing is solved by the first step; the damping only
+    engages for the nonlinear ones.
     """
     x = op.space.check(x)
     n = grid.n_steps
@@ -488,18 +508,17 @@ def _newton(
             raise ValueError("warm-start shape mismatch")
 
     params = f"(r={r:g}, p={reg_p:g})"
-    h = grid.step
     try:
-        res = _residual(x, h, u, force(u))
+        res = residual(u)
         rnorm = float(np.max(np.abs(res)))
-        for _ in range(NEWTON_MAX_ITER):
-            if rnorm <= NEWTON_RESIDUAL_TOL:
+        for steps in range(NEWTON_MAX_ITER + 1):
+            if rnorm <= NEWTON_RESIDUAL_TOL or steps == NEWTON_MAX_ITER:
                 break
             step = solve_step(u, -res.T).T
             lam = 1.0
             while True:
                 u_new = u + lam * step
-                res_new = _residual(x, h, u_new, force(u_new))
+                res_new = residual(u_new)
                 rnorm_new = float(np.max(np.abs(res_new)))
                 if rnorm_new < rnorm or rnorm_new <= NEWTON_RESIDUAL_TOL:
                     u, res, rnorm = u_new, res_new, rnorm_new
@@ -517,9 +536,22 @@ def _newton(
         )
 
     values = np.vstack([x[None, :], u])
-    traj = Trajectory(grid=grid, values=values, meta={"r": r, "reg_p": reg_p})
+    traj = Trajectory(
+        grid=grid, values=values, meta={"r": r, "reg_p": reg_p, "newton_steps": steps}
+    )
     _flag_far_end(op, x, traj)
     return traj
+
+
+def _regularized_step(op: AccretiveOperator, r: float, reg_p: float, c: float, u, rhs):
+    """The Newton step of ``solve_regularized`` at the iterate u, for the
+    couplings c = 1/h^2: its diagonal blocks -2c - A_r'(u_i) - p are built
+    batch-last in one array, in place."""
+    dim = u.shape[1]
+    diag = np.empty((dim, dim, u.shape[0]))
+    np.negative(op.yosida_jacobian_many(r, u).transpose(1, 2, 0), out=diag)
+    diag[np.arange(dim), np.arange(dim)] -= 2.0 * c + reg_p
+    return _solve_newton_system(c, diag, rhs)
 
 
 def solve_regularized(
@@ -534,25 +566,97 @@ def solve_regularized(
     damped Newton."""
     if r <= 0.0 or reg_p <= 0.0:
         raise ValueError("regularization parameters must be positive")
-    eye = np.eye(op.space.dim)
-    inv_h2 = 1.0 / (grid.step * grid.step)
+    x = op.space.check(x)
+    h = grid.step
+    inv_h2 = 1.0 / (h * h)
+    return _newton(
+        op,
+        x,
+        grid,
+        lambda u: _second_difference(x, h, u) - (op.yosida_many(r, u) + reg_p * u),
+        lambda u, rhs: _regularized_step(op, r, reg_p, inv_h2, u, rhs),
+        init,
+        "regularized solve",
+        r,
+        reg_p,
+    )
 
-    def solve_step(u, rhs):
-        diag = -2.0 * inv_h2 * eye - (op.yosida_jacobian_many(r, u) + reg_p * eye)
-        # one transposing copy: the reduction's strided reads of a
-        # transposed view would cost several
-        return _solve_newton_system(inv_h2, np.ascontiguousarray(diag.transpose(1, 2, 0)), rhs)
+
+def _active_set_step(
+    op: AccretiveOperator, h: float, sigma: float, u: np.ndarray, v: np.ndarray, rhs
+) -> np.ndarray:
+    """The semismooth Newton step of ``solve_unregularized`` at the iterate
+    u, for v = J_sigma(z) and rhs = -F(u)/sigma (dim, n); returns the step
+    as (dim, n).
+
+    A row where v is exactly 0 is inactive: its row of F' is the identity,
+    and its step -u_i makes the node exactly 0.  An active row, multiplied
+    by J_sigma'(z_i)^-1 = I + sigma A_0'(v_i), reads
+    (d[i-1] - 2 d[i] + d[i+1])/h^2 - A_0'(v_i) d[i] = (I + sigma A_0'(v_i)) F_i/sigma,
+    so the active rows are one block-tridiagonal system, solved by
+    ``_reduce``.
+    """
+    n, dim = u.shape
+    c = 1.0 / (h * h)
+    step = -u.T
+    act = np.flatnonzero(v.any(axis=1))
+    if not act.size:
+        return step
+    jac = op.yosida_jacobian_many(0.0, v[act])
+    level = np.zeros((dim, 3 * dim + 1, act.size))
+    diag, lower, upper, r = _parts(level)
+    np.negative(jac.transpose(1, 2, 0), out=diag)
+    i = np.arange(dim)
+    diag[i, i] -= 2.0 * c
+    # couplings: c between neighbouring active nodes, 2c into the ghost row,
+    # none across an inactive gap, whose known steps -u_j move to the right
+    weight = np.where(act == n - 1, 2.0 * c, c)
+    gap = np.diff(act) > 1
+    lower[i, i, 1:] = np.where(gap, 0.0, weight[1:])
+    upper[i, i, :-1] = np.where(gap, 0.0, c)
+    b = rhs[:, act]
+    np.negative(b + sigma * np.einsum("kab,bk->ak", jac, b), out=r)
+    below = np.r_[True, gap] & (act > 0)
+    above = np.r_[gap, True] & (act < n - 1)
+    r[:, below] += weight[below] * u[act[below] - 1].T
+    r[:, above] += c * u[act[above] + 1].T
+    step[:, act] = _reduce(level)
+    return step
+
+
+def solve_unregularized(
+    op: AccretiveOperator,
+    x: np.ndarray,
+    grid: TimeGrid,
+    sigma: float,
+    init: np.ndarray | None = None,
+) -> Trajectory:
+    """Solve the discrete u'' in Au, u(0) = x, at r = p = 0 by semismooth
+    Newton (Qi & Sun 1993) from ``init``.
+
+    At each unknown the inclusion is F_i(u) = u_i - J_sigma(z_i) = 0, with
+    z = u + sigma u'' for any sigma > 0; the residual is F/sigma, which is
+    u'' - A J_sigma(z) where the resolvent is not 0.  F' has identity rows
+    where the resolvent is exactly 0, so this is the primal-dual active-set
+    method (Hintermueller, Ito & Kunisch 2002), ``_active_set_step``.
+    """
+    x = op.space.check(x)
+    h = grid.step
+    gammas = np.full(grid.n_steps, sigma)
+
+    def resolvent(u):
+        return op.resolvent_many(gammas, u + sigma * _second_difference(x, h, u))
 
     return _newton(
         op,
         x,
         grid,
-        lambda u: op.yosida_many(r, u) + reg_p * u,
-        solve_step,
+        lambda u: (u - resolvent(u)) / sigma,
+        lambda u, rhs: _active_set_step(op, h, sigma, u, resolvent(u), rhs),
         init,
-        "regularized solve",
-        r,
-        reg_p,
+        "unregularized solve",
+        0.0,
+        0.0,
     )
 
 
@@ -571,27 +675,23 @@ def _flag_far_end(op: AccretiveOperator, x: np.ndarray, traj: Trajectory) -> Non
     traj.meta["far_end_ok"] = bool(rate <= 0.01 * scale)
 
 
-def solve_second_order(
-    op: AccretiveOperator,
-    x: np.ndarray,
-    solver: SolverConfig,
-    r_floor: float = 1e-9,
-) -> Trajectory:
-    """Solve u'' in Au, u(0) = x, on the solver's grid.
+def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfig) -> Trajectory:
+    """Solve u'' in Au, u(0) = x, on the solver's grid, at r = p = 0.
 
     A linear operator A = B is its own limit A_0: the unregularized
-    problem u'' = Bu is solved once, at r = p = 0, and the schedule is not
-    used.  Its Newton system has the one diagonal block -2/h^2 - B on
-    every row, so a step is one block-Toeplitz reduction
-    (``_solve_toeplitz_system``) in O(n dim) memory.  Otherwise
-    continuation runs along the decreasing (r, p) ``solver.schedule`` with
-    warm starts, and stops when successive trajectories differ by at most
-    ``solver.stab_tol`` in the sup norm.  When the supplied schedule is
-    exhausted unstabilized, both parameters keep shrinking by decades down
-    to ``r_floor``: the j-th extra stage is the last supplied pair shifted
-    j decimal places, so it holds the intended decimal value (1e-07, not
-    the 1.0000000000000002e-07 of repeated division by ten).  Failing
-    that, the trajectory is returned with a warning flag in the metadata.
+    problem u'' = Bu is solved once, and the schedule is not used.  Its
+    Newton system has the one diagonal block -2/h^2 - B on every row, so a
+    step is one block-Toeplitz reduction (``_solve_toeplitz_system``) in
+    O(n dim) memory.
+
+    Otherwise every (r, p) stage of ``solver.schedule`` is solved in turn,
+    each warm-started from the one before (the default ends at r = 1e-3),
+    and the last stage's trajectory starts ``solve_unregularized`` with
+    sigma = its r.  The metadata records the stages and then (0, 0) in
+    ``continuation``, and in ``stage_diffs`` the sup-norm change from each
+    solve to the next, the last one the unregularized solve's.  In both
+    cases ``stabilized`` means that the r = p = 0 system was solved to the
+    Newton tolerance; a solve that fails raises ``SolverError``.
     """
     x = op.space.check(x)
     grid = solver.grid
@@ -606,53 +706,27 @@ def solve_second_order(
             op,
             x,
             grid,
-            lambda u: u @ b.T,
+            lambda u: _second_difference(x, grid.step, u) - u @ b.T,
             lambda u, rhs: _solve_toeplitz_system(inv_h2, diag, rhs),
             None,
             "linear solve",
             0.0,
             0.0,
         )
-        # solved to the Newton tolerance at r = p = 0: nothing left to stabilize
-        traj.meta.update(
-            continuation=[(0.0, 0.0)], stage_diffs=[], stabilized=True, initial_point=x.copy()
-        )
-        return traj
-    prev_traj = None
-    warm = None
-    diffs = []
-    stabilized = False
-    used = []
-    i = 0
-    supplied = len(stages)
-    while True:
-        if i < len(stages):
-            r, p = stages[i]
-        elif stages[-1][0] > r_floor:
-            r, p = (
-                max(float(Decimal(repr(v)).scaleb(supplied - 1 - i)), r_floor)
-                for v in stages[supplied - 1]
-            )
-            stages.append((r, p))
-        else:
-            break
-        traj = solve_regularized(op, r, p, x, grid, init=warm)
-        used.append((r, p))
-        if prev_traj is not None:
-            diff = float(np.max(op.space.norms(traj.values - prev_traj.values)))
-            diffs.append(diff)
-            if diff <= solver.stab_tol:
-                stabilized = True
-                prev_traj = traj
-                break
-        prev_traj = traj
-        warm = traj.values[1:]
-        i += 1
-    traj = prev_traj
-    traj.meta["continuation"] = used
-    traj.meta["stage_diffs"] = diffs
-    traj.meta["stabilized"] = stabilized
-    traj.meta["initial_point"] = x.copy()
+        traj.meta.update(continuation=[(0.0, 0.0)], stage_diffs=[])
+    else:
+        trajs = []
+        for r, p in stages:
+            warm = trajs[-1].values[1:] if trajs else None
+            trajs.append(solve_regularized(op, r, p, x, grid, init=warm))
+        trajs.append(solve_unregularized(op, x, grid, stages[-1][0], trajs[-1].values[1:]))
+        diffs = [
+            float(np.max(op.space.norms(nxt.values - prev.values)))
+            for prev, nxt in zip(trajs, trajs[1:])
+        ]
+        traj = trajs[-1]
+        traj.meta.update(continuation=stages + [(0.0, 0.0)], stage_diffs=diffs)
+    traj.meta.update(stabilized=True, initial_point=x.copy())
     return traj
 
 

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 from importlib import resources
 from types import SimpleNamespace
@@ -27,13 +28,16 @@ from cauchylab import (
     solve_regularized,
     solve_second_order,
 )
+from cauchylab import second_order
 from cauchylab.config import load_config
 from cauchylab.errors import HorizonError, SolverError
 from cauchylab.second_order import (
     CSV_BLOCK_ROWS,
+    DEFAULT_SCHEDULE,
     MIN_STEPS,
     _eliminate,
     _reduce,
+    _second_difference,
     _solve_newton_system,
     _solve_toeplitz_system,
     export_trajectory_csv,
@@ -271,19 +275,69 @@ def test_subdifferential_norm_config_matches_oracle():
     assert deviation <= 1e-5
 
 
-def test_extended_continuation_holds_exact_decades(hilbert2):
-    # past the schedule, each stage is the last supplied pair shifted one
-    # decimal place: repeated division by ten read 1.0000000000000002e-06,
-    # and 0.1 / 10**6 reads 1.0000000000000001e-07
-    op = NormSubdifferential(hilbert2)
-    x = np.array([1.0, 0.5])
-    for schedule, r_floor in ((((0.1, 0.1),), 1e-7), (((0.5, 0.1), (1e-3, 1e-3)), 1e-8)):
-        solver = SolverConfig(TimeGrid(5.0, 0.01), schedule, stab_tol=0.0)
-        traj = solve_second_order(op, x, solver, r_floor=r_floor)
-        used = traj.meta["continuation"][len(schedule) - 1 :]
-        values = [v for pair in used for v in pair]
-        assert values == [float(f"{v:.1e}") for v in values]
-        assert used[-1][0] == r_floor and not traj.meta["stabilized"]
+# lh05 and lh11 of the long-horizon benchmark at seed 7001, with the oracle
+# deviations of the chain down to r = 1e-7 (2.24e-6 and 5.06e-6); the
+# unregularized solve reads 2.33e-6 and 5.15e-6
+NORM_FAMILY_CASES = [
+    (0.0, [-0.5299, 1.017, 0.9672], TimeGrid(60.0, 0.005), 2.4e-6),
+    (0.9867, [0.7523, -1.298], TimeGrid(85.0, 85.0 / 12000), 5.3e-6),
+]
+
+
+@pytest.mark.parametrize("c, x, grid, bound", NORM_FAMILY_CASES)
+def test_unregularized_solve_matches_norm_oracle(c, x, grid, bound):
+    x = np.array(x)
+    base = NormSubdifferential(SpaceContext.hilbert(x.size))
+    op = base if c == 0.0 else StronglyAccretive(base, c)
+    traj, deviation = _norm_oracle_deviation(op, c, x, SolverConfig(grid, margin=1.0))
+    assert deviation <= bound
+    assert traj.meta["stabilized"]
+    assert traj.meta["continuation"] == list(DEFAULT_SCHEDULE) + [(0.0, 0.0)]
+    assert len(traj.meta["stage_diffs"]) == len(DEFAULT_SCHEDULE)
+    # semismooth Newton from the r = 1e-3 stage: 2 and 1 steps
+    assert traj.meta["newton_steps"] <= 2
+    u = traj.values[1:]
+    active = u.any(axis=1)
+    last = int(np.flatnonzero(active)[-1])
+    # extinction well inside the horizon, and nothing but 0.0 after it
+    assert last < u.shape[0] // 2
+    assert np.all(u[last + 1 :] == 0.0)
+    # complementarity: at a zero node u'' - c u = u'' lies in the unit ball
+    d2 = _second_difference(x, grid.step, u)
+    assert np.max(np.linalg.norm(d2[~active] - c * u[~active], axis=1)) <= 1.0 + 1e-9
+
+
+def test_unregularized_solve_from_a_coarse_schedule(monkeypatch):
+    # from r = 0.1, sigma = 0.1: the second and third iterates have an
+    # active node past an inactive gap, whose couplings the step drops
+    op = StronglyAccretive(NormSubdifferential(SpaceContext.hilbert(2)), 3.0)
+    x = np.array([1.8, 2.4])
+    grid = TimeGrid(4.0, 0.01)
+    step = second_order._active_set_step
+    gaps = []
+
+    def recorded(op, h, sigma, u, v, rhs):
+        active = v.any(axis=1)
+        gaps.append(not active[: np.flatnonzero(active)[-1]].all())
+        return step(op, h, sigma, u, v, rhs)
+
+    monkeypatch.setattr(second_order, "_active_set_step", recorded)
+    coarse = solve_second_order(op, x, SolverConfig(grid, ((0.1, 0.1),)))
+    assert any(gaps)
+    fine = solve_second_order(op, x, SolverConfig(grid))
+    assert np.max(np.abs(coarse.values - fine.values)) <= 1e-9
+
+
+def test_unregularized_stall_is_one_line_solver_error(monkeypatch, hilbert2):
+    # an ascent direction: the line search halves the step to nothing
+    step = second_order._active_set_step
+    monkeypatch.setattr(second_order, "_active_set_step", lambda *args: -step(*args))
+    with pytest.raises(SolverError) as info:
+        solve_second_order(
+            NormSubdifferential(hilbert2), np.array([1.0, 0.5]), SolverConfig(TimeGrid(5.0, 0.01))
+        )
+    message = str(info.value)
+    assert re.fullmatch(r"unregularized solve stalled at residual \S+ \(r=0, p=0\)", message)
 
 
 def test_check_apriori_zero_operator(hilbert2):
