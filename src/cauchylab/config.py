@@ -476,29 +476,11 @@ def load_config(path: str | Path) -> ScenarioSpec:
         sc.fail("dynamics", f"dynamics must be second_order or first_order, got {dynamics!r}")
 
     sol = sc.section("solver", required=False)
-    sol.known(
-        "horizon",
-        "step",
-        "margin",
-        "schedule",
-        "stabilization_tol",
-        "sample_points",
-        "first_order_n_max",
-    )
+    sol.known("horizon", "step", "margin", "sample_points", "first_order_n_max")
     # every default is SolverConfig's own
     sample_points = sol.get("sample_points", SolverConfig.sample_points, kind=int)
     if not 1 <= sample_points <= MAX_SAMPLE_POINTS:
         sol.fail("sample_points", f"sample_points must lie in [1, {MAX_SAMPLE_POINTS}]")
-    schedule = SolverConfig.schedule
-    raw = sol.get("schedule", kind=list)
-    if raw is not None:
-        if not raw or not all(
-            isinstance(pair, list) and len(pair) == 2 and all(_finite(v) and v > 0 for v in pair)
-            for pair in raw
-        ):
-            note = _string_number_note(v for pair in raw if isinstance(pair, list) for v in pair)
-            sol.fail("schedule", f"schedule must be a nonempty list of positive [r, p] pairs{note}")
-        schedule = tuple((float(r), float(p)) for r, p in raw)
     try:
         grid = TimeGrid(sol.get("horizon", 40.0, kind=float), sol.get("step", 0.01, kind=float))
     except ValueError as exc:
@@ -508,23 +490,14 @@ def load_config(path: str | Path) -> ScenarioSpec:
         sol.fail("step", message)
     if dynamics == "second_order" and grid.n_steps < MIN_STEPS:
         sol.fail("step", f"a second-order grid needs horizon / step >= {MIN_STEPS}")
-    stab_tol = sol.get("stabilization_tol", SolverConfig.stab_tol, kind=float)
-    if stab_tol < 0.0:
-        sol.fail("stabilization_tol", "stabilization_tol must be nonnegative")
     # the exponential formula's own range of n
     n_lo, n_hi = ExpFormulaConfig.n_min, ExpFormulaConfig.n_max
     first_order_n_max = sol.get("first_order_n_max", SolverConfig.first_order_n_max, kind=int)
     if not n_lo <= first_order_n_max <= n_hi:
         sol.fail("first_order_n_max", f"first_order_n_max must lie in [{n_lo}, {n_hi}]")
+    margin = sol.get("margin", SolverConfig.margin, kind=float)
     try:
-        solver = SolverConfig(
-            grid,
-            schedule,
-            stab_tol,
-            sol.get("margin", SolverConfig.margin, kind=float),
-            sample_points,
-            first_order_n_max,
-        )
+        solver = SolverConfig(grid, margin, sample_points, first_order_n_max)
     except ValueError as exc:
         sol.fail("margin", str(exc))
 

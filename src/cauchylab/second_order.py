@@ -3,11 +3,11 @@
 The incomplete problem (second derivative in Au, bounded on the half
 line, u(0) = x) is solved by finite differences on [0, T].  A linear
 operator A = B is its own limit A_0, and u'' = Bu is solved once.  For a
-nonlinear one, each stage of the (r, p) schedule replaces A by its Yosida
-approximate at parameter r plus a linear restoring term p*u and solves
-that smooth problem, warm-started from the stage before.  The last stage
-then starts a semismooth Newton solve of the unregularized inclusion,
-written with the resolvent at sigma = the last r as
+nonlinear one, each stage of the fixed ``DEFAULT_SCHEDULE`` replaces A by
+its Yosida approximate at parameter r plus a linear restoring term p*u and
+solves that smooth problem, warm-started from the stage before.  The last
+stage, at r = 1e-3, then starts a semismooth Newton solve of the
+unregularized inclusion, written with the resolvent at sigma = that r as
 u_i = J_sigma(u_i + sigma u_i''); nodes in the zero set's basin come out
 exactly 0.
 
@@ -29,6 +29,8 @@ import numpy as np
 from .errors import HorizonError, SolverError
 from .operators import AccretiveOperator
 
+# the warm-start stages (r, p) of a nonlinear solve, p = r; the r = 0 solve
+# takes the last r as its sigma
 DEFAULT_SCHEDULE = ((0.1, 0.1), (0.01, 0.01), (0.001, 0.001))
 # the fewest grid steps the discrete two-point system is solved on
 MIN_STEPS = 4
@@ -133,6 +135,14 @@ class AprioriBounds:
 NEWTON_RESIDUAL_TOL = 1e-8
 NEWTON_MAX_ITER = 60
 NEWTON_MIN_DAMPING = 1e-8
+# The residual cannot fall below the rounding of its second difference,
+# about eps ||x||_inf 4/h^2 (the stencil's weights sum to 4), so the stop
+# test is max(NEWTON_RESIDUAL_TOL, NEWTON_ROUNDING_FACTOR eps ||x||_inf 4/h^2).
+# Measured floors were at most 0.29 of that scale (linear, rotation and
+# norm-family operators, dims 2-14, ||x||_inf 1 to 1e12, steps 0.005 to 1);
+# 64 leaves two orders of magnitude above them.  For ||x||_inf <= 1.5 and
+# steps >= 0.005 the scaled term is below 3.5e-9, so 1e-8 decides there.
+NEWTON_ROUNDING_FACTOR = 64.0
 
 
 @dataclass(frozen=True)
@@ -140,15 +150,11 @@ class SolverConfig:
     """How a second-order trajectory is solved, and how much of it is
     trusted: times beyond horizon - margin are not, since the far-end
     closure bends the tail.  It is the config's ``solver:`` section, and
-    its defaults are the only ones: ``schedule`` lists the warm-start
-    stages of a nonlinear solve, ``stab_tol`` only sets ``num_tol``,
-    ``sample_points`` sets how many trajectory samples the sweeps compare,
-    and ``first_order_n_max`` caps n in the exponential formula of
-    first-order dynamics."""
+    its defaults are the only ones: ``sample_points`` sets how many
+    trajectory samples the sweeps compare, and ``first_order_n_max`` caps
+    n in the exponential formula of first-order dynamics."""
 
     grid: TimeGrid
-    schedule: tuple = DEFAULT_SCHEDULE
-    stab_tol: float = 1e-6
     margin: float = 1.0
     sample_points: int = 500
     first_order_n_max: int = 2**16
@@ -160,12 +166,6 @@ class SolverConfig:
     @property
     def trusted_horizon(self) -> float:
         return self.grid.horizon - self.margin
-
-    @property
-    def num_tol(self) -> float:
-        """Allowance of the sweeps' distance comparisons: ``stab_tol`` on
-        top of 1e-6."""
-        return 1e-6 + self.stab_tol
 
 
 def _second_difference(x: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
@@ -331,7 +331,10 @@ def _solve_newton_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndar
     aug[:, :dim] = diag[:, :, 1::2]
     aug[np.arange(dim), dim + np.arange(dim)] = c
     aug[:, 2 * dim] = rhs[:, 1::2]
-    x = _solve_blocks(aug, dim)
+    # x is aug's last dim + 1 columns, kept for the back-substitution: a copy
+    # lets the levels below run without aug
+    x = _solve_blocks(aug, dim).copy()
+    del aug
     w = -c * x  # -c alpha and -c phi of every odd row
     nxt = np.empty((dim, 3 * dim + 1, n_even))
     d, lower, upper, r = _parts(nxt)
@@ -508,11 +511,13 @@ def _newton(
             raise ValueError("warm-start shape mismatch")
 
     params = f"(r={r:g}, p={reg_p:g})"
+    rounding = NEWTON_ROUNDING_FACTOR * np.finfo(float).eps * np.max(np.abs(x)) * 4.0
+    tol = max(NEWTON_RESIDUAL_TOL, rounding / grid.step**2)
     try:
         res = residual(u)
         rnorm = float(np.max(np.abs(res)))
         for steps in range(NEWTON_MAX_ITER + 1):
-            if rnorm <= NEWTON_RESIDUAL_TOL or steps == NEWTON_MAX_ITER:
+            if rnorm <= tol or steps == NEWTON_MAX_ITER:
                 break
             step = solve_step(u, -res.T).T
             lam = 1.0
@@ -520,7 +525,7 @@ def _newton(
                 u_new = u + lam * step
                 res_new = residual(u_new)
                 rnorm_new = float(np.max(np.abs(res_new)))
-                if rnorm_new < rnorm or rnorm_new <= NEWTON_RESIDUAL_TOL:
+                if rnorm_new < rnorm or rnorm_new <= tol:
                     u, res, rnorm = u_new, res_new, rnorm_new
                     break
                 lam *= 0.5
@@ -530,7 +535,7 @@ def _newton(
                     )
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"{label} hit a singular matrix {params}") from exc
-    if rnorm > NEWTON_RESIDUAL_TOL:
+    if rnorm > tol:
         raise SolverError(
             f"{label} did not reach tolerance: residual {rnorm:.3e} {params}", rnorm
         )
@@ -679,15 +684,15 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
     """Solve u'' in Au, u(0) = x, on the solver's grid, at r = p = 0.
 
     A linear operator A = B is its own limit A_0: the unregularized
-    problem u'' = Bu is solved once, and the schedule is not used.  Its
-    Newton system has the one diagonal block -2/h^2 - B on every row, so a
-    step is one block-Toeplitz reduction (``_solve_toeplitz_system``) in
+    problem u'' = Bu is solved once, with no warm-start stage.  Its Newton
+    system has the one diagonal block -2/h^2 - B on every row, so a step
+    is one block-Toeplitz reduction (``_solve_toeplitz_system``) in
     O(n dim) memory.
 
-    Otherwise every (r, p) stage of ``solver.schedule`` is solved in turn,
-    each warm-started from the one before (the default ends at r = 1e-3),
-    and the last stage's trajectory starts ``solve_unregularized`` with
-    sigma = its r.  The metadata records the stages and then (0, 0) in
+    Otherwise every (r, p) stage of ``DEFAULT_SCHEDULE`` is solved in
+    turn, each warm-started from the one before, and the last stage's
+    trajectory, at r = 1e-3, starts ``solve_unregularized`` with sigma =
+    its r.  The metadata records the stages and then (0, 0) in
     ``continuation``, and in ``stage_diffs`` the sup-norm change from each
     solve to the next, the last one the unregularized solve's.  In both
     cases ``stabilized`` means that the r = p = 0 system was solved to the
@@ -695,9 +700,6 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
     """
     x = op.space.check(x)
     grid = solver.grid
-    stages = [(float(r), float(p)) for r, p in solver.schedule]
-    if not stages:
-        raise ValueError("continuation schedule is empty")
     b = op.linear_matrix
     if b is not None:
         inv_h2 = 1.0 / (grid.step * grid.step)
@@ -716,16 +718,17 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
         traj.meta.update(continuation=[(0.0, 0.0)], stage_diffs=[])
     else:
         trajs = []
-        for r, p in stages:
+        for r, p in DEFAULT_SCHEDULE:
             warm = trajs[-1].values[1:] if trajs else None
             trajs.append(solve_regularized(op, r, p, x, grid, init=warm))
-        trajs.append(solve_unregularized(op, x, grid, stages[-1][0], trajs[-1].values[1:]))
+        sigma = DEFAULT_SCHEDULE[-1][0]
+        trajs.append(solve_unregularized(op, x, grid, sigma, trajs[-1].values[1:]))
         diffs = [
             float(np.max(op.space.norms(nxt.values - prev.values)))
             for prev, nxt in zip(trajs, trajs[1:])
         ]
         traj = trajs[-1]
-        traj.meta.update(continuation=stages + [(0.0, 0.0)], stage_diffs=diffs)
+        traj.meta.update(continuation=[*DEFAULT_SCHEDULE, (0.0, 0.0)], stage_diffs=diffs)
     traj.meta.update(stabilized=True, initial_point=x.copy())
     return traj
 

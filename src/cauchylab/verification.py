@@ -612,9 +612,8 @@ class ScenarioBundle:
     """Everything a sweep needs about one scenario, solved and sampled.
 
     ``solver`` is the trajectory's solver setup: its trusted horizon and
-    ``sample_points`` set the samples, and its ``num_tol`` the allowance
-    of every distance comparison.  The rate data b, D, B and omega are
-    computed from the scenario, never supplied."""
+    ``sample_points`` set the samples.  The rate data b, D, B and omega
+    are computed from the scenario, never supplied."""
 
     scenario_id: str
     op: AccretiveOperator
@@ -730,6 +729,10 @@ def _observe(
     return observed, tau is not None, True
 
 
+# the allowance of every sweep comparison, on top of its precision 1/(k + 1)
+NUM_TOL = 2e-6
+
+
 def sweep_theorem(
     bundle: ScenarioBundle,
     theorem: str,
@@ -784,7 +787,7 @@ def sweep_theorem(
                     else:
                         bound = almost_orbit_cauchy_rate(k, f, bundle.modulus, data)
                     observed, passed, extrapolated = _observe(
-                        theorem, eps, eps + bundle.solver.num_tol, bound, f, samples, residual
+                        theorem, eps, eps + NUM_TOL, bound, f, samples, residual
                     )
                     margin = _margin(bound, observed)
                 except ContractError as exc:  # name the report that could not be made

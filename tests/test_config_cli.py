@@ -78,13 +78,12 @@ def test_minimal_config_fields(tmp_path):
 def test_each_solver_key_reaches_its_field(tmp_path):
     # every value differs from its default, so a dropped key shows
     solver = (
-        "solver: {horizon: 20.0, step: 0.1, margin: 2.0, schedule: [[0.5, 0.25]], "
-        "stabilization_tol: 1.0e-4, sample_points: 42, first_order_n_max: 1024}"
+        "solver: {horizon: 20.0, step: 0.1, margin: 2.0, sample_points: 42, "
+        "first_order_n_max: 1024}"
     )
     text = MINIMAL.replace("solver: {horizon: 10.0, step: 0.05}", solver)
     spec = load_config(write_cfg(tmp_path, text))
-    assert spec.solver == SolverConfig(TimeGrid(20.0, 0.1), ((0.5, 0.25),), 1e-4, 2.0, 42, 1024)
-    assert spec.solver.num_tol == 1e-6 + 1e-4
+    assert spec.solver == SolverConfig(TimeGrid(20.0, 0.1), 2.0, 42, 1024)
 
 
 def test_one_step_first_order_grid_loads(tmp_path):
@@ -136,7 +135,21 @@ BAD_CASES = [
     ("kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[1, 0], [0, {a: 1}]]", "matrix"),
     ("seed: 7", "seed: -7", "seed"),
     ("step: 0.05}", "step: 0.05, margin: 10.0}", "margin"),
-    ("step: 0.05}", "step: 0.05, schedule: [[0.1, 0.0]]}", "schedule"),
+    # the continuation schedule and the sweep allowance are fixed
+    *(
+        (
+            "step: 0.05}",
+            f"step: 0.05, {entry}}}",
+            rf":7: scenario\.solver\.{key}: unknown key '{key}' "
+            r"\(allowed: horizon, step, margin, sample_points, first_order_n_max\)$",
+        )
+        for key, entry in (
+            ("schedule", "schedule: [[0.1, 0.0]]"),
+            ("schedule", "schedule: [[0.1, 0.1], [0.01, 0.01], [0.001, 0.001]]"),
+            ("stabilization_tol", "stabilization_tol: -1.0"),
+            ("stabilization_tol", "stabilization_tol: 1.0e-6"),
+        )
+    ),
     ("step: 0.05}", "step: 1.0e-320}", "overflows"),
     ("  sweeps:", "  validation: {monotonicity_samples: 0}\n  sweeps:", "monotonicity_samples"),
     ("  sweeps:", "  validation: {accretivity_samples: -5}\n  sweeps:", "accretivity_samples"),
@@ -231,8 +244,8 @@ BAD_CASES = [
         "solver: {horizon: 0.03, step: 0.01, margin: 0.0}",
         r":7: scenario\.solver\.step: a second-order grid needs horizon / step >= 4$",
     ),
-    # solver keys range-checked in the loader: first_order_n_max 0 ended in
-    # a ValueError traceback, and a negative stabilization_tol loaded
+    # first_order_n_max is range-checked in the loader: 0 ended in a
+    # ValueError traceback
     *(
         (
             "step: 0.05}",
@@ -240,11 +253,6 @@ BAD_CASES = [
             r"solver\.first_order_n_max: first_order_n_max must lie in \[16, 1048576\]",
         )
         for n in (0, 15, 2**20 + 1)
-    ),
-    (
-        "step: 0.05}",
-        "step: 0.05, stabilization_tol: -1.0}",
-        r"solver\.stabilization_tol: stabilization_tol must be nonnegative",
     ),
     # a strong-accretivity constant so small that 1/c is infinite ended in an
     # OverflowError traceback from ceil_nat in the 4.1 sweep
@@ -275,9 +283,9 @@ BAD_CASES = [
         r"initial_point: .*; YAML 1\.1 read '1e308' as a string, write 1\.0e\+308$",
     ),
     (
-        "step: 0.05}",
-        "step: 0.05, schedule: [[0.1, 0.1], [1e-3, 1.0e-3]]}",
-        r"solver\.schedule: .*; YAML 1\.1 read '1e-3' as a string, write 1\.0e-3$",
+        "kind: scaled_identity, c: 1.0",
+        "kind: linear, matrix: [[1.0, 0.0], [0.0, 1e-3]]",
+        r":5: scenario\.operator\.matrix: .*; YAML 1\.1 read '1e-3' as a string, write 1\.0e-3$",
     ),
 ]
 
@@ -540,8 +548,23 @@ def _huge_modulus(zeros, check=True):
         (_huge_modulus(400, check=False), "modulus value 1.000e+400 at k=1, K=1 exceeds"),
         # a modulus value of 1e200 squares to a bound beyond the float range
         (_huge_modulus(200, check=False), "rate bound 5.000e+400 exceeds the float range"),
+        # the deleted solver keys are unknown keys, anchored at their line
+        *(
+            (
+                MINIMAL.replace("step: 0.05}", f"step: 0.05, {key}: {value}}}"),
+                f".cfg:7: scenario.solver.{key}: unknown key '{key}'",
+            )
+            for key, value in (("schedule", "[[0.1, 0.1]]"), ("stabilization_tol", "1.0e-6"))
+        ),
     ],
-    ids=["singular_solve", "modulus_in_check", "modulus_in_sweep", "bound_in_sweep"],
+    ids=[
+        "singular_solve",
+        "modulus_in_check",
+        "modulus_in_sweep",
+        "bound_in_sweep",
+        "schedule_key",
+        "stabilization_tol_key",
+    ],
 )
 def test_cli_error_is_one_line(tmp_path, capsys, text, message):
     # an error, no traceback

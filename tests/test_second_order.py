@@ -42,6 +42,7 @@ from cauchylab.second_order import (
     _solve_toeplitz_system,
     export_trajectory_csv,
     projection_profile,
+    solve_unregularized,
 )
 
 
@@ -322,7 +323,8 @@ def test_unregularized_solve_from_a_coarse_schedule(monkeypatch):
         return step(op, h, sigma, u, v, rhs)
 
     monkeypatch.setattr(second_order, "_active_set_step", recorded)
-    coarse = solve_second_order(op, x, SolverConfig(grid, ((0.1, 0.1),)))
+    stage = solve_regularized(op, 0.1, 0.1, x, grid)
+    coarse = solve_unregularized(op, x, grid, 0.1, stage.values[1:])
     assert any(gaps)
     fine = solve_second_order(op, x, SolverConfig(grid))
     assert np.max(np.abs(coarse.values - fine.values)) <= 1e-9
@@ -338,6 +340,31 @@ def test_unregularized_stall_is_one_line_solver_error(monkeypatch, hilbert2):
         )
     message = str(info.value)
     assert re.fullmatch(r"unregularized solve stalled at residual \S+ \(r=0, p=0\)", message)
+
+
+# the residual's rounding floor grows like eps ||x||_inf 4/h^2, about 1e-7
+# here: every solve below stalled short of the absolute tolerance 1e-8
+LARGE_X = np.array([1e4, 0.0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda s: ScaledIdentity(1.0, s), lambda s: LinearPSD([[2.0, 1.0], [1.0, 1.0]], s)],
+    ids=["scaled_identity", "linear_psd"],
+)
+def test_linear_solve_at_a_large_initial_point(hilbert2, make):
+    op = make(hilbert2)
+    traj = solve_second_order(op, LARGE_X, SolverConfig(TimeGrid(20.0, 0.005)))
+    expected = np.stack([linear_oracle(op.linear_matrix, t, LARGE_X) for t in traj.times[::50]])
+    assert np.max(np.abs(traj.values[::50] - expected)) <= 1e-5 * np.linalg.norm(LARGE_X)
+
+
+def test_norm_family_solve_at_a_large_initial_point(hilbert2):
+    op = StronglyAccretive(NormSubdifferential(hilbert2), 1.0)
+    solver = SolverConfig(TimeGrid(20.0, 0.005))
+    traj, deviation = _norm_oracle_deviation(op, 1.0, LARGE_X, solver)
+    assert traj.meta["stabilized"]
+    assert deviation <= 1e-5 * np.linalg.norm(LARGE_X)
 
 
 def test_check_apriori_zero_operator(hilbert2):

@@ -35,6 +35,7 @@ from cauchylab.rates import (
 )
 from cauchylab.semigroup import ExpFormulaConfig
 from cauchylab.verification import (
+    NUM_TOL,
     SUFFIX_CHUNK,
     AlmostOrbit,
     RateReport,
@@ -559,7 +560,7 @@ def _metastable_reports_by_cell(bundle, ks, fs, orbits):
                         window = values[mask]
                         if window.shape[0] == 0:
                             window = orbit.values(np.array([float(n)]))
-                        if _suffix_pair_sup_reference(window, space)[0] <= eps + bundle.solver.num_tol:
+                        if _suffix_pair_sup_reference(window, space)[0] <= eps + NUM_TOL:
                             witness = n
                             break
                     n += 1
