@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--seed", type=int, help="override the config RNG seed")
 
-    cat_p = sub.add_parser("list-catalog", help="list operators, moduli and grammar")
+    cat_p = sub.add_parser("list-catalog", help="list spaces, operators, moduli and grammar")
     cat_p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     return parser
 
@@ -41,6 +41,7 @@ def _print_catalog(as_json: bool) -> None:
         print(json.dumps(menus, indent=2, sort_keys=True))
         return
     for key, title in (
+        ("spaces", "space kinds"),
         ("operators", "operator catalog"),
         ("moduli", "modulus constructions"),
         ("orbits", "almost-orbit kinds"),

@@ -5,17 +5,18 @@ the initial point, solver parameters, the modulus for the convergence
 condition, almost-orbit constructions and the theorem sweeps to run.
 ``load_config`` parses and validates it, reporting violations with file
 and line anchors, and builds the live objects (space, operator, modulus,
-counterfunctions) without doing any solving.  Every operator, modulus,
-almost-orbit and theorem a config may name is declared once, in the
-catalog tables below, which the loader reads and ``cauchylab
-list-catalog`` prints.
+counterfunctions) without doing any solving.  Every space, operator,
+modulus, almost-orbit and theorem a config may name is declared once, in
+the catalog tables below, which the loader reads and ``cauchylab
+list-catalog`` prints.  A space sets no strong-monotonicity constant:
+``SpaceContext.M`` is p - 1, a theorem for l^p with 1 < p <= 2, the only
+exponents the loader accepts.
 
 A mandatory RNG seed makes every sampling-based validation
 reproducible: identical config and seed give byte-identical reports.
 A config sets no rate data and no validation budget: the sweeps compute
 b, D, B and omega from the scenario, and every run samples at the
-defaults of ``verify_accretive``, ``validate_strong_monotonicity`` and
-``modulus_check``.
+defaults of ``verify_accretive`` and ``modulus_check``.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ class _Section:
 @dataclass(frozen=True)
 class Kind:
     """One menu entry: how to build it from its config mapping, and the
-    parameter help (and zero set) that ``list-catalog`` prints."""
+    parameter help (and an operator's zero set) that ``list-catalog`` prints."""
 
     build: Callable
     params: dict[str, str]
@@ -298,6 +299,20 @@ def _modulus_strongly_accretive(sec: _Section) -> ConvergenceModulus:
     except (ValueError, CauchyLabError) as exc:  # c <= 0, or 1/c beyond the float range
         sec.fail("c", str(exc))
 
+
+SPACES = {
+    "hilbert": Kind(
+        lambda sec: SpaceContext.hilbert(sec.require("dim", int)),
+        {"dim": "dimension >= 1; the duality map is the identity, M = 1"},
+    ),
+    "lp": Kind(
+        lambda sec: SpaceContext.lp(sec.require("dim", int), sec.require("p", float)),
+        {
+            "dim": "dimension >= 1",
+            "p": "exponent in (1, 2]; the duality map is M-strongly monotone, M = p - 1",
+        },
+    ),
+}
 
 OPERATORS = {
     "scaled_identity": Kind(
@@ -359,12 +374,19 @@ ORBITS = {
     },
 }
 
-THEOREMS = ("4.1", "4.2", "5.1", "5.3")
+# each theorem's sweep keys beyond theorem and k_range: the keys it reads
+THEOREMS = {
+    "4.1": (),
+    "4.2": ("f_dom",),
+    "5.1": ("counterfunctions", "orbits"),
+    "5.3": ("orbits",),
+}
 
 
 def catalog() -> dict:
     """The menus above as ``cauchylab list-catalog`` prints them."""
     return {
+        "spaces": [{"kind": kind, "params": dict(entry.params)} for kind, entry in SPACES.items()],
         "operators": [
             {"kind": kind, "params": dict(entry.params), "zero_set": entry.zero_set}
             for kind, entry in OPERATORS.items()
@@ -401,27 +423,6 @@ def _build(sec: _Section, menu: dict, what: str, *args):
     except ConfigError:
         raise
     except (ValueError, CauchyLabError) as exc:
-        raise ConfigError(str(exc), sec.anchors.where(sec.path))
-
-
-# the keys of each space kind
-SPACE_KEYS = {
-    "hilbert": ("kind", "dim"),
-    "lp": ("kind", "dim", "p", "M"),
-}
-
-
-def _build_space(sec: _Section) -> SpaceContext:
-    kind = sec.require("kind", str)
-    if kind not in SPACE_KEYS:
-        sec.fail("kind", f"unknown space kind {kind!r}")
-    sec.known(*SPACE_KEYS[kind])
-    dim = sec.require("dim", int)
-    try:
-        if kind == "hilbert":
-            return SpaceContext.hilbert(dim)
-        return SpaceContext.lp(dim, sec.require("p", float), sec.require("M", float))
-    except ValueError as exc:
         raise ConfigError(str(exc), sec.anchors.where(sec.path))
 
 
@@ -465,7 +466,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
     )
     scenario_id = sc.require("id", str)
 
-    space = _build_space(sc.section("space"))
+    space = _build(sc.section("space"), SPACES, "space")
     # the initial point first: its length in the file bounds the dimension
     # that building the operator may allocate for
     x = sc.vector("initial_point", space.dim)
@@ -536,10 +537,10 @@ def load_config(path: str | Path) -> ScenarioSpec:
     raw_sweeps = sc.get("sweeps", kind=list) or []
     for i, entry in enumerate(raw_sweeps):
         ssec = _Section(entry, anchors, f"scenario.sweeps[{i}]")
-        ssec.known("theorem", "k_range", "counterfunctions", "orbits", "f_dom")
         theorem = str(ssec.require("theorem"))
         if theorem not in THEOREMS:
             ssec.fail("theorem", f"unknown theorem {theorem!r} (known: {', '.join(THEOREMS)})")
+        ssec.known("theorem", "k_range", *THEOREMS[theorem])
         k_range = ssec.require("k_range", list)
         if (
             len(k_range) != 2

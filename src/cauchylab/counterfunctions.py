@@ -20,7 +20,7 @@ import contextvars
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Mapping
 
@@ -159,50 +159,17 @@ def _capped(value) -> int:
     return int(value)
 
 
-class _Node:
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        raise NotImplementedError
+# an expression compiles to a closure over its variables' values
+_Expr = Callable[[Mapping[str, int]], int]
 
 
-@dataclass(frozen=True)
-class _Const(_Node):
-    value: int
-
-    def evaluate(self, env):
-        return self.value
-
-
-@dataclass(frozen=True)
-class _Var(_Node):
-    name: str
-
-    def evaluate(self, env):
-        return env[self.name]
-
-
-@dataclass(frozen=True)
-class _BinOp(_Node):
-    op: str
-    left: _Node
-    right: _Node
-
-    def evaluate(self, env):
-        a, b = self.left.evaluate(env), self.right.evaluate(env)
-        if self.op == "+":
-            return _capped(a + b)
-        if self.op == "*":
-            return _capped(a * b)
-        return max(a, b)
-
-
-@dataclass(frozen=True)
-class _Apply(_Node):
-    func: Counterfunction
-    name: str
-    arg: _Node
-
-    def evaluate(self, env):
-        return self.func(self.arg.evaluate(env))
+def _binop(op: str, left: _Expr, right: _Expr) -> _Expr:
+    """``left`` is evaluated before ``right``, as written."""
+    if op == "+":
+        return lambda env: _capped(left(env) + right(env))
+    if op == "*":
+        return lambda env: _capped(left(env) * right(env))
+    return lambda env: max(left(env), right(env))
 
 
 class _Parser:
@@ -244,30 +211,30 @@ class _Parser:
         if kind != "sym" or val != sym:
             raise ContractError(f"expected {sym!r} in expression {self.text!r}")
 
-    def parse(self) -> _Node:
+    def parse(self) -> _Expr:
         node = self._expr()
         if self.pos != len(self.tokens):
             raise ContractError(f"trailing tokens in expression {self.text!r}")
         return node
 
-    def _expr(self) -> _Node:
+    def _expr(self) -> _Expr:
         node = self._term()
         while self._peek() == ("sym", "+"):
             self._next()
-            node = _BinOp("+", node, self._term())
+            node = _binop("+", node, self._term())
         return node
 
-    def _term(self) -> _Node:
+    def _term(self) -> _Expr:
         node = self._atom()
         while self._peek() == ("sym", "*"):
             self._next()
-            node = _BinOp("*", node, self._atom())
+            node = _binop("*", node, self._atom())
         return node
 
-    def _atom(self) -> _Node:
+    def _atom(self) -> _Expr:
         kind, val = self._next()
         if kind == "nat":
-            return _Const(val)
+            return lambda env: val
         if kind == "name":
             if val == "max":
                 self._expect("(")
@@ -275,14 +242,15 @@ class _Parser:
                 self._expect(",")
                 right = self._expr()
                 self._expect(")")
-                return _BinOp("max", left, right)
+                return _binop("max", left, right)
             if val in self.variables:
-                return _Var(val)
+                return lambda env: env[val]
             if val in self.named:
+                func = self.named[val]
                 self._expect("(")
                 arg = self._expr()
                 self._expect(")")
-                return _Apply(self.named[val], val, arg)
+                return lambda env: func(arg(env))
             raise ContractError(f"unknown name {val!r} in expression {self.text!r}")
         if kind == "sym" and val == "(":
             node = self._expr()
@@ -295,7 +263,7 @@ def parse_expression(
     text: str,
     variables: tuple[str, ...],
     named: Mapping[str, Counterfunction] | None = None,
-) -> _Node:
+) -> _Expr:
     if not text.strip():
         raise ContractError("empty counterfunction expression")
     return _Parser(text, variables, named or {}).parse()
@@ -305,16 +273,16 @@ def parse_counterfunction(
     text: str, named: Mapping[str, Counterfunction] | None = None
 ) -> Counterfunction:
     """Compile an expression over n into a counterfunction."""
-    node = parse_expression(text, ("n",), named)
-    return Counterfunction(fn=lambda n: node.evaluate({"n": n}), description=text.strip())
+    expr = parse_expression(text, ("n",), named)
+    return Counterfunction(fn=lambda n: expr({"n": n}), description=text.strip())
 
 
 def parse_nat_function2(text: str, variables: tuple[str, str]) -> Callable[[int, int], int]:
     """Compile a two-variable expression into a natural-valued function."""
-    node = parse_expression(text, variables)
+    expr = parse_expression(text, variables)
 
     def fn(a: int, b: int) -> int:
-        value = node.evaluate({variables[0]: a, variables[1]: b})
+        value = expr({variables[0]: a, variables[1]: b})
         if value < 0:
             raise ContractError(f"expression {text!r} produced a negative value")
         return value

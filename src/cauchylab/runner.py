@@ -75,22 +75,6 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
     each at its validator's default budget."""
     diagnostics: dict = {"scenario": spec.scenario_id, "dynamics": spec.dynamics}
 
-    if spec.space.kind == "lp":
-        rng = np.random.default_rng([spec.seed, 1])
-        mono = spec.space.validate_strong_monotonicity(rng=rng)
-        diagnostics["strong_monotonicity"] = {
-            "constant": mono.constant,
-            "min_ratio": mono.min_ratio,
-            "samples": mono.samples,
-            "radius": mono.radius,
-            "pass": mono.passed,
-        }
-        if not mono.passed:
-            raise ConfigError(
-                f"configured M={spec.space.M} violated on sampled region: "
-                f"min ratio {mono.min_ratio:.6g}"
-            )
-
     rng = np.random.default_rng([spec.seed, 2])
     acc = verify_accretive(spec.op, rng=rng)
     diagnostics["accretivity"] = {

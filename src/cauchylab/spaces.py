@@ -1,16 +1,17 @@
 """Concrete finite-dimensional normed spaces with explicit duality maps.
 
 Two kinds are supported: Euclidean (Hilbert) space, where the normalized
-duality map is the identity and the strong-monotonicity constant is
-exactly one, and finite-dimensional l^p space with real p >= 2, where the
-duality map has the closed form
+duality map is the identity, and finite-dimensional l^p space with real
+1 < p <= 2, where the duality map has the closed form
 
-    J(x)_i = ||x||_p^(2-p) * |x_i|^(p-2) * x_i,   J(0) = 0,
+    J(x)_i = sign(x_i) * |x_i|^(p-1) * ||x||_p^(2-p),
 
-and the strong-monotonicity constant M is supplied per scenario and
-validated by sampling on a bounded region.  p < 2 is rejected: the
-formula degenerates at zero coordinates and no sampled bound would be
-trustworthy there.
+finite at zero coordinates and at x = 0, and equal to x at p = 2.  The
+duality map of l^p is (p - 1)-strongly monotone: 1/2 ||.||_p^2 is
+(p - 1)-strongly convex for 1 < p <= 2 (Ball, Carlen & Lieb, Invent.
+Math. 115, 1994), so M = p - 1, and M = 1 for the Hilbert kind.  For
+p > 2 no M > 0 exists (x = (1, 0), y = (1, eps) gives a ratio of order
+eps^2; Xu, Nonlinear Anal. 16, 1991), so such spaces are refused.
 
 The sampling validators here, in ``operators`` and in ``verification``,
 draw and evaluate their samples in blocks of SAMPLE_CHUNK rows, each
@@ -23,7 +24,7 @@ pairing, M - 1e-12 on the monotonicity ratio, and the modulus check's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,30 +51,34 @@ class MonotonicityReport:
 class SpaceContext:
     """Immutable description of the ambient space.
 
-    ``kind`` is "hilbert" or "lp"; ``M`` is the strong-monotonicity
-    constant of the duality map (1.0 exactly in the Hilbert case).
+    ``kind`` is "hilbert" or "lp"; the strong-monotonicity constant of
+    the duality map is ``M`` = p - 1, so 1 in the Hilbert kind.
     """
 
     kind: str
     dim: int
-    M: float = 1.0
-    p: float = field(default=2.0)
+    p: float = 2.0
+
+    @property
+    def M(self) -> float:
+        return self.p - 1.0
 
     @staticmethod
     def hilbert(dim: int) -> "SpaceContext":
         if dim < 1:
             raise ValueError("dimension must be positive")
-        return SpaceContext(kind="hilbert", dim=dim, M=1.0, p=2.0)
+        return SpaceContext(kind="hilbert", dim=dim)
 
     @staticmethod
-    def lp(dim: int, p: float, M: float) -> "SpaceContext":
+    def lp(dim: int, p: float) -> "SpaceContext":
         if dim < 1:
             raise ValueError("dimension must be positive")
-        if p < 2.0:
-            raise ValueError("p < 2 is not supported (duality map degenerates)")
-        if M <= 0.0:
-            raise ValueError("strong-monotonicity constant must be positive")
-        return SpaceContext(kind="lp", dim=dim, M=M, p=float(p))
+        if not 1.0 < p <= 2.0:
+            raise ValueError(
+                f"p = {p} lies outside (1, 2]: only there is the duality map "
+                "M-strongly monotone, with M = p - 1 > 0"
+            )
+        return SpaceContext(kind="lp", dim=dim, p=float(p))
 
     # -- basic vector plumbing ------------------------------------------------
 
@@ -106,15 +111,17 @@ class SpaceContext:
         if self.kind == "hilbert":
             return rows.copy()
         nx = self.norms(rows)[:, None]
-        scale = np.where(nx > 0.0, nx, 1.0) ** (2.0 - self.p)
-        return np.where(nx > 0.0, scale * np.abs(rows) ** (self.p - 2.0) * rows, 0.0)
+        return np.copysign(np.abs(rows) ** (self.p - 1.0), rows) * nx ** (2.0 - self.p)
 
     def dual_norm(self, f: np.ndarray) -> float:
         f = self.check(f)
         if self.kind == "hilbert":
             return float(np.linalg.norm(f))
+        # the exponent q = p / (p - 1) is huge for p near 1: |f_i|^q in
+        # units of max |f_i| cannot overflow
         q = self.p / (self.p - 1.0)
-        return float(np.linalg.norm(f, ord=q))
+        top = float(np.max(np.abs(f), initial=0.0))
+        return top * float(np.linalg.norm(f / top, ord=q)) if top > 0.0 else 0.0
 
     def dual_pair(self, f: np.ndarray, x: np.ndarray) -> float:
         """Finite-dimensional pairing <x, f>: the coordinate dot product."""
@@ -127,10 +134,7 @@ class SpaceContext:
         x = self.check(x)
         if self.kind == "hilbert":
             return x.copy()
-        nx = self.norm(x)
-        if nx == 0.0:
-            return np.zeros_like(x)
-        return nx ** (2.0 - self.p) * np.abs(x) ** (self.p - 2.0) * x
+        return np.copysign(np.abs(x) ** (self.p - 1.0), x) * self.norm(x) ** (2.0 - self.p)
 
     # -- validation -----------------------------------------------------------
 
@@ -152,11 +156,9 @@ class SpaceContext:
     ) -> MonotonicityReport:
         """Sample pairs in the ball of ``radius`` and check the M-inequality.
 
-        For the Hilbert kind the inequality is an identity with M = 1, so
-        the report is a formality.  For lp the configured M is a scenario
-        datum; the sampled minimum ratio certifies it on the region only.
-        J is 1-homogeneous, so a pair's ratio is scale-free: ``radius``
-        moves no verdict.
+        M = p - 1 is a theorem, so the program no longer calls this; the
+        tests use it as the oracle for that constant.  J is 1-homogeneous,
+        so a pair's ratio is scale-free: ``radius`` moves no verdict.
         """
         if rng is None:
             rng = np.random.default_rng(0)

@@ -25,9 +25,9 @@ def hilbert3():
 
 
 @pytest.fixture(scope="session")
-def lp4(hilbert2):
-    # M calibrated against the seeded sampling used by the bundled config
-    return SpaceContext.lp(2, 4.0, 0.02)
+def lp15():
+    # the space of the bundled lp_identity config: M = p - 1 = 0.5
+    return SpaceContext.lp(2, 1.5)
 
 
 @pytest.fixture(scope="session")

@@ -123,15 +123,15 @@ def test_criterion_01_oracle_equivalence(hilbert2, hilbert3):
     _passline(1, f"oracle equivalence, worst {worst:.2e}, {elapsed:.0f}s")
 
 
-def test_criterion_02_apriori_bounds(catalog_trajectories, lp4):
+def test_criterion_02_apriori_bounds(catalog_trajectories, lp15):
     for name, op, x, traj in catalog_trajectories:
         bounds = check_apriori(op, x, traj, op.space.M)
         assert bounds.passed, f"a-priori bounds failed for {name}: {bounds}"
-    # the lp catalog scenario carries its own sampled constant
-    lp_op = ScaledIdentity(1.0, lp4)
+    # the lp catalog scenario: M = p - 1 = 0.5, so the cap 2/M^2 is 8
+    lp_op = ScaledIdentity(1.0, lp15)
     lp_x = np.array([1.0, 0.0])
     lp_traj = solve_second_order(lp_op, lp_x, SolverConfig(TimeGrid(40.0, 0.01)))
-    assert check_apriori(lp_op, lp_x, lp_traj, lp4.M).passed
+    assert check_apriori(lp_op, lp_x, lp_traj, lp15.M).passed
     # unit-scale reference values: integral 1/2 against cap 2
     identity = next(t for t in catalog_trajectories if t[0] == "identity")
     bounds = check_apriori(identity[1], identity[2], identity[3], 1.0)

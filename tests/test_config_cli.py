@@ -159,11 +159,53 @@ BAD_CASES = [
     *(
         (
             "space: {kind: hilbert, dim: 2}",
-            f"space: {{kind: lp, dim: 2, p: 4.0, M: 0.02, validate_radius: {r}}}",
+            f"space: {{kind: lp, dim: 2, p: 1.5, validate_radius: {r}}}",
             r":4: scenario\.space\.validate_radius: unknown key 'validate_radius' "
-            r"\(allowed: kind, dim, p, M\)",
+            r"\(allowed: kind, dim, p\)",
         )
         for r in ("-3.0", "0.0")
+    ),
+    # M = p - 1 is a theorem, not a setting: a configured M once certified
+    # the p = 4 reports against a false constant
+    *(
+        (
+            "space: {kind: hilbert, dim: 2}",
+            f"space: {{{entry}}}",
+            rf":4: scenario\.space\.M: unknown key 'M' \(allowed: {allowed}\)$",
+        )
+        for entry, allowed in (
+            ("kind: lp, dim: 2, p: 4.0, M: 0.02", "kind, dim, p"),
+            ("kind: lp, dim: 2, p: 1.5, M: 0.5", "kind, dim, p"),
+            ("kind: hilbert, dim: 2, M: 1.0", "kind, dim"),
+        )
+    ),
+    # only for 1 < p <= 2 is the duality map M-strongly monotone with M > 0
+    *(
+        (
+            "space: {kind: hilbert, dim: 2}",
+            f"space: {{kind: lp, dim: 2, p: {p}}}",
+            rf":4: scenario\.space: p = {re.escape(p)} lies outside \(1, 2\]",
+        )
+        for p in ("4.0", "2.5", "1.0", "0.5", "-2.0")
+    ),
+    # a sweep accepts only the keys its theorem reads
+    *(
+        (
+            '- {theorem: "4.1", k_range: [0, 1]}',
+            f'- {{theorem: "{theorem}", k_range: [0, 1], {entry}}}',
+            rf":10: scenario\.sweeps\[0\]\.{entry.split(':')[0]}: unknown key "
+            rf"'{entry.split(':')[0]}' \(allowed: theorem, k_range{allowed}\)$",
+        )
+        for theorem, allowed, entry in (
+            ("4.1", "", 'f_dom: "7"'),
+            ("4.1", "", 'counterfunctions: ["n"]'),
+            ("4.1", "", "orbits: [exact]"),
+            ("4.2", ", f_dom", 'counterfunctions: ["n"]'),
+            ("4.2", ", f_dom", "orbits: [exact]"),
+            ("5.1", ", counterfunctions, orbits", 'f_dom: "7"'),
+            ("5.3", ", orbits", 'f_dom: "7"'),
+            ("5.3", ", orbits", 'counterfunctions: ["n"]'),
+        )
     ),
     *(
         (
@@ -556,6 +598,15 @@ def _huge_modulus(zeros, check=True):
             )
             for key, value in (("schedule", "[[0.1, 0.1]]"), ("stabilization_tol", "1.0e-6"))
         ),
+        # the l^p constant is p - 1: a configured M, and a p outside (1, 2]
+        (
+            MINIMAL.replace("kind: hilbert, dim: 2", "kind: lp, dim: 2, p: 4.0, M: 0.02"),
+            ".cfg:4: scenario.space.M: unknown key 'M' (allowed: kind, dim, p)",
+        ),
+        (
+            MINIMAL.replace("kind: hilbert, dim: 2", "kind: lp, dim: 2, p: 4.0"),
+            ".cfg:4: scenario.space: p = 4.0 lies outside (1, 2]",
+        ),
     ],
     ids=[
         "singular_solve",
@@ -564,6 +615,8 @@ def _huge_modulus(zeros, check=True):
         "bound_in_sweep",
         "schedule_key",
         "stabilization_tol_key",
+        "space_M_key",
+        "lp_p_above_two",
     ],
 )
 def test_cli_error_is_one_line(tmp_path, capsys, text, message):
@@ -618,6 +671,12 @@ def test_cli_list_catalog(capsys):
     assert {"operators", "moduli", "orbits", "theorems", "counterfunction_grammar"} <= set(
         payload
     )
+    # the space menu, with the l^p exponent's range and constant
+    assert "space kinds:" in text and "M = p - 1" in text
+    spaces = {entry["kind"]: entry["params"] for entry in payload["spaces"]}
+    assert set(spaces) == {"hilbert", "lp"}
+    assert set(spaces["lp"]) == {"dim", "p"}
+    assert "(1, 2]" in spaces["lp"]["p"] and "M = p - 1" in spaces["lp"]["p"]
 
 
 def test_cli_unknown_flag_exits_1():

@@ -208,7 +208,7 @@ def test_structural_validation(hilbert2):
 
 
 def test_lp_space_rejects_proper_nullspace():
-    lp = SpaceContext.lp(2, 4.0, 0.02)
+    lp = SpaceContext.lp(2, 1.5)
     with pytest.raises(ValueError):
         LinearPSD(np.diag([0.0, 1.0]), lp)
     LinearPSD(np.diag([1.0, 2.0]), lp)  # trivial nullspace is fine

@@ -201,14 +201,14 @@ def test_orbit_values_match_pointwise_formulas(identity_sg):
 @pytest.mark.parametrize(
     "name", ["subdiff_inside_ball", "subdiff", "identity", "psd", "strong_subdiff", "lp_identity"]
 )
-def test_sample_set_graph_bound_matches_row_by_row(name, hilbert2, lp4):
+def test_sample_set_graph_bound_matches_row_by_row(name, hilbert2, lp15):
     ops = {
         "subdiff_inside_ball": (NormSubdifferential(hilbert2), 0.7),
         "subdiff": (NormSubdifferential(hilbert2), 3.0),
         "identity": (ScaledIdentity(1.0, hilbert2), 3.0),
         "psd": (LinearPSD(np.array([[2.0, 1.0], [1.0, 1.0]]), hilbert2), 2.0),
         "strong_subdiff": (StronglyAccretive(NormSubdifferential(hilbert2), 0.5), 2.0),
-        "lp_identity": (ScaledIdentity(1.0, lp4), 3.0),
+        "lp_identity": (ScaledIdentity(1.0, lp15), 3.0),
     }
     op, radius = ops[name]
     rng = np.random.default_rng(11)
