@@ -5,11 +5,12 @@ line, u(0) = x) is solved by finite differences on [0, T].  A linear
 operator A = B is its own limit A_0, and u'' = Bu is solved once.  For a
 nonlinear one, each stage of the fixed ``DEFAULT_SCHEDULE`` replaces A by
 its Yosida approximate at parameter r plus a linear restoring term p*u and
-solves that smooth problem, warm-started from the stage before.  The last
-stage, at r = 1e-3, then starts a semismooth Newton solve of the
-unregularized inclusion, written with the resolvent at sigma = that r as
-u_i = J_sigma(u_i + sigma u_i''); nodes in the zero set's basin come out
-exactly 0.
+solves that smooth problem, warm-started from the stage before, on a grid
+``COARSE_FACTOR`` times coarser.  The last stage, at r = 1e-3, is solved
+again on the solver's grid from its interpolation, and then starts a
+semismooth Newton solve of the unregularized inclusion, written with the
+resolvent at sigma = that r as u_i = J_sigma(u_i + sigma u_i''); nodes in
+the zero set's basin come out exactly 0.
 
 Boundary treatment: the left end is clamped at x; the far end carries a
 zero-derivative (ghost-node) condition.  A Dirichlet far end would force
@@ -34,6 +35,9 @@ from .operators import AccretiveOperator
 DEFAULT_SCHEDULE = ((0.1, 0.1), (0.01, 0.01), (0.001, 0.001))
 # the fewest grid steps the discrete two-point system is solved on
 MIN_STEPS = 4
+# the warm-start stages run on a grid this many times coarser than the
+# solver's (fewer times when that would leave fewer than MIN_STEPS steps)
+COARSE_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -680,6 +684,15 @@ def _flag_far_end(op: AccretiveOperator, x: np.ndarray, traj: Trajectory) -> Non
     traj.meta["far_end_ok"] = bool(rate <= 0.01 * scale)
 
 
+def _refine(values: np.ndarray, factor: int, n: int) -> np.ndarray:
+    """The unknowns 1..n of a fine grid, linear between the nodes of
+    ``values``, a trajectory on the grid ``factor`` times coarser."""
+    i = np.arange(1, n + 1)
+    j = np.minimum(i // factor, len(values) - 2)
+    frac = ((i - j * factor) / factor)[:, None]
+    return (1.0 - frac) * values[j] + frac * values[j + 1]
+
+
 def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfig) -> Trajectory:
     """Solve u'' in Au, u(0) = x, on the solver's grid, at r = p = 0.
 
@@ -690,13 +703,21 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
     O(n dim) memory.
 
     Otherwise every (r, p) stage of ``DEFAULT_SCHEDULE`` is solved in
-    turn, each warm-started from the one before, and the last stage's
-    trajectory, at r = 1e-3, starts ``solve_unregularized`` with sigma =
-    its r.  The metadata records the stages and then (0, 0) in
-    ``continuation``, and in ``stage_diffs`` the sup-norm change from each
-    solve to the next, the last one the unregularized solve's.  In both
-    cases ``stabilized`` means that the r = p = 0 system was solved to the
-    Newton tolerance; a solve that fails raises ``SolverError``.
+    turn, each warm-started from the one before, on a grid whose step is
+    ``COARSE_FACTOR`` times the solver's (the largest smaller factor that
+    leaves ``MIN_STEPS`` steps on a shorter grid; a factor of 1 is the
+    solver's grid).  It covers ceil(n / factor) coarse steps, so it
+    reaches the horizon or past it.  The last stage, at r = 1e-3, is
+    interpolated linearly onto the solver's grid and solved there once
+    more at the same r, and that trajectory starts ``solve_unregularized``
+    with sigma = its r.  The metadata records the stages and then (0, 0)
+    in ``continuation``, and in ``stage_diffs`` the sup-norm change from
+    each stage to the next: between the coarse stages on the coarse grid,
+    and then from the fine r = 1e-3 solve to the unregularized one.  It
+    records ``coarse_step`` and, in ``stage_steps``, the Newton steps of
+    the coarse stages, the fine r = 1e-3 solve and the r = 0 solve.  In
+    both cases ``stabilized`` means that the r = p = 0 system was solved
+    to the Newton tolerance; a solve that fails raises ``SolverError``.
     """
     x = op.space.check(x)
     grid = solver.grid
@@ -717,18 +738,28 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
         )
         traj.meta.update(continuation=[(0.0, 0.0)], stage_diffs=[])
     else:
-        trajs = []
+        n = grid.n_steps
+        factor = min(COARSE_FACTOR, max(1, n // MIN_STEPS))
+        m = -(-n // factor)
+        coarse_step = factor * grid.step
+        coarse = TimeGrid(m * coarse_step, coarse_step)
+        stages = []
         for r, p in DEFAULT_SCHEDULE:
-            warm = trajs[-1].values[1:] if trajs else None
-            trajs.append(solve_regularized(op, r, p, x, grid, init=warm))
-        sigma = DEFAULT_SCHEDULE[-1][0]
-        trajs.append(solve_unregularized(op, x, grid, sigma, trajs[-1].values[1:]))
+            warm = stages[-1].values[1:] if stages else None
+            stages.append(solve_regularized(op, r, p, x, coarse, init=warm))
+        r, p = DEFAULT_SCHEDULE[-1]
+        refined = solve_regularized(op, r, p, x, grid, init=_refine(stages[-1].values, factor, n))
+        traj = solve_unregularized(op, x, grid, r, refined.values[1:])
         diffs = [
             float(np.max(op.space.norms(nxt.values - prev.values)))
-            for prev, nxt in zip(trajs, trajs[1:])
+            for prev, nxt in zip([*stages[:-1], refined], [*stages[1:], traj])
         ]
-        traj = trajs[-1]
-        traj.meta.update(continuation=[*DEFAULT_SCHEDULE, (0.0, 0.0)], stage_diffs=diffs)
+        traj.meta.update(
+            continuation=[*DEFAULT_SCHEDULE, (0.0, 0.0)],
+            stage_diffs=diffs,
+            coarse_step=coarse_step,
+            stage_steps=[s.meta["newton_steps"] for s in [*stages, refined, traj]],
+        )
     traj.meta.update(stabilized=True, initial_point=x.copy())
     return traj
 

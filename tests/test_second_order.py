@@ -330,6 +330,57 @@ def test_unregularized_solve_from_a_coarse_schedule(monkeypatch):
     assert np.max(np.abs(coarse.values - fine.values)) <= 1e-9
 
 
+def _single_grid_chain(op, x, grid):
+    # every stage of the schedule on the solver's own grid, then r = 0
+    stage = None
+    for r, p in DEFAULT_SCHEDULE:
+        stage = solve_regularized(op, r, p, x, grid, None if stage is None else stage.values[1:])
+    return solve_unregularized(op, x, grid, DEFAULT_SCHEDULE[-1][0], stage.values[1:])
+
+
+@pytest.mark.parametrize(
+    "c, x, grid, coarse_step",
+    [
+        *[(c, x, grid, 8 * grid.step) for c, x, grid, _ in NORM_FAMILY_CASES],
+        # 401 steps: the coarse grid's 51 steps reach past the horizon
+        (3.0, [1.8, 2.4], TimeGrid(4.01, 0.01), 0.08),
+        # under 8 MIN_STEPS steps the factor shrinks: 30 // 4 = 7, and 1 at 6 steps
+        (0.0, [1.0, 0.5], TimeGrid(3.0, 0.1), 0.7),
+        (0.0, [0.02, 0.01], TimeGrid(0.06, 0.01), 0.01),
+    ],
+)
+def test_coarse_stages_give_the_single_grid_solution(c, x, grid, coarse_step):
+    x = np.array(x)
+    base = NormSubdifferential(SpaceContext.hilbert(x.size))
+    op = base if c == 0.0 else StronglyAccretive(base, c)
+    traj = solve_second_order(op, x, SolverConfig(grid, margin=grid.horizon / 2))
+    assert traj.meta["coarse_step"] == pytest.approx(coarse_step, rel=1e-12)
+    assert len(traj.meta["stage_steps"]) == len(DEFAULT_SCHEDULE) + 2
+    assert np.max(np.abs(traj.values - _single_grid_chain(op, x, grid).values)) <= 1e-12
+
+
+def test_coarse_stages_in_a_restart(hilbert2):
+    op = StronglyAccretive(NormSubdifferential(hilbert2), 0.5)
+    solver = SolverConfig(TimeGrid(10.0, 0.01))
+    sg = SqrtSemigroup(op, np.array([1.5, -0.5]), solver)
+    y = sg.at(0.5)
+    restart = sg.restart_from(y)
+    assert restart is not sg
+    chain = _single_grid_chain(op, y, solver.grid)
+    assert np.max(np.abs(restart.trajectory.values - chain.values)) <= 1e-12
+
+
+def test_norm_chain_far_from_its_zero():
+    # extinction at sqrt(60) = 7.75 of a horizon of 20: on the solver's grid
+    # the first stage needed more than NEWTON_MAX_ITER steps; on the coarse
+    # grid it takes 34, and the r = 0 solve 4
+    x = np.array([30.0, 0.0])
+    op = NormSubdifferential(SpaceContext.hilbert(2))
+    traj, deviation = _norm_oracle_deviation(op, 0.0, x, SolverConfig(TimeGrid(20.0, 0.01)))
+    assert traj.meta["stabilized"]
+    assert deviation <= 1e-5
+
+
 def test_unregularized_stall_is_one_line_solver_error(monkeypatch, hilbert2):
     # an ascent direction: the line search halves the step to nothing
     step = second_order._active_set_step
