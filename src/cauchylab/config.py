@@ -15,8 +15,8 @@ exponents the loader accepts.
 A mandatory RNG seed makes every sampling-based validation
 reproducible: identical config and seed give byte-identical reports.
 A config sets no rate data and no validation budget: the sweeps compute
-b, D, B and omega from the scenario, and every run samples at the
-defaults of ``verify_accretive`` and ``modulus_check``.
+b, D, B and the graph bound from the scenario, and every run samples at
+the defaults of ``verify_accretive`` and ``modulus_check``.
 """
 
 from __future__ import annotations

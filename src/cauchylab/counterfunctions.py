@@ -40,12 +40,11 @@ _active_budget: contextvars.ContextVar["EvaluationBudget | None"] = contextvars.
 
 
 class EvaluationBudget:
-    """Shared call counter and memo space for one top-level rate query."""
+    """Shared call counter for one top-level rate query."""
 
     def __init__(self, cap: int = DEFAULT_EVALUATION_CAP):
         self.cap = cap
         self.used = 0
-        self.memo: dict = {}
 
     def charge(self, amount: int = 1, offender: str = "") -> None:
         self.used += amount
@@ -70,10 +69,6 @@ def query_budget(cap: int = DEFAULT_EVALUATION_CAP):
         yield budget
     finally:
         _active_budget.reset(token)
-
-
-def current_budget() -> EvaluationBudget | None:
-    return _active_budget.get()
 
 
 def charge(amount: int = 1, offender: str = "") -> None:

@@ -120,8 +120,8 @@ class LinearMatrix(AccretiveOperator):
     catalog entries are factories that check their structure and return
     one of these.  The zero set is the nullspace and its projector is the
     Euclidean orthogonal projection, which is the nearest-point
-    projection in the Hilbert kind.  In lp spaces a linear operator is
-    only admitted when its nullspace is trivial or full, where the two
+    projection at p = 2.  In l^p with p < 2 a linear operator is only
+    admitted when its nullspace is trivial or full, where the two
     projections coincide.
     """
 
@@ -141,10 +141,10 @@ class LinearMatrix(AccretiveOperator):
         rank = int(np.sum(sing > _NULLSPACE_TOL * np.amax(sing, initial=0.0)))
         ns = vh[rank:].T
         self._null_proj = ns @ ns.T
-        if space.kind == "lp" and 0 < ns.shape[1] < space.dim:
+        if space.p != 2.0 and 0 < ns.shape[1] < space.dim:
             raise ValueError(
                 "linear operator with a proper nontrivial nullspace is only "
-                "supported in the Hilbert kind (nearest-point projection)"
+                "supported at p = 2 (nearest-point projection)"
             )
 
     @property
@@ -220,13 +220,13 @@ class NormSubdifferential(AccretiveOperator):
 
     Single-valued x/||x|| away from the origin; at the origin the
     minimal-norm subgradient is 0.  The resolvent is the proximal map of
-    gamma*||.||, a radial soft threshold.  Hilbert kind only (the proximal
-    map is Euclidean).
+    gamma*||.||, a radial soft threshold.  Euclidean geometry only, the
+    Hilbert kind or l^2 (the proximal map is Euclidean).
     """
 
     def __init__(self, space: SpaceContext):
-        if space.kind != "hilbert":
-            raise ValueError("norm subdifferential catalog entry is Hilbert-only")
+        if space.p != 2.0:
+            raise ValueError("norm subdifferential catalog entry needs p = 2 (Euclidean norm)")
         super().__init__(space)
 
     def dist_zero(self, x: np.ndarray) -> float:

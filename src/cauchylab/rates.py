@@ -7,10 +7,10 @@ higher-order metastability functionals for almost-orbits, together with
 the rate-of-convergence variant.
 
 All real-valued budget constants are ceiled once at data construction,
-so every functional below computes in exact integer arithmetic.  Inner
-maxima over index ranges are evaluated by memoized enumeration under the
-shared evaluation budget; rates known to ignore their counterfunction
-argument collapse those enumerations to a single probe.
+so every functional below computes in exact integer arithmetic under the
+shared evaluation budget.  The one inner maximum left, over the shifts of
+an f-dependent metastability rate, is enumerated; a rate known to ignore
+its counterfunction argument collapses it to a single probe.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .counterfunctions import (
     Counterfunction,
     MetastabilityRate,
     charge,
-    current_budget,
     query_budget,
 )
 from .errors import ContractError
@@ -140,10 +139,15 @@ class ScenarioRateData:
 
     ``b`` is max(||x||, ||x - Px||); ``d_budget`` is the ceiled
     integral budget (1 + b^2)(2/M^2) d(0,Ax)^{1/2} b^{3/2}; ``orbit_bound``
-    is a natural B with ||u(t) - p|| <= B on the certified horizon; ``omega``
-    is the uniform-continuity modulus of the zero-set projection (clamped
-    to omega(r, k) >= k); ``f_family`` assigns each orbit index s a
-    nondecreasing counterfunction bounding a graph pair near u(s).
+    is a natural B with ||u(t) - p|| <= B on the certified horizon;
+    ``graph_bound`` is a natural bounding a graph pair near every orbit
+    point u(s), the same for every index s.
+
+    The almost-orbit theorems also take a modulus of uniform continuity
+    ω(r, k) for the zero-set projection P on the ball of radius r.  It is
+    built in as ω(r, k) = k: every catalog P is nonexpansive, so
+    ||x - y|| <= 1/(k + 1) gives ||Px - Py|| <= 1/(k + 1), and k is the
+    least value the theorems take.
     """
 
     m_const: float
@@ -153,8 +157,12 @@ class ScenarioRateData:
     b: float
     d_budget: int
     orbit_bound: int | None = None
-    omega: Callable[[int, int], int] | None = None
-    f_family: Callable[[int], Counterfunction] | None = None
+    graph_bound: int | None = None
+
+    def __post_init__(self):
+        for bound in (self.orbit_bound, self.graph_bound):
+            if bound is not None and bound < 0:
+                raise ContractError("orbit and graph bounds must be naturals")
 
     @staticmethod
     def for_point(
@@ -163,15 +171,12 @@ class ScenarioRateData:
         dist_proj: float,
         dist_zero: float,
         orbit_bound: int | None = None,
-        omega: Callable[[int, int], int] | None = None,
-        f_family: Callable[[int], Counterfunction] | None = None,
+        graph_bound: int | None = None,
     ) -> "ScenarioRateData":
         if m_const <= 0.0:
             raise ContractError("strong-monotonicity constant must be positive")
         b = max(norm_x, dist_proj)
         d_budget = (1.0 + b * b) * (2.0 / (m_const * m_const)) * math.sqrt(dist_zero) * b ** 1.5
-        if orbit_bound is not None and orbit_bound < 0:
-            raise ContractError("orbit bound must be a natural")
         return ScenarioRateData(
             m_const=m_const,
             norm_x=norm_x,
@@ -180,22 +185,8 @@ class ScenarioRateData:
             b=float(b),
             d_budget=ceil_nat(d_budget),
             orbit_bound=orbit_bound,
-            omega=omega,
-            f_family=f_family,
+            graph_bound=graph_bound,
         )
-
-    def omega_at(self, r: int, k: int) -> int:
-        if self.omega is None:
-            raise ContractError("scenario data lacks a projection modulus")
-        value = self.omega(r, k)
-        if value < 0:
-            raise ContractError("projection modulus returned a negative value")
-        return max(value, k)  # WLOG omega(r, k) >= k
-
-    def f_at(self, s: int) -> Counterfunction:
-        if self.f_family is None:
-            raise ContractError("scenario data lacks a domain-witness family")
-        return self.f_family(s)
 
 
 # -- Cauchy rates for the square-root semigroup --------------------------------
@@ -235,31 +226,22 @@ def closure_cauchy_rate(
 # -- almost-orbit functionals ---------------------------------------------------
 
 
-def projection_residual_rate(
-    s: int, k: int, modulus: ConvergenceModulus, data: ScenarioRateData
-) -> int:
-    """Time bound after which the flow started near u(s) stays within
-    1/(3(k+1)) of the zero set (the per-index ingredient of the
-    metastability functionals)."""
-    if s < 0 or k < 0:
-        raise ContractError("indices must be naturals")
-    if data.orbit_bound is None:
-        raise ContractError("orbit bound B is required for almost-orbit rates")
+def projection_residual_rate(k: int, modulus: ConvergenceModulus, data: ScenarioRateData) -> int:
+    """Time bound after which the flow started near any orbit point u(s)
+    stays within 1/(3(k+1)) of the zero set (the ingredient of the
+    metastability functionals; with one graph bound for every s, it is
+    the same for every s)."""
+    if k < 0:
+        raise ContractError("precision index must be a natural")
+    if data.orbit_bound is None or data.graph_bound is None:
+        raise ContractError("orbit bound B and graph bound are required for almost-orbit rates")
     with query_budget():
-        budget = current_budget()
-        key = ("proj_res", id(modulus), id(data), s, k)
-        if budget is not None and key in budget.memo:
-            return budget.memo[key]
-        bb = data.orbit_bound
-        v = data.f_at(s)(data.omega_at(bb + 1, 3 * k + 2))
+        v = data.graph_bound
         d_sk = ceil_nat(
-            (1.0 + (bb + 1) ** 2) * (2.0 / (data.m_const ** 2)) * v * v
+            (1.0 + (data.orbit_bound + 1) ** 2) * (2.0 / (data.m_const ** 2)) * v * v
         )
         m = modulus(3 * k + 2, max(1, v))
-        value = window_end(d_sk, trunc_sub((m + 1) ** 2, 1))
-        if budget is not None:
-            budget.memo[key] = value
-        return value
+        return window_end(d_sk, trunc_sub((m + 1) ** 2, 1))
 
 
 def shifted_window_fn(n_shift: int, f: Counterfunction) -> Counterfunction:
@@ -288,14 +270,10 @@ def witness_gap_fn(k: int, f: Counterfunction, phi: MetastabilityRate) -> Counte
 def residual_window_fn(
     k: int, f: Counterfunction, modulus: ConvergenceModulus, data: ScenarioRateData
 ) -> Counterfunction:
-    """g(m) = R_m + f(m + R_m) with R_m the projection-residual rate at
-    index m and precision 3k+2."""
-
-    def fn(m: int) -> int:
-        r_m = projection_residual_rate(m, 3 * k + 2, modulus, data)
-        return r_m + f(m + r_m)
-
-    return Counterfunction(fn, f"residual_window[k={k}]({f.description})")
+    """g(m) = R + f(m + R) with R the projection-residual rate at
+    precision 3k+2."""
+    r = projection_residual_rate(3 * k + 2, modulus, data)
+    return Counterfunction(lambda m: r + f(m + r), f"residual_window[k={k}]({f.description})")
 
 
 def _enumerate_max(values_fn: Callable[[int], int], bound: int, label: str) -> int:
@@ -317,17 +295,9 @@ def residual_metastability_rate(
     along an almost-orbit with metastability rate phi."""
     if k < 0:
         raise ContractError("precision index must be a natural")
-    if data.orbit_bound is None:
-        raise ContractError("orbit bound B is required for almost-orbit rates")
     with query_budget():
-        g = residual_window_fn(k, f, modulus, data)
-        n0 = phi(data.omega_at(data.orbit_bound, 3 * k + 2), g)
-        inner = _enumerate_max(
-            lambda m: projection_residual_rate(m, 3 * k + 2, modulus, data),
-            n0,
-            "residual-rate enumeration",
-        )
-        return n0 + inner
+        r = projection_residual_rate(3 * k + 2, modulus, data)
+        return phi(3 * k + 2, residual_window_fn(k, f, modulus, data)) + r
 
 
 def cauchy_metastability_rate(
@@ -364,12 +334,8 @@ def almost_orbit_cauchy_rate(
     of convergence on the almost-orbit condition."""
     if k < 0:
         raise ContractError("precision index must be a natural")
-    if data.orbit_bound is None:
-        raise ContractError("orbit bound B is required for almost-orbit rates")
     with query_budget():
+        r = projection_residual_rate(24 * k + 23, modulus, data)
         roc = _MonotoneGuard(phi_roc, f"rate of convergence {phi_roc.description}")
-        s_star = roc(data.omega_at(data.orbit_bound, 24 * k + 23))
-        return max(
-            roc(8 * k + 7),
-            s_star + projection_residual_rate(s_star, 24 * k + 23, modulus, data),
-        )
+        s_star = roc(24 * k + 23)
+        return max(roc(8 * k + 7), s_star + r)

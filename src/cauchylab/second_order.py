@@ -760,7 +760,7 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
             coarse_step=coarse_step,
             stage_steps=[s.meta["newton_steps"] for s in [*stages, refined, traj]],
         )
-    traj.meta.update(stabilized=True, initial_point=x.copy())
+    traj.meta["stabilized"] = True
     return traj
 
 

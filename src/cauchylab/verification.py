@@ -315,7 +315,6 @@ def first_order_trajectory(
     values, _, _, converged = semigroup_points(op, grid.nodes, x, cfg)
     traj = Trajectory(grid=grid, values=values, meta={"dynamics": "first_order"})
     traj.meta["exp_formula_converged"] = bool(np.all(converged))
-    traj.meta["initial_point"] = x.copy()
     return traj
 
 
@@ -479,7 +478,7 @@ def _certify_orbit(orbit: AlmostOrbit, sample_ks: Sequence[int], cert_tol: float
 
 def _euclidean(space) -> bool:
     # np.linalg.norm takes ord = 2 down its sum-of-squares path as well
-    return space.kind == "hilbert" or space.p == 2.0
+    return space.p == 2.0
 
 
 def _upper_row_max(values: np.ndarray, space) -> np.ndarray:
@@ -612,8 +611,8 @@ class ScenarioBundle:
     """Everything a sweep needs about one scenario, solved and sampled.
 
     ``solver`` is the trajectory's solver setup: its trusted horizon and
-    ``sample_points`` set the samples.  The rate data b, D, B and omega
-    are computed from the scenario, never supplied."""
+    ``sample_points`` set the samples.  The rate data b, D, B and the
+    graph bound are computed from the scenario, never supplied."""
 
     scenario_id: str
     op: AccretiveOperator
@@ -660,9 +659,6 @@ class ScenarioBundle:
             norm_x=norm_x,
             dist_proj=dist_proj,
             dist_zero=self.op.dist_zero(self.x),
-            # the identity modulus: every catalog zero-set projection is
-            # nonexpansive
-            omega=lambda r, k: k,
         )
 
     def orbit_rate_data(self, orbit: AlmostOrbit) -> ScenarioRateData:
@@ -671,15 +667,11 @@ class ScenarioBundle:
         # deviation from the origin, which every catalog zero set contains
         sup_dev = float(np.max(space.norms(samples.values)))
         orbit_bound = max(1, math.ceil(sup_dev - 1e-9))
-        worst = samples.graph_bound
-
-        # one uniform bound for the whole family: valid at every orbit
-        # index (horizon-certified), and constant in s so the enumerated
-        # maxima in the metastability functionals collapse
-        def family(s: int) -> Counterfunction:
-            return Counterfunction.constant(worst, "graph bound over the orbit")
-
-        return replace(self.point_rate_data(), orbit_bound=orbit_bound, f_family=family)
+        # the worst graph bound over the samples holds at every orbit index
+        # (horizon-certified)
+        return replace(
+            self.point_rate_data(), orbit_bound=orbit_bound, graph_bound=samples.graph_bound
+        )
 
 
 def _margin(bound: int, observed: float) -> float:

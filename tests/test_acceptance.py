@@ -176,11 +176,11 @@ def test_criterion_05_metastability_sweep(orbit_bundles):
             assert not r.extrapolated
             assert r.observed <= r.bound
         # exact-orbit collapse: the metastability bound equals the
-        # index-zero residual rate at precision 24k+23, exactly
+        # residual rate at precision 24k+23, exactly
         exact = next(o for o in bundle.orbits if o.kind == "exact")
         data = bundle.orbit_rate_data(exact)
         for k in range(4):
-            expected = projection_residual_rate(0, 24 * k + 23, MOD1, data)
+            expected = projection_residual_rate(24 * k + 23, MOD1, data)
             for f in fs:
                 got = cauchy_metastability_rate(k, f, exact.phi_meta, MOD1, data)
                 assert got == expected

@@ -115,6 +115,43 @@ def test_missing_lp_constant_names_field_and_line(tmp_path):
     assert f"{path}:4" in message  # anchored at the space mapping line
 
 
+# operators whose zero-set projection or proximal map is Euclidean: they
+# need p = 2, the Hilbert kind or l^2
+EUCLIDEAN_OPERATORS = [
+    "{kind: norm_subdifferential}",
+    "{kind: linear_psd, matrix: [[0.0, 0.0], [0.0, 1.0]]}",  # a proper nullspace
+]
+
+
+def _with_space_and_operator(space, operator):
+    return MINIMAL.replace("{kind: hilbert, dim: 2}", space).replace(
+        "{kind: scaled_identity, c: 1.0}", operator
+    )
+
+
+@pytest.mark.parametrize("operator", EUCLIDEAN_OPERATORS)
+def test_euclidean_operators_load_in_l2(tmp_path, operator):
+    spec = load_config(write_cfg(tmp_path, _with_space_and_operator("{kind: lp, dim: 2, p: 2}", operator)))
+    assert spec.space.kind == "lp" and spec.op.space.p == 2.0
+
+
+@pytest.mark.parametrize("operator", EUCLIDEAN_OPERATORS)
+def test_euclidean_operators_refused_below_p2(tmp_path, operator):
+    path = write_cfg(tmp_path, _with_space_and_operator("{kind: lp, dim: 2, p: 1.5}", operator))
+    with pytest.raises(ConfigError, match="p = 2") as err:
+        load_config(path)
+    assert f"{path}:5" in str(err.value)  # anchored at the operator mapping line
+
+
+def test_l2_norm_subdifferential_trajectory_is_the_hilbert_one(tmp_path):
+    norm = "{kind: norm_subdifferential}"
+    trajectories = []
+    for space in ("{kind: hilbert, dim: 2}", "{kind: lp, dim: 2, p: 2}"):
+        spec = load_config(write_cfg(tmp_path, _with_space_and_operator(space, norm)))
+        trajectories.append(cauchylab.solve_second_order(spec.op, spec.x, spec.solver).values)
+    np.testing.assert_array_equal(*trajectories)
+
+
 BAD_CASES = [
     ("operator: {kind: scaled_identity, c: 1.0}", "operator: {kind: warp}", "warp"),
     ('- {theorem: "4.1", k_range: [0, 1]}', '- {theorem: "7.7", k_range: [0, 1]}', "7.7"),

@@ -113,9 +113,9 @@ def test_totality_guards():
 
 
 def test_two_variable_expressions():
-    omega = parse_nat_function2("max(r, k) + 1", ("r", "k"))
-    assert omega(3, 5) == 6
-    assert omega(9, 2) == 10
+    fn = parse_nat_function2("max(r, k) + 1", ("r", "k"))
+    assert fn(3, 5) == 6
+    assert fn(9, 2) == 10
     mod = parse_nat_function2("(k+1)*(k+1)", ("k", "K"))
     assert mod(2, 100) == 9
 

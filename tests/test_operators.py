@@ -89,7 +89,8 @@ def test_projection_idempotent_image_zeros(hilbert2, catalog):
 
 
 def test_projection_nonexpansive_hilbert(catalog):
-    # omega(r, k) = k is a valid modulus exactly when P is nonexpansive
+    # the rates' built-in projection modulus, k itself, is valid exactly
+    # when P is nonexpansive
     rng = np.random.default_rng(13)
     for _, op, _ in catalog:
         for _ in range(50):

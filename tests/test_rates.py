@@ -31,7 +31,7 @@ from cauchylab.rates import (
 )
 
 
-def identity_data(orbit_bound=1, f_value=1, m_const=1.0):
+def identity_data(orbit_bound=1, graph_bound=1, m_const=1.0):
     """Rate data of the unit-scale scenario: ||x|| = |x - Px| = d(0,Ax) = 1."""
     return ScenarioRateData.for_point(
         m_const=m_const,
@@ -39,8 +39,7 @@ def identity_data(orbit_bound=1, f_value=1, m_const=1.0):
         dist_proj=1.0,
         dist_zero=1.0,
         orbit_bound=orbit_bound,
-        omega=lambda r, k: k,
-        f_family=lambda s: Counterfunction.constant(f_value),
+        graph_bound=graph_bound,
     )
 
 
@@ -84,14 +83,17 @@ def test_rate_data_invariants():
     assert data.d_budget == 4  # ceil((1 + 1) * 2 * 1 * 1)
     with pytest.raises(ContractError):
         ScenarioRateData.for_point(0.0, 1.0, 1.0, 1.0)
+    for bounds in ({"orbit_bound": -1}, {"graph_bound": -1}):
+        with pytest.raises(ContractError, match="must be naturals"):
+            ScenarioRateData.for_point(1.0, 1.0, 1.0, 1.0, **bounds)
 
 
 # -- interior-point Cauchy rate ---------------------------------------------------
 
 
 def oracle_interior(k, c, b, d_budget):
-    omega = math.ceil((2 * k + 2) ** 2 / c) - 1
-    return math.ceil((d_budget + 1) * (max((omega + 1) ** 2 - 1, 0) + 1))
+    m = math.ceil((2 * k + 2) ** 2 / c) - 1
+    return math.ceil((d_budget + 1) * (max((m + 1) ** 2 - 1, 0) + 1))
 
 
 def test_interior_rate_reference_chain():
@@ -122,8 +124,8 @@ def oracle_closure(k, c, f_value, dist_proj, norm_x, m_const=1.0):
     v = f_value
     b_k = dist_proj + norm_x + v
     d_k = math.ceil((1 + b_k * b_k) * (2 / m_const**2) * v * v)
-    omega = math.ceil((6 * k + 6) ** 2 / c) - 1
-    return math.ceil((d_k + 1) * (max((omega + 1) ** 2 - 1, 0) + 1))
+    m = math.ceil((6 * k + 6) ** 2 / c) - 1
+    return math.ceil((d_k + 1) * (max((m + 1) ** 2 - 1, 0) + 1))
 
 
 def test_closure_rate_constant_f():
@@ -157,18 +159,18 @@ def test_closure_rate_rejects_nonmonotone_f():
 # -- per-index residual rate ------------------------------------------------------
 
 
-def oracle_residual(s, k, c, orbit_bound, f_value, m_const=1.0):
-    v = f_value
+def oracle_residual(k, c, orbit_bound, graph_bound, m_const=1.0):
+    v = graph_bound
     d_sk = math.ceil((1 + (orbit_bound + 1) ** 2) * (2 / m_const**2) * v * v)
-    omega = math.ceil((3 * k + 3) ** 2 / c) - 1
-    return math.ceil((d_sk + 1) * (max((omega + 1) ** 2 - 1, 0) + 1))
+    m = math.ceil((3 * k + 3) ** 2 / c) - 1
+    return math.ceil((d_sk + 1) * (max((m + 1) ** 2 - 1, 0) + 1))
 
 
 def test_residual_rate_hand_chain():
     data = identity_data()
-    assert projection_residual_rate(0, 0, MOD1, data) == 891
+    assert projection_residual_rate(0, MOD1, data) == 891
     for k in [0, 1, 5, 23, 95]:
-        assert projection_residual_rate(0, k, MOD1, data) == oracle_residual(0, k, 1.0, 1, 1)
+        assert projection_residual_rate(k, MOD1, data) == oracle_residual(k, 1.0, 1, 1)
 
 
 def test_residual_rate_budget_linearity():
@@ -176,21 +178,22 @@ def test_residual_rate_budget_linearity():
     data1 = identity_data(m_const=1.0)  # D_{s,k} = 10
     data2 = identity_data(m_const=0.5)  # D_{s,k} = 40, exactly (binary floats)
     for k in range(4):
-        v1 = projection_residual_rate(0, k, MOD1, data1)
-        v2 = projection_residual_rate(0, k, MOD1, data2)
+        v1 = projection_residual_rate(k, MOD1, data1)
+        v2 = projection_residual_rate(k, MOD1, data2)
         assert v1 * (40 + 1) == v2 * (10 + 1)
 
 
 def test_residual_rate_zero_modulus_collapse():
     data = identity_data()
     # value collapses to D + 1
-    assert projection_residual_rate(0, 3, constant_modulus(0), data) == 11
+    assert projection_residual_rate(3, constant_modulus(0), data) == 11
 
 
 def test_residual_rate_requires_orbit_bound():
-    data = ScenarioRateData.for_point(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ContractError):
-        projection_residual_rate(0, 0, MOD1, data)
+    for bounds in ({}, {"orbit_bound": 1}, {"graph_bound": 1}):
+        data = ScenarioRateData.for_point(1.0, 1.0, 1.0, 1.0, **bounds)
+        with pytest.raises(ContractError, match="required for almost-orbit rates"):
+            projection_residual_rate(0, MOD1, data)
 
 
 # -- counterfunction builders ------------------------------------------------------
@@ -211,7 +214,7 @@ def test_residual_window_zero_f():
     data = identity_data()
     g = residual_window_fn(1, Counterfunction.constant(0), MOD1, data)
     for m in range(3):
-        assert g(m) == projection_residual_rate(m, 3 * 1 + 2, MOD1, data)
+        assert g(m) == projection_residual_rate(3 * 1 + 2, MOD1, data)
 
 
 # -- metastability functionals -----------------------------------------------------
@@ -223,7 +226,7 @@ def test_residual_metastability_exact_collapse():
         value = residual_metastability_rate(
             k, Counterfunction.constant(7), MetastabilityRate.zero(), MOD1, data
         )
-        assert value == projection_residual_rate(0, 3 * k + 2, MOD1, data)
+        assert value == projection_residual_rate(3 * k + 2, MOD1, data)
 
 
 def test_cauchy_metastability_exact_collapse():
@@ -231,7 +234,7 @@ def test_cauchy_metastability_exact_collapse():
     for k in range(4):
         for f in [Counterfunction.constant(0), Counterfunction.identity()]:
             value = cauchy_metastability_rate(k, f, MetastabilityRate.zero(), MOD1, data)
-            assert value == projection_residual_rate(0, 24 * k + 23, MOD1, data)
+            assert value == projection_residual_rate(24 * k + 23, MOD1, data)
 
 
 def test_gamma_monotone_under_larger_phi():
@@ -277,9 +280,8 @@ def test_roc_rate_zero_collapse():
     data = identity_data()
     zero_roc = Counterfunction.constant(0)
     for k in range(4):
-        assert almost_orbit_cauchy_rate(k, zero_roc, MOD1, data) == projection_residual_rate(
-            0, 24 * k + 23, MOD1, data
-        )
+        expected = projection_residual_rate(24 * k + 23, MOD1, data)
+        assert almost_orbit_cauchy_rate(k, zero_roc, MOD1, data) == expected
 
 
 def test_roc_rate_huge_constant():
@@ -287,7 +289,7 @@ def test_roc_rate_huge_constant():
     big = 10**6
     roc = Counterfunction.constant(big)
     value = almost_orbit_cauchy_rate(0, roc, MOD1, data)
-    assert value == max(big, big + projection_residual_rate(big, 23, MOD1, data))
+    assert value == max(big, big + projection_residual_rate(23, MOD1, data))
 
 
 def test_roc_rate_rejects_nonmonotone():
@@ -314,10 +316,12 @@ def test_evaluation_cap_on_f_dependent_enumeration():
         cauchy_metastability_rate(0, Counterfunction.constant(2), phi, MOD1, data)
 
 
-def test_query_budget_reuse_keeps_memo():
+def test_residual_metastability_large_rate_is_one_probe():
+    # the residual rate is the same at every orbit index, so a large phi
+    # costs one probe, not an enumeration of the indices up to phi
     data = identity_data()
+    phi = MetastabilityRate.from_convergence_rate(lambda k: 10**7)
     with query_budget() as budget:
-        projection_residual_rate(0, 5, MOD1, data)
-        used_once = budget.used
-        projection_residual_rate(0, 5, MOD1, data)
-        assert budget.used <= used_once + 2  # memo hit, no recomputation
+        value = residual_metastability_rate(0, Counterfunction.constant(1), phi, MOD1, data)
+    assert value == 10**7 + oracle_residual(2, 1.0, 1, 1) == 10_072_171
+    assert budget.used < 10

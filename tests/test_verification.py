@@ -434,9 +434,7 @@ def test_orbit_rate_data_bounds(identity_bundle):
     data = identity_bundle.orbit_rate_data(additive)
     assert data.orbit_bound == 2  # sup ||u - 0|| = sqrt(2) ceiled
     # one uniform graph bound: the worst over the orbit, here at u(0)
-    assert data.f_at(0)(7) == 2
-    assert data.f_at(5)(0) == 2
-    assert data.f_at(10 ** 9)(0) == 2
+    assert data.graph_bound == 2
 
 
 # -- sweep kernels ------------------------------------------------------------------
