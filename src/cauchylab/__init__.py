@@ -49,7 +49,6 @@ from .second_order import (
     solve_regularized,
     solve_second_order,
 )
-from .semigroup import ExpFormulaConfig, exp_formula, semigroup_point, semigroup_points
 from .spaces import SpaceContext
 from .verification import (
     AlmostOrbit,
@@ -71,7 +70,6 @@ __all__ = [
     "AprioriBounds",
     "ConvergenceModulus",
     "Counterfunction",
-    "ExpFormulaConfig",
     "LinearMatrix",
     "LinearPSD",
     "MetastabilityRate",
@@ -91,7 +89,6 @@ __all__ = [
     "cauchy_metastability_rate",
     "check_apriori",
     "closure_cauchy_rate",
-    "exp_formula",
     "fejer_report",
     "first_order_trajectory",
     "integral_liminf_search",
@@ -105,8 +102,6 @@ __all__ = [
     "query_budget",
     "residual_metastability_rate",
     "semigroup_cauchy_rate",
-    "semigroup_point",
-    "semigroup_points",
     "solve_regularized",
     "solve_second_order",
     "sweep_theorem",

@@ -48,7 +48,6 @@ from .operators import (
 )
 from .rates import ConvergenceModulus, constant_modulus, modulus_strongly_accretive
 from .second_order import MIN_STEPS, SolverConfig, TimeGrid
-from .semigroup import ExpFormulaConfig
 from .spaces import SpaceContext
 
 # resource caps: the sweeps cost O(sample_points^2) time and one report
@@ -477,7 +476,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
         sc.fail("dynamics", f"dynamics must be second_order or first_order, got {dynamics!r}")
 
     sol = sc.section("solver", required=False)
-    sol.known("horizon", "step", "margin", "sample_points", "first_order_n_max")
+    sol.known("horizon", "step", "margin", "sample_points")
     # every default is SolverConfig's own
     sample_points = sol.get("sample_points", SolverConfig.sample_points, kind=int)
     if not 1 <= sample_points <= MAX_SAMPLE_POINTS:
@@ -491,14 +490,9 @@ def load_config(path: str | Path) -> ScenarioSpec:
         sol.fail("step", message)
     if dynamics == "second_order" and grid.n_steps < MIN_STEPS:
         sol.fail("step", f"a second-order grid needs horizon / step >= {MIN_STEPS}")
-    # the exponential formula's own range of n
-    n_lo, n_hi = ExpFormulaConfig.n_min, ExpFormulaConfig.n_max
-    first_order_n_max = sol.get("first_order_n_max", SolverConfig.first_order_n_max, kind=int)
-    if not n_lo <= first_order_n_max <= n_hi:
-        sol.fail("first_order_n_max", f"first_order_n_max must lie in [{n_lo}, {n_hi}]")
     margin = sol.get("margin", SolverConfig.margin, kind=float)
     try:
-        solver = SolverConfig(grid, margin, sample_points, first_order_n_max)
+        solver = SolverConfig(grid, margin, sample_points)
     except ValueError as exc:
         sol.fail("margin", str(exc))
 

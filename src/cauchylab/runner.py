@@ -30,7 +30,6 @@ import numpy as np
 from .config import ScenarioSpec, SweepSpec, load_config
 from .errors import CauchyLabError, ConfigError
 from .second_order import SqrtSemigroup, check_apriori, export_trajectory_csv
-from .semigroup import ExpFormulaConfig
 from .verification import (
     RateReport,
     ScenarioBundle,
@@ -88,14 +87,12 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         sg = SqrtSemigroup(spec.op, spec.x, spec.solver)
         trajectory = sg.trajectory
     else:
-        cfg = ExpFormulaConfig(n_max=spec.solver.first_order_n_max)
-        trajectory = first_order_trajectory(spec.op, spec.x, spec.solver.grid, cfg)
+        trajectory = first_order_trajectory(spec.op, spec.x, spec.solver.grid)
     diagnostics["solver"] = {
         "stabilized": trajectory.meta.get("stabilized"),
         "far_end_ok": trajectory.meta.get("far_end_ok"),
         "continuation": trajectory.meta.get("continuation"),
         "stage_diffs": trajectory.meta.get("stage_diffs"),
-        "exp_formula_converged": trajectory.meta.get("exp_formula_converged"),
     }
 
     orbits = []

@@ -155,13 +155,11 @@ class SolverConfig:
     trusted: times beyond horizon - margin are not, since the far-end
     closure bends the tail.  It is the config's ``solver:`` section, and
     its defaults are the only ones: ``sample_points`` sets how many
-    trajectory samples the sweeps compare, and ``first_order_n_max`` caps
-    n in the exponential formula of first-order dynamics."""
+    trajectory samples the sweeps compare."""
 
     grid: TimeGrid
     margin: float = 1.0
     sample_points: int = 500
-    first_order_n_max: int = 2**16
 
     def __post_init__(self):
         if self.margin < 0.0 or self.margin >= self.grid.horizon:

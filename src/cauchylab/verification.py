@@ -17,8 +17,9 @@ checks the corresponding conclusion against a sampled trajectory:
   bound or some window left the horizon; otherwise it fails.
 
 The module also houses the liminf search behind the window-length
-formula, the empirical modulus validity check, and the almost-orbit
-constructions with certified defect rates.
+formula, the empirical modulus validity check, the almost-orbit
+constructions with certified defect rates, and the first-order orbits in
+closed form.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .errors import (
     HorizonError,
     LemmaViolationError,
     OrbitConstructionError,
+    SolverError,
 )
-from .operators import AccretiveOperator
+from .operators import AccretiveOperator, NormSubdifferential, StronglyAccretive
 from .rates import (
     ConvergenceModulus,
     ScenarioRateData,
@@ -55,9 +57,6 @@ from .second_order import (
     Trajectory,
     projection_profile,
 )
-# semigroup_point stays importable from here: perfbench/spans.py counts
-# its calls under this name
-from .semigroup import ExpFormulaConfig, semigroup_point, semigroup_points  # noqa: F401
 from .spaces import SAMPLE_CHUNK
 
 STEP_MONOTONE_TOL = 1e-6
@@ -301,21 +300,73 @@ def fejer_report(
     )
 
 
-def first_order_trajectory(
-    op: AccretiveOperator,
-    x: np.ndarray,
-    grid: TimeGrid,
-    cfg: ExpFormulaConfig | None = None,
-) -> Trajectory:
-    """Orbit of the first-order semigroup sampled on the grid; ``cfg``
-    defaults to the ``SolverConfig`` cap on the formula's n."""
-    if cfg is None:
-        cfg = ExpFormulaConfig(n_max=SolverConfig.first_order_n_max)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+    2005) around a degree-16 Taylor core: a is scaled by 2^-s to 1-norm at
+    most 1/2, where the dropped terms are below 2^-17/17! < 1e-19.  No
+    eigendecomposition, so a defective a is as accurate as any other."""
+    s = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]) + 1)
+    a = a / 2.0**s
+    eye = np.eye(a.shape[0])
+    out = eye
+    for j in range(16, 0, -1):
+        out = eye + (a @ out) / j
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def first_order_trajectory(op: AccretiveOperator, x: np.ndarray, grid: TimeGrid) -> Trajectory:
+    """Orbit of the first-order semigroup, u' + Au = 0 with u(0) = x, in
+    closed form at the grid nodes.
+
+    A linear operator B flows by e^(-tB): node k is E^k x with E = e^(-hB),
+    each power a product of the powers E^(2^j) by the binary digits of k.
+    The norm subdifferential under strongly accretive shifts whose constants
+    add up to c keeps u on the ray of x, and its radius solves
+    rho' = -1 - c rho: rho(t) = rho0 e^(-ct) + expm1(-ct)/c (rho0 - t at
+    c = 0) until the extinction time log1p(c rho0)/c (rho0 at c = 0), and 0
+    from there on.  A flow that overflows is a ``SolverError``.
+    """
     x = op.space.check(x)
-    values, _, _, converged = semigroup_points(op, grid.nodes, x, cfg)
-    traj = Trajectory(grid=grid, values=values, meta={"dynamics": "first_order"})
-    traj.meta["exp_formula_converged"] = bool(np.all(converged))
-    return traj
+    b = op.linear_matrix
+    if b is not None:
+        values = np.empty((grid.n_steps + 1, x.size))
+        values[0] = x
+        done = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = _expm(-(grid.horizon / grid.n_steps) * b)
+            while done < values.shape[0]:
+                more = min(done, values.shape[0] - done)
+                values[done : done + more] = values[:more] @ power.T
+                power = power @ power
+                done += more
+    else:
+        base, c = op, 0.0
+        while isinstance(base, StronglyAccretive):
+            base, c = base.base, c + base.c
+        if not isinstance(base, NormSubdifferential):
+            raise ValueError(f"no closed-form first-order flow for {type(op).__name__}")
+        rho0, t = float(np.linalg.norm(x)), grid.nodes
+        if c == 0.0:
+            extinction, rho = rho0, rho0 - t
+        else:
+            extinction = math.log1p(c * rho0) / c
+            rho = rho0 * np.exp(-c * t) + np.expm1(-c * t) / c
+        live = (t < extinction) & (rho > 0.0)
+        scale = np.divide(rho, rho0, out=np.zeros_like(t), where=live)
+        values = scale[:, None] * x
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        at = grid.nodes[np.argmin(finite)]
+        raise SolverError(
+            f"the first-order flow of {type(op).__name__} overflows the float range at t = {at:g}"
+        )
+    return Trajectory(grid=grid, values=values, meta={"dynamics": "first_order"})
+
+
+# perfbench/spans.py looks this name up in the module and counts its calls
+semigroup_point = first_order_trajectory
 
 
 # -- almost-orbits ---------------------------------------------------------------

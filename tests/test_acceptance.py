@@ -38,7 +38,6 @@ from cauchylab.counterfunctions import Counterfunction, parse_counterfunction
 from cauchylab.errors import LemmaViolationError
 from cauchylab.rates import constant_modulus
 from cauchylab.runner import run_config
-from cauchylab.semigroup import ExpFormulaConfig
 from cauchylab.verification import ScenarioBundle
 
 CFG_DIR = resources.files("cauchylab") / "configs"
@@ -235,7 +234,7 @@ def test_criterion_08_counterexample_necessity(hilbert2, tmp_path):
     op = Rotation(space=hilbert2)
     assert verify_accretive(op, 500, 2.0).passed
     x = np.array([1.0, 0.0])
-    traj = first_order_trajectory(op, x, TimeGrid(40.0, 0.05), ExpFormulaConfig(n_max=2**14))
+    traj = first_order_trajectory(op, x, TimeGrid(40.0, 0.05))
     bundle = ScenarioBundle(
         scenario_id="rotation",
         op=op,

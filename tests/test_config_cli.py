@@ -77,13 +77,10 @@ def test_minimal_config_fields(tmp_path):
 
 def test_each_solver_key_reaches_its_field(tmp_path):
     # every value differs from its default, so a dropped key shows
-    solver = (
-        "solver: {horizon: 20.0, step: 0.1, margin: 2.0, sample_points: 42, "
-        "first_order_n_max: 1024}"
-    )
+    solver = "solver: {horizon: 20.0, step: 0.1, margin: 2.0, sample_points: 42}"
     text = MINIMAL.replace("solver: {horizon: 10.0, step: 0.05}", solver)
     spec = load_config(write_cfg(tmp_path, text))
-    assert spec.solver == SolverConfig(TimeGrid(20.0, 0.1), 2.0, 42, 1024)
+    assert spec.solver == SolverConfig(TimeGrid(20.0, 0.1), 2.0, 42)
 
 
 def test_one_step_first_order_grid_loads(tmp_path):
@@ -178,7 +175,7 @@ BAD_CASES = [
             "step: 0.05}",
             f"step: 0.05, {entry}}}",
             rf":7: scenario\.solver\.{key}: unknown key '{key}' "
-            r"\(allowed: horizon, step, margin, sample_points, first_order_n_max\)$",
+            r"\(allowed: horizon, step, margin, sample_points\)$",
         )
         for key, entry in (
             ("schedule", "schedule: [[0.1, 0.0]]"),
@@ -322,16 +319,6 @@ BAD_CASES = [
         "solver: {horizon: 10.0, step: 0.05}",
         "solver: {horizon: 0.03, step: 0.01, margin: 0.0}",
         r":7: scenario\.solver\.step: a second-order grid needs horizon / step >= 4$",
-    ),
-    # first_order_n_max is range-checked in the loader: 0 ended in a
-    # ValueError traceback
-    *(
-        (
-            "step: 0.05}",
-            f"step: 0.05, first_order_n_max: {n}}}",
-            r"solver\.first_order_n_max: first_order_n_max must lie in \[16, 1048576\]",
-        )
-        for n in (0, 15, 2**20 + 1)
     ),
     # a strong-accretivity constant so small that 1/c is infinite ended in an
     # OverflowError traceback from ceil_nat in the 4.1 sweep
@@ -635,6 +622,19 @@ def _huge_modulus(zeros, check=True):
             )
             for key, value in (("schedule", "[[0.1, 0.1]]"), ("stabilization_tol", "1.0e-6"))
         ),
+        # the first-order flow is in closed form: B = -100 I overflows the
+        # float range, which ended in a ValueError traceback from Trajectory
+        (
+            MINIMAL.replace(
+                "kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[-100, 0], [0, -100]]"
+            ).replace("step: 0.05}", "step: 0.05}\n  dynamics: first_order"),
+            "error: the first-order flow of LinearMatrix overflows the float range",
+        ),
+        # the exponential formula and its cap on n are gone
+        (
+            MINIMAL.replace("step: 0.05}", "step: 0.05, first_order_n_max: 16384}"),
+            "unknown key 'first_order_n_max' (allowed: horizon, step, margin, sample_points)",
+        ),
         # the l^p constant is p - 1: a configured M, and a p outside (1, 2]
         (
             MINIMAL.replace("kind: hilbert, dim: 2", "kind: lp, dim: 2, p: 4.0, M: 0.02"),
@@ -652,6 +652,8 @@ def _huge_modulus(zeros, check=True):
         "bound_in_sweep",
         "schedule_key",
         "stabilization_tol_key",
+        "first_order_overflow",
+        "first_order_n_max_key",
         "space_M_key",
         "lp_p_above_two",
     ],

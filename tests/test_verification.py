@@ -33,7 +33,6 @@ from cauchylab.rates import (
     constant_modulus,
     modulus_strongly_accretive,
 )
-from cauchylab.semigroup import ExpFormulaConfig
 from cauchylab.verification import (
     NUM_TOL,
     SUFFIX_CHUNK,
@@ -381,7 +380,7 @@ def test_sweep_soundness_at_doubled_sampling(hilbert2, identity_bundle):
 def test_first_order_rotation_bundle_fails_cauchy(hilbert2):
     op = Rotation(space=hilbert2)
     x = np.array([1.0, 0.0])
-    traj = first_order_trajectory(op, x, TimeGrid(40.0, 0.05), ExpFormulaConfig(n_max=2**14))
+    traj = first_order_trajectory(op, x, TimeGrid(40.0, 0.05))
     bundle = ScenarioBundle(
         scenario_id="rotation",
         op=op,
