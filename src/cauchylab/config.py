@@ -519,6 +519,11 @@ def load_config(path: str | Path) -> ScenarioSpec:
         for name, param in params.items():
             if param.default is None:
                 spec[name] = osec.vector(name, space.dim)
+                # the defect rate takes log ||v||
+                with np.errstate(over="ignore"):
+                    finite = math.isfinite(space.norm(spec[name]))
+                if not finite:
+                    osec.fail(name, f"{kind} {name} has a norm beyond the float range")
                 continue
             spec[name] = osec.get(name, param.default, kind=float)
             if not param.valid(spec[name], solver.margin):

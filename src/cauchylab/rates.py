@@ -176,7 +176,15 @@ class ScenarioRateData:
         if m_const <= 0.0:
             raise ContractError("strong-monotonicity constant must be positive")
         b = max(norm_x, dist_proj)
-        d_budget = (1.0 + b * b) * (2.0 / (m_const * m_const)) * math.sqrt(dist_zero) * b ** 1.5
+        try:
+            d_budget = (1.0 + b * b) * (2.0 / (m_const * m_const)) * math.sqrt(dist_zero) * b**1.5
+        except OverflowError:  # b ** 1.5 beyond the float range
+            d_budget = math.inf
+        if not math.isfinite(d_budget):
+            raise ContractError(
+                f"integral budget (1 + b^2)(2/M^2) d(0,Ax)^(1/2) b^(3/2) at b = {b:.3e} "
+                "exceeds the float range"
+            )
         return ScenarioRateData(
             m_const=m_const,
             norm_x=norm_x,

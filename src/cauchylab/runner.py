@@ -161,7 +161,7 @@ def _run_sweep(bundle: ScenarioBundle, sweep: SweepSpec) -> list[RateReport]:
 
 
 def run_sweeps(bundle: ScenarioBundle, spec: ScenarioSpec) -> list[RateReport]:
-    """Run the sweeps in order, sharing the bundle's sample profiles;
+    """Run the sweeps in order, sharing the bundle's sample sets;
     results are sorted into canonical order."""
     reports = [r for sweep in spec.sweeps for r in _run_sweep(bundle, sweep)]
     reports.sort(key=lambda r: (r.theorem, r.scenario, r.k, r.f_desc))
@@ -290,7 +290,7 @@ def exit_code_for(reports) -> int:
 
 def run_config(config_path, out_dir=None, seed: int | None = None) -> RunResult:
     """Load, run and write one scenario config.  Sweeps run sequentially,
-    since they share the bundle's cached sample profiles."""
+    since they share the bundle's cached sample sets."""
     try:
         spec = load_config(config_path)
         if seed is not None:

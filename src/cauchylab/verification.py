@@ -16,6 +16,11 @@ checks the corresponding conclusion against a sampled trajectory:
   extrapolated only when the search stopped at the horizon before the
   bound or some window left the horizon; otherwise it fails.
 
+Both are threshold questions, whether sampled pairs lie within the level
+1/(k + 1) + NUM_TOL.  ``SampleSet`` answers them by a distance bound
+where it suffices and by computed distances elsewhere, so each answer is
+the one the full pairwise profile gives.
+
 The module also houses the liminf search behind the window-length
 formula, the empirical modulus validity check, the almost-orbit
 constructions with certified defect rates, and the first-order orbits in
@@ -60,14 +65,16 @@ from .second_order import (
 from .spaces import SAMPLE_CHUNK
 
 STEP_MONOTONE_TOL = 1e-6
-# rows per block of the sweep kernels: a block holds two SUFFIX_CHUNK x n
-# float buffers (Euclidean, below _SEQUENTIAL_DIM coordinates) or a
+# rows per block of the threshold queries: a block compares its rows with
+# the columns the distance bound leaves open, in two SUFFIX_CHUNK x n float
+# buffers (Euclidean, below _SEQUENTIAL_DIM coordinates) or a
 # SUFFIX_CHUNK x n x dim difference tensor, so memory grows linearly in n
 SUFFIX_CHUNK = 64
 # numpy's add.reduce sums fewer terms than this strictly in order
 _SEQUENTIAL_DIM = 8
-# pairs of a block's leading square with an earlier sample
-_LOWER = np.tri(SUFFIX_CHUNK, k=-1, dtype=bool)
+# relative slack of the distance bound d_j + d_l: keys and norms round at
+# about 1e-15 relative inside the levels SampleSet._budget admits
+_BOUND_SLACK = 1e-9
 
 
 # -- reports -------------------------------------------------------------------
@@ -438,15 +445,18 @@ def make_almost_orbit(
             raise ValueError("decay rate must be positive")
         v = space.check(v)
         nv = space.norm(v)
+        if not math.isfinite(nv):
+            raise ValueError("additive-decay direction has a norm beyond the float range")
 
         def curve(ts: np.ndarray) -> np.ndarray:
             return base.at_many(ts) + _exp(-lam * ts)[:, None] * v
 
         def roc(k: int) -> int:
-            # defect <= 2 ||v|| e^{-lam s} by contraction + triangle inequality
+            # defect <= 2 ||v|| e^{-lam s} by contraction + triangle inequality;
+            # log ||v|| apart, since 2 ||v|| (k + 1) may overflow
             if nv == 0.0:
                 return 0
-            return max(0, math.ceil(math.log(2.0 * nv * (k + 1)) / lam))
+            return max(0, math.ceil((math.log(nv) + math.log(2.0 * (k + 1))) / lam))
 
         orbit = AlmostOrbit(
             kind=kind,
@@ -532,90 +542,168 @@ def _euclidean(space) -> bool:
     return space.p == 2.0
 
 
-def _upper_row_max(values: np.ndarray, space) -> np.ndarray:
-    """row[i] = max over l >= i of the pair key of v_i and v_l: the
-    squared distance in a Euclidean space, the distance in l^p.
+def _pair_keys(rows: np.ndarray, cols: np.ndarray, space) -> np.ndarray:
+    """keys[a, b] of the pair (rows[a], cols[b]): the squared distance in a
+    Euclidean space, the distance in l^p, bit for bit numpy's norm over the
+    full difference tensor.
 
-    Rows are taken in blocks of SUFFIX_CHUNK against every sample from
-    the block's first on.  A Euclidean block below _SEQUENTIAL_DIM
-    coordinates is summed one coordinate at a time in two (rows, n)
-    buffers; any other block is numpy's own expression over the
-    difference tensor.  Only the leading square of a block pairs a row
-    with earlier samples; it is masked with -1, below every key.
+    Below _SEQUENTIAL_DIM coordinates a Euclidean key is summed one
+    coordinate at a time in two (rows, cols) buffers, in the order
+    ``add.reduce`` sums so few terms; from there on it is ``add.reduce``
+    itself, which sums in unrolled blocks.  l^p keeps ``np.linalg.norm``
+    with its root per pair: libm ``pow`` is not correctly rounded, so a
+    root after a maximum is not provably the maximum of the roots.
     """
-    n, dim = values.shape
-    euclidean = _euclidean(space)
-    by_column = euclidean and dim < _SEQUENTIAL_DIM
-    if by_column:
-        cols = np.ascontiguousarray(values.T)
-        buf = np.empty((2, min(SUFFIX_CHUNK, n) * n))
-    row = np.empty(n)
-    for a in range(0, n, SUFFIX_CHUNK):
-        b = min(a + SUFFIX_CHUNK, n)
-        if by_column:
-            shape = (b - a, n - a)
-            key, term = (flat[: shape[0] * shape[1]].reshape(shape) for flat in buf)
-            for k, col in enumerate(cols):
-                out = term if k else key
-                np.subtract(col[a:b, None], col[None, a:], out=out)
-                np.multiply(out, out, out=out)
-                if k:
-                    key += term
-        else:
-            diff = values[a:b, None, :] - values[None, a:, :]
-            if euclidean:
-                key = np.add.reduce(diff * diff, axis=2)
-            else:
-                key = np.linalg.norm(diff, ord=space.p, axis=2)
-        np.copyto(key[:, : b - a], -1.0, where=_LOWER[: b - a, : b - a])
-        row[a:b] = key.max(axis=1)
-    return row
+    if not _euclidean(space):
+        return np.linalg.norm(rows[:, None, :] - cols[None, :, :], ord=space.p, axis=2)
+    if rows.shape[1] >= _SEQUENTIAL_DIM:
+        diff = rows[:, None, :] - cols[None, :, :]
+        return np.add.reduce(diff * diff, axis=2)
+    key = np.empty((rows.shape[0], cols.shape[0]))
+    term = np.empty_like(key)
+    for k in range(rows.shape[1]):
+        out = term if k else key
+        np.subtract(rows[:, k, None], cols[None, :, k], out=out)
+        np.multiply(out, out, out=out)
+        if k:
+            key += term
+    return key
 
 
 def _key_distance(key, space):
     return np.sqrt(key) if _euclidean(space) else key
 
 
-def _suffix_pair_sup(values: np.ndarray, space) -> np.ndarray:
-    """suffix[i] = sup over j, l >= i of ||v_j - v_l|| (space norm).
-
-    The reversed running maximum of ``_upper_row_max``, bit for bit the
-    profile of the full n x n x dim distance tensor of ``np.linalg.norm``:
-
-    * every key sums the same squares in numpy's order.  Below
-      _SEQUENTIAL_DIM coordinates ``add.reduce`` sums them one after the
-      other, as the per-coordinate sum does; from there on it sums in
-      unrolled blocks, and those blocks keep numpy's reduction;
-    * a Euclidean space takes one square root per row, after the
-      maximum: IEEE sqrt is correctly rounded, hence monotone, so the
-      root of a maximum is the maximum of the roots;
-    * l^p keeps numpy's root per pair: libm ``pow`` is not correctly
-      rounded, so a root after the maximum is not provably equal.
-    """
-    row = _upper_row_max(values, space)
-    return _key_distance(np.maximum.accumulate(row[::-1])[::-1], space)
-
-
-def _pair_sup(values: np.ndarray, space) -> float:
-    """max over j, l of ||v_j - v_l||: ``_suffix_pair_sup(values, space)[0]``
-    without the profile, and one square root in all."""
-    return float(_key_distance(_upper_row_max(values, space).max(), space))
-
-
 class SampleSet:
     """One curve sampled at sorted times, with the quantities the sweeps
-    derive from the samples, each computed at most once."""
+    derive from the samples, each computed at most once.
+
+    The threshold queries ``settles_from`` and ``window_fits`` decide
+    whether sampled pairs lie within a level.  A pair (j, l) lies within
+    d_j + d_l, where d_j is the distance of sample j to the last sample c;
+    a pair with d_j + d_l <= level / (1 + _BOUND_SLACK) is decided by this
+    bound, and every other pair by its computed distance, compared with the
+    level exactly as the full diameter was: one square root per row
+    maximum in a Euclidean space (IEEE sqrt is correctly rounded, hence
+    monotone), numpy's l^p norm per pair.
+    """
 
     def __init__(self, op: AccretiveOperator, times: np.ndarray, values: np.ndarray):
         self.op = op
         self.times = times
         self.values = values
-        self._diameters: dict[tuple[int, int], float] = {}
+        # per window index range: (largest pair distance found, smallest
+        # level certified)
+        self._windows: dict[tuple[int, int], tuple[float, float]] = {}
 
     @cached_property
-    def suffix(self) -> np.ndarray:
-        """Suffix-diameter profile: sup of pairwise distances from i on."""
-        return _suffix_pair_sup(self.values, self.op.space)
+    def _to_last(self) -> np.ndarray:
+        """d[j] = ||v_j - c||, the distance of sample j to the last sample c."""
+        return self.op.space.norms(self.values - self.values[-1])
+
+    def _budget(self, level: float) -> float:
+        """Largest d_j + d_l that the bound decides at ``level``; -1, which
+        decides no pair, for a level outside the range where it is safe.
+
+        Keys and norms round at about 1e-15 relative, far inside
+        _BOUND_SLACK, except where underflow or overflow sets in: a norm
+        may lose (dim * 2^-1074)^(1/p) to underflow (p = 2 in a Euclidean
+        space: 3.1e-162 at 2 coordinates), so the bound decides from 1e10
+        times that on, and up to where no power below the level overflows.
+        """
+        space = self.op.space
+        tiny = 1e10 * (space.dim * 2.0**-1074) ** (1.0 / space.p)
+        huge = (2.0**1000 / space.dim) ** (1.0 / space.p)
+        return level / (1.0 + _BOUND_SLACK) if tiny <= level <= huge else -1.0
+
+    def _open_rows(self, lo: int, hi: int, budget: float) -> np.ndarray:
+        """The rows r in [lo, hi) with a pair (r, l), r <= l < hi, that the
+        bound leaves open: d_r + max of d_l over [r, hi) above the budget."""
+        d = self._to_last[lo:hi]
+        reach = np.maximum.accumulate(d[::-1])[::-1]
+        return lo + np.flatnonzero(~(d + reach <= budget))
+
+    def _scan(self, rows: np.ndarray, hi: int, budget: float):
+        """(block, dist) over open ``rows`` (ascending) from the last
+        backward, SUFFIX_CHUNK rows at a time: dist[a] is the largest
+        ||v_r - v_l|| over the columns l in [r, hi) that the bound leaves
+        open, r = block[a]; every open row has one."""
+        d, space = self._to_last, self.op.space
+        for end in range(rows.size, 0, -SUFFIX_CHUNK):
+            block = rows[max(0, end - SUFFIX_CHUNK) : end]
+            lo = int(block[0])
+            cols = lo + np.flatnonzero(~(d[lo:hi] + d[block].max() <= budget))
+            keys = _pair_keys(self.values[block], self.values[cols], space)
+            # rows and cols ascend: only columns before the last row precede a row
+            lead = int(cols.searchsorted(block[-1]))
+            np.copyto(keys[:, :lead], -1.0, where=cols[:lead] < block[:, None])
+            yield block, _key_distance(keys.max(axis=1), space)
+
+    def settles_from(self, level: float) -> int | None:
+        """Smallest index i whose suffix diameter, the sup of ||v_j - v_l||
+        over j, l >= i, is at most ``level``; None when there is none.
+
+        The open rows are scanned from the last backward, each against its
+        later open columns; the first row with a pair above the level ends
+        the scan, since no later row has one.  The last row farther than the
+        level from c is scanned alone: its pair with c, of distance d_j,
+        ends the scan there, before the earlier rows widen a block's columns
+        to nearly every sample.
+        """
+        n = len(self.times)
+        if n == 0:
+            return None
+        budget = self._budget(level)
+        rows = self._open_rows(0, n, budget)
+        far = np.flatnonzero(~(self._to_last[rows] <= level))
+        cut = int(far[-1]) if far.size else -1
+        pieces = (rows[cut + 1 :], rows[cut : cut + 1], rows[:cut]) if cut >= 0 else (rows,)
+        for piece in pieces:
+            for block, dist in self._scan(piece, n, budget):
+                above = np.flatnonzero(~(dist <= level))
+                if above.size:
+                    first = int(block[above[-1]]) + 1
+                    return first if first < n else None
+        return 0
+
+    def window_fits(self, start: int, width: int, horizon: float, level: float) -> bool | None:
+        """Whether the samples in [start, start + width] lie within
+        ``level`` of each other; None when the window leaves the horizon.
+
+        The window is the contiguous index range that the time mask
+        times in [start - 1e-9, start + width + 1e-9] selects.  Its sample
+        farthest from c is probed first against every other, then the open
+        rows are scanned as in ``settles_from``.  Per index range the
+        largest pair distance found and the smallest level certified are
+        kept, and decide the later queries they cover.
+        """
+        if start + width > horizon + 1e-9:
+            return None
+        lo = int(self.times.searchsorted(start - 1e-9, side="left"))
+        hi = int(self.times.searchsorted(start + width + 1e-9, side="right"))
+        if hi - lo < 2:  # at most one sample: diameter 0
+            return level >= 0.0
+        found, certified = self._windows.get((lo, hi), (-math.inf, math.inf))
+        if not found <= level:
+            return False
+        if level >= certified:
+            return True
+        window = self._to_last[lo:hi]
+        budget = self._budget(level)
+        dist = [np.array([found])]
+        if not 2.0 * window.max() <= budget:  # else the bound decides every pair
+            far = lo + int(window.argmax())
+            probe = _pair_keys(self.values[far : far + 1], self.values[lo:hi], self.op.space)
+            dist.append(_key_distance(probe.max(axis=1), self.op.space))
+            if dist[-1][0] <= level:
+                for _, block_dist in self._scan(self._open_rows(lo, hi, budget), hi, budget):
+                    dist.append(block_dist)
+                    if not block_dist.max() <= level:
+                        break
+        found = float(np.max(np.concatenate(dist)))
+        fits = found <= level
+        self._windows[lo, hi] = (found, min(certified, level) if fits else certified)
+        return fits
 
     @cached_property
     def graph_bound(self) -> int:
@@ -634,27 +722,6 @@ class SampleSet:
         the sampled residual is monotone."""
         hits = [] if self._residual is None else np.flatnonzero(self._residual <= level)
         return float(self.times[hits[0]]) if len(hits) else None
-
-    def window_diameter(self, start: int, width: int, horizon: float) -> float:
-        """Diameter of the samples in [start, start + width]; inf when the
-        window leaves the horizon, 0 when it holds at most one sample.
-
-        The window is the contiguous index range that the time mask
-        times in [start - 1e-9, start + width + 1e-9] selects.  Its
-        diameter, ``_pair_sup`` of that range, is one maximum over all its
-        pairs, equal bit for bit to the first entry of its suffix profile,
-        and is memoized by the range.
-        """
-        if start + width > horizon + 1e-9:
-            return math.inf
-        lo = int(np.searchsorted(self.times, start - 1e-9, side="left"))
-        hi = int(np.searchsorted(self.times, start + width + 1e-9, side="right"))
-        if hi - lo < 2:
-            return 0.0
-        key = (lo, hi)
-        if key not in self._diameters:
-            self._diameters[key] = _pair_sup(self.values[lo:hi], self.op.space)
-        return self._diameters[key]
 
 
 @dataclass
@@ -685,7 +752,7 @@ class ScenarioBundle:
         self.sample_values = self.trajectory.values[idx]
         self.samples = SampleSet(self.op, self.sample_times, self.sample_values)
         # every grid node, for the residual of the 4.1 and 4.2 sweeps only:
-        # its suffix profile is never built
+        # no threshold query runs on it
         self.grid_samples = SampleSet(self.op, self.trajectory.times, self.trajectory.values)
         self._orbit_samples: dict[AlmostOrbit, SampleSet] = {}
 
@@ -741,31 +808,31 @@ def _observe(
     """(observed, passed, extrapolated) of one report at precision eps.
 
     5.1 searches for the first n <= bound whose window [n, n + f(n)] has
-    diameter at most ``level``; the other theorems read the suffix profile
-    at the bound.  When the samples cannot decide (the bound, or for 5.1
-    the search or one of its windows, lies beyond the horizon), the
-    monotone residual of ``residual`` certifies the report instead.
+    diameter at most ``level``; the other theorems find the first sample
+    whose suffix diameter is at most ``level`` and compare it with the
+    bound.  When the samples cannot decide (the bound, or for 5.1 the
+    search or one of its windows, lies beyond the horizon), the monotone
+    residual of ``residual`` certifies the report instead.
     """
     times = samples.times
     horizon = float(times[-1]) if times.size else 0.0
     if theorem == "5.1":
         n, left = 0, False  # left: some window left the horizon
         while n <= bound and n <= horizon:
-            diameter = samples.window_diameter(n, f(n), horizon)
-            if diameter <= level:
+            fits = samples.window_fits(n, f(n), horizon, level)
+            if fits:
                 return float(n), True, False
-            left = left or diameter == math.inf
+            left = left or fits is None
             n += 1
         if n > bound and not left:  # every window up to the bound was sampled
             return math.inf, False, False
         observed = math.inf
     else:
-        suffix = samples.suffix
-        hits = np.nonzero(suffix <= level)[0]
-        observed = float(times[hits[0]]) if hits.size else math.inf
+        first = samples.settles_from(level)
+        observed = math.inf if first is None else float(times[first])
         if bound <= horizon:
             at_bound = min(int(np.searchsorted(times, bound - 1e-9)), len(times) - 1)
-            return observed, bool(suffix[at_bound] <= level), False
+            return observed, first is not None and at_bound >= first, False
     tau = residual.residual_threshold(eps / 2.0)
     if tau is not None and not math.isfinite(observed):
         observed = tau
@@ -797,23 +864,27 @@ def sweep_theorem(
             f_dom = None
         elif f_dom is None:
             f_dom = Counterfunction.constant(bundle.op.graph_bound(bundle.x), "graph bound at x")
-        targets = [(bundle.samples, bundle.point_rate_data(), None)]
+        targets = [(bundle.samples, None)]
     elif theorem in ("5.1", "5.3"):
         if theorem == "5.1" and not counterfunctions:
             raise ContractError("metastability sweep needs counterfunctions")
         orbits = bundle.orbits if orbits is None else orbits
         if not orbits:
             raise ContractError(f"theorem {theorem} sweeps need at least one orbit")
-        targets = [(bundle.orbit_samples(o), bundle.orbit_rate_data(o), o) for o in orbits]
+        targets = [(bundle.orbit_samples(o), o) for o in orbits]
     else:
         raise ContractError(f"unknown theorem id {theorem!r}")
     reports = []
-    for samples, data, orbit in targets:
+    for samples, orbit in targets:
         if orbit is None:
             scenario, residual, fs = bundle.scenario_id, bundle.grid_samples, [f_dom]
         else:
             scenario, residual = f"{bundle.scenario_id}/{orbit.kind}", samples
             fs = counterfunctions if theorem == "5.1" else [orbit.phi_roc]
+        try:
+            data = bundle.point_rate_data() if orbit is None else bundle.orbit_rate_data(orbit)
+        except ContractError as exc:  # name the sweep whose rate data could not be made
+            raise ContractError(f"theorem {theorem} sweep over {scenario}: {exc}") from None
         for k in map(int, ks):
             eps = 1.0 / (k + 1.0)
             for f in fs:

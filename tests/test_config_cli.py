@@ -644,6 +644,33 @@ def _huge_modulus(zeros, check=True):
             MINIMAL.replace("kind: hilbert, dim: 2", "kind: lp, dim: 2, p: 4.0"),
             ".cfg:4: scenario.space: p = 4.0 lies outside (1, 2]",
         ),
+        # ||v|| overflows, and the defect rate took log(inf), which ended in
+        # an OverflowError traceback
+        (
+            (CFG_DIR / "identity_hilbert.cfg")
+            .read_text()
+            .replace("v: [0.0, 1.0]", "v: [1.0e+200, 0.0]"),
+            ".cfg:26: scenario.orbits[1].v: additive_decay v has a norm beyond the float range",
+        ),
+        # the integral budget of the rate data overflows; the error named
+        # neither the sweep nor the quantity
+        (
+            (CFG_DIR / "strongly_accretive.cfg")
+            .read_text()
+            .replace("initial_point: [1.0, 0.0]", "initial_point: [1.0e+100, 0.0]"),
+            "error: theorem 4.1 sweep over strongly_accretive: integral budget (1 + b^2)(2/M^2)"
+            " d(0,Ax)^(1/2) b^(3/2) at b = 1.000e+100 exceeds the float range",
+        ),
+        # b^(3/2) itself overflows, which Python's float power raises; the
+        # first-order flow has no a-priori check to meet it first
+        (
+            (CFG_DIR / "strongly_accretive.cfg")
+            .read_text()
+            .replace("kind: hilbert\n", "kind: lp\n    p: 1.01\n")
+            .replace("initial_point: [1.0, 0.0]", "initial_point: [1.0e+250, 0.0]")
+            .replace("dynamics: second_order", "dynamics: first_order"),
+            "d(0,Ax)^(1/2) b^(3/2) at b = 1.000e+250 exceeds the float range",
+        ),
     ],
     ids=[
         "singular_solve",
@@ -656,6 +683,9 @@ def _huge_modulus(zeros, check=True):
         "first_order_n_max_key",
         "space_M_key",
         "lp_p_above_two",
+        "orbit_direction_overflow",
+        "rate_data_overflow",
+        "rate_data_power_overflow",
     ],
 )
 def test_cli_error_is_one_line(tmp_path, capsys, text, message):

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchylab import (
     LinearPSD,
@@ -40,7 +42,6 @@ from cauchylab.verification import (
     RateReport,
     SampleSet,
     ScenarioBundle,
-    _suffix_pair_sup,
 )
 
 MOD1 = modulus_strongly_accretive(1.0)
@@ -441,12 +442,19 @@ def test_orbit_rate_data_bounds(identity_bundle):
 
 def _suffix_pair_sup_reference(values, space):
     """The full n x n x dim difference tensor, as the sweeps once built it."""
-    n = values.shape[0]
+    return _suffix_of(_pair_distances(values, space))
+
+
+def _pair_distances(values, space):
     diffs = values[:, None, :] - values[None, :, :]
     if space.kind == "hilbert":
-        dist = np.linalg.norm(diffs, axis=2)
-    else:
-        dist = np.linalg.norm(diffs, ord=space.p, axis=2)
+        return np.linalg.norm(diffs, axis=2)
+    return np.linalg.norm(diffs, ord=space.p, axis=2)
+
+
+def _suffix_of(dist):
+    """suffix[i] = max of dist[j, l] over i <= j <= l."""
+    n = dist.shape[0]
     suffix = np.empty(n)
     running = 0.0
     for i in range(n - 1, -1, -1):
@@ -476,11 +484,16 @@ KERNEL_SIZES = [1, 2, SUFFIX_CHUNK - 1, SUFFIX_CHUNK, SUFFIX_CHUNK + 1, 3 * SUFF
 KERNEL_CASES = [(name, 2000) for name in ["hilbert", "lp1.5", "lp3"]] + [
     (name, n) for name in sorted(KERNEL_SPACES) for n in KERNEL_SIZES
 ]
+# the sweep levels 1/(k + 1) + NUM_TOL, and NUM_TOL itself
+SWEEP_LEVELS = [NUM_TOL] + [1.0 / (k + 1.0) + NUM_TOL for k in range(11)]
 
 
 def _kernel_inputs(n, dim, seed):
-    """A decaying random walk, like a sampled trajectory; constant samples,
-    where every distance is 0; and a tail near 1e-14 moving by single ulps."""
+    """A decaying random walk, like a sampled trajectory, and the same walk
+    at 1e-160, where squares underflow and the bound must not decide;
+    constant samples, where every distance is 0; a tail near 1e-14 moving
+    by single ulps; and points on a line through the last sample c, on both
+    sides of it, where ||v_j - v_l|| = d_j + d_l and the bound is tight."""
     rng = np.random.default_rng(seed)
     walk = np.cumsum(rng.standard_normal((n, dim)), axis=0) / (1.0 + np.arange(n))[:, None]
     constant = np.tile(rng.standard_normal(dim), (n, 1))
@@ -489,45 +502,149 @@ def _kernel_inputs(n, dim, seed):
     tail[0] = 1e-14 * (1.0 + rng.uniform(size=dim))
     for i in range(1, n):
         tail[i] = np.nextafter(tail[i - 1], steps[i])
-    return {"walk": walk, "constant": constant, "ulp_tail": tail}
+    center = rng.standard_normal(dim)
+    along = rng.uniform(-1.0, 1.0, n) / (1.0 + np.arange(n))
+    along[-1] = 0.0
+    collinear = center + along[:, None] * rng.standard_normal(dim)
+    return {
+        "walk": walk,
+        "underflow_walk": 1e-160 * walk,
+        "constant": constant,
+        "ulp_tail": tail,
+        "collinear": collinear,
+    }
+
+
+def _tight_levels(dist, pairs):
+    """fl(d_j + d_l) for the given pairs, d the distances to the last sample:
+    where the bound meets the pair's own distance on collinear samples."""
+    return [float(dist[-1, j] + dist[-1, l]) for j, l in pairs]
+
+
+def _levels_around(distances, count):
+    """Up to ``count`` of the given distances, evenly spread over their
+    sorted distinct values, each with its neighbours one ulp either side."""
+    distinct = np.unique(distances)
+    picked = distinct[np.unique(np.linspace(0, distinct.size - 1, count).astype(int))]
+    return [float(x) for v in picked for x in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+
+
+def _check_threshold_queries(values, space, rng, windows=(), spread=16):
+    """settles_from and window_fits against the full distance tensor, at
+    the sweep levels, at ``spread`` suffix diameters and ``spread`` other
+    computed pair distances, each also one ulp either side, and at the
+    tight levels fl(d_j + d_l) of ``spread`` sampled pairs."""
+    n = values.shape[0]
+    dist = _pair_distances(values, space)
+    reference = _suffix_of(dist)
+    pairs = rng.integers(0, n, (spread, 2))
+    levels = (
+        SWEEP_LEVELS
+        + _levels_around(reference, spread)
+        + _levels_around(dist[pairs[:, 0], pairs[:, 1]], spread)
+        + _tight_levels(dist, pairs)
+    )
+    samples = SampleSet(SimpleNamespace(space=space), np.arange(n, dtype=float), values)
+    for level in levels:
+        hits = np.flatnonzero(reference <= level)
+        expected = int(hits[0]) if hits.size else None
+        assert samples.settles_from(level) == expected, level
+    # one SampleSet across levels and ranges, so the per-range memo is read
+    for lo, width in windows:
+        if lo < 0 or lo + width >= n or width < 1:
+            continue
+        inner = dist[lo : lo + width + 1, lo : lo + width + 1]
+        diameter = _suffix_of(inner)[0]
+        extremes = np.unravel_index(np.argmax(inner), inner.shape)
+        inside = lo + rng.integers(0, width + 1, (8, 2))
+        window_levels = (
+            SWEEP_LEVELS
+            + _levels_around(np.array([diameter]), 1)
+            + _levels_around(dist[inside[:, 0], inside[:, 1]], 8)
+            + _tight_levels(dist, [(lo + extremes[0], lo + extremes[1])])
+        )
+        for level in window_levels:
+            assert samples.window_fits(lo, width, n - 1.0, level) == (diameter <= level), (
+                lo,
+                width,
+                level,
+            )
+    # a window past the horizon is undecided
+    assert samples.window_fits(0, n, n - 1.0, math.inf) is None
 
 
 @pytest.mark.parametrize("name, n", KERNEL_CASES)
 def test_chunked_suffix_kernel_matches_full_tensor(name, n):
     space = KERNEL_SPACES[name]
-    for label, values in _kernel_inputs(n, space.dim, [n, space.dim]).items():
-        reference = _suffix_pair_sup_reference(values, space)
-        assert np.array_equal(_suffix_pair_sup(values, space), reference), label
-        # window diameters, memoized by index range, against the same tensor
-        samples = SampleSet(SimpleNamespace(space=space), np.arange(n, dtype=float), values)
-        for lo, width in [(0, n - 1), (0, 1), (n // 3, n // 2), (n - 2, 1)]:
-            if lo < 0 or lo + width >= n or width < 1:
-                continue
-            expected = _suffix_pair_sup_reference(values[lo : lo + width + 1], space)[0]
-            assert samples.window_diameter(lo, width, n - 1.0) == expected, (label, lo, width)
+    rng = np.random.default_rng([n, space.dim, 1])
+    windows = [(0, n - 1), (0, 1), (n // 3, n // 2), (n - 2, 1)]
+    inputs = _kernel_inputs(n, space.dim, [n, space.dim])
+    # a query that the bound cannot shorten costs O(n^2): fewer levels at
+    # 2000, and no underflowing walk, all of whose levels lie below the floor
+    spread = 16 if n < 2000 else 4
+    if n == 2000:
+        del inputs["underflow_walk"]
+    for values in inputs.values():
+        _check_threshold_queries(values, space, rng, windows, spread)
 
 
 def test_chunked_suffix_kernel_matches_full_tensor_in_high_dimension():
     # from 8 coordinates on, numpy sums the squares in unrolled blocks
     space = SpaceContext.hilbert(14)
     values = np.random.default_rng(14).standard_normal((2 * SUFFIX_CHUNK + 7, 14))
-    assert np.array_equal(
-        _suffix_pair_sup(values, space), _suffix_pair_sup_reference(values, space)
-    )
+    _check_threshold_queries(values, space, np.random.default_rng(15), [(0, 2 * SUFFIX_CHUNK)])
 
 
 def test_chunked_suffix_kernel_memory_is_linear():
     import tracemalloc
 
+    # random points, not converging: at an infinite level the bound decides
+    # nothing, so every pair is computed, block by block
     values = np.random.default_rng(0).standard_normal((4000, 2))
+    samples = SampleSet(SimpleNamespace(space=SpaceContext.hilbert(2)), np.arange(4000.0), values)
     tracemalloc.start()
     try:
-        _suffix_pair_sup(values, SpaceContext.hilbert(2))
+        assert samples.settles_from(math.inf) == 0
+        assert samples.window_fits(0, 3999, 3999.0, math.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the full tensor needs 4000 * 4000 * 2 floats (244 MiB) per temporary
     assert peak < 24 * 2**20
+
+
+@st.composite
+def _threshold_inputs(draw):
+    dim = draw(st.integers(1, 14))
+    p = draw(st.sampled_from([None, 1.5, 2.0, 3.0]))
+    space = SpaceContext.hilbert(dim) if p is None else SpaceContext(kind="lp", dim=dim, p=p)
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["walk", "circle", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-12, 3))
+    if kind == "walk":
+        decay = (1.0 + np.arange(n)) ** draw(st.sampled_from([0.5, 1.0, 2.0]))
+        values = np.cumsum(rng.standard_normal((n, dim)), axis=0) / decay[:, None]
+    elif kind == "circle":
+        turn = np.linspace(0.0, draw(st.floats(0.1, 20.0)), n)
+        values = np.zeros((n, dim))
+        values[:, 0] = np.cos(turn)
+        values[:, min(1, dim - 1)] += np.sin(turn)
+    else:
+        values = np.tile(rng.standard_normal(dim), (n, 1))
+    return space, scale * values, rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_threshold_inputs())
+def test_threshold_queries_match_full_tensor(case):
+    # walks converge to their last sample, where the bound decides most
+    # pairs; a circle's samples all lie far from it, so it decides few
+    space, values, rng = case
+    n = values.shape[0]
+    starts = rng.integers(0, n, 3)
+    windows = [(int(lo), int(rng.integers(1, n - lo))) for lo in starts if lo < n - 1]
+    _check_threshold_queries(values, space, rng, windows)
 
 
 def _metastable_reports_by_cell(bundle, ks, fs, orbits):
@@ -618,10 +735,10 @@ def test_metastability_implies_finite_cauchy_thresholds(identity_bundle):
         times = identity_bundle.sample_times[
             identity_bundle.sample_times <= orbit.trusted_horizon
         ]
-        suffix = _suffix_pair_sup(orbit.values(times), identity_bundle.op.space)
+        samples = SampleSet(identity_bundle.op, times, orbit.values(times))
         for k in range(4):
-            hits = np.nonzero(suffix <= 1.0 / (k + 1) + 1e-6)[0]
-            assert hits.size, f"no finite Cauchy threshold for {orbit.kind} at k={k}"
+            first = samples.settles_from(1.0 / (k + 1) + 1e-6)
+            assert first is not None, f"no finite Cauchy threshold for {orbit.kind} at k={k}"
 
 
 def test_liminf_never_errors_on_apriori_certified_trajectories(catalog_trajectories):
