@@ -15,8 +15,8 @@ exponents the loader accepts.
 A mandatory RNG seed makes every sampling-based validation
 reproducible: identical config and seed give byte-identical reports.
 A config sets no rate data and no validation budget: the sweeps compute
-b, D, B and the graph bound from the scenario, and every run samples at
-the defaults of ``verify_accretive`` and ``modulus_check``.
+b, D, B and the graph bound from the scenario, and every run makes both
+checks, ``verify_accretive`` and ``modulus_check``, at their defaults.
 """
 
 from __future__ import annotations
@@ -50,11 +50,12 @@ from .rates import ConvergenceModulus, constant_modulus, modulus_strongly_accret
 from .second_order import MIN_STEPS, SolverConfig, TimeGrid
 from .spaces import SpaceContext
 
-# resource caps: the sweeps cost O(sample_points^2) time and one report
-# per k (per orbit and counterfunction) in each sweep; the Newton system
-# holds (horizon / step) dim x dim blocks
+# resource caps: the sweeps cost O(sample_points^2) time and write one
+# report per k (per orbit and counterfunction) in each sweep, at most
+# MAX_REPORTS in all; the Newton system holds (horizon / step) dim x dim blocks
 MAX_SAMPLE_POINTS = 10_000
 MAX_K_VALUES = 1_000
+MAX_REPORTS = 100_000
 MAX_SYSTEM_ENTRIES = 10_000_000
 
 
@@ -81,7 +82,6 @@ class ScenarioSpec:
     modulus: ConvergenceModulus
     orbit_specs: tuple[dict, ...]
     sweeps: tuple[SweepSpec, ...]
-    run_modulus_check: bool
     output_dir: str | None
 
 
@@ -461,7 +461,6 @@ def load_config(path: str | Path) -> ScenarioSpec:
         "counterfunctions",
         "orbits",
         "sweeps",
-        "validation",
     )
     scenario_id = sc.require("id", str)
 
@@ -533,6 +532,7 @@ def load_config(path: str | Path) -> ScenarioSpec:
         sc.fail("orbits", "almost-orbits require second-order dynamics")
 
     sweeps = []
+    reports = 0
     raw_sweeps = sc.get("sweeps", kind=list) or []
     for i, entry in enumerate(raw_sweeps):
         ssec = _Section(entry, anchors, f"scenario.sweeps[{i}]")
@@ -576,6 +576,14 @@ def load_config(path: str | Path) -> ScenarioSpec:
                 "theorem 5.1 sweeps need counterfunctions",
                 anchors.where(f"scenario.sweeps[{i}]"),
             )
+        # one report per k, and per orbit and counterfunction where the theorem has them
+        orbit_count = len(orbit_kinds or orbit_specs) if theorem in ("5.1", "5.3") else 1
+        reports += len(ks) * orbit_count * (len(cfs) if theorem == "5.1" else 1)
+        if reports > MAX_REPORTS:
+            raise ConfigError(
+                f"the sweeps up to this one ask for {reports} reports, more than {MAX_REPORTS}",
+                anchors.where(f"scenario.sweeps[{i}]"),
+            )
         sweeps.append(
             SweepSpec(
                 theorem=theorem,
@@ -586,8 +594,6 @@ def load_config(path: str | Path) -> ScenarioSpec:
             )
         )
 
-    vsec = sc.section("validation", required=False)
-    vsec.known("run_modulus_check")
     return ScenarioSpec(
         scenario_id=scenario_id,
         seed=seed,
@@ -599,6 +605,5 @@ def load_config(path: str | Path) -> ScenarioSpec:
         modulus=modulus,
         orbit_specs=tuple(orbit_specs),
         sweeps=tuple(sweeps),
-        run_modulus_check=vsec.get("run_modulus_check", True, kind=bool),
         output_dir=output_dir,
     )

@@ -1,11 +1,12 @@
 """Catalog of m-accretive operators with closed-form resolvents.
 
-Every operator exposes, in closed form, a minimal-norm selection of its
-graph, the resolvent (Id + gamma A)^{-1}, the Yosida approximate and its
-Jacobian, the distance d(0, Ax) and the nearest-point projection onto
-its zero set.  Catalog entries have full domain and a nonempty zero set
-containing the origin; configurations declaring an empty zero set are
-rejected at load time.
+An operator is five closed forms over the rows of an (n, dim) array:
+the minimal-norm selection of its graph, the resolvent (Id + gamma A)^{-1},
+the Yosida approximate and its Jacobian, and the nearest-point projection
+onto its zero set.  Each single-point form is their one-row case, derived
+once in ``AccretiveOperator``.  Catalog entries have full domain and a
+nonempty zero set containing the origin; configurations declaring an
+empty zero set are rejected at load time.
 
 Multi-valued entries (the norm subdifferential) are exposed through
 their minimal-norm selection: every bound computed downstream only needs
@@ -33,9 +34,9 @@ class AccretivityReport:
 
 
 class AccretiveOperator:
-    """The operator contract.  Every catalog entry states its graph
-    selection, resolvent, Yosida approximate with its Jacobian, and
-    zero-set projection in closed form; there are no fallbacks."""
+    """The operator contract: the five batched members that raise here,
+    each in closed form, with no fallbacks.  Every single-point form is
+    the one-row case of its batched form."""
 
     def __init__(self, space: SpaceContext):
         self.space = space
@@ -43,8 +44,8 @@ class AccretiveOperator:
     # -- graph ---------------------------------------------------------------
 
     def select(self, x: np.ndarray) -> np.ndarray:
-        """Minimal-norm element of Ax."""
-        raise NotImplementedError
+        """Minimal-norm element of Ax: the one-row case of ``select_many``."""
+        return self.select_many(self.space.check(x)[None, :])[0]
 
     def select_many(self, rows: np.ndarray) -> np.ndarray:
         """``select`` of each row of an (n, dim) array."""
@@ -98,8 +99,8 @@ class AccretiveOperator:
     # -- zero set ---------------------------------------------------------------
 
     def project_zeros(self, x: np.ndarray) -> np.ndarray:
-        """Nearest point of A^{-1}0."""
-        raise NotImplementedError
+        """Nearest point of A^{-1}0: the one-row case of ``project_zeros_many``."""
+        return self.project_zeros_many(self.space.check(x)[None, :])[0]
 
     def project_zeros_many(self, rows: np.ndarray) -> np.ndarray:
         """``project_zeros`` of each row of an (n, dim) array."""
@@ -151,9 +152,6 @@ class LinearMatrix(AccretiveOperator):
     def linear_matrix(self) -> np.ndarray:
         return self.matrix
 
-    def select(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ self.space.check(x)
-
     def select_many(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=float) @ self.matrix.T
 
@@ -171,9 +169,6 @@ class LinearMatrix(AccretiveOperator):
         lhs = np.eye(self.space.dim) + r * self.matrix
         jac = self.matrix @ np.linalg.inv(lhs)
         return np.broadcast_to(jac, (rows.shape[0],) + jac.shape)
-
-    def project_zeros(self, x: np.ndarray) -> np.ndarray:
-        return self._null_proj @ self.space.check(x)
 
     def project_zeros_many(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=float) @ self._null_proj.T
@@ -229,15 +224,12 @@ class NormSubdifferential(AccretiveOperator):
             raise ValueError("norm subdifferential catalog entry needs p = 2 (Euclidean norm)")
         super().__init__(space)
 
+    # exactly 0 or 1: a computed ||x / ||x|||| may round to just above 1
     def dist_zero(self, x: np.ndarray) -> float:
         return 1.0 if np.linalg.norm(self.space.check(x)) > 0.0 else 0.0
 
     def dist_zero_many(self, rows: np.ndarray) -> np.ndarray:
         return (np.linalg.norm(np.asarray(rows, dtype=float), axis=1) > 0.0).astype(float)
-
-    def select(self, x: np.ndarray) -> np.ndarray:
-        # the one-row case, so a sampled y is the same float either way
-        return self.select_many(self.space.check(x)[None, :])[0]
 
     def select_many(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -278,9 +270,6 @@ class NormSubdifferential(AccretiveOperator):
         jac[:, diag, diag] += s[:, None]
         return jac
 
-    def project_zeros(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(self.space.dim)
-
     def project_zeros_many(self, rows: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(rows, dtype=float))
 
@@ -314,10 +303,6 @@ class StronglyAccretive(AccretiveOperator):
             return None
         return b + self.c * np.eye(self.space.dim)
 
-    def select(self, x: np.ndarray) -> np.ndarray:
-        x = self.space.check(x)
-        return self.base.select(x) + self.c * x
-
     def select_many(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         return self.base.select_many(rows) + self.c * rows
@@ -340,9 +325,6 @@ class StronglyAccretive(AccretiveOperator):
         diag = np.arange(self.space.dim)
         jac[:, diag, diag] += self.c / scale
         return jac
-
-    def project_zeros(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(self.space.dim)
 
     def project_zeros_many(self, rows: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(rows, dtype=float))

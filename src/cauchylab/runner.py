@@ -134,14 +134,13 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         "pass": fj.passed,
     }
 
-    if spec.run_modulus_check:
-        rng = np.random.default_rng([spec.seed, 3])
-        mc = modulus_check(spec.op, spec.modulus, rng=rng)
-        diagnostics["modulus_check"] = {
-            "samples_checked": mc.samples_checked,
-            "counterexamples": _jsonable(mc.counterexamples),
-            "pass": mc.passed,
-        }
+    rng = np.random.default_rng([spec.seed, 3])
+    mc = modulus_check(spec.op, spec.modulus, rng=rng)
+    diagnostics["modulus_check"] = {
+        "samples_checked": mc.samples_checked,
+        "counterexamples": _jsonable(mc.counterexamples),
+        "pass": mc.passed,
+    }
 
     return bundle, diagnostics
 

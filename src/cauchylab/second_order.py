@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HorizonError, SolverError
+from .errors import ContractError, HorizonError, SolverError
 from .operators import AccretiveOperator
 
 # the warm-start stages (r, p) of a nonlinear solve, p = r; the r = 0 solve
@@ -861,18 +861,30 @@ def check_apriori(
 
     sup ||u|| <= ||x||, integral of ||u'||^2 <= (2/M^2) d(0,Ax)^{3/2} ||x||^{1/2},
     integral of ||u''||^2 <= (2/M^2) d(0,Ax)^{1/2} ||x||^{3/2}, each with a
-    quadrature allowance of quad_rel_tol * (1 + rhs).
+    quadrature allowance of quad_rel_tol * (1 + rhs).  A functional or cap
+    beyond the float range raises a ContractError that names it.
     """
     x = op.space.check(x)
     nx = op.space.norm(x)
     d0 = op.dist_zero(x)
     ts = traj.times
-    sup_norm = float(np.max(op.space.norms(traj.values)))
-    int_du = float(np.trapezoid(op.space.norms(traj.derivative()) ** 2, ts))
-    int_ddu = float(np.trapezoid(op.space.norms(traj.second_derivative()) ** 2, ts))
     coeff = 2.0 / (m_const * m_const)
-    rhs_du = coeff * d0 ** 1.5 * math.sqrt(nx)
-    rhs_ddu = coeff * math.sqrt(d0) * nx ** 1.5
+    with np.errstate(over="ignore"):  # beyond the float range: inf, named below
+        values = {
+            "||x||, the cap of sup ||u||": nx,
+            "sup ||u||": np.max(op.space.norms(traj.values)),
+            "integral of ||u'||^2": np.trapezoid(op.space.norms(traj.derivative()) ** 2, ts),
+            "integral of ||u''||^2": np.trapezoid(
+                op.space.norms(traj.second_derivative()) ** 2, ts
+            ),
+            "cap (2/M^2) d(0,Ax)^(3/2) ||x||^(1/2)": coeff * np.float64(d0) ** 1.5 * math.sqrt(nx),
+            "cap (2/M^2) d(0,Ax)^(1/2) ||x||^(3/2)": coeff * math.sqrt(d0) * np.float64(nx) ** 1.5,
+        }
+    for name, value in values.items():
+        if not math.isfinite(value):
+            message = f"a-priori check at ||x|| = {nx:.3e}: {name} exceeds the float range"
+            raise ContractError(message)
+    _, sup_norm, int_du, int_ddu, rhs_du, rhs_ddu = map(float, values.values())
     return AprioriBounds(
         sup_norm=sup_norm,
         int_du_sq=int_du,

@@ -1,17 +1,18 @@
 """Concrete finite-dimensional normed spaces with explicit duality maps.
 
-Two kinds are supported: Euclidean (Hilbert) space, where the normalized
-duality map is the identity, and finite-dimensional l^p space with real
-1 < p <= 2, where the duality map has the closed form
+A space is finite-dimensional l^p with real 1 < p <= 2, and p alone
+decides its geometry: the Hilbert kind is the name of p = 2.  The
+duality map has the closed form
 
     J(x)_i = sign(x_i) * |x_i|^(p-1) * ||x||_p^(2-p),
 
-finite at zero coordinates and at x = 0, and equal to x at p = 2.  The
-duality map of l^p is (p - 1)-strongly monotone: 1/2 ||.||_p^2 is
-(p - 1)-strongly convex for 1 < p <= 2 (Ball, Carlen & Lieb, Invent.
-Math. 115, 1994), so M = p - 1, and M = 1 for the Hilbert kind.  For
-p > 2 no M > 0 exists (x = (1, 0), y = (1, eps) gives a ratio of order
-eps^2; Xu, Nonlinear Anal. 16, 1991), so such spaces are refused.
+finite at zero coordinates and at x = 0, and x bit for bit at p = 2,
+where the powers are 1 and 0.  The duality map of l^p is (p - 1)-strongly
+monotone: 1/2 ||.||_p^2 is (p - 1)-strongly convex for 1 < p <= 2 (Ball,
+Carlen & Lieb, Invent. Math. 115, 1994), so M = p - 1, and M = 1 in
+Euclidean space.  For p > 2 no M > 0 exists (x = (1, 0), y = (1, eps)
+gives a ratio of order eps^2; Xu, Nonlinear Anal. 16, 1991), so such
+spaces are refused.
 
 The sampling validators here, in ``operators`` and in ``verification``,
 draw and evaluate their samples in blocks of SAMPLE_CHUNK rows, each
@@ -24,7 +25,7 @@ pairing, M - 1e-12 on the monotonicity ratio, and the modulus check's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,8 +52,9 @@ class MonotonicityReport:
 class SpaceContext:
     """Immutable description of the ambient space.
 
-    ``kind`` is "hilbert" or "lp"; the strong-monotonicity constant of
-    the duality map is ``M`` = p - 1, so 1 in the Hilbert kind.
+    ``kind`` is the config's label, "hilbert" (p = 2) or "lp"; every
+    computation reads p.  The strong-monotonicity constant of the
+    duality map is ``M`` = p - 1, so 1 in the Hilbert kind.
     """
 
     kind: str
@@ -65,9 +67,7 @@ class SpaceContext:
 
     @staticmethod
     def hilbert(dim: int) -> "SpaceContext":
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        return SpaceContext(kind="hilbert", dim=dim)
+        return replace(SpaceContext.lp(dim, 2.0), kind="hilbert")
 
     @staticmethod
     def lp(dim: int, p: float) -> "SpaceContext":
@@ -91,32 +91,25 @@ class SpaceContext:
         return x
 
     def norm(self, x: np.ndarray) -> float:
-        x = self.check(x)
-        if self.kind == "hilbert":
-            return float(np.linalg.norm(x))
-        return float(np.linalg.norm(x, ord=self.p))
+        # not norms(x[None]): the vector path (dot) and the row path (add.reduce)
+        # may differ in the last bit, and d(0, Ax) and the rate data read this one
+        return float(np.linalg.norm(self.check(x), ord=self.p))
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
         """Row-wise norms of an (n, dim) array."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise DimensionMismatch(f"expected (n, {self.dim}) array, got {rows.shape}")
-        if self.kind == "hilbert":
-            return np.linalg.norm(rows, axis=1)
         return np.linalg.norm(rows, ord=self.p, axis=1)
 
     def duality_map_many(self, rows: np.ndarray) -> np.ndarray:
         """``duality_map`` of each row of an (n, dim) array."""
         rows = np.asarray(rows, dtype=float)
-        if self.kind == "hilbert":
-            return rows.copy()
         nx = self.norms(rows)[:, None]
         return np.copysign(np.abs(rows) ** (self.p - 1.0), rows) * nx ** (2.0 - self.p)
 
     def dual_norm(self, f: np.ndarray) -> float:
         f = self.check(f)
-        if self.kind == "hilbert":
-            return float(np.linalg.norm(f))
         # the exponent q = p / (p - 1) is huge for p near 1: |f_i|^q in
         # units of max |f_i| cannot overflow
         q = self.p / (self.p - 1.0)
@@ -131,10 +124,7 @@ class SpaceContext:
 
     def duality_map(self, x: np.ndarray) -> np.ndarray:
         """Normalized duality map: <x, Jx> = ||x||^2 and ||Jx||_* = ||x||."""
-        x = self.check(x)
-        if self.kind == "hilbert":
-            return x.copy()
-        return np.copysign(np.abs(x) ** (self.p - 1.0), x) * self.norm(x) ** (2.0 - self.p)
+        return self.duality_map_many(self.check(x)[None, :])[0]
 
     # -- validation -----------------------------------------------------------
 

@@ -185,9 +185,6 @@ BAD_CASES = [
         )
     ),
     ("step: 0.05}", "step: 1.0e-320}", "overflows"),
-    ("  sweeps:", "  validation: {monotonicity_samples: 0}\n  sweeps:", "monotonicity_samples"),
-    ("  sweeps:", "  validation: {accretivity_samples: -5}\n  sweeps:", "accretivity_samples"),
-    ("  sweeps:", "  validation: {modulus_samples: 1000001}\n  sweeps:", "modulus_samples"),
     # the sampling radii are fixed: a negative one once ended in a
     # traceback, and 0 in a vacuous pass
     *(
@@ -241,16 +238,37 @@ BAD_CASES = [
             ("5.3", ", orbits", 'counterfunctions: ["n"]'),
         )
     ),
+    # the validation section is gone: every budget and radius it held is
+    # its validator's default, and every run makes the modulus check
     *(
         (
             "  sweeps:",
-            f"  validation: {{region_radius: {r}}}\n  sweeps:",
-            r"scenario\.validation\.region_radius: unknown key 'region_radius' "
-            r"\(allowed: run_modulus_check\)",
+            f"  validation: {{{entry}}}\n  sweeps:",
+            r":9: scenario\.validation: unknown key 'validation' \(allowed: id, space,",
         )
-        for r in ("-5.0", "0.0")
+        for entry in (
+            "monotonicity_samples: 0",
+            "accretivity_samples: -5",
+            "modulus_samples: 1000001",
+            "region_radius: -5.0",
+            "region_radius: 0.0",
+            "region_radius: .inf",
+            "region_radius: 1.0, radius: 2",
+            "run_modulus_check: false",
+        )
     ),
-    ("  sweeps:", "  validation: {region_radius: .inf}\n  sweeps:", "region_radius"),
+    # the reports a config asks for are capped at load time: 1000 values of
+    # k times 101 counterfunctions in one 5.1 sweep, after 2 reports of 4.1
+    (
+        '  sweeps:\n    - {theorem: "4.1", k_range: [0, 1]}',
+        "  orbits: [{kind: exact}]\n  sweeps:\n"
+        '    - {theorem: "4.1", k_range: [0, 1]}\n'
+        '    - {theorem: "5.1", k_range: [0, 999], counterfunctions: ['
+        + ", ".join(f'"{j}"' for j in range(101))
+        + "]}",
+        r":12: scenario\.sweeps\[1\]: the sweeps up to this one ask for 101002 reports, "
+        r"more than 100000$",
+    ),
     # an expression literal above the float range: a 5000-digit one ended in
     # a ValueError traceback from the int-string limit
     (
@@ -295,11 +313,6 @@ BAD_CASES = [
     ),
     ("strongly_accretive, c: 1.0}", "strongly_accretive, c: 1.0, k: 1}", r"modulus\.k: unknown"),
     ("  sweeps:", "  rate_data: {b: 1.0, bb: 2.0}\n  sweeps:", r"scenario\.rate_data: unknown"),
-    (
-        "  sweeps:",
-        "  validation: {region_radius: 1.0, radius: 2}\n  sweeps:",
-        r"validation\.region_radius: unknown key",
-    ),
     ("  sweeps:", "  orbits: [{kind: exact, lam: 1.0}]\n  sweeps:", r"orbits\[0\]\.lam: unknown"),
     ("k_range: [0, 1]}", "k_range: [0, 1], theorm: 4.2}", r"sweeps\[0\]\.theorm: unknown"),
     # the program computes the rate data: an override could only loosen the
@@ -586,15 +599,12 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", str(cfg), "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 1
 
 
-def _huge_modulus(zeros, check=True):
+def _huge_modulus(zeros):
     # a constant: an expression stops at the float range, and the loader
     # rejects a literal beyond it
-    text = MINIMAL.replace(
+    return MINIMAL.replace(
         "kind: strongly_accretive, c: 1.0", f"kind: constant, value: 1{'0' * zeros}"
     )
-    if check:
-        return text
-    return text.replace("  sweeps:", "  validation: {run_modulus_check: false}\n  sweeps:")
 
 
 @pytest.mark.parametrize(
@@ -609,11 +619,11 @@ def _huge_modulus(zeros, check=True):
             "linear solve hit a singular matrix (r=0, p=0)",
         ),
         # a modulus value beyond the float range, met by the modulus check
-        # or, with the check off, by the 4.1 sweep
+        # (the 4.1 sweep meets it too: test_verification)
         (_huge_modulus(400), "modulus value 1.000e+400 at k=0, K="),
-        (_huge_modulus(400, check=False), "modulus value 1.000e+400 at k=1, K=1 exceeds"),
-        # a modulus value of 1e200 squares to a bound beyond the float range
-        (_huge_modulus(200, check=False), "rate bound 5.000e+400 exceeds the float range"),
+        # a modulus value of 1e200 passes the check and squares to a bound
+        # beyond the float range in the sweep
+        (_huge_modulus(200), "rate bound 5.000e+400 exceeds the float range"),
         # the deleted solver keys are unknown keys, anchored at their line
         *(
             (
@@ -671,11 +681,20 @@ def _huge_modulus(zeros, check=True):
             .replace("dynamics: second_order", "dynamics: first_order"),
             "d(0,Ax)^(1/2) b^(3/2) at b = 1.000e+250 exceeds the float range",
         ),
+        # the same start in second-order dynamics: the a-priori check squared
+        # the derivative's norms past the float range, warned twice and then
+        # ended in an OverflowError traceback at d(0,Ax)^(3/2)
+        (
+            (CFG_DIR / "strongly_accretive.cfg")
+            .read_text()
+            .replace("kind: hilbert\n", "kind: lp\n    p: 1.01\n")
+            .replace("initial_point: [1.0, 0.0]", "initial_point: [1.0e+250, 0.0]"),
+            "error: a-priori check at ||x|| = 1.000e+250: integral of ||u'||^2 exceeds the float",
+        ),
     ],
     ids=[
         "singular_solve",
         "modulus_in_check",
-        "modulus_in_sweep",
         "bound_in_sweep",
         "schedule_key",
         "stabilization_tol_key",
@@ -686,6 +705,7 @@ def _huge_modulus(zeros, check=True):
         "orbit_direction_overflow",
         "rate_data_overflow",
         "rate_data_power_overflow",
+        "apriori_overflow",
     ],
 )
 def test_cli_error_is_one_line(tmp_path, capsys, text, message):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchylab import (
+    AccretiveOperator,
     LinearPSD,
     NormSubdifferential,
     Rotation,
@@ -17,12 +18,15 @@ from cauchylab import (
     SqrtSemigroup,
     StronglyAccretive,
     TimeGrid,
+    check_apriori,
     fejer_report,
     first_order_trajectory,
     integral_liminf_search,
+    linear_oracle,
     make_almost_orbit,
     modulus_check,
     sweep_theorem,
+    verify_accretive,
 )
 from cauchylab.counterfunctions import (
     Counterfunction,
@@ -311,6 +315,18 @@ def identity_bundle(hilbert2):
         trajectory=sg.trajectory,
         solver=sg.solver,
         orbits=orbits,
+    )
+
+
+def test_sweep_names_a_modulus_value_beyond_the_float_range(identity_bundle):
+    # the 4.1 rate asks the modulus at k + 1 and K = 1 first; the modulus
+    # check of a run meets the same value earlier, at k = 0
+    bundle = replace(identity_bundle, modulus=constant_modulus(10**400))
+    with pytest.raises(ContractError) as err:
+        sweep_theorem(bundle, "4.1", range(2))
+    assert str(err.value) == (
+        "theorem 4.1 sweep over identity at k=0: "
+        "modulus value 1.000e+400 at k=1, K=1 exceeds the float range"
     )
 
 
@@ -774,3 +790,63 @@ def test_fejer_report_flags_increase(hilbert2):
     op = ScaledIdentity(1.0, hilbert2)
     report = fejer_report(op, Trajectory(grid=grid, values=values))
     assert not report.monotone
+
+
+class _RowScaledIdentity(AccretiveOperator):
+    """A = c Id written as the five batched forms alone, with no
+    single-point form and no ``linear_matrix``: the base class derives
+    the rest, and the solver takes the continuation and the r = 0 finish."""
+
+    def __init__(self, c, space):
+        super().__init__(space)
+        self.c = c
+
+    def select_many(self, rows):
+        return self.c * np.asarray(rows, dtype=float)
+
+    def resolvent_many(self, gammas, rows):
+        return np.asarray(rows, dtype=float) / (1.0 + self.c * np.asarray(gammas)[:, None])
+
+    def yosida_many(self, r, rows):
+        return (self.c / (1.0 + r * self.c)) * np.asarray(rows, dtype=float)
+
+    def yosida_jacobian_many(self, r, rows):
+        jac = (self.c / (1.0 + r * self.c)) * np.eye(self.space.dim)
+        return np.repeat(jac[None], np.asarray(rows).shape[0], axis=0)
+
+    def project_zeros_many(self, rows):
+        return np.zeros_like(np.asarray(rows, dtype=float))
+
+
+def test_an_operator_of_five_batched_forms_runs_every_check(hilbert2):
+    c, x = 0.5, np.array([1.0, -0.5])
+    op = _RowScaledIdentity(c, hilbert2)
+    assert op.linear_matrix is None
+    assert np.array_equal(op.select(x), c * x)
+    assert np.array_equal(op.project_zeros(x), np.zeros(2))
+    assert op.dist_zero(x) == hilbert2.norm(c * x)
+    assert verify_accretive(op, rng=np.random.default_rng(1)).passed
+    modulus = modulus_strongly_accretive(c)
+    assert modulus_check(op, modulus, rng=np.random.default_rng(2)).passed
+
+    sg = SqrtSemigroup(op, x, SolverConfig(TimeGrid(20.0, 0.01)))
+    traj = sg.trajectory
+    assert traj.meta["continuation"][-1] == (0.0, 0.0) and traj.meta["stabilized"]
+    oracle = np.stack([linear_oracle(c * np.eye(2), t, x) for t in traj.times])
+    assert np.max(np.linalg.norm(traj.values - oracle, axis=1)) <= 1e-4
+    assert check_apriori(op, x, traj, hilbert2.M).passed
+    assert fejer_report(op, traj).passed
+
+    bundle = ScenarioBundle(
+        scenario_id="rows",
+        op=op,
+        x=x,
+        modulus=modulus,
+        trajectory=traj,
+        solver=sg.solver,
+        orbits=[make_almost_orbit(sg, "additive_decay", v=np.array([0.0, 1.0]), lam=1.0)],
+    )
+    # every bound lies past the horizon: the reports pass through the residual
+    for theorem in ("4.1", "5.3"):
+        reports = sweep_theorem(bundle, theorem, range(2))
+        assert len(reports) == 2 and all(r.passed and r.observed is not None for r in reports)
