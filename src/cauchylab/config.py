@@ -241,6 +241,16 @@ class _Section:
             )
         return np.array(value, dtype=float)
 
+    def point(self, key: str, space: SpaceContext, name: str) -> np.ndarray:
+        """``vector`` of the space's dimension whose norm is a finite float
+        too; ``name`` names it in the error."""
+        x = self.vector(key, space.dim)
+        with np.errstate(over="ignore"):
+            finite = math.isfinite(space.norm(x))
+        if not finite:
+            self.fail(key, f"{name} has a norm beyond the float range")
+        return x
+
     def matrix(self, key: str) -> np.ndarray:
         """A required list of equally long rows of finite numbers."""
         rows = self.require(key, list)
@@ -466,8 +476,9 @@ def load_config(path: str | Path) -> ScenarioSpec:
 
     space = _build(sc.section("space"), SPACES, "space")
     # the initial point first: its length in the file bounds the dimension
-    # that building the operator may allocate for
-    x = sc.vector("initial_point", space.dim)
+    # that building the operator may allocate for; the solver's scale and
+    # the rate data take ||x||
+    x = sc.point("initial_point", space, "initial_point")
     op = _build(sc.section("operator"), OPERATORS, "operator", space)
 
     dynamics = sc.get("dynamics", "second_order", kind=str)
@@ -517,12 +528,8 @@ def load_config(path: str | Path) -> ScenarioSpec:
         spec = {"kind": kind}
         for name, param in params.items():
             if param.default is None:
-                spec[name] = osec.vector(name, space.dim)
                 # the defect rate takes log ||v||
-                with np.errstate(over="ignore"):
-                    finite = math.isfinite(space.norm(spec[name]))
-                if not finite:
-                    osec.fail(name, f"{kind} {name} has a norm beyond the float range")
+                spec[name] = osec.point(name, space, f"{kind} {name}")
                 continue
             spec[name] = osec.get(name, param.default, kind=float)
             if not param.valid(spec[name], solver.margin):

@@ -10,7 +10,9 @@ solves that smooth problem, warm-started from the stage before, on a grid
 again on the solver's grid from its interpolation, and then starts a
 semismooth Newton solve of the unregularized inclusion, written with the
 resolvent at sigma = that r as u_i = J_sigma(u_i + sigma u_i''); nodes in
-the zero set's basin come out exactly 0.
+the zero set's basin come out exactly 0.  A restart of a semigroup starts
+that solve from the base trajectory instead, and runs the stages only if
+it does not converge within a few steps.
 
 Boundary treatment: the left end is clamped at x; the far end carries a
 zero-derivative (ghost-node) condition.  A Dirichlet far end would force
@@ -483,11 +485,13 @@ def _newton(
     label: str,
     r: float,
     reg_p: float,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> Trajectory:
     """Damped Newton on the discrete system residual(u) = 0 in the
     unknowns u (n, dim), started at ``init`` (the constant x when None).
     The system belongs to the regularization (r, p), which errors name and
-    the metadata records.
+    the metadata records.  A solve not at the tolerance after ``max_iter``
+    steps raises ``SolverError``.
 
     ``solve_step(u, rhs)`` solves the Newton system at the iterate u for
     a batch-last right-hand side rhs (dim, n).  For u'' = F(u) the
@@ -518,8 +522,8 @@ def _newton(
     try:
         res = residual(u)
         rnorm = float(np.max(np.abs(res)))
-        for steps in range(NEWTON_MAX_ITER + 1):
-            if rnorm <= tol or steps == NEWTON_MAX_ITER:
+        for steps in range(max_iter + 1):
+            if rnorm <= tol or steps == max_iter:
                 break
             step = solve_step(u, -res.T).T
             lam = 1.0
@@ -537,7 +541,7 @@ def _newton(
                     )
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"{label} hit a singular matrix {params}") from exc
-    if rnorm > tol:
+    if not rnorm <= tol:  # a NaN residual too
         raise SolverError(
             f"{label} did not reach tolerance: residual {rnorm:.3e} {params}", rnorm
         )
@@ -637,9 +641,10 @@ def solve_unregularized(
     grid: TimeGrid,
     sigma: float,
     init: np.ndarray | None = None,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> Trajectory:
     """Solve the discrete u'' in Au, u(0) = x, at r = p = 0 by semismooth
-    Newton (Qi & Sun 1993) from ``init``.
+    Newton (Qi & Sun 1993) from ``init``, in at most ``max_iter`` steps.
 
     At each unknown the inclusion is F_i(u) = u_i - J_sigma(z_i) = 0, with
     z = u + sigma u'' for any sigma > 0; the residual is F/sigma, which is
@@ -664,6 +669,7 @@ def solve_unregularized(
         "unregularized solve",
         0.0,
         0.0,
+        max_iter,
     )
 
 
@@ -691,7 +697,102 @@ def _refine(values: np.ndarray, factor: int, n: int) -> np.ndarray:
     return (1.0 - frac) * values[j] + frac * values[j + 1]
 
 
-def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfig) -> Trajectory:
+def _continuation(op: AccretiveOperator, x: np.ndarray, grid: TimeGrid) -> Trajectory:
+    """The nonlinear solve of ``solve_second_order`` from scratch: the
+    stages of ``DEFAULT_SCHEDULE`` on the coarse grid, the last again on
+    ``grid``, and the r = 0 solve from it."""
+    n = grid.n_steps
+    factor = min(COARSE_FACTOR, max(1, n // MIN_STEPS))
+    m = -(-n // factor)
+    coarse_step = factor * grid.step
+    coarse = TimeGrid(m * coarse_step, coarse_step)
+    stages = []
+    for r, p in DEFAULT_SCHEDULE:
+        warm = stages[-1].values[1:] if stages else None
+        stages.append(solve_regularized(op, r, p, x, coarse, init=warm))
+    r, p = DEFAULT_SCHEDULE[-1]
+    refined = solve_regularized(op, r, p, x, grid, init=_refine(stages[-1].values, factor, n))
+    traj = solve_unregularized(op, x, grid, r, refined.values[1:])
+    diffs = [
+        float(np.max(op.space.norms(nxt.values - prev.values)))
+        for prev, nxt in zip([*stages[:-1], refined], [*stages[1:], traj])
+    ]
+    traj.meta.update(
+        continuation=[*DEFAULT_SCHEDULE, (0.0, 0.0)],
+        stage_diffs=diffs,
+        coarse_step=coarse_step,
+        stage_steps=[s.meta["newton_steps"] for s in [*stages, refined, traj]],
+    )
+    return traj
+
+
+# a warm restart's r = 0 solve gives way to the continuation past this many
+# Newton steps; started next to the solution, it takes 0-1
+WARM_FINISH_MAX_ITER = 4
+# a start beyond the base's initial norm extends the base back in time by at
+# most this many nodes, or takes the continuation
+WARM_EXTENSION_MAX = 256
+
+
+def _warm_profile(op: AccretiveOperator, warm: Trajectory, ny: float) -> np.ndarray | None:
+    """The norms of warm's nodes, first extended back in time until one
+    reaches ny; None past ``WARM_EXTENSION_MAX`` nodes.
+
+    Each node before the first is the discrete equation solved for it,
+    u_{-1} = 2 u_0 - u_1 + h^2 A(u_0), with A(u_0) the minimal section.
+    """
+    h2 = warm.grid.step**2
+    u0, u1 = warm.values[0], warm.values[1]
+    back = []
+    while op.space.norm(u0) < ny:
+        if len(back) == WARM_EXTENSION_MAX:
+            return None
+        u0, u1 = 2.0 * u0 - u1 + h2 * op.select(u0), u0
+        back.append(u0)
+    return op.space.norms(np.vstack([*back[::-1], warm.values]))
+
+
+def _warm_finish(
+    op: AccretiveOperator, y: np.ndarray, grid: TimeGrid, warm: Trajectory
+) -> Trajectory | None:
+    """The r = 0 solve from y != 0, started from the trajectory ``warm`` of
+    the same operator on the same grid; None if it fails or needs more
+    than ``WARM_FINISH_MAX_ITER`` steps.
+
+    The start is warm's norm profile (``_warm_profile``) from the node
+    whose norm is nearest ||y|| on, laid along y/||y||, and 0 past warm's
+    last node.  For the norm family (the norm subdifferential, alone or
+    shifted by c Id) the solution from y lies on the ray of y, and its norm
+    profile is the base profile shifted in time, so this start is next to
+    it.
+    """
+    ny = op.space.norm(y)
+    profile = _warm_profile(op, warm, ny) if ny > 0.0 else None
+    if profile is None:
+        return None
+    tail = profile[int(np.argmin(np.abs(profile - ny))) + 1 :][: grid.n_steps]
+    guess = np.zeros(grid.n_steps)
+    guess[: tail.size] = tail
+    try:
+        traj = solve_unregularized(
+            op,
+            y,
+            grid,
+            DEFAULT_SCHEDULE[-1][0],
+            guess[:, None] * (y / ny),
+            WARM_FINISH_MAX_ITER,
+        )
+    except SolverError:
+        return None
+    traj.meta.update(
+        continuation=[(0.0, 0.0)], stage_diffs=[], stage_steps=[traj.meta["newton_steps"]]
+    )
+    return traj
+
+
+def solve_second_order(
+    op: AccretiveOperator, x: np.ndarray, solver: SolverConfig, warm: Trajectory | None = None
+) -> Trajectory:
     """Solve u'' in Au, u(0) = x, on the solver's grid, at r = p = 0.
 
     A linear operator A = B is its own limit A_0: the unregularized
@@ -713,9 +814,16 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
     each stage to the next: between the coarse stages on the coarse grid,
     and then from the fine r = 1e-3 solve to the unregularized one.  It
     records ``coarse_step`` and, in ``stage_steps``, the Newton steps of
-    the coarse stages, the fine r = 1e-3 solve and the r = 0 solve.  In
-    both cases ``stabilized`` means that the r = p = 0 system was solved
-    to the Newton tolerance; a solve that fails raises ``SolverError``.
+    the coarse stages, the fine r = 1e-3 solve and the r = 0 solve.
+
+    Given ``warm``, a trajectory of the same operator on the same grid
+    (a restart's base), a nonlinear solve first tries the r = 0 solve
+    alone, started from warm's profile (``_warm_finish``); it records
+    ``continuation`` [(0, 0)], no ``stage_diffs`` and its one
+    ``stage_steps`` entry.  It runs the stages above if that fails, and
+    always from x = 0.  In every case ``stabilized`` means that the
+    r = p = 0 system was solved to the Newton tolerance; a solve that
+    fails raises ``SolverError``.
     """
     x = op.space.check(x)
     grid = solver.grid
@@ -736,28 +844,9 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
         )
         traj.meta.update(continuation=[(0.0, 0.0)], stage_diffs=[])
     else:
-        n = grid.n_steps
-        factor = min(COARSE_FACTOR, max(1, n // MIN_STEPS))
-        m = -(-n // factor)
-        coarse_step = factor * grid.step
-        coarse = TimeGrid(m * coarse_step, coarse_step)
-        stages = []
-        for r, p in DEFAULT_SCHEDULE:
-            warm = stages[-1].values[1:] if stages else None
-            stages.append(solve_regularized(op, r, p, x, coarse, init=warm))
-        r, p = DEFAULT_SCHEDULE[-1]
-        refined = solve_regularized(op, r, p, x, grid, init=_refine(stages[-1].values, factor, n))
-        traj = solve_unregularized(op, x, grid, r, refined.values[1:])
-        diffs = [
-            float(np.max(op.space.norms(nxt.values - prev.values)))
-            for prev, nxt in zip([*stages[:-1], refined], [*stages[1:], traj])
-        ]
-        traj.meta.update(
-            continuation=[*DEFAULT_SCHEDULE, (0.0, 0.0)],
-            stage_diffs=diffs,
-            coarse_step=coarse_step,
-            stage_steps=[s.meta["newton_steps"] for s in [*stages, refined, traj]],
-        )
+        traj = _warm_finish(op, x, grid, warm) if warm is not None else None
+        if traj is None:
+            traj = _continuation(op, x, grid)
     traj.meta["stabilized"] = True
     return traj
 
@@ -770,11 +859,17 @@ class SqrtSemigroup:
     HorizonError.
     """
 
-    def __init__(self, op: AccretiveOperator, x: np.ndarray, solver: SolverConfig):
+    def __init__(
+        self,
+        op: AccretiveOperator,
+        x: np.ndarray,
+        solver: SolverConfig,
+        warm: Trajectory | None = None,
+    ):
         self.op = op
         self.x = op.space.check(x)
         self.solver = solver
-        self.trajectory = solve_second_order(op, x, solver)
+        self.trajectory = solve_second_order(op, x, solver, warm)
 
     @property
     def trusted_horizon(self) -> float:
@@ -795,12 +890,17 @@ class SqrtSemigroup:
     def restart_from(self, y: np.ndarray) -> "SqrtSemigroup":
         """Semigroup started at a new initial point (same solver setup).
 
-        The solve is deterministic, so a restart from this semigroup's own
-        initial point, bit for bit, is this semigroup."""
+        A restart solves the same discrete r = 0 system as a fresh
+        semigroup from y, to the same Newton tolerance.  A nonlinear one
+        starts that solve from this semigroup's trajectory and runs the
+        continuation only if it does not converge within
+        ``WARM_FINISH_MAX_ITER`` steps (``solve_second_order``).  The solve
+        is deterministic, so a restart from this semigroup's own initial
+        point, bit for bit, is this semigroup."""
         y = self.op.space.check(y)
         if y.tobytes() == self.x.tobytes():
             return self
-        return SqrtSemigroup(self.op, y, self.solver)
+        return SqrtSemigroup(self.op, y, self.solver, self.trajectory)
 
 
 def linear_oracle(b: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:

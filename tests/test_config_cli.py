@@ -532,6 +532,61 @@ def test_exact_orbit_restart_reuses_base_solve(tmp_path, monkeypatch):
     assert reused[1] == cold[1]
 
 
+@pytest.mark.parametrize(
+    "v, identical",
+    [
+        # every restart starts inside ||x|| = 1, at the additive decay's
+        # s = 0 too: the certificates are the cold restarts', byte for byte
+        ("[-0.3, 0.4]", True),
+        # ||x + v|| = 1.36: that restart extends the base back in time, and
+        # its defect moves in the last digits
+        ("[0.3, 0.4]", False),
+    ],
+)
+def test_warm_restarts_keep_the_certificates(tmp_path, monkeypatch, v, identical):
+    from cauchylab import second_order
+
+    text = (CFG_DIR / "subdifferential_norm.cfg").read_text()
+    cfg = write_cfg(
+        tmp_path,
+        text.replace(
+            "  sweeps:",
+            "  orbits:\n    - kind: exact\n    - kind: additive_decay\n"
+            f"      v: {v}\n      lam: 1.0\n    - kind: time_warp\n      delta: 0.5\n"
+            "  sweeps:",
+        ),
+    )
+    solve = second_order.solve_regularized
+
+    def certify(out):
+        stages = []
+
+        def counted(*args, **kwargs):
+            stages.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(second_order, "solve_regularized", counted)
+        run_config(str(cfg), out_dir=out)
+        payload = json.loads((out / "reports.json").read_text())
+        return len(stages), payload["diagnostics"]["orbits"]
+
+    warm = certify(tmp_path / "warm")
+    monkeypatch.setattr(
+        second_order.SqrtSemigroup,
+        "restart_from",
+        lambda self, y: second_order.SqrtSemigroup(self.op, y, self.solver),
+    )
+    cold = certify(tmp_path / "cold")
+    # four stages each for the base solve and for the time warp's restart
+    # from the origin, past extinction; every other cold restart adds four
+    assert warm[0] == 8 < cold[0]
+    assert (json.dumps(warm[1]) == json.dumps(cold[1])) is identical
+    for kind, cert in warm[1].items():
+        for got, want in zip(cert["samples"], cold[1][kind]["samples"]):
+            assert (got["k"], got["s"]) == (want["k"], want["s"])
+            assert got["defect"] == pytest.approx(want["defect"], rel=1e-12, abs=1e-15)
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_report_rows_match_golden(tmp_path, name):
     # every reports row of each bundled config at its shipped seed, exactly;
@@ -691,6 +746,14 @@ def _huge_modulus(zeros):
             .replace("initial_point: [1.0, 0.0]", "initial_point: [1.0e+250, 0.0]"),
             "error: a-priori check at ||x|| = 1.000e+250: integral of ||u'||^2 exceeds the float",
         ),
+        # finite coordinates, ||x|| overflows: the solve warned of an overflow
+        # in the far-end check and the a-priori check then failed at inf
+        (
+            (CFG_DIR / "strongly_accretive.cfg")
+            .read_text()
+            .replace("initial_point: [1.0, 0.0]", "initial_point: [1.0e+200, 1.0e+200]"),
+            ".cfg:15: scenario.initial_point: initial_point has a norm beyond the float range",
+        ),
     ],
     ids=[
         "singular_solve",
@@ -706,6 +769,7 @@ def _huge_modulus(zeros):
         "rate_data_overflow",
         "rate_data_power_overflow",
         "apriori_overflow",
+        "initial_point_overflow",
     ],
 )
 def test_cli_error_is_one_line(tmp_path, capsys, text, message):

@@ -359,15 +359,87 @@ def test_coarse_stages_give_the_single_grid_solution(c, x, grid, coarse_step):
     assert np.max(np.abs(traj.values - _single_grid_chain(op, x, grid).values)) <= 1e-12
 
 
-def test_coarse_stages_in_a_restart(hilbert2):
+def test_warm_restart_gives_the_single_grid_solution(hilbert2):
     op = StronglyAccretive(NormSubdifferential(hilbert2), 0.5)
     solver = SolverConfig(TimeGrid(10.0, 0.01))
     sg = SqrtSemigroup(op, np.array([1.5, -0.5]), solver)
     y = sg.at(0.5)
     restart = sg.restart_from(y)
     assert restart is not sg
+    assert restart.trajectory.meta["continuation"] == [(0.0, 0.0)]
     chain = _single_grid_chain(op, y, solver.grid)
     assert np.max(np.abs(restart.trajectory.values - chain.values)) <= 1e-12
+
+
+RESTART_X = np.array([1.5, -0.5])
+RESTART_V = np.array([0.3, 0.4])
+
+
+def _restart_base(space, c):
+    base = NormSubdifferential(space)
+    op = base if c == 0.0 else StronglyAccretive(base, c)
+    return SqrtSemigroup(op, RESTART_X, SolverConfig(TimeGrid(10.0, 0.01)))
+
+
+def _count_stages(monkeypatch):
+    stages = []
+    solve = second_order.solve_regularized
+
+    def counted(*args, **kwargs):
+        stages.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(second_order, "solve_regularized", counted)
+    return stages
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "space", [SpaceContext.hilbert(2), SpaceContext.lp(2, 2.0)], ids=["hilbert", "l2"]
+)
+def test_warm_restart_matches_the_cold_chain(monkeypatch, space, c):
+    sg = _restart_base(space, c)
+    # extinction at sqrt(2 ||x||) = 1.78 or before
+    assert not sg.at(4.0).any()
+    points = [
+        # on the ray: the time warp u(s + delta e^-s), between two nodes
+        sg.at(0.5 + 0.5 * np.exp(-0.5)),
+        # off the ray: the additive decay u(s) + e^-s v, at s = 0 beyond ||x||
+        RESTART_X + RESTART_V,
+        sg.at(1.0) + np.exp(-1.0) * RESTART_V,
+        # past extinction, e^-s v alone
+        sg.at(4.0) + np.exp(-4.0) * RESTART_V,
+    ]
+    stages = _count_stages(monkeypatch)
+    restarts = [sg.restart_from(y) for y in points]
+    assert stages == []
+    for y, restart in zip(points, restarts):
+        assert restart.trajectory.meta["continuation"] == [(0.0, 0.0)]
+        assert restart.trajectory.meta["newton_steps"] <= second_order.WARM_FINISH_MAX_ITER
+        cold = SqrtSemigroup(sg.op, y, sg.solver)
+        assert np.max(np.abs(restart.trajectory.values - cold.trajectory.values)) <= 1e-12
+    # the counter sees the cold chains' stages: three coarse, one fine
+    assert len(stages) == len(points) * (len(DEFAULT_SCHEDULE) + 1)
+
+
+@pytest.mark.parametrize(
+    "cap, y",
+    [
+        ("WARM_FINISH_MAX_ITER", RESTART_X + RESTART_V),
+        ("WARM_EXTENSION_MAX", RESTART_X + RESTART_V),
+        # the origin always takes the continuation
+        (None, np.zeros(2)),
+    ],
+    ids=["finish_steps", "extension_nodes", "origin"],
+)
+def test_restart_past_a_cap_is_the_cold_chain(monkeypatch, hilbert2, cap, y):
+    sg = _restart_base(hilbert2, 0.0)
+    if cap is not None:
+        monkeypatch.setattr(second_order, cap, 0)
+    restart = sg.restart_from(y)
+    assert restart.trajectory.meta["continuation"] == [*DEFAULT_SCHEDULE, (0.0, 0.0)]
+    cold = SqrtSemigroup(sg.op, y, sg.solver)
+    assert np.array_equal(restart.trajectory.values, cold.trajectory.values)
 
 
 def test_norm_chain_far_from_its_zero():
