@@ -2,10 +2,12 @@
 
 Outputs land in the configured directory: ``reports.json`` (canonical,
 byte-reproducible for a fixed seed, and the only report file), the
-scenario ``trajectories.csv``, and ``plotdata/plot_all.py``, a small
-script that plots both.  Each file is written once, through
-one handle on a fresh temporary name, and renamed into place, so no
-output is ever left half written; a failed write removes its temporary.
+scenario ``trajectories.csv``, each value the bytes of its ``repr``,
+formatted in numpy (``second_order.export_trajectory_csv``), and
+``plotdata/plot_all.py``, a small script that plots both.  Each file is
+written once, through one handle on a fresh temporary name, and renamed
+into place, so no output is ever left half written; a failed write
+removes its temporary.
 A rerun into the same directory unlinks each old file just before the
 rename, since ext4 forces a file renamed over an existing one out to
 disk; the price is that a crash or a failed rename between the two

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import floatfmt
 from .errors import ContractError, HorizonError, SolverError
 from .operators import AccretiveOperator
 
@@ -755,7 +756,7 @@ def _warm_profile(op: AccretiveOperator, warm: Trajectory, ny: float) -> np.ndar
 def _warm_finish(
     op: AccretiveOperator, y: np.ndarray, grid: TimeGrid, warm: Trajectory
 ) -> Trajectory | None:
-    """The r = 0 solve from y != 0, started from the trajectory ``warm`` of
+    """The r = 0 solve from y, started from the trajectory ``warm`` of
     the same operator on the same grid; None if it fails or needs more
     than ``WARM_FINISH_MAX_ITER`` steps.
 
@@ -764,23 +765,22 @@ def _warm_finish(
     last node.  For the norm family (the norm subdifferential, alone or
     shifted by c Id) the solution from y lies on the ray of y, and its norm
     profile is the base profile shifted in time, so this start is next to
-    it.
+    it.  From y = 0 the start is the constant y, as for the continuation:
+    0 is a zero of the operator, so the solve takes no step.
     """
     ny = op.space.norm(y)
-    profile = _warm_profile(op, warm, ny) if ny > 0.0 else None
-    if profile is None:
-        return None
-    tail = profile[int(np.argmin(np.abs(profile - ny))) + 1 :][: grid.n_steps]
-    guess = np.zeros(grid.n_steps)
-    guess[: tail.size] = tail
+    guess = None
+    if ny > 0.0:
+        profile = _warm_profile(op, warm, ny)
+        if profile is None:
+            return None
+        tail = profile[int(np.argmin(np.abs(profile - ny))) + 1 :][: grid.n_steps]
+        norms = np.zeros(grid.n_steps)
+        norms[: tail.size] = tail
+        guess = norms[:, None] * (y / ny)
     try:
         traj = solve_unregularized(
-            op,
-            y,
-            grid,
-            DEFAULT_SCHEDULE[-1][0],
-            guess[:, None] * (y / ny),
-            WARM_FINISH_MAX_ITER,
+            op, y, grid, DEFAULT_SCHEDULE[-1][0], guess, WARM_FINISH_MAX_ITER
         )
     except SolverError:
         return None
@@ -818,10 +818,10 @@ def solve_second_order(
 
     Given ``warm``, a trajectory of the same operator on the same grid
     (a restart's base), a nonlinear solve first tries the r = 0 solve
-    alone, started from warm's profile (``_warm_finish``); it records
-    ``continuation`` [(0, 0)], no ``stage_diffs`` and its one
-    ``stage_steps`` entry.  It runs the stages above if that fails, and
-    always from x = 0.  In every case ``stabilized`` means that the
+    alone, started from warm's profile, or from 0 when x = 0
+    (``_warm_finish``); it records ``continuation`` [(0, 0)], no
+    ``stage_diffs`` and its one ``stage_steps`` entry.  It runs the stages
+    above if that fails.  In every case ``stabilized`` means that the
     r = p = 0 system was solved to the Newton tolerance; a solve that
     fails raises ``SolverError``.
     """
@@ -1016,8 +1016,11 @@ def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out) -> None:
     a replace, forcing its blocks to be allocated at close.
 
     A converging trajectory repeats its values, so each distinct double
-    (by bits: -0.0 is not 0.0) is formatted once, and the rows index those
-    strings; the bytes are those of a ``%r`` row template.
+    (by bits: -0.0 is not 0.0) is formatted once: ``floatfmt.repr_bytes``
+    writes repr's bytes, in slabs, into a table row of NUL-padded slots
+    that ends in ','.  A block of rows is one gather of table rows, the
+    last column's ',' made '\\n', with the NULs deleted; the bytes are
+    those of a ``%r`` row template, and no value goes through ``repr``.
     """
     dim = traj.values.shape[1]
     out.write("t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set\n")
@@ -1027,9 +1030,12 @@ def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out) -> None:
     # a 1-D input: the inverse's shape for a 2-D one differs across numpy versions
     bits, inverse = np.unique(data.view(np.uint64).ravel(), return_inverse=True)
     inverse = inverse.reshape(data.shape)
-    del data  # the strings and the blocks set the peak: free the rest first
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    del data  # the table and the blocks set the peak: free the rest first
+    table = np.empty((len(bits), floatfmt.WIDTH + 1), dtype=np.uint8)
+    floatfmt.repr_bytes(bits.view(np.float64), table[:, :-1])
+    table[:, -1] = ord(",")
     del bits
     for start in range(0, len(inverse), CSV_BLOCK_ROWS):
-        rows = texts[inverse[start : start + CSV_BLOCK_ROWS]].tolist()
-        out.write("\n".join(map(",".join, rows)) + "\n")
+        block = table.take(inverse[start : start + CSV_BLOCK_ROWS], axis=0)
+        block[:, -1, -1] = ord("\n")
+        out.write(block.tobytes().translate(None, b"\0").decode("ascii"))

@@ -423,23 +423,33 @@ def test_warm_restart_matches_the_cold_chain(monkeypatch, space, c):
 
 
 @pytest.mark.parametrize(
-    "cap, y",
-    [
-        ("WARM_FINISH_MAX_ITER", RESTART_X + RESTART_V),
-        ("WARM_EXTENSION_MAX", RESTART_X + RESTART_V),
-        # the origin always takes the continuation
-        (None, np.zeros(2)),
-    ],
-    ids=["finish_steps", "extension_nodes", "origin"],
+    "cap", ["WARM_FINISH_MAX_ITER", "WARM_EXTENSION_MAX"], ids=["finish_steps", "extension_nodes"]
 )
-def test_restart_past_a_cap_is_the_cold_chain(monkeypatch, hilbert2, cap, y):
+def test_restart_past_a_cap_is_the_cold_chain(monkeypatch, hilbert2, cap):
     sg = _restart_base(hilbert2, 0.0)
-    if cap is not None:
-        monkeypatch.setattr(second_order, cap, 0)
+    y = RESTART_X + RESTART_V
+    monkeypatch.setattr(second_order, cap, 0)
     restart = sg.restart_from(y)
     assert restart.trajectory.meta["continuation"] == [*DEFAULT_SCHEDULE, (0.0, 0.0)]
     cold = SqrtSemigroup(sg.op, y, sg.solver)
     assert np.array_equal(restart.trajectory.values, cold.trajectory.values)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+@pytest.mark.parametrize("y", [[0.0, 0.0], [-0.0, 0.0]], ids=["zero", "signed_zero"])
+def test_restart_from_the_origin_takes_no_step(monkeypatch, hilbert2, c, y):
+    # a time warp sampled past extinction restarts from 0: the r = 0 solve
+    # starts from the constant 0 and stops there, with no regularized stage
+    sg = _restart_base(hilbert2, c)
+    y = np.array(y)
+    stages = _count_stages(monkeypatch)
+    restart = sg.restart_from(y)
+    assert stages == []
+    assert restart.trajectory.meta["continuation"] == [(0.0, 0.0)]
+    assert restart.trajectory.meta["newton_steps"] == 0
+    cold = SqrtSemigroup(sg.op, y, sg.solver)
+    assert len(stages) == len(DEFAULT_SCHEDULE) + 1
+    assert restart.trajectory.values.tobytes() == cold.trajectory.values.tobytes()
 
 
 def test_norm_chain_far_from_its_zero():
@@ -657,6 +667,31 @@ def test_trajectory_csv_is_the_template_bytes(rows, table):
         values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-150, 150, size=(rows, 3))
     traj = SimpleNamespace(times=np.arange(rows) * 0.01, values=values)
     assert _csv_rows(op, traj) == _reference_csv_rows(op, traj)
+
+
+def test_trajectory_csv_memory_is_bounded():
+    # long_horizon's largest table: 12,001 rows x 9 columns, about 48,000
+    # distinct doubles.  The repr writer peaked at 6.3 MiB on this one (and
+    # 7.3 MiB on lh00 at seed 7001), the kernel formatting every distinct
+    # double in one slab at 18.6 MiB; its slabs hold the writer at 5.4 MiB
+    times = np.arange(12_001) * 0.005
+    rates = 0.3 * np.arange(1, 7)
+    values = np.array([0.9, -0.5, 0.3, 0.6, -0.2, 0.4]) * np.exp(-rates * times[:, None])
+    values[np.abs(values) < 1e-9] = 0.0
+    traj = SimpleNamespace(times=times, values=values)
+    op = ScaledIdentity(1.0, SpaceContext.hilbert(6))
+    export_trajectory_csv(op, traj, io.StringIO())  # the kernel's tables are built once
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        export_trajectory_csv(op, traj, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = np.column_stack([times, values, np.linalg.norm(values, axis=1)])
+    assert 45_000 <= np.unique(data.view(np.uint64)).size <= 55_000
+    assert peak <= 1.1 * 6.3 * 2**20
+    assert out.getvalue().split("\n")[1:] == _reference_csv_rows(op, traj)
 
 
 def _dense(lower, diag, upper):
