@@ -25,6 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,7 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
     )
 
     if spec.dynamics == "second_order":
-        ap = check_apriori(spec.op, spec.x, trajectory, spec.space.M)
+        ap = check_apriori(spec.op, spec.x, trajectory, spec.space.M, profile=bundle.profile)
         diagnostics["apriori"] = {
             "sup_norm": ap.sup_norm,
             "int_du_sq": ap.int_du_sq,
@@ -127,7 +128,7 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
             "rhs_ddu": ap.rhs_ddu,
             "pass": ap.passed,
         }
-    fj = fejer_report(spec.op, trajectory)
+    fj = fejer_report(spec.op, trajectory, profile=bundle.profile)
     diagnostics["fejer"] = {
         "max_step_increase": fj.max_step_increase,
         "monotone": fj.monotone,
@@ -210,7 +211,51 @@ def _atomic_write(path: Path, data: str) -> None:
         fh.write(data)
 
 
+# one reports row as json.dumps(..., indent=2, sort_keys=True) lays it out
+# inside the payload's "reports" list
+_REPORT_ROW = """\
+    {
+      "bound": %d,
+      "extrapolated": %s,
+      "f_desc": %s,
+      "k": %d,
+      "margin": %s,
+      "observed": %s,
+      "pass": %s,
+      "scenario": %s,
+      "theorem": %s
+    }"""
+
+
+def _json_float(value) -> str:
+    """A float as strict JSON writes it after ``_jsonable``: null unless finite."""
+    value = float(value)
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+def _report_row(r: RateReport) -> str:
+    return _REPORT_ROW % (
+        r.bound,
+        "true" if r.extrapolated else "false",
+        encode_basestring_ascii(r.f_desc),
+        r.k,
+        _json_float(r.margin),
+        _json_float(r.observed),
+        "true" if r.passed else "false",
+        encode_basestring_ascii(r.scenario),
+        encode_basestring_ascii(r.theorem),
+    )
+
+
 def reports_json_text(spec: ScenarioSpec, reports, diagnostics) -> str:
+    """The text of ``reports.json``: ``json.dumps(payload, indent=2,
+    sort_keys=True, allow_nan=False)`` and a newline, byte for byte, where
+    the payload is ``config``, ``diagnostics`` and the ``reports`` rows.
+    ``json.dumps`` writes the first two; each row, whose schema is fixed,
+    comes from one %-template: strings through json's own ASCII encoder,
+    numbers through int's and float's repr, as json writes them, and a
+    non-finite float as null.  "reports" sorts last, so its list closes
+    the payload."""
     payload = {
         "config": {
             "scenario": spec.scenario_id,
@@ -220,9 +265,10 @@ def reports_json_text(spec: ScenarioSpec, reports, diagnostics) -> str:
             "step": spec.solver.grid.step,
         },
         "diagnostics": _jsonable(diagnostics),
-        "reports": [_jsonable(r.to_dict()) for r in reports],
     }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    head = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    rows = "[\n" + ",\n".join(map(_report_row, reports)) + "\n  ]" if reports else "[]"
+    return head[:-2] + ',\n  "reports": ' + rows + "\n}\n"
 
 
 _PLOT_SCRIPT = """\
@@ -276,7 +322,7 @@ def write_outputs(
     _atomic_write(out_dir / "reports.json", reports_json_text(spec, reports, diagnostics))
 
     with _atomic_open(out_dir / "trajectories.csv") as fh:
-        export_trajectory_csv(bundle.op, bundle.trajectory, fh)
+        export_trajectory_csv(bundle.op, bundle.trajectory, fh, bundle.profile)
 
     (out_dir / "plotdata").mkdir(exist_ok=True)
     _atomic_write(out_dir / "plotdata" / "plot_all.py", _PLOT_SCRIPT)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -956,23 +957,28 @@ def check_apriori(
     traj: Trajectory,
     m_const: float,
     quad_rel_tol: float = 1e-3,
+    profile: TrajectoryProfile | None = None,
 ) -> AprioriBounds:
     """Trapezoidal check of the three a-priori trajectory bounds.
 
     sup ||u|| <= ||x||, integral of ||u'||^2 <= (2/M^2) d(0,Ax)^{3/2} ||x||^{1/2},
     integral of ||u''||^2 <= (2/M^2) d(0,Ax)^{1/2} ||x||^{3/2}, each with a
     quadrature allowance of quad_rel_tol * (1 + rhs).  A functional or cap
-    beyond the float range raises a ContractError that names it.
+    beyond the float range raises a ContractError that names it.  sup ||u||
+    reads the norms of ``profile``, the run's shared ``TrajectoryProfile``
+    of ``traj``, made here when not given.
     """
     x = op.space.check(x)
     nx = op.space.norm(x)
     d0 = op.dist_zero(x)
     ts = traj.times
     coeff = 2.0 / (m_const * m_const)
+    if profile is None:
+        profile = TrajectoryProfile(op, traj.values)
     with np.errstate(over="ignore"):  # beyond the float range: inf, named below
         values = {
             "||x||, the cap of sup ||u||": nx,
-            "sup ||u||": np.max(op.space.norms(traj.values)),
+            "sup ||u||": np.max(profile.norms),
             "integral of ||u'||^2": np.trapezoid(op.space.norms(traj.derivative()) ** 2, ts),
             "integral of ||u''||^2": np.trapezoid(
                 op.space.norms(traj.second_derivative()) ** 2, ts
@@ -1003,39 +1009,77 @@ def projection_profile(op: AccretiveOperator, values: np.ndarray) -> np.ndarray:
     return op.space.norms(values - op.project_zeros_many(values))
 
 
+class TrajectoryProfile:
+    """The norms ||u_i|| and zero-set residuals ||u_i - Pu_i|| of the rows
+    of ``values``, each computed at most once.
+
+    A run makes one for its solved trajectory and shares it: the a-priori
+    check reads the norms, the Fejer check and the 4.1/4.2 residual read
+    the residuals, and the CSV writes both.
+    """
+
+    def __init__(self, op: AccretiveOperator, values: np.ndarray):
+        self.op = op
+        self.values = values
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return self.op.space.norms(self.values)
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        return projection_profile(self.op, self.values)
+
+
 CSV_BLOCK_ROWS = 2048
 
 
-def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out) -> None:
+def export_trajectory_csv(
+    op: AccretiveOperator, traj: Trajectory, out, profile: TrajectoryProfile | None = None
+) -> None:
     """Write the CSV to the open text handle ``out``, in blocks of rows.
 
     Columns: t, u_0..u_{d-1}, norm_u, dist_to_zero_set, each value the
-    shortest string that parses back to the same float.  The caller opens
-    the file once: ``np.savetxt(path)`` creates, closes and reopens it, and
-    ext4 (``auto_da_alloc``) treats that truncation of an existing file as
-    a replace, forcing its blocks to be allocated at close.
+    shortest string that parses back to the same float.  The last two are
+    those of ``profile``, the run's shared ``TrajectoryProfile`` of ``traj``,
+    made here when not given.  The caller opens the file once:
+    ``np.savetxt(path)`` creates, closes and reopens it, and ext4
+    (``auto_da_alloc``) treats that truncation of an existing file as a
+    replace, forcing its blocks to be allocated at close.
 
-    A converging trajectory repeats its values, so each distinct double
-    (by bits: -0.0 is not 0.0) is formatted once: ``floatfmt.repr_bytes``
-    writes repr's bytes, in slabs, into a table row of NUL-padded slots
-    that ends in ','.  A block of rows is one gather of table rows, the
-    last column's ',' made '\\n', with the NULs deleted; the bytes are
-    those of a ``%r`` row template, and no value goes through ``repr``.
+    ``floatfmt.repr_bytes`` writes repr's bytes, in slabs, into the rows of
+    a table of NUL-padded slots that end in ','.  The t column increases, so
+    each t gets its own row, unsorted.  A converging trajectory repeats its
+    values, so each distinct double (by bits: -0.0 is not 0.0) of the u and
+    norm_u columns gets one row, found by ``np.unique``.  dist_to_zero_set
+    reuses norm_u's rows when the two columns are equal bit for bit, as for
+    the zero set {0}; else its doubles are sorted with theirs.  A block of
+    rows is one gather of table rows, the last column's ',' made '\\n', with
+    the NULs deleted; the bytes are those of a ``%r`` row template, and no
+    value goes through ``repr``.
     """
-    dim = traj.values.shape[1]
+    n, dim = traj.values.shape
     out.write("t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set\n")
-    data = np.column_stack(
-        [traj.times, traj.values, op.space.norms(traj.values), projection_profile(op, traj.values)]
-    )
+    if profile is None:
+        profile = TrajectoryProfile(op, traj.values)
+    norms, residual = profile.norms, profile.residual
+    shared = np.array_equal(norms.view(np.uint64), residual.view(np.uint64))
+    data = np.column_stack([traj.values, norms] if shared else [traj.values, norms, residual])
     # a 1-D input: the inverse's shape for a 2-D one differs across numpy versions
     bits, inverse = np.unique(data.view(np.uint64).ravel(), return_inverse=True)
     inverse = inverse.reshape(data.shape)
     del data  # the table and the blocks set the peak: free the rest first
-    table = np.empty((len(bits), floatfmt.WIDTH + 1), dtype=np.uint8)
-    floatfmt.repr_bytes(bits.view(np.float64), table[:, :-1])
-    table[:, -1] = ord(",")
+    # the distinct doubles' rows, then one row per t
+    m = len(bits)
+    table = np.empty((m + n, floatfmt.WIDTH + 1), dtype=np.uint8)
+    floatfmt.repr_bytes(bits.view(np.float64), table[:m, :-1])
     del bits
-    for start in range(0, len(inverse), CSV_BLOCK_ROWS):
-        block = table.take(inverse[start : start + CSV_BLOCK_ROWS], axis=0)
+    floatfmt.repr_bytes(traj.times, table[m:, :-1])
+    table[:, -1] = ord(",")
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        rows = inverse[start : start + CSV_BLOCK_ROWS]
+        t_rows = np.arange(m + start, m + start + len(rows))
+        index = np.column_stack([t_rows, rows, rows[:, -1]] if shared else [t_rows, rows])
+        block = table.take(index, axis=0)
         block[:, -1, -1] = ord("\n")
         out.write(block.tobytes().translate(None, b"\0").decode("ascii"))

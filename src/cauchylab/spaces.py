@@ -102,6 +102,20 @@ class SpaceContext:
             raise DimensionMismatch(f"expected (n, {self.dim}) array, got {rows.shape}")
         return np.linalg.norm(rows, ord=self.p, axis=1)
 
+    def max_norm(self, rows: np.ndarray) -> float:
+        """max(norm(row) for row in rows), bit for bit, from one ``norms``
+        pass: the two paths may differ in the last bit, so the rows within
+        a relative 1e-12 of its maximum, among them the winner by ``norm``,
+        are taken again through ``norm``.  A row's norm is 0 on either path
+        exactly when each |x_i|^p rounds to 0, so a maximum of 0 is the
+        answer."""
+        batched = self.norms(rows)
+        top = batched.max()
+        if top == 0.0:
+            return 0.0
+        near = batched >= top * (1.0 - 1e-12)
+        return max(self.norm(row) for row in np.asarray(rows, dtype=float)[near])
+
     def duality_map_many(self, rows: np.ndarray) -> np.ndarray:
         """``duality_map`` of each row of an (n, dim) array."""
         rows = np.asarray(rows, dtype=float)

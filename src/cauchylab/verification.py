@@ -60,7 +60,7 @@ from .second_order import (
     SqrtSemigroup,
     TimeGrid,
     Trajectory,
-    projection_profile,
+    TrajectoryProfile,
 )
 from .spaces import SAMPLE_CHUNK
 
@@ -82,7 +82,8 @@ _BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class RateReport:
-    """Outcome of one sweep cell."""
+    """Outcome of one sweep cell, written as one ``reports`` row by
+    ``runner.reports_json_text``."""
 
     scenario: str
     theorem: str
@@ -93,21 +94,6 @@ class RateReport:
     margin: float
     passed: bool
     extrapolated: bool
-
-    def to_dict(self) -> dict:
-        observed = self.observed if math.isfinite(self.observed) else None
-        margin = self.margin if math.isfinite(self.margin) else None
-        return {
-            "scenario": self.scenario,
-            "theorem": self.theorem,
-            "k": self.k,
-            "f_desc": self.f_desc,
-            "bound": self.bound,
-            "observed": observed,
-            "margin": margin,
-            "pass": self.passed,
-            "extrapolated": self.extrapolated,
-        }
 
 
 @dataclass(frozen=True)
@@ -292,10 +278,15 @@ def fejer_report(
     op: AccretiveOperator,
     traj: Trajectory,
     step_tol: float = STEP_MONOTONE_TOL,
+    profile: TrajectoryProfile | None = None,
 ) -> FejerReport:
     """Monotonicity of the zero-set distance along the trajectory, plus
-    the two-sided step bound ||u(t+h) - u(t)|| <= 2||u(t) - Pu(t)||."""
-    residual = projection_profile(op, traj.values)
+    the two-sided step bound ||u(t+h) - u(t)|| <= 2||u(t) - Pu(t)||.  The
+    distances are the residuals of ``profile``, the run's shared
+    ``TrajectoryProfile`` of ``traj``, made here when not given."""
+    if profile is None:
+        profile = TrajectoryProfile(op, traj.values)
+    residual = profile.residual
     rise = _max_increase(residual)
     steps = op.space.norms(np.diff(traj.values, axis=0))
     excess = steps - 2.0 * residual[:-1]
@@ -522,8 +513,7 @@ def _certify_orbit(orbit: AlmostOrbit, sample_ks: Sequence[int], cert_tol: float
         restart = restarts[s]
         t_max = min(orbit.trusted_horizon - s, restart.trusted_horizon)
         ts = np.linspace(0.0, t_max, 33)
-        gaps = orbit.values(s + ts) - restart.at_many(ts)
-        defect = max(float(base.op.space.norm(gap)) for gap in gaps)
+        defect = base.op.space.max_norm(orbit.values(s + ts) - restart.at_many(ts))
         worst = max(worst, defect)
         records.append({"k": int(k), "s": s, "defect": defect})
         if defect > 1.0 / (k + 1.0) + cert_tol:
@@ -592,6 +582,7 @@ class SampleSet:
         self.op = op
         self.times = times
         self.values = values
+        self.profile = TrajectoryProfile(op, values)
         # per window index range: (largest pair distance found, smallest
         # level certified)
         self._windows: dict[tuple[int, int], tuple[float, float]] = {}
@@ -714,7 +705,7 @@ class SampleSet:
     def _residual(self) -> np.ndarray | None:
         """Zero-set residual at the samples, None unless it is monotone:
         no increment above STEP_MONOTONE_TOL, the rule of ``fejer_report``."""
-        residual = projection_profile(self.op, self.values)
+        residual = self.profile.residual
         return residual if _max_increase(residual) <= STEP_MONOTONE_TOL else None
 
     def residual_threshold(self, level: float) -> float | None:
@@ -765,6 +756,12 @@ class ScenarioBundle:
             samples = SampleSet(self.op, times, orbit.values(times))
             self._orbit_samples[orbit] = samples
         return samples
+
+    @property
+    def profile(self) -> TrajectoryProfile:
+        """The trajectory's per-node norms and residuals, shared by the
+        a-priori and Fejer checks, the 4.1/4.2 residual and the CSV."""
+        return self.grid_samples.profile
 
     # -- rate data -------------------------------------------------------------
 

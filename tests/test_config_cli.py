@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import runpy
@@ -23,6 +24,7 @@ from cauchylab.cli import main as cli_main
 from cauchylab.config import load_config
 from cauchylab.errors import ConfigError
 from cauchylab.runner import run_config
+from cauchylab.verification import RateReport
 
 CFG_DIR = resources.files("cauchylab") / "configs"
 BUNDLED = [
@@ -609,6 +611,112 @@ def test_run_config_minimal(tmp_path):
     assert payload["config"]["seed"] == 7
     assert payload["diagnostics"]["accretivity"]["pass"] is True
     assert all(r["pass"] for r in payload["reports"])
+
+
+def _reference_reports_json(spec, reports, diagnostics):
+    """reports.json as json.dumps writes the whole payload."""
+    payload = {
+        "config": {
+            "scenario": spec.scenario_id,
+            "seed": spec.seed,
+            "dynamics": spec.dynamics,
+            "horizon": spec.solver.grid.horizon,
+            "step": spec.solver.grid.step,
+        },
+        "diagnostics": runner._jsonable(diagnostics),
+        "reports": [runner._jsonable(_report_dict(r)) for r in reports],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _report_dict(r):
+    return {
+        "scenario": r.scenario,
+        "theorem": r.theorem,
+        "k": r.k,
+        "f_desc": r.f_desc,
+        "bound": r.bound,
+        "observed": r.observed if math.isfinite(r.observed) else None,
+        "margin": r.margin if math.isfinite(r.margin) else None,
+        "pass": r.passed,
+        "extrapolated": r.extrapolated,
+    }
+
+
+def _report(**fields):
+    row = {
+        "scenario": "mini",
+        "theorem": "4.1",
+        "k": 2,
+        "f_desc": "",
+        "bound": 12,
+        "observed": 0.25,
+        "margin": 11.75,
+        "passed": True,
+        "extrapolated": False,
+    }
+    return RateReport(**{**row, **fields})
+
+
+REPORT_ROWS = {
+    "none": [],
+    "plain": [_report(), _report(k=3, passed=False, extrapolated=True)],
+    "bound_past_2_64": [_report(bound=2**64), _report(bound=3 * 2**70 + 1)],
+    "not_finite": [
+        _report(observed=math.inf, margin=-math.inf),
+        _report(observed=math.nan, margin=math.nan),
+    ],
+    "float_edges": [_report(observed=v, margin=-v) for v in (-0.0, 5e-324, 1e16, 0.1, 1e-05)],
+    "numpy_scalars": [
+        _report(
+            observed=np.float64(0.1),
+            margin=np.float64(6.9),
+            bound=np.int64(7),
+            k=np.int64(1),
+            passed=np.bool_(True),
+            extrapolated=np.bool_(False),
+        )
+    ],
+    "escaped_text": [
+        _report(scenario='sub"norm \u00e9', f_desc="back\\slash \u2192 \t"),
+        _report(scenario="mini/x", theorem="5.1", f_desc="n + 1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", REPORT_ROWS.values(), ids=REPORT_ROWS.keys())
+def test_reports_json_rows_are_the_json_dumps_bytes(tmp_path, rows):
+    # the rows come from one %-template, the rest from json.dumps: together
+    # the bytes of json.dumps over the whole payload
+    spec = load_config(write_cfg(tmp_path, MINIMAL))
+    diagnostics = {"scenario": "mini", "fejer": {"pass": np.bool_(True), "x": np.float64(0.5)}}
+    text = runner.reports_json_text(spec, rows, diagnostics)
+    assert text == _reference_reports_json(spec, rows, diagnostics)
+
+
+def test_reports_json_of_a_run_is_the_json_dumps_bytes(tmp_path):
+    result = run_config(write_cfg(tmp_path, MINIMAL), out_dir=tmp_path / "out")
+    spec = load_config(write_cfg(tmp_path, MINIMAL))
+    want = _reference_reports_json(spec, result.reports, result.diagnostics)
+    assert (tmp_path / "out" / "reports.json").read_text() == want
+
+
+def test_a_run_computes_the_trajectory_residuals_once(tmp_path, monkeypatch):
+    # the Fejer check, the 4.1 residual and the CSV share one profile of the
+    # solved trajectory: its nodes are projected on the zero set once
+    from cauchylab.operators import LinearMatrix
+
+    rows = []
+    project_zeros_many = LinearMatrix.project_zeros_many
+
+    def counted(self, values):
+        rows.append(len(values))
+        return project_zeros_many(self, values)
+
+    monkeypatch.setattr(LinearMatrix, "project_zeros_many", counted)
+    result = run_config(write_cfg(tmp_path, MINIMAL), out_dir=tmp_path / "out")
+    assert result.exit_code == 0 and result.reports
+    assert rows.count(201) == 1  # the 10.0 / 0.05 grid's nodes
 
 
 def test_run_config_error_exit_1(tmp_path):

@@ -601,18 +601,20 @@ def test_trajectory_csv_is_written_in_row_blocks(hilbert2):
 # differs at once, where a diff of two long strings takes minutes
 
 
-def _reference_csv_rows(op, traj):
+def _reference_csv_rows(op, traj, profile=None):
     """The table's lines as the ``%r`` row template formats them."""
-    data = np.column_stack(
-        [traj.times, traj.values, op.space.norms(traj.values), projection_profile(op, traj.values)]
-    )
+    if profile is None:
+        profile = SimpleNamespace(
+            norms=op.space.norms(traj.values), residual=projection_profile(op, traj.values)
+        )
+    data = np.column_stack([traj.times, traj.values, profile.norms, profile.residual])
     row = ",".join(["%r"] * data.shape[1]) + "\n"
     return "".join([row % tuple(r) for r in data.tolist()]).split("\n")
 
 
-def _csv_rows(op, traj):
+def _csv_rows(op, traj, profile=None):
     out = io.StringIO()
-    export_trajectory_csv(op, traj, out)
+    export_trajectory_csv(op, traj, out, profile)
     return out.getvalue().split("\n")[1:]
 
 
@@ -669,11 +671,83 @@ def test_trajectory_csv_is_the_template_bytes(rows, table):
     assert _csv_rows(op, traj) == _reference_csv_rows(op, traj)
 
 
+def test_trajectory_csv_times_that_repeat_other_cells():
+    # t is formatted apart from the sorted columns: a t equal to a u or
+    # norm_u cell keeps its own slot, and both print the same bytes
+    op = ScaledIdentity(1.0, SpaceContext.hilbert(2))
+    times = np.arange(8) * 0.5
+    values = np.column_stack([times[::-1], np.where(np.arange(8) % 2, 0.0, 0.5)])
+    values[3] = [0.3, 0.4]  # norm_u 0.5, a t value too
+    traj = SimpleNamespace(times=times, values=values)
+    lines = _csv_rows(op, traj)
+    assert lines == _reference_csv_rows(op, traj)
+    assert lines[3].split(",") == ["1.5", "0.3", "0.4", "0.5", "0.5"]
+
+
+def _shared_profile(op, values, cell, value):
+    """A profile whose residuals are its norms but for one cell."""
+    norms = op.space.norms(values)
+    residual = norms.copy()
+    residual[cell] = value(norms[cell])
+    return SimpleNamespace(norms=norms, residual=residual)
+
+
+@pytest.mark.parametrize(
+    "value", [lambda v: np.nextafter(v, np.inf), lambda v: -v], ids=["one_ulp", "signed_zero"]
+)
+def test_trajectory_csv_dist_column_one_cell_apart(value):
+    # dist_to_zero_set reuses norm_u's slots only when the two columns are
+    # equal bit for bit: one ulp, or 0.0 against -0.0, keeps its own slot
+    op = ScaledIdentity(1.0, SpaceContext.hilbert(3))
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(CSV_BLOCK_ROWS + 5, 3))
+    zero = len(values) - 3
+    values[zero] = 0.0
+    traj = SimpleNamespace(times=np.arange(len(values)) * 0.01, values=values)
+    cell = zero if value(0.0) == 0.0 else 7
+    profile = _shared_profile(op, values, cell, value)
+    lines = _csv_rows(op, traj, profile)
+    assert lines == _reference_csv_rows(op, traj, profile)
+    norm_u, dist = lines[cell].split(",")[-2:]
+    assert norm_u != dist
+    if cell == zero:
+        assert (norm_u, dist) == ("0.0", "-0.0")
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS + 1], ids=["one_row", "block_plus_one"])
+@pytest.mark.parametrize(
+    "space, zero_set",
+    [
+        (SpaceContext.hilbert(3), "origin"),
+        (SpaceContext.hilbert(3), "everything"),
+        (SpaceContext.lp(3, 1.5), "origin"),
+    ],
+    ids=["hilbert", "zero_operator", "lp"],
+)
+def test_trajectory_csv_shared_and_separate_dist_columns(space, zero_set, rows):
+    # the zero set {0} shares norm_u's slots; the zero operator's residual,
+    # 0 throughout, differs from norm_u in every row and is sorted with it
+    if zero_set == "origin":
+        op = ScaledIdentity(1.0, space)
+    else:
+        op = LinearMatrix(np.zeros((space.dim, space.dim)), space)
+    rng = np.random.default_rng(rows)
+    values = np.tile(rng.normal(size=(4, space.dim)), (-(-rows // 4), 1))[:rows]
+    traj = SimpleNamespace(times=np.arange(rows) * 0.01, values=values)
+    norms, residual = op.space.norms(values), projection_profile(op, values)
+    assert np.array_equal(norms.view(np.uint64), residual.view(np.uint64)) == (
+        zero_set == "origin"
+    )
+    assert _csv_rows(op, traj) == _reference_csv_rows(op, traj)
+
+
 def test_trajectory_csv_memory_is_bounded():
     # long_horizon's largest table: 12,001 rows x 9 columns, about 48,000
     # distinct doubles.  The repr writer peaked at 6.3 MiB on this one (and
     # 7.3 MiB on lh00 at seed 7001), the kernel formatting every distinct
-    # double in one slab at 18.6 MiB; its slabs hold the writer at 5.4 MiB
+    # double in one slab at 18.6 MiB; its slabs hold the writer at 5.4 MiB,
+    # and sorting only the u and norm_u columns, with t formatted unsorted
+    # and dist_to_zero_set sharing norm_u's slots, at 4.5 MiB
     times = np.arange(12_001) * 0.005
     rates = 0.3 * np.arange(1, 7)
     values = np.array([0.9, -0.5, 0.3, 0.6, -0.2, 0.4]) * np.exp(-rates * times[:, None])

@@ -158,3 +158,27 @@ def test_dimension_mismatch(hilbert2):
         hilbert2.norm(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionMismatch):
         hilbert2.norms(np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
+def test_max_norm_is_the_largest_vector_norm_bit_for_bit(p):
+    # rows of one norm in permuted coordinates sum in different orders, so
+    # the batched and vector paths pick their maxima from last-bit ties; a
+    # plain max of norms() differs here in about one case in eight
+    rng = np.random.default_rng(int(p * 4))
+    plain = 0
+    for dim in range(1, 15):
+        space = SpaceContext.lp(dim, p)
+        for exponent in range(-150, 151, 30):
+            base = rng.normal(size=(8, dim)) * 10.0**exponent
+            permuted = rng.permuted(np.repeat(base[:1], 8, axis=0), axis=1)
+            rows = np.vstack([base, permuted, base * (1.0 + 1e-15)])
+            want = max(space.norm(row) for row in rows)
+            assert space.max_norm(rows) == want, (dim, exponent)
+            plain += float(space.norms(rows).max()) != want
+        # rows of 0, and rows whose every |x_i|^p underflows, have norm 0
+        tiny = np.full((3, dim), 1e-170 if p == 2.0 else 1e-300)
+        tiny[0] = 0.0
+        tiny[1, 0] = -0.0
+        assert space.max_norm(tiny) == max(space.norm(row) for row in tiny) == 0.0
+    assert plain > 0  # the cases above do tell the two paths apart
