@@ -24,7 +24,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -72,18 +72,23 @@ def _jsonable(obj):
     return obj
 
 
+def _check_entry(report) -> dict:
+    """A check's diagnostics entry: its report's fields, ``passed`` as
+    ``pass``, without the accretivity witness."""
+    return {
+        "pass" if f.name == "passed" else f.name: getattr(report, f.name)
+        for f in fields(report)
+        if f.name != "witness"
+    }
+
+
 def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
     """Solve the scenario trajectory, build orbits, run load validations,
     each at its validator's default budget."""
     diagnostics: dict = {"scenario": spec.scenario_id, "dynamics": spec.dynamics}
 
     rng = np.random.default_rng([spec.seed, 2])
-    acc = verify_accretive(spec.op, rng=rng)
-    diagnostics["accretivity"] = {
-        "min_pairing": acc.min_pairing,
-        "samples": acc.samples,
-        "pass": acc.passed,
-    }
+    diagnostics["accretivity"] = _check_entry(verify_accretive(spec.op, rng=rng))
 
     sg = None
     if spec.dynamics == "second_order":
@@ -92,10 +97,8 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
     else:
         trajectory = first_order_trajectory(spec.op, spec.x, spec.solver.grid)
     diagnostics["solver"] = {
-        "stabilized": trajectory.meta.get("stabilized"),
-        "far_end_ok": trajectory.meta.get("far_end_ok"),
-        "continuation": trajectory.meta.get("continuation"),
-        "stage_diffs": trajectory.meta.get("stage_diffs"),
+        key: trajectory.meta.get(key)
+        for key in ("stabilized", "far_end_ok", "continuation", "stage_diffs")
     }
 
     orbits = []
@@ -117,33 +120,15 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         orbits=orbits,
     )
 
+    # the grid samples are the run's one per-node profile
+    profile = bundle.grid_samples
     if spec.dynamics == "second_order":
-        ap = check_apriori(spec.op, spec.x, trajectory, spec.space.M, profile=bundle.profile)
-        diagnostics["apriori"] = {
-            "sup_norm": ap.sup_norm,
-            "int_du_sq": ap.int_du_sq,
-            "int_ddu_sq": ap.int_ddu_sq,
-            "rhs_sup": ap.rhs_sup,
-            "rhs_du": ap.rhs_du,
-            "rhs_ddu": ap.rhs_ddu,
-            "pass": ap.passed,
-        }
-    fj = fejer_report(spec.op, trajectory, profile=bundle.profile)
-    diagnostics["fejer"] = {
-        "max_step_increase": fj.max_step_increase,
-        "monotone": fj.monotone,
-        "max_stability_excess": fj.max_stability_excess,
-        "stable": fj.stable,
-        "pass": fj.passed,
-    }
+        ap = check_apriori(spec.op, spec.x, trajectory, spec.space.M, profile=profile)
+        diagnostics["apriori"] = _check_entry(ap)
+    diagnostics["fejer"] = _check_entry(fejer_report(spec.op, trajectory, profile=profile))
 
     rng = np.random.default_rng([spec.seed, 3])
-    mc = modulus_check(spec.op, spec.modulus, rng=rng)
-    diagnostics["modulus_check"] = {
-        "samples_checked": mc.samples_checked,
-        "counterexamples": _jsonable(mc.counterexamples),
-        "pass": mc.passed,
-    }
+    diagnostics["modulus_check"] = _check_entry(modulus_check(spec.op, spec.modulus, rng=rng))
 
     return bundle, diagnostics
 
@@ -322,7 +307,7 @@ def write_outputs(
     _atomic_write(out_dir / "reports.json", reports_json_text(spec, reports, diagnostics))
 
     with _atomic_open(out_dir / "trajectories.csv") as fh:
-        export_trajectory_csv(bundle.op, bundle.trajectory, fh, bundle.profile)
+        export_trajectory_csv(bundle.op, bundle.trajectory, fh, bundle.grid_samples)
 
     (out_dir / "plotdata").mkdir(exist_ok=True)
     _atomic_write(out_dir / "plotdata" / "plot_all.py", _PLOT_SCRIPT)
@@ -344,7 +329,7 @@ def run_config(config_path, out_dir=None, seed: int | None = None) -> RunResult:
             if seed < 0:
                 raise ConfigError("seed must be a natural", "--seed")
             spec = replace(spec, seed=seed)
-        out = Path(out_dir) if out_dir else Path(spec.output_dir or "out") / spec.scenario_id
+        out = Path(out_dir or spec.output_dir or Path("out", spec.scenario_id))
         try:  # before the solve, so a bad --out fails fast
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -130,13 +129,7 @@ class AprioriBounds:
     rhs_sup: float
     rhs_du: float
     rhs_ddu: float
-    sup_ok: bool
-    du_ok: bool
-    ddu_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.sup_ok and self.du_ok and self.ddu_ok
+    passed: bool
 
 
 # damped Newton for the discrete solves
@@ -957,7 +950,7 @@ def check_apriori(
     traj: Trajectory,
     m_const: float,
     quad_rel_tol: float = 1e-3,
-    profile: TrajectoryProfile | None = None,
+    profile=None,
 ) -> AprioriBounds:
     """Trapezoidal check of the three a-priori trajectory bounds.
 
@@ -965,20 +958,19 @@ def check_apriori(
     integral of ||u''||^2 <= (2/M^2) d(0,Ax)^{1/2} ||x||^{3/2}, each with a
     quadrature allowance of quad_rel_tol * (1 + rhs).  A functional or cap
     beyond the float range raises a ContractError that names it.  sup ||u||
-    reads the norms of ``profile``, the run's shared ``TrajectoryProfile``
-    of ``traj``, made here when not given.
+    reads ``profile.norms``, the norms of the rows of ``traj.values`` that
+    the run shares (its grid ``SampleSet``), computed here when not given.
     """
     x = op.space.check(x)
     nx = op.space.norm(x)
     d0 = op.dist_zero(x)
     ts = traj.times
     coeff = 2.0 / (m_const * m_const)
-    if profile is None:
-        profile = TrajectoryProfile(op, traj.values)
+    norms = op.space.norms(traj.values) if profile is None else profile.norms
     with np.errstate(over="ignore"):  # beyond the float range: inf, named below
         values = {
             "||x||, the cap of sup ||u||": nx,
-            "sup ||u||": np.max(profile.norms),
+            "sup ||u||": np.max(norms),
             "integral of ||u'||^2": np.trapezoid(op.space.norms(traj.derivative()) ** 2, ts),
             "integral of ||u''||^2": np.trapezoid(
                 op.space.norms(traj.second_derivative()) ** 2, ts
@@ -991,6 +983,7 @@ def check_apriori(
             message = f"a-priori check at ||x|| = {nx:.3e}: {name} exceeds the float range"
             raise ContractError(message)
     _, sup_norm, int_du, int_ddu, rhs_du, rhs_ddu = map(float, values.values())
+    du_cap, ddu_cap = (rhs + quad_rel_tol * (1.0 + rhs) for rhs in (rhs_du, rhs_ddu))
     return AprioriBounds(
         sup_norm=sup_norm,
         int_du_sq=int_du,
@@ -998,9 +991,7 @@ def check_apriori(
         rhs_sup=nx,
         rhs_du=rhs_du,
         rhs_ddu=rhs_ddu,
-        sup_ok=bool(sup_norm <= nx + 1e-6),
-        du_ok=bool(int_du <= rhs_du + quad_rel_tol * (1.0 + rhs_du)),
-        ddu_ok=bool(int_ddu <= rhs_ddu + quad_rel_tol * (1.0 + rhs_ddu)),
+        passed=bool(sup_norm <= nx + 1e-6 and int_du <= du_cap and int_ddu <= ddu_cap),
     )
 
 
@@ -1009,40 +1000,17 @@ def projection_profile(op: AccretiveOperator, values: np.ndarray) -> np.ndarray:
     return op.space.norms(values - op.project_zeros_many(values))
 
 
-class TrajectoryProfile:
-    """The norms ||u_i|| and zero-set residuals ||u_i - Pu_i|| of the rows
-    of ``values``, each computed at most once.
-
-    A run makes one for its solved trajectory and shares it: the a-priori
-    check reads the norms, the Fejer check and the 4.1/4.2 residual read
-    the residuals, and the CSV writes both.
-    """
-
-    def __init__(self, op: AccretiveOperator, values: np.ndarray):
-        self.op = op
-        self.values = values
-
-    @cached_property
-    def norms(self) -> np.ndarray:
-        return self.op.space.norms(self.values)
-
-    @cached_property
-    def residual(self) -> np.ndarray:
-        return projection_profile(self.op, self.values)
-
-
 CSV_BLOCK_ROWS = 2048
 
 
-def export_trajectory_csv(
-    op: AccretiveOperator, traj: Trajectory, out, profile: TrajectoryProfile | None = None
-) -> None:
+def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out, profile=None) -> None:
     """Write the CSV to the open text handle ``out``, in blocks of rows.
 
     Columns: t, u_0..u_{d-1}, norm_u, dist_to_zero_set, each value the
     shortest string that parses back to the same float.  The last two are
-    those of ``profile``, the run's shared ``TrajectoryProfile`` of ``traj``,
-    made here when not given.  The caller opens the file once:
+    ``profile.norms`` and ``profile.residual``, those of the rows of
+    ``traj.values`` that the run shares (its grid ``SampleSet``), computed
+    here when not given.  The caller opens the file once:
     ``np.savetxt(path)`` creates, closes and reopens it, and ext4
     (``auto_da_alloc``) treats that truncation of an existing file as a
     replace, forcing its blocks to be allocated at close.
@@ -1061,8 +1029,9 @@ def export_trajectory_csv(
     n, dim = traj.values.shape
     out.write("t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set\n")
     if profile is None:
-        profile = TrajectoryProfile(op, traj.values)
-    norms, residual = profile.norms, profile.residual
+        norms, residual = op.space.norms(traj.values), projection_profile(op, traj.values)
+    else:
+        norms, residual = profile.norms, profile.residual
     shared = np.array_equal(norms.view(np.uint64), residual.view(np.uint64))
     data = np.column_stack([traj.values, norms] if shared else [traj.values, norms, residual])
     # a 1-D input: the inverse's shape for a 2-D one differs across numpy versions

@@ -60,7 +60,7 @@ from .second_order import (
     SqrtSemigroup,
     TimeGrid,
     Trajectory,
-    TrajectoryProfile,
+    projection_profile,
 )
 from .spaces import SAMPLE_CHUNK
 
@@ -109,10 +109,7 @@ class FejerReport:
     monotone: bool
     max_stability_excess: float
     stable: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone and self.stable
+    passed: bool
 
 
 # -- liminf search ---------------------------------------------------------------
@@ -180,11 +177,14 @@ def modulus_check(
 
     A counterexample is a pair within the norm cap whose pairing clears
     the modulus threshold while the projection distance stays large.
-    Samples are drawn in blocks, caps first, and each block is judged at
-    once against a lazily built (k, cap) table of thresholds.  The check
+    The modulus is evaluated once, into a (k_max + 1) x cap_max table of
+    thresholds 1/(modulus(k, cap) + 1), NaN where it raises.  Samples are
+    drawn in blocks, caps first, and each block is judged against the
+    table's columns of its caps for every k at once: a row stops at its
+    first k that is a counterexample or needs a NaN entry.  The check
     stops at the ``max_counterexamples``-th counterexample, and
-    ``samples_checked`` counts the samples within the caps up to it.  A
-    modulus that fails at an entry raises when a sample up to that stop
+    ``samples_checked`` counts the samples within the caps up to it.  The
+    modulus's error at an entry is raised when a sample up to that stop
     needs the entry.  A check that judged no sample does not pass.
 
     Only samples with ||x|| and ||Ax|| within the cap are judged, so a
@@ -199,19 +199,18 @@ def modulus_check(
     space = op.space
     counterexamples = []
     checked = 0
-    table: dict[tuple[int, int], float] = {}
-    failures: dict[tuple[int, int], CauchyLabError] = {}
     b = op.linear_matrix
     spread = 1.0 if b is None else max(1.0, float(np.linalg.norm(b, 2)))
-
-    def threshold(k: int, cap: int) -> float:
-        if (k, cap) not in table:
+    # table[k, cap - 1]; failures[k, cap] is raised by the first sample that needs it
+    table = np.full((k_max + 1, cap_max), np.nan)
+    failures: dict[tuple[int, int], CauchyLabError] = {}
+    for k in range(k_max + 1):
+        for cap in range(1, cap_max + 1):
             try:
-                table[k, cap] = 1.0 / (modulus(k, cap) + 1.0)
+                table[k, cap - 1] = 1.0 / (modulus(k, cap) + 1.0)
             except CauchyLabError as exc:
-                table[k, cap] = math.nan  # raised by the first sample that needs it
                 failures[k, cap] = exc
-        return table[k, cap]
+    levels = 1.0 / (np.arange(k_max + 1.0) + 1.0)[:, None] + tol
 
     for start in range(0, n_samples, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, n_samples - start)
@@ -222,21 +221,13 @@ def modulus_check(
         v = xs - op.project_zeros_many(xs)
         pairing = np.einsum("ij,ij->i", space.duality_map_many(v), ys)
         dist = space.norms(v)
-        # per row, the k of its counterexample and the k of a failing
-        # modulus entry it needs, -1 for none
-        hit_k = np.full(size, -1)
-        failed_k = np.full(size, -1)
-        open_rows = np.flatnonzero(inside)
-        for k in range(k_max + 1):
-            if not open_rows.size:
-                break
-            levels, where = np.unique(caps[open_rows], return_inverse=True)
-            thr = np.array([threshold(k, int(c)) for c in levels])[where]
-            unknown = np.isnan(thr)
-            failed_k[open_rows[unknown]] = k
-            violated = (pairing[open_rows] <= thr) & (dist[open_rows] > 1.0 / (k + 1.0) + tol)
-            hit_k[open_rows[violated]] = k
-            open_rows = open_rows[~(violated | unknown)]
+        # each judged row stops at its first k that is a counterexample or
+        # needs a failing entry: the k of either, -1 for none
+        thr = table[:, caps - 1]
+        violated = (pairing <= thr) & (dist > levels)
+        at = ((violated | np.isnan(thr)) & inside).argmax(axis=0), np.arange(size)
+        hit_k = np.where(violated[at] & inside, at[0], -1)
+        failed_k = np.where(np.isnan(thr[at]) & inside, at[0], -1)
         room = max_counterexamples - len(counterexamples)
         hits = np.flatnonzero(hit_k >= 0)[:room]
         # the last row judged: the stopping counterexample, or the block's end
@@ -278,23 +269,26 @@ def fejer_report(
     op: AccretiveOperator,
     traj: Trajectory,
     step_tol: float = STEP_MONOTONE_TOL,
-    profile: TrajectoryProfile | None = None,
+    profile=None,
 ) -> FejerReport:
     """Monotonicity of the zero-set distance along the trajectory, plus
     the two-sided step bound ||u(t+h) - u(t)|| <= 2||u(t) - Pu(t)||.  The
-    distances are the residuals of ``profile``, the run's shared
-    ``TrajectoryProfile`` of ``traj``, made here when not given."""
+    distances are ``profile.residual``, the residuals of the rows of
+    ``traj.values`` that the run shares (its grid ``SampleSet``), computed
+    here when not given."""
     if profile is None:
-        profile = TrajectoryProfile(op, traj.values)
+        profile = SampleSet(op, traj.times, traj.values)
     residual = profile.residual
     rise = _max_increase(residual)
     steps = op.space.norms(np.diff(traj.values, axis=0))
     excess = steps - 2.0 * residual[:-1]
+    monotone, stable = rise <= step_tol, bool(np.all(excess <= step_tol))
     return FejerReport(
         max_step_increase=rise,
-        monotone=rise <= step_tol,
+        monotone=monotone,
         max_stability_excess=float(np.max(excess)) if excess.size else 0.0,
-        stable=bool(np.all(excess <= step_tol)),
+        stable=stable,
+        passed=monotone and stable,
     )
 
 
@@ -566,7 +560,10 @@ def _key_distance(key, space):
 
 class SampleSet:
     """One curve sampled at sorted times, with the quantities the sweeps
-    derive from the samples, each computed at most once.
+    and checks derive from the samples, each computed at most once.  The
+    grid samples of a run are its one per-node profile: the a-priori check
+    reads their ``norms``, the Fejer check and the 4.1/4.2 residual their
+    ``residual``, and the CSV writes both.
 
     The threshold queries ``settles_from`` and ``window_fits`` decide
     whether sampled pairs lie within a level.  A pair (j, l) lies within
@@ -582,10 +579,19 @@ class SampleSet:
         self.op = op
         self.times = times
         self.values = values
-        self.profile = TrajectoryProfile(op, values)
         # per window index range: (largest pair distance found, smallest
         # level certified)
         self._windows: dict[tuple[int, int], tuple[float, float]] = {}
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """||v_j|| per sample."""
+        return self.op.space.norms(self.values)
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """||v_j - Pv_j|| per sample: the zero-set residual."""
+        return projection_profile(self.op, self.values)
 
     @cached_property
     def _to_last(self) -> np.ndarray:
@@ -636,26 +642,26 @@ class SampleSet:
 
         The open rows are scanned from the last backward, each against its
         later open columns; the first row with a pair above the level ends
-        the scan, since no later row has one.  The last row farther than the
-        level from c is scanned alone: its pair with c, of distance d_j,
-        ends the scan there, before the earlier rows widen a block's columns
-        to nearly every sample.
+        the scan, since no later row has one.  The last row r farther than
+        the level from c is not scanned: its pair with c, whose computed
+        distance is d_r bit for bit, is above the level, so the answer is
+        r + 1 unless a later row has a pair above it.  The earlier rows,
+        which would widen a block's columns to nearly every sample, are
+        never scanned.
         """
         n = len(self.times)
         if n == 0:
             return None
         budget = self._budget(level)
         rows = self._open_rows(0, n, budget)
-        far = np.flatnonzero(~(self._to_last[rows] <= level))
-        cut = int(far[-1]) if far.size else -1
-        pieces = (rows[cut + 1 :], rows[cut : cut + 1], rows[:cut]) if cut >= 0 else (rows,)
-        for piece in pieces:
-            for block, dist in self._scan(piece, n, budget):
-                above = np.flatnonzero(~(dist <= level))
-                if above.size:
-                    first = int(block[above[-1]]) + 1
-                    return first if first < n else None
-        return 0
+        far = rows[~(self._to_last[rows] <= level)]
+        first = int(far[-1]) + 1 if far.size else 0
+        for block, dist in self._scan(rows[rows >= first], n, budget):
+            above = np.flatnonzero(~(dist <= level))
+            if above.size:
+                first = int(block[above[-1]]) + 1
+                break
+        return first if first < n else None
 
     def window_fits(self, start: int, width: int, horizon: float, level: float) -> bool | None:
         """Whether the samples in [start, start + width] lie within
@@ -702,16 +708,16 @@ class SampleSet:
         return int(self.op.graph_bound_many(self.values).max(initial=0))
 
     @cached_property
-    def _residual(self) -> np.ndarray | None:
-        """Zero-set residual at the samples, None unless it is monotone:
-        no increment above STEP_MONOTONE_TOL, the rule of ``fejer_report``."""
-        residual = self.profile.residual
-        return residual if _max_increase(residual) <= STEP_MONOTONE_TOL else None
+    def _monotone_residual(self) -> np.ndarray | None:
+        """The residual, None unless it is monotone: no increment above
+        STEP_MONOTONE_TOL, the rule of ``fejer_report``."""
+        return self.residual if _max_increase(self.residual) <= STEP_MONOTONE_TOL else None
 
     def residual_threshold(self, level: float) -> float | None:
         """First sample time where the residual drops to level, provided
         the sampled residual is monotone."""
-        hits = [] if self._residual is None else np.flatnonzero(self._residual <= level)
+        residual = self._monotone_residual
+        hits = [] if residual is None else np.flatnonzero(residual <= level)
         return float(self.times[hits[0]]) if len(hits) else None
 
 
@@ -742,8 +748,8 @@ class ScenarioBundle:
         self.sample_times = grid.nodes[idx]
         self.sample_values = self.trajectory.values[idx]
         self.samples = SampleSet(self.op, self.sample_times, self.sample_values)
-        # every grid node, for the residual of the 4.1 and 4.2 sweeps only:
-        # no threshold query runs on it
+        # every grid node: the run's per-node profile, and the residual of
+        # the 4.1 and 4.2 sweeps; no threshold query runs on it
         self.grid_samples = SampleSet(self.op, self.trajectory.times, self.trajectory.values)
         self._orbit_samples: dict[AlmostOrbit, SampleSet] = {}
 
@@ -756,12 +762,6 @@ class ScenarioBundle:
             samples = SampleSet(self.op, times, orbit.values(times))
             self._orbit_samples[orbit] = samples
         return samples
-
-    @property
-    def profile(self) -> TrajectoryProfile:
-        """The trajectory's per-node norms and residuals, shared by the
-        a-priori and Fejer checks, the 4.1/4.2 residual and the CSV."""
-        return self.grid_samples.profile
 
     # -- rate data -------------------------------------------------------------
 
@@ -777,10 +777,9 @@ class ScenarioBundle:
         )
 
     def orbit_rate_data(self, orbit: AlmostOrbit) -> ScenarioRateData:
-        space = self.op.space
         samples = self.orbit_samples(orbit)
         # deviation from the origin, which every catalog zero set contains
-        sup_dev = float(np.max(space.norms(samples.values)))
+        sup_dev = float(np.max(samples.norms))
         orbit_bound = max(1, math.ceil(sup_dev - 1e-9))
         # the worst graph bound over the samples holds at every orbit index
         # (horizon-certified)

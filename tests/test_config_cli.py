@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -717,6 +718,63 @@ def test_a_run_computes_the_trajectory_residuals_once(tmp_path, monkeypatch):
     result = run_config(write_cfg(tmp_path, MINIMAL), out_dir=tmp_path / "out")
     assert result.exit_code == 0 and result.reports
     assert rows.count(201) == 1  # the 10.0 / 0.05 grid's nodes
+
+
+# each check's diagnostics entry is its report whole, but for the
+# accretivity witness: a new report field reaches reports.json only when
+# it is added here too
+CHECK_ENTRIES = {
+    "accretivity": ("verify_accretive", {"min_pairing", "samples", "pass"}),
+    "apriori": (
+        "check_apriori",
+        {"sup_norm", "int_du_sq", "int_ddu_sq", "rhs_sup", "rhs_du", "rhs_ddu", "pass"},
+    ),
+    "fejer": (
+        "fejer_report",
+        {"max_step_increase", "monotone", "max_stability_excess", "stable", "pass"},
+    ),
+    "modulus_check": ("modulus_check", {"samples_checked", "counterexamples", "pass"}),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_check_entries_are_their_reports(name, monkeypatch):
+    reports = {}
+    for key, (attr, _) in CHECK_ENTRIES.items():
+
+        def recorded(*args, key=key, check=getattr(runner, attr), **kwargs):
+            reports[key] = check(*args, **kwargs)
+            return reports[key]
+
+        monkeypatch.setattr(runner, attr, recorded)
+    spec = load_config(str(CFG_DIR / name))
+    diagnostics = runner.materialize(spec)[1]
+    second_order = {"apriori"} if spec.dynamics == "second_order" else set()
+    assert set(reports) == {"accretivity", "fejer", "modulus_check"} | second_order
+    for key, report in reports.items():
+        want = {
+            "pass" if f.name == "passed" else f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report)
+            if f.name != "witness"
+        }
+        assert set(want) == CHECK_ENTRIES[key][1]
+        assert diagnostics[key].keys() == want.keys()
+        assert all(diagnostics[key][field] is value for field, value in want.items())
+
+
+@pytest.mark.parametrize("output_dir", [None, "results/mine"])
+def test_output_dir_names_the_output_directory(tmp_path, monkeypatch, capsys, output_dir):
+    # without --out a run writes to output_dir itself, as --out names it,
+    # or to out/<scenario id> when the config sets none; either is relative
+    # to the working directory
+    text = MINIMAL if output_dir is None else f"output_dir: {output_dir}\n" + MINIMAL
+    cfg = write_cfg(tmp_path, text)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(cfg)]) == 0
+    want = Path(output_dir or "out/mini")
+    assert capsys.readouterr().out.splitlines()[0].endswith(f"-> {want}")
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("reports.json"))
+    assert written == [want / "reports.json"]
 
 
 def test_run_config_error_exit_1(tmp_path):
