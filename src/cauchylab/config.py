@@ -6,11 +6,13 @@ condition, almost-orbit constructions and the theorem sweeps to run.
 ``load_config`` parses and validates it, reporting violations with file
 and line anchors, and builds the live objects (space, operator, modulus,
 counterfunctions) without doing any solving.  Every space, operator,
-modulus, almost-orbit and theorem a config may name is declared once, in
-the catalog tables below, which the loader reads and ``cauchylab
-list-catalog`` prints.  A space sets no strong-monotonicity constant:
-``SpaceContext.M`` is p - 1, a theorem for l^p with 1 < p <= 2, the only
-exponents the loader accepts.
+modulus, almost-orbit and theorem a config may name is declared once: the
+spaces, operators and moduli in the catalog tables below, the almost-orbit
+kinds and the theorems in ``verification.ORBITS`` and
+``verification.THEOREMS``, beside the code that runs them.  The loader
+reads all five and ``cauchylab list-catalog`` prints them.  A space sets
+no strong-monotonicity constant: ``SpaceContext.M`` is p - 1, a theorem
+for l^p with 1 < p <= 2, the only exponents the loader accepts.
 
 A mandatory RNG seed makes every sampling-based validation
 reproducible: identical config and seed give byte-identical reports.
@@ -32,7 +34,9 @@ import yaml
 
 from .counterfunctions import (
     GRAMMAR,
+    NAME_RULE,
     Counterfunction,
+    callable_name,
     parse_counterfunction,
     parse_nat_function2,
 )
@@ -49,6 +53,7 @@ from .operators import (
 from .rates import ConvergenceModulus, constant_modulus, modulus_strongly_accretive
 from .second_order import MIN_STEPS, SolverConfig, TimeGrid
 from .spaces import SpaceContext
+from .verification import ORBITS, THEOREMS
 
 # resource caps: the sweeps cost O(sample_points^2) time and write one
 # report per k (per orbit and counterfunction) in each sweep, at most
@@ -194,8 +199,11 @@ class _Section:
     def _sub(self, key):
         return f"{self.path}.{key}" if self.path else key
 
-    def fail(self, key: str, message: str) -> NoReturn:
-        raise ConfigError(message, self.anchors.where(self._sub(key)))
+    def fail(self, key: str | None, message: str) -> NoReturn:
+        """Raise a ConfigError anchored at ``key``, or at the mapping itself
+        when ``key`` is None."""
+        path = self.path if key is None else self._sub(key)
+        raise ConfigError(message, self.anchors.where(path))
 
     def known(self, *keys: str) -> None:
         """Reject any key of the mapping that is not one of ``keys``: a
@@ -285,17 +293,6 @@ class Kind:
     zero_set: str | None = None
 
 
-@dataclass(frozen=True)
-class OrbitParam:
-    """An almost-orbit parameter: a vector of the space's dimension when
-    ``default`` is None, else a number that ``valid(value, margin)``
-    must accept."""
-
-    help: str
-    default: float | None = None
-    valid: Callable[[float, float], bool] | None = None
-
-
 def _modulus_expression(sec: _Section) -> ConvergenceModulus:
     text = sec.require("text", str)
     fn = parse_nat_function2(text, ("k", "K"))
@@ -370,28 +367,6 @@ MODULI = {
     "expression": Kind(_modulus_expression, {"text": "expression over k, K"}),
 }
 
-ORBITS = {
-    "exact": {},
-    "additive_decay": {
-        "v": OrbitParam("vector"),
-        "lam": OrbitParam("decay rate > 0", 1.0, lambda lam, margin: lam > 0.0),
-    },
-    "time_warp": {
-        "delta": OrbitParam(
-            "offset in (0, margin)", 0.5, lambda delta, margin: 0.0 < delta < margin
-        ),
-    },
-}
-
-# each theorem's sweep keys beyond theorem and k_range: the keys it reads
-THEOREMS = {
-    "4.1": (),
-    "4.2": ("f_dom",),
-    "5.1": ("counterfunctions", "orbits"),
-    "5.3": ("orbits",),
-}
-
-
 def catalog() -> dict:
     """The menus above as ``cauchylab list-catalog`` prints them."""
     return {
@@ -432,7 +407,7 @@ def _build(sec: _Section, menu: dict, what: str, *args):
     except ConfigError:
         raise
     except (ValueError, CauchyLabError) as exc:
-        raise ConfigError(str(exc), sec.anchors.where(sec.path))
+        sec.fail(None, str(exc))
 
 
 def _parse_cf(text, named, anchors, path) -> Counterfunction:
@@ -509,16 +484,15 @@ def load_config(path: str | Path) -> ScenarioSpec:
     modulus = _build(sc.section("modulus"), MODULI, "modulus")
 
     named: dict[str, Counterfunction] = {}
-    raw_named = sc.get("counterfunctions", kind=dict)
-    if raw_named:
-        for name, expr in raw_named.items():
-            named[str(name)] = _parse_cf(
-                expr, named, anchors, f"scenario.counterfunctions.{name}"
-            )
+    for name, expr in (sc.get("counterfunctions", kind=dict) or {}).items():
+        name, path = str(name), f"scenario.counterfunctions.{name}"
+        if not callable_name(name):
+            message = f"counterfunction name {name!r} can never be called: {NAME_RULE}"
+            raise ConfigError(message, anchors.where(path))
+        named[name] = _parse_cf(expr, named, anchors, path)
 
     orbit_specs = []
-    raw_orbits = sc.get("orbits", kind=list) or []
-    for i, entry in enumerate(raw_orbits):
+    for i, entry in enumerate(sc.get("orbits", kind=list) or []):
         osec = _Section(entry, anchors, f"scenario.orbits[{i}]")
         kind, params = _lookup(osec, ORBITS, "orbit")
         osec.known("kind", *params)
@@ -538,15 +512,14 @@ def load_config(path: str | Path) -> ScenarioSpec:
     if dynamics == "first_order" and orbit_specs:
         sc.fail("orbits", "almost-orbits require second-order dynamics")
 
-    sweeps = []
-    reports = 0
-    raw_sweeps = sc.get("sweeps", kind=list) or []
-    for i, entry in enumerate(raw_sweeps):
+    sweeps, reports = [], 0
+    for i, entry in enumerate(sc.get("sweeps", kind=list) or []):
         ssec = _Section(entry, anchors, f"scenario.sweeps[{i}]")
         theorem = str(ssec.require("theorem"))
         if theorem not in THEOREMS:
             ssec.fail("theorem", f"unknown theorem {theorem!r} (known: {', '.join(THEOREMS)})")
-        ssec.known("theorem", "k_range", *THEOREMS[theorem])
+        thm = THEOREMS[theorem]
+        ssec.known("theorem", "k_range", *thm.keys)
         k_range = ssec.require("k_range", list)
         if (
             len(k_range) != 2
@@ -563,54 +536,32 @@ def load_config(path: str | Path) -> ScenarioSpec:
             for text in (ssec.get("counterfunctions", kind=list) or [])
         )
         orbit_kinds = tuple(str(v) for v in (ssec.get("orbits", kind=list) or ()))
-        for kind in orbit_kinds:
+        for j, kind in enumerate(orbit_kinds):
             if kind not in {spec["kind"] for spec in orbit_specs}:
                 ssec.fail("orbits", f"sweep references undefined orbit kind {kind!r}")
-        f_dom = None
-        f_dom_text = ssec.get("f_dom")
-        if f_dom_text is not None:
-            f_dom = _parse_cf(f_dom_text, named, anchors, f"scenario.sweeps[{i}].f_dom")
-        if theorem in ("5.1", "5.3"):
+            # the sweep runs each orbit once, however often it is named
+            if kind in orbit_kinds[:j]:
+                ssec.fail("orbits", f"orbit kind {kind!r} is named twice")
+        f_dom = ssec.get("f_dom")
+        if f_dom is not None:
+            f_dom = _parse_cf(f_dom, named, anchors, f"scenario.sweeps[{i}].f_dom")
+        over_orbits, search = "orbits" in thm.keys, "counterfunctions" in thm.keys
+        if over_orbits:
             if dynamics == "first_order":
                 ssec.fail("theorem", f"theorem {theorem} sweeps need second-order dynamics")
             if not orbit_kinds and not orbit_specs:
-                raise ConfigError(
-                    f"theorem {theorem} sweeps need at least one orbit",
-                    anchors.where(f"scenario.sweeps[{i}]"),
-                )
-        if theorem == "5.1" and not cfs:
-            raise ConfigError(
-                "theorem 5.1 sweeps need counterfunctions",
-                anchors.where(f"scenario.sweeps[{i}]"),
-            )
+                ssec.fail(None, f"theorem {theorem} sweeps need at least one orbit")
+        if search and not cfs:
+            ssec.fail(None, f"theorem {theorem} sweeps need counterfunctions")
         # one report per k, and per orbit and counterfunction where the theorem has them
-        orbit_count = len(orbit_kinds or orbit_specs) if theorem in ("5.1", "5.3") else 1
-        reports += len(ks) * orbit_count * (len(cfs) if theorem == "5.1" else 1)
+        orbit_count = len(orbit_kinds or orbit_specs) if over_orbits else 1
+        reports += len(ks) * orbit_count * (len(cfs) if search else 1)
         if reports > MAX_REPORTS:
-            raise ConfigError(
-                f"the sweeps up to this one ask for {reports} reports, more than {MAX_REPORTS}",
-                anchors.where(f"scenario.sweeps[{i}]"),
-            )
-        sweeps.append(
-            SweepSpec(
-                theorem=theorem,
-                ks=ks,
-                counterfunctions=cfs,
-                orbit_kinds=orbit_kinds,
-                f_dom=f_dom,
-            )
-        )
+            message = f"the sweeps up to this one ask for {reports} reports"
+            ssec.fail(None, f"{message}, more than {MAX_REPORTS}")
+        sweeps.append(SweepSpec(theorem, ks, cfs, orbit_kinds, f_dom))
 
     return ScenarioSpec(
-        scenario_id=scenario_id,
-        seed=seed,
-        space=space,
-        op=op,
-        x=x,
-        dynamics=dynamics,
-        solver=solver,
-        modulus=modulus,
-        orbit_specs=tuple(orbit_specs),
-        sweeps=tuple(sweeps),
-        output_dir=output_dir,
+        scenario_id, seed, space, op, x, dynamics, solver, modulus,
+        tuple(orbit_specs), tuple(sweeps), output_dir,
     )

@@ -144,7 +144,14 @@ class MetastabilityRate:
 
 # -- expression grammar -------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+*,]))")
+_NAME = "[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME})|([()+*,]))")
+NAME_RULE = "a name is a letter or _ followed by letters, digits or _, and not n or max"
+
+
+def callable_name(name: str) -> bool:
+    """Whether an expression over n can call a function named ``name``."""
+    return re.fullmatch(_NAME, name) is not None and name not in ("n", "max")
 
 
 def _capped(value) -> int:

@@ -330,16 +330,19 @@ class StronglyAccretive(AccretiveOperator):
         return np.zeros_like(np.asarray(rows, dtype=float))
 
 
+# the least duality pairing of a sampled graph pair that verify_accretive accepts
+ACCRETIVE_TOL = -1e-9
+
+
 def verify_accretive(
     op: AccretiveOperator,
     sample_count: int = 200,
     region_radius: float = 2.0,
     rng: np.random.Generator | None = None,
-    tol: float = -1e-9,
 ) -> AccretivityReport:
     """Sample graph pairs and report the minimum duality pairing.
 
-    Passes iff min <y1 - y2, J(x1 - x2)> >= -1e-9 over a nonempty sample.
+    Passes iff min <y1 - y2, J(x1 - x2)> >= ACCRETIVE_TOL over a nonempty sample.
     The witness is the first pair that attains the minimum.
     """
     if rng is None:
@@ -363,5 +366,5 @@ def verify_accretive(
         min_pairing=float(min_pairing),
         witness=witness,
         samples=sample_count,
-        passed=bool(tol <= min_pairing < math.inf),
+        passed=bool(ACCRETIVE_TOL <= min_pairing < math.inf),
     )

@@ -275,12 +275,9 @@ def witness_gap_fn(k: int, f: Counterfunction, phi: MetastabilityRate) -> Counte
     return Counterfunction(fn, f"witness_gap[k={k}]({f.description})")
 
 
-def residual_window_fn(
-    k: int, f: Counterfunction, modulus: ConvergenceModulus, data: ScenarioRateData
-) -> Counterfunction:
-    """g(m) = R + f(m + R) with R the projection-residual rate at
-    precision 3k+2."""
-    r = projection_residual_rate(3 * k + 2, modulus, data)
+def residual_window_fn(k: int, f: Counterfunction, r: int) -> Counterfunction:
+    """g(m) = R + f(m + R), where ``r`` is R, the projection-residual rate
+    at precision 3k+2."""
     return Counterfunction(lambda m: r + f(m + r), f"residual_window[k={k}]({f.description})")
 
 
@@ -305,7 +302,7 @@ def residual_metastability_rate(
         raise ContractError("precision index must be a natural")
     with query_budget():
         r = projection_residual_rate(3 * k + 2, modulus, data)
-        return phi(3 * k + 2, residual_window_fn(k, f, modulus, data)) + r
+        return phi(3 * k + 2, residual_window_fn(k, f, r)) + r
 
 
 def cauchy_metastability_rate(

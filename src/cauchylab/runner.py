@@ -101,10 +101,7 @@ def materialize(spec: ScenarioSpec) -> tuple[ScenarioBundle, dict]:
         for key in ("stabilized", "far_end_ok", "continuation", "stage_diffs")
     }
 
-    orbits = []
-    for ospec in spec.orbit_specs:
-        kwargs = {k: v for k, v in ospec.items() if k != "kind"}
-        orbits.append(make_almost_orbit(sg, ospec["kind"], **kwargs))
+    orbits = [make_almost_orbit(sg, **ospec) for ospec in spec.orbit_specs]
     if orbits:
         diagnostics["orbits"] = {
             orbit.kind: _jsonable(orbit.certificate) for orbit in orbits

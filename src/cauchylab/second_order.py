@@ -944,19 +944,22 @@ def norm_oracle(c: float, t: float, x: np.ndarray) -> np.ndarray:
     return (rho / rho0) * x if t < t_star else np.zeros_like(x)
 
 
+# the relative quadrature allowance of check_apriori's two integral bounds
+QUAD_REL_TOL = 1e-3
+
+
 def check_apriori(
     op: AccretiveOperator,
     x: np.ndarray,
     traj: Trajectory,
     m_const: float,
-    quad_rel_tol: float = 1e-3,
     profile=None,
 ) -> AprioriBounds:
     """Trapezoidal check of the three a-priori trajectory bounds.
 
     sup ||u|| <= ||x||, integral of ||u'||^2 <= (2/M^2) d(0,Ax)^{3/2} ||x||^{1/2},
     integral of ||u''||^2 <= (2/M^2) d(0,Ax)^{1/2} ||x||^{3/2}, each with a
-    quadrature allowance of quad_rel_tol * (1 + rhs).  A functional or cap
+    quadrature allowance of QUAD_REL_TOL * (1 + rhs).  A functional or cap
     beyond the float range raises a ContractError that names it.  sup ||u||
     reads ``profile.norms``, the norms of the rows of ``traj.values`` that
     the run shares (its grid ``SampleSet``), computed here when not given.
@@ -983,7 +986,7 @@ def check_apriori(
             message = f"a-priori check at ||x|| = {nx:.3e}: {name} exceeds the float range"
             raise ContractError(message)
     _, sup_norm, int_du, int_ddu, rhs_du, rhs_ddu = map(float, values.values())
-    du_cap, ddu_cap = (rhs + quad_rel_tol * (1.0 + rhs) for rhs in (rhs_du, rhs_ddu))
+    du_cap, ddu_cap = (rhs + QUAD_REL_TOL * (1.0 + rhs) for rhs in (rhs_du, rhs_ddu))
     return AprioriBounds(
         sup_norm=sup_norm,
         int_du_sq=int_du,

@@ -21,7 +21,10 @@ Both are threshold questions, whether sampled pairs lie within the level
 where it suffices and by computed distances elsewhere, so each answer is
 the one the full pairwise profile gives.
 
-The module also houses the liminf search behind the window-length
+The module also declares two catalog tables of the config, each beside
+the code that runs it: ``ORBITS``, the almost-orbit kinds and their
+parameters, and ``THEOREMS``, each theorem's sweep keys and rate
+functional.  It houses as well the liminf search behind the window-length
 formula, the empirical modulus validity check, the almost-orbit
 constructions with certified defect rates, and the first-order orbits in
 closed form.
@@ -163,6 +166,10 @@ def integral_liminf_search(
 # -- modulus validity --------------------------------------------------------------
 
 
+# the allowance of the modulus check's distance comparison, on top of 1/(k + 1)
+MODULUS_TOL = 1e-9
+
+
 def modulus_check(
     op: AccretiveOperator,
     modulus: ConvergenceModulus,
@@ -170,7 +177,6 @@ def modulus_check(
     cap_max: int = 10,
     n_samples: int = 2_000,
     rng: np.random.Generator | None = None,
-    tol: float = 1e-9,
     max_counterexamples: int = 10,
 ) -> ModulusCheckReport:
     """Sample graph pairs and hunt for violations of the modulus contract.
@@ -210,7 +216,7 @@ def modulus_check(
                 table[k, cap - 1] = 1.0 / (modulus(k, cap) + 1.0)
             except CauchyLabError as exc:
                 failures[k, cap] = exc
-    levels = 1.0 / (np.arange(k_max + 1.0) + 1.0)[:, None] + tol
+    levels = 1.0 / (np.arange(k_max + 1.0) + 1.0)[:, None] + MODULUS_TOL
 
     for start in range(0, n_samples, SAMPLE_CHUNK):
         size = min(SAMPLE_CHUNK, n_samples - start)
@@ -364,6 +370,36 @@ semigroup_point = first_order_trajectory
 # -- almost-orbits ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class OrbitParam:
+    """An almost-orbit parameter: a vector of the space's dimension when
+    ``default`` is None, else a number that ``valid(value, margin)``
+    must accept."""
+
+    help: str
+    default: float | None = None
+    valid: Callable[[float, float], bool] | None = None
+
+
+# the almost-orbit kinds, their parameters and config defaults: the loader
+# and make_almost_orbit check an orbit against them
+ORBITS = {
+    "exact": {},
+    "additive_decay": {
+        "v": OrbitParam("vector"),
+        "lam": OrbitParam("decay rate > 0", 1.0, lambda lam, margin: lam > 0.0),
+    },
+    "time_warp": {
+        "delta": OrbitParam("offset in (0, margin)", 0.5, lambda d, margin: 0.0 < d < margin)
+    },
+}
+
+# the precisions k at which an orbit's claimed defect rate is sampled, and
+# the allowance of each sampled defect on top of 1/(k + 1)
+CERT_KS = (0, 1, 2, 3)
+CERT_TOL = 5e-4
+
+
 @dataclass(eq=False)
 class AlmostOrbit:
     """Curve with a certified defect rate against the semigroup.
@@ -376,10 +412,17 @@ class AlmostOrbit:
     description: str
     curve: Callable[[np.ndarray], np.ndarray]  # times -> one row per time
     phi_roc: Counterfunction
-    phi_meta: MetastabilityRate
     trusted_horizon: float
     base: SqrtSemigroup
     certificate: dict = field(default_factory=dict)
+
+    @property
+    def phi_meta(self) -> MetastabilityRate:
+        """The metastability rate of every kind: its rate of convergence,
+        whatever the counterfunction."""
+        return MetastabilityRate.from_convergence_rate(
+            self.phi_roc.fn, f"{self.kind} metastability"
+        )
 
     def evaluate(self, t: float) -> np.ndarray:
         return self.curve(np.array([t]))[0]
@@ -401,37 +444,37 @@ def make_almost_orbit(
     lam: float | None = None,
     delta: float | None = None,
     certify: bool = True,
-    sample_ks: Sequence[int] = (0, 1, 2, 3),
-    cert_tol: float = 5e-4,
 ) -> AlmostOrbit:
     """Construct an exact, additive-decay or time-warp almost-orbit.
 
-    The additive-decay orbit needs ``v`` and ``lam``, the time warp
-    needs ``delta``; their config defaults live in ``config.ORBITS``.
-    The claimed defect rate is certified by sampling the defect
+    Each parameter of ``kind`` is checked against its ``ORBITS`` entry, as
+    the loader checks a config's, and a rejected one raises a ValueError
+    with the loader's message: the additive-decay orbit needs ``v`` and
+    ``lam``, the time warp needs ``delta``.  The claimed defect rate is
+    certified at each k of ``CERT_KS`` by sampling the defect
     sup_t ||u(s + t) - S(t)u(s)|| at s on and past the rate, against
     freshly solved restarts of the semigroup.
     """
+    if kind not in ORBITS:
+        raise ValueError(f"unknown almost-orbit kind: {kind}")
     space = base.op.space
+    given = {"v": v, "lam": lam, "delta": delta}
+    for name, param in ORBITS[kind].items():
+        value = given[name]
+        if value is None or not (
+            math.isfinite(space.norm(value))  # the defect rate takes log ||v||
+            if param.default is None
+            else param.valid(value, base.solver.margin)
+        ):
+            raise ValueError(f"{kind} {name} must be {param.help}")
+    horizon = base.trusted_horizon
     if kind == "exact":
-        orbit = AlmostOrbit(
-            kind=kind,
-            description="exact orbit",
-            curve=base.at_many,
-            phi_roc=Counterfunction.constant(0, "0"),
-            phi_meta=MetastabilityRate.zero(),
-            trusted_horizon=base.trusted_horizon,
-            base=base,
-        )
+        description, rate, curve, roc = "exact orbit", "0", base.at_many, lambda k: 0
     elif kind == "additive_decay":
-        if v is None or lam is None:
-            raise ValueError("additive-decay orbit needs a direction v and a rate lam")
-        if lam <= 0.0:
-            raise ValueError("decay rate must be positive")
         v = space.check(v)
         nv = space.norm(v)
-        if not math.isfinite(nv):
-            raise ValueError("additive-decay direction has a norm beyond the float range")
+        description = f"additive decay |v|={nv:g}, lam={lam:g}"
+        rate = f"additive-decay rate lam={lam:g}"
 
         def curve(ts: np.ndarray) -> np.ndarray:
             return base.at_many(ts) + _exp(-lam * ts)[:, None] * v
@@ -443,24 +486,10 @@ def make_almost_orbit(
                 return 0
             return max(0, math.ceil((math.log(nv) + math.log(2.0 * (k + 1))) / lam))
 
-        orbit = AlmostOrbit(
-            kind=kind,
-            description=f"additive decay |v|={nv:g}, lam={lam:g}",
-            curve=curve,
-            phi_roc=Counterfunction(roc, f"additive-decay rate lam={lam:g}"),
-            phi_meta=MetastabilityRate.from_convergence_rate(
-                roc, "additive-decay metastability"
-            ),
-            trusted_horizon=base.trusted_horizon,
-            base=base,
-        )
-    elif kind == "time_warp":
-        if delta is None or delta <= 0.0:
-            raise ValueError("time-warp offset must be positive")
-        if delta >= base.solver.margin:
-            raise ValueError("time-warp offset must stay inside the margin")
-        deriv = base.trajectory.derivative()
-        lip = float(np.max(space.norms(deriv)))
+    else:
+        description, rate = f"time warp delta={delta:g}", f"time-warp rate delta={delta:g}"
+        horizon -= delta
+        lip = float(np.max(space.norms(base.trajectory.derivative())))
 
         def curve(ts: np.ndarray) -> np.ndarray:
             return base.at_many(ts + delta * _exp(-ts))
@@ -472,22 +501,9 @@ def make_almost_orbit(
                 return 0
             return max(0, math.ceil(math.log(level)))
 
-        orbit = AlmostOrbit(
-            kind=kind,
-            description=f"time warp delta={delta:g}",
-            curve=curve,
-            phi_roc=Counterfunction(roc, f"time-warp rate delta={delta:g}"),
-            phi_meta=MetastabilityRate.from_convergence_rate(
-                roc, "time-warp metastability"
-            ),
-            trusted_horizon=base.trusted_horizon - delta,
-            base=base,
-        )
-    else:
-        raise ValueError(f"unknown almost-orbit kind: {kind}")
-
+    orbit = AlmostOrbit(kind, description, curve, Counterfunction(roc, rate), horizon, base)
     if certify:
-        _certify_orbit(orbit, sample_ks, cert_tol)
+        _certify_orbit(orbit, CERT_KS, CERT_TOL)
     return orbit
 
 
@@ -799,20 +815,20 @@ def _margin(bound: int, observed: float) -> float:
 
 
 def _observe(
-    theorem: str, eps: float, level: float, bound: int, f, samples: SampleSet, residual: SampleSet
+    search: bool, eps: float, level: float, bound: int, f, samples: SampleSet, residual: SampleSet
 ) -> tuple[float, bool, bool]:
     """(observed, passed, extrapolated) of one report at precision eps.
 
-    5.1 searches for the first n <= bound whose window [n, n + f(n)] has
-    diameter at most ``level``; the other theorems find the first sample
-    whose suffix diameter is at most ``level`` and compare it with the
-    bound.  When the samples cannot decide (the bound, or for 5.1 the
-    search or one of its windows, lies beyond the horizon), the monotone
-    residual of ``residual`` certifies the report instead.
+    A witness ``search`` looks for the first n <= bound whose window
+    [n, n + f(n)] has diameter at most ``level``; otherwise the first sample
+    whose suffix diameter is at most ``level`` is compared with the bound.
+    When the samples cannot decide (the bound, or for a search the search
+    or one of its windows, lies beyond the horizon), the monotone residual
+    of ``residual`` certifies the report instead.
     """
     times = samples.times
     horizon = float(times[-1]) if times.size else 0.0
-    if theorem == "5.1":
+    if search:
         n, left = 0, False  # left: some window left the horizon
         while n <= bound and n <= horizon:
             fits = samples.window_fits(n, f(n), horizon, level)
@@ -839,6 +855,32 @@ def _observe(
 NUM_TOL = 2e-6
 
 
+@dataclass(frozen=True)
+class Theorem:
+    """A theorem a sweep may name: ``keys``, the sweep keys it reads beyond
+    theorem and k_range, and ``bound(k, f, orbit, modulus, data)``, its rate
+    functional.  A theorem whose keys name orbits sweeps them; one whose keys
+    name counterfunctions searches for a metastability witness."""
+
+    keys: tuple[str, ...]
+    bound: Callable[..., int]
+
+
+# each bound looks its rate functional up in this module when it runs, where
+# perfbench/spans.py may have wrapped it
+THEOREMS = {
+    "4.1": Theorem((), lambda k, f, o, mod, data: semigroup_cauchy_rate(k, mod, data)),
+    "4.2": Theorem(("f_dom",), lambda k, f, o, mod, data: closure_cauchy_rate(k, mod, f, data)),
+    "5.1": Theorem(
+        ("counterfunctions", "orbits"),
+        lambda k, f, o, mod, data: cauchy_metastability_rate(k, f, o.phi_meta, mod, data),
+    ),
+    "5.3": Theorem(
+        ("orbits",), lambda k, f, o, mod, data: almost_orbit_cauchy_rate(k, f, mod, data)
+    ),
+}
+
+
 def sweep_theorem(
     bundle: ScenarioBundle,
     theorem: str,
@@ -850,33 +892,37 @@ def sweep_theorem(
     """Run one theorem sweep over the precision range ``ks``: one report
     per target, k and function, in that order.
 
-    The target of 4.1 and 4.2 is the point x: its samples, with the
-    residual taken at every grid node.  5.1 and 5.3 have one target per
-    orbit (``bundle.orbits`` unless ``orbits`` is given), whose samples
-    are their own residual.
+    A theorem over orbits has one target per orbit (``bundle.orbits``
+    unless ``orbits`` is given), whose samples are their own residual, and
+    its function is the orbit's rate of convergence, or each of
+    ``counterfunctions`` for a witness search.  Any other theorem's target
+    is the point x: its samples, with the residual taken at every grid
+    node, and its function ``f_dom`` where it reads one.
     """
-    if theorem in ("4.1", "4.2"):
-        if theorem == "4.1":
+    spec = THEOREMS.get(theorem)
+    if spec is None:
+        raise ContractError(f"unknown theorem id {theorem!r}")
+    search = "counterfunctions" in spec.keys
+    if "orbits" not in spec.keys:
+        if "f_dom" not in spec.keys:
             f_dom = None
         elif f_dom is None:
             f_dom = Counterfunction.constant(bundle.op.graph_bound(bundle.x), "graph bound at x")
         targets = [(bundle.samples, None)]
-    elif theorem in ("5.1", "5.3"):
-        if theorem == "5.1" and not counterfunctions:
+    else:
+        if search and not counterfunctions:
             raise ContractError("metastability sweep needs counterfunctions")
         orbits = bundle.orbits if orbits is None else orbits
         if not orbits:
             raise ContractError(f"theorem {theorem} sweeps need at least one orbit")
         targets = [(bundle.orbit_samples(o), o) for o in orbits]
-    else:
-        raise ContractError(f"unknown theorem id {theorem!r}")
     reports = []
     for samples, orbit in targets:
         if orbit is None:
             scenario, residual, fs = bundle.scenario_id, bundle.grid_samples, [f_dom]
         else:
             scenario, residual = f"{bundle.scenario_id}/{orbit.kind}", samples
-            fs = counterfunctions if theorem == "5.1" else [orbit.phi_roc]
+            fs = counterfunctions if search else [orbit.phi_roc]
         try:
             data = bundle.point_rate_data() if orbit is None else bundle.orbit_rate_data(orbit)
         except ContractError as exc:  # name the sweep whose rate data could not be made
@@ -886,18 +932,9 @@ def sweep_theorem(
             for f in fs:
                 f_desc = f.description if f is not None else ""
                 try:
-                    if theorem == "4.1":
-                        bound = semigroup_cauchy_rate(k, bundle.modulus, data)
-                    elif theorem == "4.2":
-                        bound = closure_cauchy_rate(k, bundle.modulus, f, data)
-                    elif theorem == "5.1":
-                        bound = cauchy_metastability_rate(
-                            k, f, orbit.phi_meta, bundle.modulus, data
-                        )
-                    else:
-                        bound = almost_orbit_cauchy_rate(k, f, bundle.modulus, data)
+                    bound = spec.bound(k, f, orbit, bundle.modulus, data)
                     observed, passed, extrapolated = _observe(
-                        theorem, eps, eps + NUM_TOL, bound, f, samples, residual
+                        search, eps, eps + NUM_TOL, bound, f, samples, residual
                     )
                     margin = _margin(bound, observed)
                 except ContractError as exc:  # name the report that could not be made

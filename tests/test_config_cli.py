@@ -293,6 +293,25 @@ BAD_CASES = [
         "  sweeps:",
         r"orbits\[1\]\.kind: orbit kind 'additive_decay' is defined twice",
     ),
+    # a sweep runs each orbit it names once: one named three times was
+    # counted three times against the report cap
+    (
+        '  sweeps:\n    - {theorem: "4.1", k_range: [0, 1]}',
+        "  orbits: [{kind: exact}]\n  sweeps:\n"
+        '    - {theorem: "5.3", k_range: [0, 1], orbits: [exact, exact, exact]}',
+        r":11: scenario\.sweeps\[0\]\.orbits: orbit kind 'exact' is named twice$",
+    ),
+    # a counterfunction name an expression can never call: n and max always
+    # mean the variable and the maximum, and 2x is no name at all
+    *(
+        (
+            "  sweeps:",
+            f'  counterfunctions: {{{name}: "n+7"}}\n  sweeps:',
+            rf":9: scenario\.counterfunctions\.{name}: counterfunction name '{name}' "
+            r"can never be called",
+        )
+        for name in ("n", "max", "2x")
+    ),
     # a key no mapping reads is an error, never a silently ignored typo
     (
         "seed: 7",
@@ -389,6 +408,46 @@ def test_bad_entries_rejected(tmp_path):
         path = write_cfg(tmp_path, MINIMAL.replace(old, new))
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_report_cap_counts_the_reports_a_run_makes(monkeypatch, name):
+    # the golden rows are the reports each bundled run makes (pinned by
+    # test_bundled_report_rows_match_golden): a cap of that many loads the
+    # config, one less refuses it
+    from cauchylab import config
+
+    made = len(GOLDEN_REPORTS[name.removesuffix(".cfg")])
+    monkeypatch.setattr(config, "MAX_REPORTS", made)
+    load_config(CFG_DIR / name)
+    monkeypatch.setattr(config, "MAX_REPORTS", made - 1)
+    with pytest.raises(ConfigError, match=rf"ask for {made} reports, more than {made - 1}$"):
+        load_config(CFG_DIR / name)
+
+
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        ("additive_decay", "lam", 0.0),
+        ("additive_decay", "lam", -1.0),
+        ("time_warp", "delta", 0.0),
+        ("time_warp", "delta", SolverConfig.margin),
+    ],
+)
+def test_orbit_parameter_errors_match_the_loader(tmp_path, kind, name, value):
+    # the loader and make_almost_orbit check an orbit against one
+    # verification.ORBITS entry, with one message
+    spec = load_config(write_cfg(tmp_path, MINIMAL))
+    sg = cauchylab.SqrtSemigroup(spec.op, spec.x, spec.solver)
+    extra = ", v: [0.0, 1.0]" if kind == "additive_decay" else ""
+    entry = f"  orbits: [{{kind: {kind}, {name}: {value!r}{extra}}}]\n  sweeps:"
+    with pytest.raises(ConfigError) as loaded:
+        load_config(write_cfg(tmp_path, MINIMAL.replace("  sweeps:", entry)))
+    args = {"v": np.array([0.0, 1.0]), "lam": 1.0, "delta": 0.5, name: value}
+    with pytest.raises(ValueError) as built:
+        cauchylab.make_almost_orbit(sg, kind, **args, certify=False)
+    assert str(loaded.value) == f"{loaded.value.location}: {built.value}"
+    assert loaded.value.location.endswith(f"scenario.orbits[0].{name}")
 
 
 def _state(value, seen=()):

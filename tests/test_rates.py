@@ -212,12 +212,34 @@ def test_witness_gap_zero_rate():
 
 def test_residual_window_zero_f():
     data = identity_data()
-    g = residual_window_fn(1, Counterfunction.constant(0), MOD1, data)
+    g = residual_window_fn(1, Counterfunction.constant(0), projection_residual_rate(5, MOD1, data))
     for m in range(3):
         assert g(m) == projection_residual_rate(3 * 1 + 2, MOD1, data)
 
 
 # -- metastability functionals -----------------------------------------------------
+
+
+def test_metastability_query_computes_the_residual_rate_once(monkeypatch):
+    # residual_metastability_rate hands its residual rate R to the window
+    # g(m) = R + f(m + R), which once computed R a second time
+    from cauchylab import rates
+
+    calls = []
+    residual_rate = rates.projection_residual_rate
+
+    def counted(*args):
+        calls.append(args)
+        return residual_rate(*args)
+
+    monkeypatch.setattr(rates, "projection_residual_rate", counted)
+    data = identity_data()
+    rate = MetastabilityRate.from_convergence_rate(lambda k: k + 1)
+    for phi in (MetastabilityRate.zero(), rate):
+        for k in range(4):
+            calls.clear()
+            cauchy_metastability_rate(k, Counterfunction.identity(), phi, MOD1, data)
+            assert len(calls) == 1
 
 
 def test_residual_metastability_exact_collapse():

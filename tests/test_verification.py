@@ -30,7 +30,6 @@ from cauchylab import (
 )
 from cauchylab.counterfunctions import (
     Counterfunction,
-    MetastabilityRate,
     parse_counterfunction,
 )
 from cauchylab.errors import ContractError, OrbitConstructionError
@@ -285,7 +284,6 @@ def test_orbit_certification_failure(identity_sg):
         description="fake",
         curve=lambda ts: identity_sg.at_many(ts) + np.exp(-0.5 * ts)[:, None] * v,
         phi_roc=Counterfunction.constant(0),
-        phi_meta=orbit.phi_meta,
         trusted_horizon=orbit.trusted_horizon,
         base=identity_sg,
     )
@@ -424,7 +422,6 @@ def test_metastable_report_without_witness_inside_the_samples_fails(hilbert2):
         description="unit circle",
         curve=lambda ts: np.column_stack([np.cos(ts), np.sin(ts)]),
         phi_roc=Counterfunction.constant(0),
-        phi_meta=MetastabilityRate.zero(),
         trusted_horizon=sg.trusted_horizon,
         base=sg,
     )
