@@ -2,8 +2,8 @@
 explicit convergence and metastability rates.
 
 The package solves the second-order flow u'' in Au by finite differences
-at r = 0, warm-started for a nonlinear A by a regularized continuation,
-exposes the resulting square-root semigroup, and
+at r = 0, started for the nonlinear norm family from its closed-form
+solution, exposes the resulting square-root semigroup, and
 certifies the package's explicit rate functionals against sampled
 trajectories and closed-form linear oracles.
 """

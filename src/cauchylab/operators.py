@@ -330,17 +330,29 @@ class StronglyAccretive(AccretiveOperator):
         return np.zeros_like(np.asarray(rows, dtype=float))
 
 
+def norm_family_constant(op: AccretiveOperator) -> float | None:
+    """c for the norm subdifferential under strongly accretive shifts whose
+    constants add up to c, the flows that stay on the ray of x; None for
+    any other operator."""
+    c = 0.0
+    while isinstance(op, StronglyAccretive):
+        op, c = op.base, c + op.c
+    return c if isinstance(op, NormSubdifferential) else None
+
+
 # the least duality pairing of a sampled graph pair that verify_accretive accepts
 ACCRETIVE_TOL = -1e-9
+# verify_accretive draws each point of a graph pair from [-r, r]^dim
+ACCRETIVE_RADIUS = 2.0
 
 
 def verify_accretive(
     op: AccretiveOperator,
     sample_count: int = 200,
-    region_radius: float = 2.0,
     rng: np.random.Generator | None = None,
 ) -> AccretivityReport:
-    """Sample graph pairs and report the minimum duality pairing.
+    """Sample graph pairs in [-ACCRETIVE_RADIUS, ACCRETIVE_RADIUS]^dim and
+    report the minimum duality pairing.
 
     Passes iff min <y1 - y2, J(x1 - x2)> >= ACCRETIVE_TOL over a nonempty sample.
     The witness is the first pair that attains the minimum.
@@ -353,7 +365,7 @@ def verify_accretive(
     for start in range(0, sample_count, SAMPLE_CHUNK):
         # one draw per block: the same stream as x1, x2 drawn pair by pair
         size = (min(SAMPLE_CHUNK, sample_count - start), 2, space.dim)
-        pairs = rng.uniform(-region_radius, region_radius, size=size)
+        pairs = rng.uniform(-ACCRETIVE_RADIUS, ACCRETIVE_RADIUS, size=size)
         x1, x2 = pairs[:, 0], pairs[:, 1]
         pairing = np.einsum(
             "ij,ij->i", space.duality_map_many(x1 - x2), op.select_many(x1) - op.select_many(x2)

@@ -2,17 +2,13 @@
 
 The incomplete problem (second derivative in Au, bounded on the half
 line, u(0) = x) is solved by finite differences on [0, T].  A linear
-operator A = B is its own limit A_0, and u'' = Bu is solved once.  For a
-nonlinear one, each stage of the fixed ``DEFAULT_SCHEDULE`` replaces A by
-its Yosida approximate at parameter r plus a linear restoring term p*u and
-solves that smooth problem, warm-started from the stage before, on a grid
-``COARSE_FACTOR`` times coarser.  The last stage, at r = 1e-3, is solved
-again on the solver's grid from its interpolation, and then starts a
-semismooth Newton solve of the unregularized inclusion, written with the
-resolvent at sigma = that r as u_i = J_sigma(u_i + sigma u_i''); nodes in
-the zero set's basin come out exactly 0.  A restart of a semigroup starts
-that solve from the base trajectory instead, and runs the stages only if
-it does not converge within a few steps.
+operator A = B is its own limit A_0, and u'' = Bu is solved once.  A
+nonlinear one is solved by one semismooth Newton solve of the inclusion,
+written with the resolvent at ``SIGMA`` as u_i = J_sigma(u_i + sigma u_i'');
+nodes in the zero set's basin come out exactly 0.  For the norm family
+(the norm subdifferential, alone or shifted by c Id) the solve starts
+from the closed-form solution of the continuous problem, which lies next
+to the discrete one; any other operator starts from the constant x.
 
 Boundary treatment: the left end is clamped at x; the far end carries a
 zero-derivative (ghost-node) condition.  A Dirichlet far end would force
@@ -31,16 +27,12 @@ import numpy as np
 
 from . import floatfmt
 from .errors import ContractError, HorizonError, SolverError
-from .operators import AccretiveOperator
+from .operators import AccretiveOperator, norm_family_constant
 
-# the warm-start stages (r, p) of a nonlinear solve, p = r; the r = 0 solve
-# takes the last r as its sigma
-DEFAULT_SCHEDULE = ((0.1, 0.1), (0.01, 0.01), (0.001, 0.001))
 # the fewest grid steps the discrete two-point system is solved on
 MIN_STEPS = 4
-# the warm-start stages run on a grid this many times coarser than the
-# solver's (fewer times when that would leave fewer than MIN_STEPS steps)
-COARSE_FACTOR = 8
+# the resolvent parameter of the nonlinear solve's u_i = J_sigma(u_i + sigma u_i'')
+SIGMA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -310,62 +302,6 @@ def _reduce(level: np.ndarray) -> np.ndarray:
     return y
 
 
-def _solve_newton_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve c y[i-1] + diag[i] y[i] + c y[i+1] = rhs[i] for i < n, the
-    Newton step's system, whose last row is the ghost node's: its lower
-    coupling is 2c and it has no upper one.  Blocks are batch-last, diag
-    (dim, dim, n) and rhs (dim, n); returns y as (dim, n).
-
-    The first reduction level, specialized: every coupling is c times the
-    identity, so the odd rows solve D X = [cI | r], with dim + 1 columns,
-    and alpha = gamma = X[:, :dim] (alpha = 2 X[:, :dim] on the ghost row);
-    the even rows take scalar multiples of X.  Later levels go to
-    ``_reduce``.
-    """
-    dim, n = rhs.shape
-    if n == 1:
-        return np.linalg.solve(diag[:, :, 0], rhs[:, 0])[:, None]
-    n_odd, n_even = n // 2, (n + 1) // 2
-    aug = np.zeros((dim, 2 * dim + 1, n_odd))
-    aug[:, :dim] = diag[:, :, 1::2]
-    aug[np.arange(dim), dim + np.arange(dim)] = c
-    aug[:, 2 * dim] = rhs[:, 1::2]
-    # x is aug's last dim + 1 columns, kept for the back-substitution: a copy
-    # lets the levels below run without aug
-    x = _solve_blocks(aug, dim).copy()
-    del aug
-    w = -c * x  # -c alpha and -c phi of every odd row
-    nxt = np.empty((dim, 3 * dim + 1, n_even))
-    d, lower, upper, r = _parts(nxt)
-    d[...] = diag[:, :, ::2]
-    d[:, :, 1:] += w[:, :dim, : n_even - 1]
-    d[:, :, :n_odd] += w[:, :dim]
-    lower[:, :, 0] = 0.0
-    lower[:, :, 1:] = w[:, :dim, : n_even - 1]
-    upper[:, :, :n_odd] = w[:, :dim]
-    upper[:, :, n_odd:] = 0.0
-    r[...] = rhs[:, ::2]
-    r[:, 1:] += w[:, dim, : n_even - 1]
-    r[:, :n_odd] += w[:, dim]
-    if n % 2:
-        # the ghost row is even: its whole lower coupling doubles
-        lower[:, :, -1] *= 2.0
-        d[:, :, -1] += w[:, :dim, -1]
-        r[:, -1] += w[:, dim, -1]
-    else:
-        # the ghost row is odd: its alpha doubles
-        d[:, :, -1] += w[:, :dim, -1]
-    del w  # not needed by the levels below: free it first
-    y = np.empty((dim, n))
-    y[:, ::2] = even = _reduce(nxt)
-    sides = even[:, :n_odd].copy()
-    sides[:, : n_even - 1] += even[:, 1:]
-    if n % 2 == 0:
-        sides[:, -1] *= 2.0
-    y[:, 1::2] = x[:, dim] - np.einsum("ack,ck->ak", x[:, :dim], sides)
-    return y
-
-
 # OpenBLAS spreads one gemm over its threads once m n k passes about 10^6,
 # and on a small shared host that can cost far more than it gains: a
 # (14, 14) x (14, 6000) product took 0.5 ms threaded against 0.07 ms on one
@@ -404,10 +340,10 @@ def _solve_toeplitz_dense(blocks: tuple, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_toeplitz_system(c: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``_solve_newton_system`` for a constant (dim, dim) diagonal block:
-    solve c y[i-1] + diag y[i] + c y[i+1] = rhs[i] for i < n, with the
-    ghost row's lower coupling 2c.  rhs is (dim, n), n >= 3; returns y as
-    (dim, n).
+    """Solve c y[i-1] + diag y[i] + c y[i+1] = rhs[i] for i < n, the Newton
+    system of a linear forcing, with one constant (dim, dim) diagonal block
+    and the ghost row's lower coupling 2c.  rhs is (dim, n), n >= 3;
+    returns y as (dim, n).
 
     Block-Toeplitz cyclic reduction (Buzbee, Golub & Nielson, SIAM J.
     Numer. Anal. 1970).  Every block of every level is a rational function
@@ -480,21 +416,20 @@ def _newton(
     label: str,
     r: float,
     reg_p: float,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> Trajectory:
     """Damped Newton on the discrete system residual(u) = 0 in the
     unknowns u (n, dim), started at ``init`` (the constant x when None).
     The system belongs to the regularization (r, p), which errors name and
-    the metadata records.  A solve not at the tolerance after ``max_iter``
-    steps raises ``SolverError``.
+    the metadata records.  A solve not at the tolerance after
+    ``NEWTON_MAX_ITER`` steps raises ``SolverError``.
 
     ``solve_step(u, rhs)`` solves the Newton system at the iterate u for
     a batch-last right-hand side rhs (dim, n).  For u'' = F(u) the
     residual is u'' - F(u) and the Jacobian is block tridiagonal:
     diagonal blocks -2/h^2 - F'(u_i), couplings 1/h^2 times the identity
-    (doubled on the ghost-node row).  A nonlinear forcing passes its
-    Jacobian blocks to ``_solve_newton_system``; a linear one, F = B, has
-    the one block -2/h^2 - B and uses ``_solve_toeplitz_system``.  It is
+    (doubled on the ghost-node row).  A nonlinear forcing assembles its
+    blocks into one level for ``_reduce``; a linear one, F = B, has the
+    one block -2/h^2 - B and uses ``_solve_toeplitz_system``.  It is
     called only at accepted iterates; line-search trials need the residual
     alone.  A linear forcing is solved by the first step; the damping only
     engages for the nonlinear ones.
@@ -509,7 +444,7 @@ def _newton(
     else:
         u = np.array(init, dtype=float)
         if u.shape != (n, dim):
-            raise ValueError("warm-start shape mismatch")
+            raise ValueError("start shape mismatch")
 
     params = f"(r={r:g}, p={reg_p:g})"
     rounding = NEWTON_ROUNDING_FACTOR * np.finfo(float).eps * np.max(np.abs(x)) * 4.0
@@ -517,8 +452,8 @@ def _newton(
     try:
         res = residual(u)
         rnorm = float(np.max(np.abs(res)))
-        for steps in range(max_iter + 1):
-            if rnorm <= tol or steps == max_iter:
+        for steps in range(NEWTON_MAX_ITER + 1):
+            if rnorm <= tol or steps == NEWTON_MAX_ITER:
                 break
             step = solve_step(u, -res.T).T
             lam = 1.0
@@ -551,13 +486,19 @@ def _newton(
 
 def _regularized_step(op: AccretiveOperator, r: float, reg_p: float, c: float, u, rhs):
     """The Newton step of ``solve_regularized`` at the iterate u, for the
-    couplings c = 1/h^2: its diagonal blocks -2c - A_r'(u_i) - p are built
-    batch-last in one array, in place."""
-    dim = u.shape[1]
-    diag = np.empty((dim, dim, u.shape[0]))
+    couplings c = 1/h^2 (2c into the ghost row): one level of diagonal
+    blocks -2c - A_r'(u_i) - p, solved by ``_reduce``."""
+    n, dim = u.shape
+    level = np.zeros((dim, 3 * dim + 1, n))
+    diag, lower, upper, b = _parts(level)
     np.negative(op.yosida_jacobian_many(r, u).transpose(1, 2, 0), out=diag)
-    diag[np.arange(dim), np.arange(dim)] -= 2.0 * c + reg_p
-    return _solve_newton_system(c, diag, rhs)
+    i = np.arange(dim)
+    diag[i, i] -= 2.0 * c + reg_p
+    lower[i, i] = c
+    lower[i, i, -1] = 2.0 * c
+    upper[i, i] = c
+    b[...] = rhs
+    return _reduce(level)
 
 
 def solve_regularized(
@@ -636,10 +577,9 @@ def solve_unregularized(
     grid: TimeGrid,
     sigma: float,
     init: np.ndarray | None = None,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> Trajectory:
     """Solve the discrete u'' in Au, u(0) = x, at r = p = 0 by semismooth
-    Newton (Qi & Sun 1993) from ``init``, in at most ``max_iter`` steps.
+    Newton (Qi & Sun 1993) from ``init`` (the constant x when None).
 
     At each unknown the inclusion is F_i(u) = u_i - J_sigma(z_i) = 0, with
     z = u + sigma u'' for any sigma > 0; the residual is F/sigma, which is
@@ -664,7 +604,6 @@ def solve_unregularized(
         "unregularized solve",
         0.0,
         0.0,
-        max_iter,
     )
 
 
@@ -683,141 +622,51 @@ def _flag_far_end(op: AccretiveOperator, x: np.ndarray, traj: Trajectory) -> Non
     traj.meta["far_end_ok"] = bool(rate <= 0.01 * scale)
 
 
-def _refine(values: np.ndarray, factor: int, n: int) -> np.ndarray:
-    """The unknowns 1..n of a fine grid, linear between the nodes of
-    ``values``, a trajectory on the grid ``factor`` times coarser."""
-    i = np.arange(1, n + 1)
-    j = np.minimum(i // factor, len(values) - 2)
-    frac = ((i - j * factor) / factor)[:, None]
-    return (1.0 - frac) * values[j] + frac * values[j + 1]
+def _closed_form_start(op: AccretiveOperator, x: np.ndarray, grid: TimeGrid) -> np.ndarray | None:
+    """The unknowns 1..n of the norm family's exact solution, the start of
+    its r = 0 solve; None (the constant x) for any other operator or x = 0.
 
-
-def _continuation(op: AccretiveOperator, x: np.ndarray, grid: TimeGrid) -> Trajectory:
-    """The nonlinear solve of ``solve_second_order`` from scratch: the
-    stages of ``DEFAULT_SCHEDULE`` on the coarse grid, the last again on
-    ``grid``, and the r = 0 solve from it."""
-    n = grid.n_steps
-    factor = min(COARSE_FACTOR, max(1, n // MIN_STEPS))
-    m = -(-n // factor)
-    coarse_step = factor * grid.step
-    coarse = TimeGrid(m * coarse_step, coarse_step)
-    stages = []
-    for r, p in DEFAULT_SCHEDULE:
-        warm = stages[-1].values[1:] if stages else None
-        stages.append(solve_regularized(op, r, p, x, coarse, init=warm))
-    r, p = DEFAULT_SCHEDULE[-1]
-    refined = solve_regularized(op, r, p, x, grid, init=_refine(stages[-1].values, factor, n))
-    traj = solve_unregularized(op, x, grid, r, refined.values[1:])
-    diffs = [
-        float(np.max(op.space.norms(nxt.values - prev.values)))
-        for prev, nxt in zip([*stages[:-1], refined], [*stages[1:], traj])
-    ]
-    traj.meta.update(
-        continuation=[*DEFAULT_SCHEDULE, (0.0, 0.0)],
-        stage_diffs=diffs,
-        coarse_step=coarse_step,
-        stage_steps=[s.meta["newton_steps"] for s in [*stages, refined, traj]],
-    )
-    return traj
-
-
-# a warm restart's r = 0 solve gives way to the continuation past this many
-# Newton steps; started next to the solution, it takes 0-1
-WARM_FINISH_MAX_ITER = 4
-# a start beyond the base's initial norm extends the base back in time by at
-# most this many nodes, or takes the continuation
-WARM_EXTENSION_MAX = 256
-
-
-def _warm_profile(op: AccretiveOperator, warm: Trajectory, ny: float) -> np.ndarray | None:
-    """The norms of warm's nodes, first extended back in time until one
-    reaches ny; None past ``WARM_EXTENSION_MAX`` nodes.
-
-    Each node before the first is the discrete equation solved for it,
-    u_{-1} = 2 u_0 - u_1 + h^2 A(u_0), with A(u_0) the minimal section.
+    With c the sum of the shifts (``norm_family_constant``), u stays on the
+    ray of x, u = rho(t) x/||x||, and rho'' = 1 + c rho until rho reaches 0
+    with zero slope at T*, 0 from there on (``norm_oracle``'s closed form).
+    At c = 0, rho = (T* - t)^2/2 with T* = sqrt(2 ||x||).  For c > 0, with
+    b = sqrt(c)(T* - t)/2 = asinh(sqrt(c ||x||/2)) - sqrt(c) t/2,
+    rho = (cosh 2b - 1)/c = 2 sinh(b)^2/c, evaluated where b > 0 as
+    (expm1(-2b) e^(b - log(c)/2))^2 / 2: no factor exceeds the float range
+    however large c ||x|| is.
     """
-    h2 = warm.grid.step**2
-    u0, u1 = warm.values[0], warm.values[1]
-    back = []
-    while op.space.norm(u0) < ny:
-        if len(back) == WARM_EXTENSION_MAX:
-            return None
-        u0, u1 = 2.0 * u0 - u1 + h2 * op.select(u0), u0
-        back.append(u0)
-    return op.space.norms(np.vstack([*back[::-1], warm.values]))
-
-
-def _warm_finish(
-    op: AccretiveOperator, y: np.ndarray, grid: TimeGrid, warm: Trajectory
-) -> Trajectory | None:
-    """The r = 0 solve from y, started from the trajectory ``warm`` of
-    the same operator on the same grid; None if it fails or needs more
-    than ``WARM_FINISH_MAX_ITER`` steps.
-
-    The start is warm's norm profile (``_warm_profile``) from the node
-    whose norm is nearest ||y|| on, laid along y/||y||, and 0 past warm's
-    last node.  For the norm family (the norm subdifferential, alone or
-    shifted by c Id) the solution from y lies on the ray of y, and its norm
-    profile is the base profile shifted in time, so this start is next to
-    it.  From y = 0 the start is the constant y, as for the continuation:
-    0 is a zero of the operator, so the solve takes no step.
-    """
-    ny = op.space.norm(y)
-    guess = None
-    if ny > 0.0:
-        profile = _warm_profile(op, warm, ny)
-        if profile is None:
-            return None
-        tail = profile[int(np.argmin(np.abs(profile - ny))) + 1 :][: grid.n_steps]
-        norms = np.zeros(grid.n_steps)
-        norms[: tail.size] = tail
-        guess = norms[:, None] * (y / ny)
-    try:
-        traj = solve_unregularized(
-            op, y, grid, DEFAULT_SCHEDULE[-1][0], guess, WARM_FINISH_MAX_ITER
-        )
-    except SolverError:
+    c = norm_family_constant(op)
+    rho0 = float(np.linalg.norm(x))
+    if c is None or rho0 == 0.0:
         return None
-    traj.meta.update(
-        continuation=[(0.0, 0.0)], stage_diffs=[], stage_steps=[traj.meta["newton_steps"]]
-    )
-    return traj
+    t = grid.nodes[1:]
+    rho = np.zeros(t.size)
+    if c == 0.0:
+        t_star = math.sqrt(2.0 * rho0)
+        live = t < t_star
+        rho[live] = 0.5 * (t_star - t[live]) ** 2
+    else:
+        b = math.asinh(math.sqrt(0.5 * c) * math.sqrt(rho0)) - 0.5 * math.sqrt(c) * t
+        b = b[b > 0.0]  # decreasing in t: the live nodes come first
+        rho[: b.size] = 0.5 * (np.expm1(-2.0 * b) * np.exp(b - 0.5 * math.log(c))) ** 2
+    return rho[:, None] * (x / rho0)
 
 
-def solve_second_order(
-    op: AccretiveOperator, x: np.ndarray, solver: SolverConfig, warm: Trajectory | None = None
-) -> Trajectory:
+def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfig) -> Trajectory:
     """Solve u'' in Au, u(0) = x, on the solver's grid, at r = p = 0.
 
     A linear operator A = B is its own limit A_0: the unregularized
-    problem u'' = Bu is solved once, with no warm-start stage.  Its Newton
-    system has the one diagonal block -2/h^2 - B on every row, so a step
-    is one block-Toeplitz reduction (``_solve_toeplitz_system``) in
-    O(n dim) memory.
+    problem u'' = Bu is solved once.  Its Newton system has the one
+    diagonal block -2/h^2 - B on every row, so a step is one
+    block-Toeplitz reduction (``_solve_toeplitz_system``) in O(n dim)
+    memory.
 
-    Otherwise every (r, p) stage of ``DEFAULT_SCHEDULE`` is solved in
-    turn, each warm-started from the one before, on a grid whose step is
-    ``COARSE_FACTOR`` times the solver's (the largest smaller factor that
-    leaves ``MIN_STEPS`` steps on a shorter grid; a factor of 1 is the
-    solver's grid).  It covers ceil(n / factor) coarse steps, so it
-    reaches the horizon or past it.  The last stage, at r = 1e-3, is
-    interpolated linearly onto the solver's grid and solved there once
-    more at the same r, and that trajectory starts ``solve_unregularized``
-    with sigma = its r.  The metadata records the stages and then (0, 0)
-    in ``continuation``, and in ``stage_diffs`` the sup-norm change from
-    each stage to the next: between the coarse stages on the coarse grid,
-    and then from the fine r = 1e-3 solve to the unregularized one.  It
-    records ``coarse_step`` and, in ``stage_steps``, the Newton steps of
-    the coarse stages, the fine r = 1e-3 solve and the r = 0 solve.
-
-    Given ``warm``, a trajectory of the same operator on the same grid
-    (a restart's base), a nonlinear solve first tries the r = 0 solve
-    alone, started from warm's profile, or from 0 when x = 0
-    (``_warm_finish``); it records ``continuation`` [(0, 0)], no
-    ``stage_diffs`` and its one ``stage_steps`` entry.  It runs the stages
-    above if that fails.  In every case ``stabilized`` means that the
-    r = p = 0 system was solved to the Newton tolerance; a solve that
-    fails raises ``SolverError``.
+    Any other operator is one ``solve_unregularized`` at ``SIGMA``, started
+    from ``_closed_form_start``: the norm family's exact solution, or the
+    constant x.  Every solve records ``continuation`` [(0, 0)] and no
+    ``stage_diffs``, and ``stabilized`` means that the r = p = 0 system
+    was solved to the Newton tolerance; a solve that fails raises
+    ``SolverError``.
     """
     x = op.space.check(x)
     grid = solver.grid
@@ -836,12 +685,9 @@ def solve_second_order(
             0.0,
             0.0,
         )
-        traj.meta.update(continuation=[(0.0, 0.0)], stage_diffs=[])
     else:
-        traj = _warm_finish(op, x, grid, warm) if warm is not None else None
-        if traj is None:
-            traj = _continuation(op, x, grid)
-    traj.meta["stabilized"] = True
+        traj = solve_unregularized(op, x, grid, SIGMA, _closed_form_start(op, x, grid))
+    traj.meta.update(continuation=[(0.0, 0.0)], stage_diffs=[], stabilized=True)
     return traj
 
 
@@ -853,17 +699,11 @@ class SqrtSemigroup:
     HorizonError.
     """
 
-    def __init__(
-        self,
-        op: AccretiveOperator,
-        x: np.ndarray,
-        solver: SolverConfig,
-        warm: Trajectory | None = None,
-    ):
+    def __init__(self, op: AccretiveOperator, x: np.ndarray, solver: SolverConfig):
         self.op = op
         self.x = op.space.check(x)
         self.solver = solver
-        self.trajectory = solve_second_order(op, x, solver, warm)
+        self.trajectory = solve_second_order(op, x, solver)
 
     @property
     def trusted_horizon(self) -> float:
@@ -882,19 +722,14 @@ class SqrtSemigroup:
         return self.trajectory.at_many(np.minimum(ts, self.solver.grid.horizon))
 
     def restart_from(self, y: np.ndarray) -> "SqrtSemigroup":
-        """Semigroup started at a new initial point (same solver setup).
-
-        A restart solves the same discrete r = 0 system as a fresh
-        semigroup from y, to the same Newton tolerance.  A nonlinear one
-        starts that solve from this semigroup's trajectory and runs the
-        continuation only if it does not converge within
-        ``WARM_FINISH_MAX_ITER`` steps (``solve_second_order``).  The solve
-        is deterministic, so a restart from this semigroup's own initial
-        point, bit for bit, is this semigroup."""
+        """Semigroup started at a new initial point (same solver setup): a
+        fresh semigroup from y, whose solve starts from y's own closed-form
+        profile.  The solve is deterministic, so a restart from this
+        semigroup's own initial point, bit for bit, is this semigroup."""
         y = self.op.space.check(y)
         if y.tobytes() == self.x.tobytes():
             return self
-        return SqrtSemigroup(self.op, y, self.solver, self.trajectory)
+        return SqrtSemigroup(self.op, y, self.solver)
 
 
 def linear_oracle(b: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
@@ -966,11 +801,11 @@ def check_apriori(
     """
     x = op.space.check(x)
     nx = op.space.norm(x)
-    d0 = op.dist_zero(x)
     ts = traj.times
     coeff = 2.0 / (m_const * m_const)
     norms = op.space.norms(traj.values) if profile is None else profile.norms
     with np.errstate(over="ignore"):  # beyond the float range: inf, named below
+        d0 = op.dist_zero(x)
         values = {
             "||x||, the cap of sup ||u||": nx,
             "sup ||u||": np.max(norms),

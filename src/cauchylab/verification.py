@@ -49,7 +49,7 @@ from .errors import (
     OrbitConstructionError,
     SolverError,
 )
-from .operators import AccretiveOperator, NormSubdifferential, StronglyAccretive
+from .operators import AccretiveOperator, norm_family_constant
 from .rates import (
     ConvergenceModulus,
     ScenarioRateData,
@@ -271,14 +271,10 @@ def _max_increase(profile: np.ndarray) -> float:
     return float(np.max(increments)) if increments.size else 0.0
 
 
-def fejer_report(
-    op: AccretiveOperator,
-    traj: Trajectory,
-    step_tol: float = STEP_MONOTONE_TOL,
-    profile=None,
-) -> FejerReport:
+def fejer_report(op: AccretiveOperator, traj: Trajectory, profile=None) -> FejerReport:
     """Monotonicity of the zero-set distance along the trajectory, plus
-    the two-sided step bound ||u(t+h) - u(t)|| <= 2||u(t) - Pu(t)||.  The
+    the two-sided step bound ||u(t+h) - u(t)|| <= 2||u(t) - Pu(t)||, each
+    to STEP_MONOTONE_TOL.  The
     distances are ``profile.residual``, the residuals of the rows of
     ``traj.values`` that the run shares (its grid ``SampleSet``), computed
     here when not given."""
@@ -288,7 +284,8 @@ def fejer_report(
     rise = _max_increase(residual)
     steps = op.space.norms(np.diff(traj.values, axis=0))
     excess = steps - 2.0 * residual[:-1]
-    monotone, stable = rise <= step_tol, bool(np.all(excess <= step_tol))
+    monotone = rise <= STEP_MONOTONE_TOL
+    stable = bool(np.all(excess <= STEP_MONOTONE_TOL))
     return FejerReport(
         max_step_increase=rise,
         monotone=monotone,
@@ -340,10 +337,8 @@ def first_order_trajectory(op: AccretiveOperator, x: np.ndarray, grid: TimeGrid)
                 power = power @ power
                 done += more
     else:
-        base, c = op, 0.0
-        while isinstance(base, StronglyAccretive):
-            base, c = base.base, c + base.c
-        if not isinstance(base, NormSubdifferential):
+        c = norm_family_constant(op)
+        if c is None:
             raise ValueError(f"no closed-form first-order flow for {type(op).__name__}")
         rho0, t = float(np.linalg.norm(x)), grid.nodes
         if c == 0.0:

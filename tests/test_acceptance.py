@@ -232,7 +232,7 @@ def test_criterion_07_liminf_property_suite():
 
 def test_criterion_08_counterexample_necessity(hilbert2, tmp_path):
     op = Rotation(space=hilbert2)
-    assert verify_accretive(op, 500, 2.0).passed
+    assert verify_accretive(op, 500).passed
     x = np.array([1.0, 0.0])
     traj = first_order_trajectory(op, x, TimeGrid(40.0, 0.05))
     bundle = ScenarioBundle(
@@ -256,7 +256,7 @@ def test_criterion_08_counterexample_necessity(hilbert2, tmp_path):
 
 def test_criterion_09_fejer_and_stability(catalog_trajectories):
     for name, op, _, traj in catalog_trajectories:
-        report = fejer_report(op, traj, step_tol=1e-6)
+        report = fejer_report(op, traj)
         assert report.monotone, f"projection residual increased for {name}"
         assert report.stable, f"step bound violated for {name}"
     _passline(9, "Fejer monotonicity and two-sided step bound")

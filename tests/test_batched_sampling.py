@@ -30,6 +30,7 @@ from cauchylab import (
     verify_accretive,
 )
 from cauchylab.errors import ContractError
+from cauchylab.operators import ACCRETIVE_RADIUS
 from cauchylab.rates import ConvergenceModulus, constant_modulus
 from cauchylab.spaces import SAMPLE_CHUNK
 
@@ -221,8 +222,8 @@ def accretivity_operators(space):
 def test_min_pairing_and_witness_equal_reference(kind, p, dim):
     space = make_space(kind, p, dim)
     for op in accretivity_operators(space):
-        report = verify_accretive(op, 1500, 2.0, np.random.default_rng(11))
-        rows = accretivity_reference(op, 1500, 2.0, np.random.default_rng(11))
+        report = verify_accretive(op, 1500, np.random.default_rng(11))
+        rows = accretivity_reference(op, 1500, ACCRETIVE_RADIUS, np.random.default_rng(11))
         assert_min_within(report.min_pairing, rows)
         pairings = [pairing for pairing, _, _, _ in rows]
         assert report.passed == (min(pairings) >= -1e-9)
@@ -412,7 +413,7 @@ def test_validators_memory_bounded_at_a_million_samples():
     tracemalloc.start()
     try:
         mono = space.validate_strong_monotonicity(2.0, 10**6, np.random.default_rng(0))
-        acc = verify_accretive(op, 10**6, 2.0, np.random.default_rng(0))
+        acc = verify_accretive(op, 10**6, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

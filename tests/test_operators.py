@@ -121,22 +121,22 @@ def test_resolvent_identity_on_catalog(catalog):
 
 
 def test_verify_accretive_scaled_identity(hilbert2):
-    report = verify_accretive(ScaledIdentity(1.0, hilbert2), 200, 2.0)
+    report = verify_accretive(ScaledIdentity(1.0, hilbert2), 200)
     assert report.passed
     assert report.min_pairing >= 0.0
     # a check that compared no pair certifies nothing
-    empty = verify_accretive(ScaledIdentity(1.0, hilbert2), 0, 2.0)
+    empty = verify_accretive(ScaledIdentity(1.0, hilbert2), 0)
     assert (empty.min_pairing, empty.witness, empty.passed) == (np.inf, None, False)
 
 
 def test_verify_accretive_rotation_boundary(hilbert2):
-    report = verify_accretive(Rotation(space=hilbert2), 200, 2.0)
+    report = verify_accretive(Rotation(space=hilbert2), 200)
     assert report.passed
     assert abs(report.min_pairing) <= 1e-9
 
 
 def test_verify_accretive_fails_on_nonmonotone_matrix(hilbert2):
-    report = verify_accretive(LinearMatrix(np.diag([-1.0, 1.0]), hilbert2), 500, 2.0)
+    report = verify_accretive(LinearMatrix(np.diag([-1.0, 1.0]), hilbert2), 500)
     assert not report.passed
     assert report.min_pairing < -1e-3
     assert report.witness is not None

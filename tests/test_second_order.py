@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import tracemalloc
 from importlib import resources
@@ -31,14 +32,18 @@ from cauchylab import (
 from cauchylab import second_order
 from cauchylab.config import load_config
 from cauchylab.errors import HorizonError, SolverError
+from cauchylab.runner import run_config
+from cauchylab.verification import first_order_trajectory
+from cauchylab.operators import norm_family_constant
 from cauchylab.second_order import (
     CSV_BLOCK_ROWS,
-    DEFAULT_SCHEDULE,
     MIN_STEPS,
+    SIGMA,
+    _closed_form_start,
     _eliminate,
     _reduce,
+    _regularized_step,
     _second_difference,
-    _solve_newton_system,
     _solve_toeplitz_system,
     export_trajectory_csv,
     projection_profile,
@@ -293,9 +298,9 @@ def test_unregularized_solve_matches_norm_oracle(c, x, grid, bound):
     traj, deviation = _norm_oracle_deviation(op, c, x, SolverConfig(grid, margin=1.0))
     assert deviation <= bound
     assert traj.meta["stabilized"]
-    assert traj.meta["continuation"] == list(DEFAULT_SCHEDULE) + [(0.0, 0.0)]
-    assert len(traj.meta["stage_diffs"]) == len(DEFAULT_SCHEDULE)
-    # semismooth Newton from the r = 1e-3 stage: 2 and 1 steps
+    assert traj.meta["continuation"] == [(0.0, 0.0)]
+    assert traj.meta["stage_diffs"] == []
+    # semismooth Newton from the closed-form start: 1 step each
     assert traj.meta["newton_steps"] <= 2
     u = traj.values[1:]
     active = u.any(axis=1)
@@ -330,12 +335,44 @@ def test_unregularized_solve_from_a_coarse_schedule(monkeypatch):
     assert np.max(np.abs(coarse.values - fine.values)) <= 1e-9
 
 
+# The continuation that started the r = 0 solve before the closed-form
+# start, kept as the tests' reference: regularized stages (r, p) warm-started
+# one from the next, the last r being the r = 0 solve's sigma
+REFERENCE_SCHEDULE = ((0.1, 0.1), (0.01, 0.01), (SIGMA, SIGMA))
+# the reference's stages run on a grid this many times coarser than the
+# solver's (fewer times when that would leave fewer than MIN_STEPS steps)
+REFERENCE_COARSE_FACTOR = 8
+
+
 def _single_grid_chain(op, x, grid):
     # every stage of the schedule on the solver's own grid, then r = 0
     stage = None
-    for r, p in DEFAULT_SCHEDULE:
+    for r, p in REFERENCE_SCHEDULE:
         stage = solve_regularized(op, r, p, x, grid, None if stage is None else stage.values[1:])
-    return solve_unregularized(op, x, grid, DEFAULT_SCHEDULE[-1][0], stage.values[1:])
+    return solve_unregularized(op, x, grid, SIGMA, stage.values[1:])
+
+
+def _reference_chain(op, x, grid):
+    """The stages on the coarse grid, which covers ceil(n / factor) coarse
+    steps, the last stage again on ``grid`` from its linear interpolation,
+    then the r = 0 solve from that; returns it with the coarse step.  The
+    stages go through the module attribute, which ``_count_stages``
+    counts."""
+    n = grid.n_steps
+    factor = min(REFERENCE_COARSE_FACTOR, max(1, n // MIN_STEPS))
+    m = -(-n // factor)
+    coarse = TimeGrid(m * factor * grid.step, factor * grid.step)
+    stage = None
+    for r, p in REFERENCE_SCHEDULE:
+        stage = second_order.solve_regularized(
+            op, r, p, x, coarse, None if stage is None else stage.values[1:]
+        )
+    i = np.arange(1, n + 1)
+    j = np.minimum(i // factor, m - 1)
+    frac = ((i - j * factor) / factor)[:, None]
+    refined = (1.0 - frac) * stage.values[j] + frac * stage.values[j + 1]
+    refined = second_order.solve_regularized(op, SIGMA, SIGMA, x, grid, refined)
+    return solve_unregularized(op, x, grid, SIGMA, refined.values[1:]), coarse.step
 
 
 @pytest.mark.parametrize(
@@ -350,13 +387,17 @@ def _single_grid_chain(op, x, grid):
     ],
 )
 def test_coarse_stages_give_the_single_grid_solution(c, x, grid, coarse_step):
+    # the reference chain on its coarse grid and on the solver's, and the
+    # closed-form start, reach one discrete solution
     x = np.array(x)
     base = NormSubdifferential(SpaceContext.hilbert(x.size))
     op = base if c == 0.0 else StronglyAccretive(base, c)
     traj = solve_second_order(op, x, SolverConfig(grid, margin=grid.horizon / 2))
-    assert traj.meta["coarse_step"] == pytest.approx(coarse_step, rel=1e-12)
-    assert len(traj.meta["stage_steps"]) == len(DEFAULT_SCHEDULE) + 2
-    assert np.max(np.abs(traj.values - _single_grid_chain(op, x, grid).values)) <= 1e-12
+    chain, step = _reference_chain(op, x, grid)
+    assert step == pytest.approx(coarse_step, rel=1e-12)
+    tol = 1e-12 * max(1.0, np.max(np.abs(x)))
+    assert np.max(np.abs(traj.values - chain.values)) <= tol
+    assert np.max(np.abs(traj.values - _single_grid_chain(op, x, grid).values)) <= tol
 
 
 def test_warm_restart_gives_the_single_grid_solution(hilbert2):
@@ -414,25 +455,14 @@ def test_warm_restart_matches_the_cold_chain(monkeypatch, space, c):
     restarts = [sg.restart_from(y) for y in points]
     assert stages == []
     for y, restart in zip(points, restarts):
+        # each restart starts from y's own closed-form profile: 1-3 steps,
+        # within the 4 that the base-profile start was allowed
         assert restart.trajectory.meta["continuation"] == [(0.0, 0.0)]
-        assert restart.trajectory.meta["newton_steps"] <= second_order.WARM_FINISH_MAX_ITER
-        cold = SqrtSemigroup(sg.op, y, sg.solver)
-        assert np.max(np.abs(restart.trajectory.values - cold.trajectory.values)) <= 1e-12
+        assert restart.trajectory.meta["newton_steps"] <= 4
+        cold, _ = _reference_chain(sg.op, y, sg.solver.grid)
+        assert np.max(np.abs(restart.trajectory.values - cold.values)) <= 1e-12
     # the counter sees the cold chains' stages: three coarse, one fine
-    assert len(stages) == len(points) * (len(DEFAULT_SCHEDULE) + 1)
-
-
-@pytest.mark.parametrize(
-    "cap", ["WARM_FINISH_MAX_ITER", "WARM_EXTENSION_MAX"], ids=["finish_steps", "extension_nodes"]
-)
-def test_restart_past_a_cap_is_the_cold_chain(monkeypatch, hilbert2, cap):
-    sg = _restart_base(hilbert2, 0.0)
-    y = RESTART_X + RESTART_V
-    monkeypatch.setattr(second_order, cap, 0)
-    restart = sg.restart_from(y)
-    assert restart.trajectory.meta["continuation"] == [*DEFAULT_SCHEDULE, (0.0, 0.0)]
-    cold = SqrtSemigroup(sg.op, y, sg.solver)
-    assert np.array_equal(restart.trajectory.values, cold.trajectory.values)
+    assert len(stages) == len(points) * (len(REFERENCE_SCHEDULE) + 1)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5])
@@ -447,19 +477,20 @@ def test_restart_from_the_origin_takes_no_step(monkeypatch, hilbert2, c, y):
     assert stages == []
     assert restart.trajectory.meta["continuation"] == [(0.0, 0.0)]
     assert restart.trajectory.meta["newton_steps"] == 0
-    cold = SqrtSemigroup(sg.op, y, sg.solver)
-    assert len(stages) == len(DEFAULT_SCHEDULE) + 1
-    assert restart.trajectory.values.tobytes() == cold.trajectory.values.tobytes()
+    cold, _ = _reference_chain(sg.op, y, sg.solver.grid)
+    assert len(stages) == len(REFERENCE_SCHEDULE) + 1
+    assert restart.trajectory.values.tobytes() == cold.values.tobytes()
 
 
 def test_norm_chain_far_from_its_zero():
-    # extinction at sqrt(60) = 7.75 of a horizon of 20: on the solver's grid
-    # the first stage needed more than NEWTON_MAX_ITER steps; on the coarse
-    # grid it takes 34, and the r = 0 solve 4
+    # extinction at sqrt(60) = 7.75 of a horizon of 20: a regularized stage
+    # on the solver's grid needed more than NEWTON_MAX_ITER steps from the
+    # constant x; from the closed form the r = 0 solve takes 1
     x = np.array([30.0, 0.0])
     op = NormSubdifferential(SpaceContext.hilbert(2))
     traj, deviation = _norm_oracle_deviation(op, 0.0, x, SolverConfig(TimeGrid(20.0, 0.01)))
     assert traj.meta["stabilized"]
+    assert traj.meta["newton_steps"] <= 2
     assert deviation <= 1e-5
 
 
@@ -498,6 +529,92 @@ def test_norm_family_solve_at_a_large_initial_point(hilbert2):
     traj, deviation = _norm_oracle_deviation(op, 1.0, LARGE_X, solver)
     assert traj.meta["stabilized"]
     assert deviation <= 1e-5 * np.linalg.norm(LARGE_X)
+
+
+# starts far from the zero: extinction at T* = 16.1, 17.9 and 14.1 of a
+# horizon of 22, 3,200-5,700 nodes in
+@pytest.mark.parametrize("x, step", [(130.0, 0.005), (160.0, 0.005), (100.0, 0.0025)])
+def test_norm_configs_far_from_the_zero_solve(tmp_path, x, step):
+    text = (resources.files("cauchylab") / "configs" / "subdifferential_norm.cfg").read_text()
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(
+        text.replace("initial_point: [1.0, 0.0]", f"initial_point: [{x}, 0.0]")
+        .replace("horizon: 40.0", "horizon: 22.0")
+        .replace("step: 0.01", f"step: {step}")
+    )
+    assert run_config(str(cfg), out_dir=tmp_path / "out").exit_code == 0
+    spec = load_config(str(cfg))
+    traj, deviation = _norm_oracle_deviation(spec.op, 0.0, spec.x, spec.solver)
+    assert traj.meta["newton_steps"] <= 8
+    assert deviation <= 1e-5
+
+
+# ||x|| from 1e-8 to 1000, each with the four shifts c, steps and dims in
+# turn; the horizon covers 1.2 T* + 1, at least 2 and at most 60
+GRID_NORMS = np.logspace(-8.0, 3.0, 12)
+GRID_SHIFTS = (0.0, 0.05, 1.0, 25.0)
+GRID_STEPS = (0.0025, 0.005, 0.01)
+
+
+def _extinction_time(c, rho0):
+    if c == 0.0:
+        return math.sqrt(2.0 * rho0)
+    return math.acosh(1.0 + c * rho0) / math.sqrt(c)
+
+
+@pytest.mark.parametrize("c", GRID_SHIFTS)
+def test_norm_family_newton_steps_are_bounded(c):
+    rng = np.random.default_rng(int(100 * c))
+    for i, rho0 in enumerate(GRID_NORMS):
+        dim = 1 + (i % 6)
+        step = GRID_STEPS[i % 3]
+        horizon = step * math.ceil(min(60.0, max(2.0, 1.2 * _extinction_time(c, rho0) + 1.0)) / step)
+        direction = rng.normal(size=dim)
+        x = rho0 * direction / np.linalg.norm(direction)
+        base = NormSubdifferential(SpaceContext.hilbert(dim))
+        op = base if c == 0.0 else StronglyAccretive(base, c)
+        traj = solve_second_order(op, x, SolverConfig(TimeGrid(horizon, step)))
+        assert traj.meta["newton_steps"] <= 8, (c, rho0, dim, step)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.25), (1e-3, 40.0)])
+def test_nested_shifts_are_one_shift_in_both_flows(hilbert2, a, b):
+    nested = StronglyAccretive(StronglyAccretive(NormSubdifferential(hilbert2), a), b)
+    single = StronglyAccretive(NormSubdifferential(hilbert2), a + b)
+    assert norm_family_constant(nested) == a + b
+    assert norm_family_constant(NormSubdifferential(hilbert2)) == 0.0
+    assert norm_family_constant(ScaledIdentity(1.0, hilbert2)) is None
+    x, grid = np.array([0.6, -0.8]), TimeGrid(6.0, 0.01)
+    first = first_order_trajectory(nested, x, grid)
+    assert first.values.tobytes() == first_order_trajectory(single, x, grid).values.tobytes()
+    start = _closed_form_start(nested, x, grid)
+    assert start.tobytes() == _closed_form_start(single, x, grid).tobytes()
+    expected = np.stack([norm_oracle(a + b, t, x) for t in grid.nodes[1:]])
+    assert np.max(np.abs(start - expected)) <= 1e-12
+    traj, deviation = _norm_oracle_deviation(nested, a + b, x, SolverConfig(grid))
+    assert deviation <= 1e-3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "c, x, horizon",
+    [
+        # c ||x|| = 1e450 is beyond the float range
+        (1e300, [1e150, 0.0], 4.0),
+        # T* = 0.099 of a horizon of 100: cosh(sqrt(c) (T* - t)) overflows
+        # on every late node
+        (1e4, [1.0, 0.0], 100.0),
+    ],
+)
+def test_closed_form_start_does_not_overflow(hilbert2, c, x, horizon):
+    op = StronglyAccretive(NormSubdifferential(hilbert2), c)
+    x = np.array(x)
+    grid = TimeGrid(horizon, 0.01)
+    start = _closed_form_start(op, x, grid)
+    assert np.all(np.isfinite(start)) and not start[-1].any()
+    traj = solve_second_order(op, x, SolverConfig(grid))
+    assert traj.meta["stabilized"] and traj.meta["newton_steps"] <= 8
+    assert np.all(np.linalg.norm(traj.values, axis=1) <= np.linalg.norm(x))
 
 
 def test_check_apriori_zero_operator(hilbert2):
@@ -794,7 +911,7 @@ def _block_systems(m, dim, rng):
     system with the first two equations of every block row swapped and a
     zero leading entry in every diagonal block, so the elimination must
     swap rows.  lower[0] and upper[-1] hold junk, which the solver must
-    ignore.  The first system also yields its coupling 1/h^2."""
+    ignore."""
     inv_h2 = 1.0 / 0.01**2
     eye = np.eye(dim)
     skew = rng.normal(size=(m, dim, dim))
@@ -805,15 +922,15 @@ def _block_systems(m, dim, rng):
     lower = upper.copy()
     lower[-1] *= 2.0
     lower[0] = upper[-1] = 7.0
-    yield lower, -2.0 * inv_h2 * eye - fjac, upper, inv_h2
+    yield lower, -2.0 * inv_h2 * eye - fjac, upper
     lower = rng.normal(size=(m, dim, dim))
     upper = rng.normal(size=(m, dim, dim))
     diag = rng.normal(size=(m, dim, dim)) + 8.0 * eye
-    yield lower, diag, upper, None
+    yield lower, diag, upper
     if dim >= 2:
         diag[:, 1, 0] = 0.0
         swap = [1, 0] + list(range(2, dim))
-        yield lower[:, swap], diag[:, swap], upper[:, swap], None
+        yield lower[:, swap], diag[:, swap], upper[:, swap]
 
 
 # a level of fewer than _ELIMINATION_BLOCKS = 24 odd blocks per coordinate
@@ -823,24 +940,20 @@ def _block_systems(m, dim, rng):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000])
 def test_block_cyclic_reduction_matches_dense_solve(m, dim):
     rng = np.random.default_rng(1000 * m + dim)
-    for lower, diag, upper, coupling in _block_systems(m, dim, rng):
+    for lower, diag, upper in _block_systems(m, dim, rng):
         rhs = rng.normal(size=(m, dim))
-        solves = [_reduce(_level(lower, diag, upper, rhs)).T]
-        if coupling is not None:
-            solves.append(_solve_newton_system(coupling, diag.transpose(1, 2, 0), rhs.T).T)
+        y = _reduce(_level(lower, diag, upper, rhs)).T
+        assert y.shape == (m, dim)
         if m * dim <= 3000:
             ref = np.linalg.solve(_dense(lower, diag, upper), rhs.ravel()).reshape(m, dim)
-        for y in solves:
-            assert y.shape == (m, dim)
-            if m * dim <= 3000:
-                assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
-            else:
-                # a dense matrix of this size takes 288 MB: check the
-                # residual block by block instead
-                res = (diag @ y[:, :, None])[:, :, 0] - rhs
-                res[1:] += (lower[1:] @ y[:-1, :, None])[:, :, 0]
-                res[:-1] += (upper[:-1] @ y[1:, :, None])[:, :, 0]
-                assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+        else:
+            # a dense matrix of this size takes 288 MB: check the residual
+            # block by block instead
+            res = (diag @ y[:, :, None])[:, :, 0] - rhs
+            res[1:] += (lower[1:] @ y[:-1, :, None])[:, :, 0]
+            res[:-1] += (upper[:-1] @ y[1:, :, None])[:, :, 0]
+            assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 6, 7, 8, 12])
@@ -871,8 +984,6 @@ def test_block_cyclic_reduction_singular_block_raises(dim):
     diag[5] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
         _reduce(_level(lower, diag, upper, np.ones((401, dim))))
-    with pytest.raises(np.linalg.LinAlgError):
-        _solve_newton_system(1.0, diag.transpose(1, 2, 0), np.ones((dim, 401)))
     aug = np.concatenate([diag[1::2], np.ones((200, dim, 1))], axis=2)
     with pytest.raises(np.linalg.LinAlgError):
         _eliminate(aug.transpose(1, 2, 0).copy(), dim)
@@ -912,28 +1023,33 @@ def _banded_newton(c, diag):
 @example(m=1, dim=2, h=0.1, pivoting=False, seed=5)
 @example(m=2, dim=7, h=0.1, pivoting=True, seed=6)
 def test_newton_system_matches_direct_solve(m, dim, h, pivoting, seed):
-    """c y[i-1] + D[i] y[i] + c y[i+1] = r[i] with c = 1/h^2 and the ghost
-    row's 2c, against LAPACK's banded solve of the assembled matrix (a
-    direct solve with partial pivoting over whole columns; its dense
-    matrix would take up to 141 MB here).  Diagonal blocks are -2c - F'
-    with a rotation-like F', or, with ``pivoting``, about half of them a
-    row swap of a dominant block with an exactly zero leading entry, so
-    the elimination must swap rows."""
+    """``_regularized_step``'s system, c y[i-1] + D[i] y[i] + c y[i+1] = r[i]
+    with c = 1/h^2 and the ghost row's 2c, against LAPACK's banded solve of
+    the assembled matrix (a direct solve with partial pivoting over whole
+    columns; its dense matrix would take up to 141 MB here).  Diagonal
+    blocks are -2c - F' with a rotation-like Jacobian F', or, with
+    ``pivoting``, about half of them a row swap of a dominant block with
+    an exactly zero leading entry, so the elimination must swap rows."""
     rng = np.random.default_rng(seed)
     c = 1.0 / (h * h)
     eye = np.eye(dim)
     skew = rng.normal(size=(m, dim, dim))
     skew -= skew.transpose(0, 2, 1)
     psd = rng.normal(size=(m, dim, dim))
-    diag = -2.0 * c * eye - (psd @ psd.transpose(0, 2, 1) + 3.0 * skew + 0.01 * eye)
+    jac = psd @ psd.transpose(0, 2, 1) + 3.0 * skew + 0.01 * eye
     if pivoting and dim >= 2:
         dominant = 4.0 * (c + 1.0) * (eye + 0.1 * rng.normal(size=(m, dim, dim)))
         dominant[:, 1, 0] = 0.0
         swap = [1, 0] + list(range(2, dim))
         swapped = rng.random(m) < 0.5
-        diag[swapped] = dominant[swapped][:, swap]
+        # -F' - 2c I is then the swapped block, with its zero entry exact
+        jac[swapped] = -dominant[swapped][:, swap] - 2.0 * c * eye
+    # the step's blocks, -F' with 2c taken off the diagonal, bit for bit
+    diag = -jac
+    diag[:, np.arange(dim), np.arange(dim)] -= 2.0 * c
     rhs = rng.normal(size=(m, dim))
-    y = _solve_newton_system(c, diag.transpose(1, 2, 0), rhs.T).T
+    op = SimpleNamespace(yosida_jacobian_many=lambda r, u: jac)
+    y = _regularized_step(op, 0.1, 0.0, c, np.zeros((m, dim)), rhs.T).T
     u = 2 * dim - 1
     ref = scipy.linalg.solve_banded((u, u), _banded_newton(c, diag), rhs.ravel())
     assert np.max(np.abs(y.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))

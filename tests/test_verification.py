@@ -792,7 +792,7 @@ def test_fejer_report_flags_increase(hilbert2):
 class _RowScaledIdentity(AccretiveOperator):
     """A = c Id written as the five batched forms alone, with no
     single-point form and no ``linear_matrix``: the base class derives
-    the rest, and the solver takes the continuation and the r = 0 finish."""
+    the rest, and the solver takes the r = 0 solve from the constant x."""
 
     def __init__(self, c, space):
         super().__init__(space)
