@@ -3,11 +3,11 @@
 Outputs land in the configured directory: ``reports.json`` (canonical,
 byte-reproducible for a fixed seed, and the only report file), the
 scenario ``trajectories.csv``, each value the bytes of its ``repr``,
-formatted in numpy (``second_order.export_trajectory_csv``), and
-``plotdata/plot_all.py``, a small script that plots both.  Each file is
-written once, through one handle on a fresh temporary name, and renamed
-into place, so no output is ever left half written; a failed write
-removes its temporary.
+formatted in numpy and written as bytes
+(``second_order.export_trajectory_csv``), and ``plotdata/plot_all.py``,
+a small script that plots both.  Each file is written once, through one
+binary handle on a fresh temporary name, and renamed into place, so no
+output is ever left half written; a failed write removes its temporary.
 A rerun into the same directory unlinks each old file just before the
 rename, since ext4 forces a file renamed over an existing one out to
 disk; the price is that a crash or a failed rename between the two
@@ -172,14 +172,14 @@ def observed_bound_monotonicity(reports: list[RateReport]) -> dict:
 
 @contextlib.contextmanager
 def _atomic_open(path: Path):
-    """A text handle on a fresh ``<name>.tmp``, renamed to ``path`` on
+    """A binary handle on a fresh ``<name>.tmp``, renamed to ``path`` on
     success and removed on failure.  An existing ``path`` is unlinked just
     before the rename: ext4 (``auto_da_alloc``) forces a file renamed over
     an existing one out to disk."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.unlink(missing_ok=True)  # left by a killed run: never reopen it
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "xb") as fh:
             yield fh
         path.unlink(missing_ok=True)
         os.replace(tmp, path)
@@ -190,7 +190,7 @@ def _atomic_open(path: Path):
 
 def _atomic_write(path: Path, data: str) -> None:
     with _atomic_open(path) as fh:
-        fh.write(data)
+        fh.write(data.encode("utf-8"))
 
 
 # one reports row as json.dumps(..., indent=2, sort_keys=True) lays it out

@@ -82,7 +82,8 @@ class Trajectory:
         """Central differences, second-order one-sided at the ends."""
         u, h = self.values, self.grid.step
         du = np.empty_like(u)
-        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+        np.subtract(u[2:], u[:-2], out=du[1:-1])
+        du[1:-1] /= 2.0 * h
         du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
         du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
         return du
@@ -90,7 +91,7 @@ class Trajectory:
     def second_derivative(self) -> np.ndarray:
         u, h = self.values, self.grid.step
         ddu = np.empty_like(u)
-        ddu[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+        _central_second_difference(u, h * h, ddu[1:-1])
         ddu[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (h * h)
         ddu[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / (h * h)
         return ddu
@@ -159,14 +160,23 @@ class SolverConfig:
         return self.grid.horizon - self.margin
 
 
+def _central_second_difference(u: np.ndarray, hh: float, out: np.ndarray) -> None:
+    """(u[2:] - 2 u[1:-1] + u[:-2]) / hh into ``out``, one operation at a
+    time in that order, so the rows are those of the expression bit for bit."""
+    np.multiply(u[1:-1], 2.0, out=out)
+    np.subtract(u[2:], out, out=out)
+    out += u[:-2]
+    out /= hh
+
+
 def _second_difference(x: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
     """Central second difference at the unknowns, the nodes 1..N (node 0
-    clamped at x); the last row uses the ghost-node Neumann closure
-    u_{N+1} = u_{N-1}."""
+    clamped at x, N >= 2); the last row uses the ghost-node Neumann
+    closure u_{N+1} = u_{N-1}."""
     n = u.shape[0]
-    full = np.vstack([x[None, :], u])
     out = np.empty_like(u)
-    out[: n - 1] = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (h * h)
+    out[0] = (u[1] - 2.0 * u[0] + x) / (h * h)
+    _central_second_difference(u, h * h, out[1 : n - 1])
     out[n - 1] = 2.0 * (u[n - 2] - u[n - 1]) / (h * h)
     return out
 
@@ -841,12 +851,31 @@ def projection_profile(op: AccretiveOperator, values: np.ndarray) -> np.ndarray:
 CSV_BLOCK_ROWS = 2048
 
 
+def _distinct_doubles(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct doubles (by bits: -0.0 is not 0.0) of the equal-length
+    float64 ``columns``, as uint64 bits in ascending order, the order of
+    ``np.unique``, and the (n, len(columns)) index of each cell's double.
+
+    The cells are laid out column by column and sorted once, stably: the
+    columns of a converging trajectory are a few monotone runs each, which
+    TimSort merges instead of sorting every cell."""
+    cells = np.concatenate(columns).view(np.uint64)
+    order = cells.argsort(kind="stable")
+    cells = cells[order]
+    starts = np.empty(cells.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return cells[starts], inverse.reshape(len(columns), -1).T
+
+
 def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out, profile=None) -> None:
-    """Write the CSV to the open text handle ``out``, in blocks of rows.
+    """Write the CSV to the open binary handle ``out``, in blocks of rows.
 
     Columns: t, u_0..u_{d-1}, norm_u, dist_to_zero_set, each value the
-    shortest string that parses back to the same float.  The last two are
-    ``profile.norms`` and ``profile.residual``, those of the rows of
+    shortest string that parses back to the same float, in ASCII.  The last
+    two are ``profile.norms`` and ``profile.residual``, those of the rows of
     ``traj.values`` that the run shares (its grid ``SampleSet``), computed
     here when not given.  The caller opens the file once:
     ``np.savetxt(path)`` creates, closes and reopens it, and ext4
@@ -857,25 +886,24 @@ def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out, profile=
     a table of NUL-padded slots that end in ','.  The t column increases, so
     each t gets its own row, unsorted.  A converging trajectory repeats its
     values, so each distinct double (by bits: -0.0 is not 0.0) of the u and
-    norm_u columns gets one row, found by ``np.unique``.  dist_to_zero_set
-    reuses norm_u's rows when the two columns are equal bit for bit, as for
-    the zero set {0}; else its doubles are sorted with theirs.  A block of
-    rows is one gather of table rows, the last column's ',' made '\\n', with
-    the NULs deleted; the bytes are those of a ``%r`` row template, and no
-    value goes through ``repr``.
+    norm_u columns gets one row, found by one stable sort of those columns'
+    cells (``_distinct_doubles``).  dist_to_zero_set reuses norm_u's rows
+    when the two columns are equal bit for bit, as for the zero set {0};
+    else its doubles are sorted with theirs.  A block of rows is one gather
+    of table rows, the last column's ',' made '\\n', with the NULs deleted:
+    the bytes of a ``%r`` row template, written as they are, and no value
+    goes through ``repr``.
     """
     n, dim = traj.values.shape
-    out.write("t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set\n")
+    header = "t," + ",".join(f"u_{i}" for i in range(dim)) + ",norm_u,dist_to_zero_set\n"
+    out.write(header.encode("ascii"))
     if profile is None:
         norms, residual = op.space.norms(traj.values), projection_profile(op, traj.values)
     else:
         norms, residual = profile.norms, profile.residual
     shared = np.array_equal(norms.view(np.uint64), residual.view(np.uint64))
-    data = np.column_stack([traj.values, norms] if shared else [traj.values, norms, residual])
-    # a 1-D input: the inverse's shape for a 2-D one differs across numpy versions
-    bits, inverse = np.unique(data.view(np.uint64).ravel(), return_inverse=True)
-    inverse = inverse.reshape(data.shape)
-    del data  # the table and the blocks set the peak: free the rest first
+    columns = [*traj.values.T, norms] if shared else [*traj.values.T, norms, residual]
+    bits, inverse = _distinct_doubles(columns)
     # the distinct doubles' rows, then one row per t
     m = len(bits)
     table = np.empty((m + n, floatfmt.WIDTH + 1), dtype=np.uint8)
@@ -889,4 +917,4 @@ def export_trajectory_csv(op: AccretiveOperator, traj: Trajectory, out, profile=
         index = np.column_stack([t_rows, rows, rows[:, -1]] if shared else [t_rows, rows])
         block = table.take(index, axis=0)
         block[:, -1, -1] = ord("\n")
-        out.write(block.tobytes().translate(None, b"\0").decode("ascii"))
+        out.write(block.tobytes().translate(None, b"\0"))

@@ -40,6 +40,7 @@ from cauchylab.second_order import (
     MIN_STEPS,
     SIGMA,
     _closed_form_start,
+    _distinct_doubles,
     _eliminate,
     _reduce,
     _regularized_step,
@@ -675,12 +676,46 @@ def test_derivatives_second_order_accuracy():
     assert np.max(np.abs(traj.second_derivative()[:, 0] + np.sin(grid.nodes))) <= 1e-4
 
 
+def _expression_differences(x, h, u):
+    """The three finite differences as whole-array expressions: the
+    residual's second difference, then u' and u'' of the trajectory u."""
+    full = np.vstack([x[None, :], u])
+    residual = np.empty_like(u)
+    residual[:-1] = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (h * h)
+    residual[-1] = 2.0 * (u[-2] - u[-1]) / (h * h)
+    du = np.empty_like(u)
+    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    ddu = np.empty_like(u)
+    ddu[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+    ddu[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (h * h)
+    ddu[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / (h * h)
+    return residual, du, ddu
+
+
+@pytest.mark.parametrize("dim", range(1, 15))
+def test_finite_differences_are_the_expressions_bit_for_bit(dim):
+    # the differences are computed in place, one operation at a time: the
+    # bits are those of the whole-array expressions
+    rng = np.random.default_rng(dim)
+    for rows in (MIN_STEPS + 1, MIN_STEPS + 2, 97):
+        h = float(rng.choice([0.001, 0.005, 0.01, 0.3]))
+        grid = TimeGrid(h * (rows - 1), h)
+        u = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-8, 8, size=(rows, dim))
+        x = rng.normal(size=dim)
+        traj = Trajectory(grid=grid, values=u)
+        got = _second_difference(x, grid.step, u), traj.derivative(), traj.second_derivative()
+        for have, want in zip(got, _expression_differences(x, grid.step, u)):
+            assert have.tobytes() == want.tobytes()
+
+
 def test_trajectory_csv_export(tmp_path, hilbert2):
     op = ScaledIdentity(1.0, hilbert2)
     x = np.array([1.0, 0.0])
     traj = solve_second_order(op, x, SolverConfig(TimeGrid(5.0, 0.05)))
     path = tmp_path / "traj.csv"
-    with open(path, "x") as fh:
+    with open(path, "xb") as fh:
         export_trajectory_csv(op, traj, fh)
     header = path.read_text().splitlines()[0]
     assert header == "t,u_0,u_1,norm_u,dist_to_zero_set"
@@ -699,17 +734,17 @@ def test_trajectory_csv_is_written_in_row_blocks(hilbert2):
     traj = solve_second_order(op, np.array([1.0, 0.0]), SolverConfig(TimeGrid(50.0, 0.01)))
     assert traj.times.size > 2 * CSV_BLOCK_ROWS
 
-    class CountingWriter(io.StringIO):
+    class CountingWriter(io.BytesIO):
         writes = 0
 
-        def write(self, text):
+        def write(self, data):
             self.writes += 1
-            return super().write(text)
+            return super().write(data)
 
     out = CountingWriter()
     export_trajectory_csv(op, traj, out)
     assert out.writes == 1 + -(-traj.times.size // CSV_BLOCK_ROWS)  # header, then blocks
-    data = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1)
+    data = np.loadtxt(io.BytesIO(out.getvalue()), delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], traj.times)
     assert np.array_equal(data[:, 1:3], traj.values)
 
@@ -730,9 +765,9 @@ def _reference_csv_rows(op, traj, profile=None):
 
 
 def _csv_rows(op, traj, profile=None):
-    out = io.StringIO()
+    out = io.BytesIO()
     export_trajectory_csv(op, traj, out, profile)
-    return out.getvalue().split("\n")[1:]
+    return out.getvalue().decode("ascii").split("\n")[1:]
 
 
 # signed zeros, the smallest subnormal and normal doubles, values whose
@@ -776,8 +811,8 @@ def test_trajectory_csv_edge_values_are_the_template_bytes():
 )
 @pytest.mark.parametrize("table", ["repeated", "distinct"])
 def test_trajectory_csv_is_the_template_bytes(rows, table):
-    # a multi-row table fails here too if the writer indexes the inverse of
-    # np.unique without reshaping it to the table's rows
+    # a multi-row table fails here too if the writer indexes the cells'
+    # ranks without laying them back out as the table's rows
     op = ScaledIdentity(1.0, SpaceContext.hilbert(3))
     rng = np.random.default_rng(rows)
     if table == "repeated":
@@ -858,21 +893,60 @@ def test_trajectory_csv_shared_and_separate_dist_columns(space, zero_set, rows):
     assert _csv_rows(op, traj) == _reference_csv_rows(op, traj)
 
 
+def test_trajectory_csv_rounding_floor_tail():
+    # lh00's pattern: past a block boundary several columns alternate
+    # between two doubles; one double is a u cell and a norm_u cell, and
+    # one column holds both zeros
+    op = ScaledIdentity(1.0, SpaceContext.hilbert(3))
+    rows = CSV_BLOCK_ROWS + 300
+    times = np.arange(rows) * 0.01
+    values = np.exp(-np.outer(times, [1.0, 2.0, 3.0])) * [0.9, -0.5, 0.3]
+    tail = np.where(np.arange(rows - CSV_BLOCK_ROWS + 100) % 2, 2.220446049250313e-16, 5e-324)
+    values[CSV_BLOCK_ROWS - 100 :, 0] = tail
+    values[CSV_BLOCK_ROWS - 100 :, 2] = -tail
+    values[7] = [0.0, 0.0, 0.7]  # norm_u 0.7
+    values[11, 1] = 0.7
+    values[[20, 21], 1] = [0.0, -0.0]
+    traj = SimpleNamespace(times=times, values=values)
+    lines = _csv_rows(op, traj)
+    assert lines == _reference_csv_rows(op, traj)
+    assert lines[7].split(",")[-2] == lines[11].split(",")[2] == "0.7"
+    assert [lines[i].split(",")[2] for i in (20, 21)] == ["0.0", "-0.0"]
+    assert lines[CSV_BLOCK_ROWS].split(",")[1] in ("5e-324", "2.220446049250313e-16")
+
+
+@pytest.mark.parametrize("table", ["random", "repeated"])
+@pytest.mark.parametrize("rows, columns", [(1, 2), (7, 3), (CSV_BLOCK_ROWS + 3, 8)])
+def test_distinct_doubles_are_np_unique(table, rows, columns):
+    rng = np.random.default_rng(rows * columns)
+    if table == "random":
+        data = rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-300, 300, (rows, columns))
+    else:
+        data = rng.choice([0.0, -0.0, 5e-324, 1.0, -1.0, 0.1, np.inf], size=(rows, columns))
+    bits, inverse = _distinct_doubles(list(data.T))
+    want_bits, want_inverse = np.unique(data.view(np.uint64).ravel(), return_inverse=True)
+    assert bits.dtype == np.uint64 and np.array_equal(bits, want_bits)
+    assert np.array_equal(inverse, want_inverse.reshape(rows, columns))
+    assert np.array_equal(bits.view(np.float64)[inverse].view(np.uint64), data.view(np.uint64))
+
+
 def test_trajectory_csv_memory_is_bounded():
     # long_horizon's largest table: 12,001 rows x 9 columns, about 48,000
     # distinct doubles.  The repr writer peaked at 6.3 MiB on this one (and
     # 7.3 MiB on lh00 at seed 7001), the kernel formatting every distinct
     # double in one slab at 18.6 MiB; its slabs hold the writer at 5.4 MiB,
     # and sorting only the u and norm_u columns, with t formatted unsorted
-    # and dist_to_zero_set sharing norm_u's slots, at 4.5 MiB
+    # and dist_to_zero_set sharing norm_u's slots, at 4.5 MiB; one stable
+    # sort of the column-major cells, with the blocks written as bytes to a
+    # binary handle, also peaks at 4.5 MiB
     times = np.arange(12_001) * 0.005
     rates = 0.3 * np.arange(1, 7)
     values = np.array([0.9, -0.5, 0.3, 0.6, -0.2, 0.4]) * np.exp(-rates * times[:, None])
     values[np.abs(values) < 1e-9] = 0.0
     traj = SimpleNamespace(times=times, values=values)
     op = ScaledIdentity(1.0, SpaceContext.hilbert(6))
-    export_trajectory_csv(op, traj, io.StringIO())  # the kernel's tables are built once
-    out = io.StringIO()
+    export_trajectory_csv(op, traj, io.BytesIO())  # the kernel's tables are built once
+    out = io.BytesIO()
     tracemalloc.start()
     try:
         export_trajectory_csv(op, traj, out)
@@ -882,7 +956,7 @@ def test_trajectory_csv_memory_is_bounded():
     data = np.column_stack([times, values, np.linalg.norm(values, axis=1)])
     assert 45_000 <= np.unique(data.view(np.uint64)).size <= 55_000
     assert peak <= 1.1 * 6.3 * 2**20
-    assert out.getvalue().split("\n")[1:] == _reference_csv_rows(op, traj)
+    assert out.getvalue().decode("ascii").split("\n")[1:] == _reference_csv_rows(op, traj)
 
 
 def _dense(lower, diag, upper):
