@@ -46,7 +46,6 @@ from .second_order import (
     check_apriori,
     linear_oracle,
     norm_oracle,
-    solve_regularized,
     solve_second_order,
 )
 from .spaces import SpaceContext
@@ -102,7 +101,6 @@ __all__ = [
     "query_budget",
     "residual_metastability_rate",
     "semigroup_cauchy_rate",
-    "solve_regularized",
     "solve_second_order",
     "sweep_theorem",
     "trunc_sub",

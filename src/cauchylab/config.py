@@ -308,7 +308,7 @@ def _modulus_strongly_accretive(sec: _Section) -> ConvergenceModulus:
 
 SPACES = {
     "hilbert": Kind(
-        lambda sec: SpaceContext.hilbert(sec.require("dim", int)),
+        lambda sec: SpaceContext.lp(sec.require("dim", int), 2.0),
         {"dim": "dimension >= 1; the duality map is the identity, M = 1"},
     ),
     "lp": Kind(

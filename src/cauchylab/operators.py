@@ -131,7 +131,7 @@ class LinearMatrix(AccretiveOperator):
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         if space is None:
-            space = SpaceContext.hilbert(matrix.shape[0])
+            space = SpaceContext.lp(matrix.shape[0], 2.0)
         if matrix.shape[0] != space.dim:
             raise ValueError("matrix size does not match space dimension")
         super().__init__(space)

@@ -60,7 +60,9 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Sampled curve on a time grid with finite-difference derivatives."""
+    """Sampled curve on a time grid with finite-difference derivatives.
+    A solved trajectory's ``meta`` holds the solve's ``newton_steps`` and
+    ``far_end_ok``; a closed-form one's is empty."""
 
     grid: TimeGrid
     values: np.ndarray  # (n_nodes, dim)
@@ -424,14 +426,13 @@ def _newton(
     solve_step,
     init: np.ndarray | None,
     label: str,
-    r: float,
-    reg_p: float,
 ) -> Trajectory:
     """Damped Newton on the discrete system residual(u) = 0 in the
     unknowns u (n, dim), started at ``init`` (the constant x when None).
-    The system belongs to the regularization (r, p), which errors name and
-    the metadata records.  A solve not at the tolerance after
-    ``NEWTON_MAX_ITER`` steps raises ``SolverError``.
+    A solve not at the tolerance after ``NEWTON_MAX_ITER`` steps raises
+    ``SolverError``, whose message names the solve by ``label``.  The
+    trajectory's ``meta`` holds ``newton_steps``, the steps taken, and
+    ``far_end_ok`` (``_flag_far_end``).
 
     ``solve_step(u, rhs)`` solves the Newton system at the iterate u for
     a batch-last right-hand side rhs (dim, n).  For u'' = F(u) the
@@ -456,7 +457,6 @@ def _newton(
         if u.shape != (n, dim):
             raise ValueError("start shape mismatch")
 
-    params = f"(r={r:g}, p={reg_p:g})"
     rounding = NEWTON_ROUNDING_FACTOR * np.finfo(float).eps * np.max(np.abs(x)) * 4.0
     tol = max(NEWTON_RESIDUAL_TOL, rounding / grid.step**2)
     try:
@@ -476,20 +476,14 @@ def _newton(
                     break
                 lam *= 0.5
                 if lam < NEWTON_MIN_DAMPING:
-                    raise SolverError(
-                        f"{label} stalled at residual {rnorm:.3e} {params}", rnorm
-                    )
+                    raise SolverError(f"{label} stalled at residual {rnorm:.3e}", rnorm)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"{label} hit a singular matrix {params}") from exc
+        raise SolverError(f"{label} hit a singular matrix") from exc
     if not rnorm <= tol:  # a NaN residual too
-        raise SolverError(
-            f"{label} did not reach tolerance: residual {rnorm:.3e} {params}", rnorm
-        )
+        raise SolverError(f"{label} did not reach tolerance: residual {rnorm:.3e}", rnorm)
 
     values = np.vstack([x[None, :], u])
-    traj = Trajectory(
-        grid=grid, values=values, meta={"r": r, "reg_p": reg_p, "newton_steps": steps}
-    )
+    traj = Trajectory(grid=grid, values=values, meta={"newton_steps": steps})
     _flag_far_end(op, x, traj)
     return traj
 
@@ -533,9 +527,7 @@ def solve_regularized(
         lambda u: _second_difference(x, h, u) - (op.yosida_many(r, u) + reg_p * u),
         lambda u, rhs: _regularized_step(op, r, reg_p, inv_h2, u, rhs),
         init,
-        "regularized solve",
-        r,
-        reg_p,
+        f"regularized solve (r={r:g}, p={reg_p:g})",
     )
 
 
@@ -612,8 +604,6 @@ def solve_unregularized(
         lambda u, rhs: _active_set_step(op, h, sigma, u, resolvent(u), rhs),
         init,
         "unregularized solve",
-        0.0,
-        0.0,
     )
 
 
@@ -628,7 +618,6 @@ def _flag_far_end(op: AccretiveOperator, x: np.ndarray, traj: Trajectory) -> Non
     k = max(1, int(round(window / traj.grid.step)))
     rate = op.space.norm(traj.values[-1] - traj.values[-1 - k]) / (k * traj.grid.step)
     scale = max(op.space.norm(x), 1e-12)
-    traj.meta["far_end_drift_rate"] = float(rate)
     traj.meta["far_end_ok"] = bool(rate <= 0.01 * scale)
 
 
@@ -673,10 +662,9 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
 
     Any other operator is one ``solve_unregularized`` at ``SIGMA``, started
     from ``_closed_form_start``: the norm family's exact solution, or the
-    constant x.  Every solve records ``continuation`` [(0, 0)] and no
-    ``stage_diffs``, and ``stabilized`` means that the r = p = 0 system
-    was solved to the Newton tolerance; a solve that fails raises
-    ``SolverError``.
+    constant x.  Either way the solve returns only at the Newton tolerance,
+    so the trajectory is the r = p = 0 system's solution; a solve that
+    fails raises ``SolverError``.
     """
     x = op.space.check(x)
     grid = solver.grid
@@ -684,7 +672,7 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
     if b is not None:
         inv_h2 = 1.0 / (grid.step * grid.step)
         diag = -2.0 * inv_h2 * np.eye(op.space.dim) - b
-        traj = _newton(
+        return _newton(
             op,
             x,
             grid,
@@ -692,13 +680,8 @@ def solve_second_order(op: AccretiveOperator, x: np.ndarray, solver: SolverConfi
             lambda u, rhs: _solve_toeplitz_system(inv_h2, diag, rhs),
             None,
             "linear solve",
-            0.0,
-            0.0,
         )
-    else:
-        traj = solve_unregularized(op, x, grid, SIGMA, _closed_form_start(op, x, grid))
-    traj.meta.update(continuation=[(0.0, 0.0)], stage_diffs=[], stabilized=True)
-    return traj
+    return solve_unregularized(op, x, grid, SIGMA, _closed_form_start(op, x, grid))
 
 
 class SqrtSemigroup:

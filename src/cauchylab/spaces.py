@@ -25,7 +25,7 @@ pairing, M - 1e-12 on the monotonicity ratio, and the modulus check's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,24 +50,17 @@ class MonotonicityReport:
 
 @dataclass(frozen=True)
 class SpaceContext:
-    """Immutable description of the ambient space.
-
-    ``kind`` is the config's label, "hilbert" (p = 2) or "lp"; every
-    computation reads p.  The strong-monotonicity constant of the
-    duality map is ``M`` = p - 1, so 1 in the Hilbert kind.
+    """Immutable description of the ambient space, l^p on R^dim; the
+    config's ``hilbert`` kind is p = 2.  The strong-monotonicity constant
+    of the duality map is ``M`` = p - 1, so 1 in the Hilbert space.
     """
 
-    kind: str
     dim: int
     p: float = 2.0
 
     @property
     def M(self) -> float:
         return self.p - 1.0
-
-    @staticmethod
-    def hilbert(dim: int) -> "SpaceContext":
-        return replace(SpaceContext.lp(dim, 2.0), kind="hilbert")
 
     @staticmethod
     def lp(dim: int, p: float) -> "SpaceContext":
@@ -78,7 +71,7 @@ class SpaceContext:
                 f"p = {p} lies outside (1, 2]: only there is the duality map "
                 "M-strongly monotone, with M = p - 1 > 0"
             )
-        return SpaceContext(kind="lp", dim=dim, p=float(p))
+        return SpaceContext(dim=dim, p=float(p))
 
     # -- basic vector plumbing ------------------------------------------------
 

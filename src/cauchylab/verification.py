@@ -355,7 +355,7 @@ def first_order_trajectory(op: AccretiveOperator, x: np.ndarray, grid: TimeGrid)
         raise SolverError(
             f"the first-order flow of {type(op).__name__} overflows the float range at t = {at:g}"
         )
-    return Trajectory(grid=grid, values=values, meta={"dynamics": "first_order"})
+    return Trajectory(grid=grid, values=values)
 
 
 # perfbench/spans.py looks this name up in the module and counts its calls

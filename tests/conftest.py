@@ -16,18 +16,29 @@ from cauchylab import (
 
 @pytest.fixture(scope="session")
 def hilbert2():
-    return SpaceContext.hilbert(2)
+    return SpaceContext.lp(2, 2.0)
 
 
 @pytest.fixture(scope="session")
 def hilbert3():
-    return SpaceContext.hilbert(3)
+    return SpaceContext.lp(3, 2.0)
 
 
 @pytest.fixture(scope="session")
 def lp15():
     # the space of the bundled lp_identity config: M = p - 1 = 0.5
     return SpaceContext.lp(2, 1.5)
+
+
+@pytest.fixture
+def no_regularized_solve(monkeypatch):
+    """Make a regularized solve fail the test: a run's solve is one r = 0
+    solve, and a call through the module attribute would show up here."""
+
+    def regularized(*args, **kwargs):
+        raise AssertionError("solve_regularized called")
+
+    monkeypatch.setattr("cauchylab.second_order.solve_regularized", regularized)
 
 
 @pytest.fixture(scope="session")

@@ -103,7 +103,7 @@ def test_criterion_01_oracle_equivalence(hilbert2, hilbert3):
     matrices = [
         (np.diag([1.0, 4.0]), hilbert2),
         (np.diag([0.25, 1.0, 9.0]), hilbert3),
-        (random_psd, SpaceContext.hilbert(4)),
+        (random_psd, SpaceContext.lp(4, 2.0)),
     ]
     ts = np.linspace(0.0, 5.0, 50)
     worst = 0.0

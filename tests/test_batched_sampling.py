@@ -44,9 +44,7 @@ SPACES = [("hilbert", None)] + [("lp", p) for p in (1.25, 1.5, 2.0)]
 
 
 def make_space(kind, p, dim):
-    if kind == "hilbert":
-        return SpaceContext.hilbert(dim)
-    return SpaceContext.lp(dim, p)
+    return SpaceContext.lp(dim, 2.0 if kind == "hilbert" else p)
 
 
 # -- row-by-row references ---------------------------------------------------------
@@ -210,7 +208,7 @@ def accretivity_operators(space):
         LinearPSD(np.diag(np.arange(1.0, dim + 1.0)), space),
         LinearMatrix(np.diag([-1.0] + [1.0] * (dim - 1)), space),
     ]
-    if space.kind == "hilbert":
+    if space.p == 2.0:
         ops += [NormSubdifferential(space), StronglyAccretive(NormSubdifferential(space), 0.5)]
     if dim == 2:
         ops += [Rotation(space=space), StronglyAccretive(Rotation(space=space), 0.25)]
@@ -248,7 +246,7 @@ def modulus_cases(space):
         (ScaledIdentity(0.0, space), constant_modulus(0)),
         (LinearPSD(np.diag(np.arange(1.0, space.dim + 1.0)), space), constant_modulus(3)),
     ]
-    if space.kind == "hilbert":
+    if space.p == 2.0:
         cases.append((NormSubdifferential(space), constant_modulus(0)))
     if space.dim == 2:
         # nearly every sample is a counterexample: the check stops early
@@ -281,7 +279,7 @@ def test_modulus_check_rotation_stops_at_tenth_counterexample(hilbert2):
 def test_modulus_check_cap_and_threshold_edges():
     # rows exactly on a cap, a hair past it, and exactly on a threshold:
     # each is decided the way the row-by-row loop decides it
-    space = SpaceContext.hilbert(1)
+    space = SpaceContext.lp(1, 2.0)
     op = ScaledIdentity(1.0, space)
     draws = [
         (3, [3.0]),  # |x| = |y| = cap: checked
@@ -301,7 +299,7 @@ def test_modulus_check_with_no_sample_inside_the_caps_fails():
     # |Ax| = 1 + 1000 |x| exceeds every cap up to 10 unless |x| <= 0.009,
     # which no sample of the default caps reaches in dimension 6; the
     # operator is nonlinear, so its points are not scaled by 1 / |A|
-    op = StronglyAccretive(NormSubdifferential(SpaceContext.hilbert(6)), 1000.0)
+    op = StronglyAccretive(NormSubdifferential(SpaceContext.lp(6, 2.0)), 1000.0)
     report = modulus_check(op, constant_modulus(0), n_samples=2000, rng=np.random.default_rng(0))
     assert report.samples_checked == 0
     assert report.counterexamples == []
@@ -340,7 +338,7 @@ def test_modulus_check_raises_only_up_to_the_stopping_row(before, after, raises)
     # counterexamples at cap 1 around one row that needs the failing entry
     # (0, 5), in one block: it raises before the tenth counterexample and
     # as the block's last row, not after the tenth
-    op = ScaledIdentity(1.0, SpaceContext.hilbert(1))
+    op = ScaledIdentity(1.0, SpaceContext.lp(1, 2.0))
     bad = ConvergenceModulus(fn=lambda k, cap: -1 if (k, cap) == (0, 5) else 0)
     draws = [(1, [1.0])] * before + [(5, [0.5])] + [(1, [1.0])] * after
     if raises:

@@ -69,7 +69,7 @@ def test_bundled_configs_load(name):
 
 def test_minimal_config_fields(tmp_path):
     spec = load_config(write_cfg(tmp_path, MINIMAL))
-    assert spec.space.kind == "hilbert"
+    assert spec.space.p == 2.0
     assert spec.solver.grid.horizon == 10.0
     assert spec.dynamics == "second_order"
     assert spec.sweeps[0].theorem == "4.1"
@@ -132,7 +132,7 @@ def _with_space_and_operator(space, operator):
 @pytest.mark.parametrize("operator", EUCLIDEAN_OPERATORS)
 def test_euclidean_operators_load_in_l2(tmp_path, operator):
     spec = load_config(write_cfg(tmp_path, _with_space_and_operator("{kind: lp, dim: 2, p: 2}", operator)))
-    assert spec.space.kind == "lp" and spec.op.space.p == 2.0
+    assert spec.space.p == spec.op.space.p == 2.0
 
 
 @pytest.mark.parametrize("operator", EUCLIDEAN_OPERATORS)
@@ -595,16 +595,10 @@ def test_exact_orbit_restart_reuses_base_solve(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_bundled_report_rows_match_golden(tmp_path, monkeypatch, name):
+def test_bundled_report_rows_match_golden(tmp_path, no_regularized_solve, name):
     # every reports row of each bundled config at its shipped seed, exactly;
     # diagnostics are left out, since solver changes may move their last digits.
     # No run takes a regularized solve: a nonlinear one is one r = 0 solve
-    from cauchylab import second_order
-
-    def regularized(*args, **kwargs):
-        raise AssertionError("solve_regularized called")
-
-    monkeypatch.setattr(second_order, "solve_regularized", regularized)
     run_config(str(CFG_DIR / name), out_dir=tmp_path / "out")
     payload = json.loads((tmp_path / "out" / "reports.json").read_text())
     assert payload["reports"] == GOLDEN_REPORTS[name.removesuffix(".cfg")]
@@ -748,6 +742,21 @@ CHECK_ENTRIES = {
 }
 
 
+# the diagnostics blocks of each bundled config besides the three checks
+# that every run takes: a second-order run adds its solve's far-end flag
+# and the a-priori check, and a config with orbits their certificates
+DIAGNOSTICS_EXTRA = {
+    "identity_hilbert.cfg": {"solver", "apriori", "orbits"},
+    "rotation_counterexample.cfg": set(),
+    "linear_diag14.cfg": {"solver", "apriori", "orbits"},
+    "subdifferential_norm.cfg": {"solver", "apriori"},
+    "strongly_accretive.cfg": {"solver", "apriori"},
+    "zero_operator.cfg": {"solver", "apriori"},
+    "rotation_second_order.cfg": {"solver", "apriori"},
+    "lp_identity.cfg": {"solver", "apriori"},
+}
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_check_entries_are_their_reports(name, monkeypatch):
     reports = {}
@@ -771,6 +780,11 @@ def test_check_entries_are_their_reports(name, monkeypatch):
         assert set(want) == CHECK_ENTRIES[key][1]
         assert diagnostics[key].keys() == want.keys()
         assert all(diagnostics[key][field] is value for field, value in want.items())
+    # the whole record, before run_config adds bounds_monotone_in_k
+    every_run = {"accretivity", "fejer", "modulus_check"}
+    assert diagnostics.keys() == every_run | DIAGNOSTICS_EXTRA[name]
+    if "solver" in diagnostics:
+        assert diagnostics["solver"].keys() == {"far_end_ok"}
 
 
 @pytest.mark.parametrize("output_dir", [None, "results/mine"])
@@ -843,12 +857,12 @@ def _huge_modulus(zeros):
     "text, message",
     [
         # every odd diagonal block -2/h^2 I - B of the direct linear solve is
-        # zero for B = -8 I at h = 0.5
+        # zero for B = -8 I at h = 0.5; the whole line, up to its newline
         (
             MINIMAL.replace(
                 "kind: scaled_identity, c: 1.0", "kind: linear, matrix: [[-8, 0], [0, -8]]"
             ).replace("step: 0.05}", "step: 0.5}"),
-            "linear solve hit a singular matrix (r=0, p=0)",
+            "error: linear solve hit a singular matrix\n",
         ),
         # a modulus value beyond the float range, met by the modulus check
         # (the 4.1 sweep meets it too: test_verification)
@@ -953,9 +967,10 @@ def test_cli_error_is_one_line(tmp_path, capsys, text, message):
     # an error, no traceback
     cfg = write_cfg(tmp_path, text)
     assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.splitlines()
+    stderr = capsys.readouterr().err
+    err = stderr.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ") and message in err[0]
+    assert err[0].startswith("error: ") and message in stderr
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -171,8 +171,8 @@ def test_strongly_accretive_requires_vanishing_base(hilbert2):
 @pytest.mark.parametrize(
     "base",
     [
-        NormSubdifferential(SpaceContext.hilbert(2)),
-        Rotation(space=SpaceContext.hilbert(2)),
+        NormSubdifferential(SpaceContext.lp(2, 2.0)),
+        Rotation(space=SpaceContext.lp(2, 2.0)),
         LinearPSD(np.array([[2.0, 0.5], [0.5, 1.0]])),
     ],
     ids=["norm_subdifferential", "rotation", "linear_psd"],
@@ -232,7 +232,7 @@ def test_graph_bound(hilbert2):
     st.floats(0.01, 10.0),
 )
 def test_resolvent_residual_property(coords, gamma):
-    space = SpaceContext.hilbert(2)
+    space = SpaceContext.lp(2, 2.0)
     op = LinearPSD(np.diag([1.0, 4.0]), space)
     x = np.array(coords)
     z = op.resolvent(gamma, x)

@@ -68,7 +68,7 @@ def test_lp_duality_map_at_p_two_is_the_identity():
     st.none() | st.floats(1.0, 2.0, exclude_min=True),
 )
 def test_duality_identities_random(coords, p):
-    space = SpaceContext.hilbert(2) if p is None else SpaceContext.lp(2, p)
+    space = SpaceContext.lp(2, 2.0 if p is None else p)
     assert space.check_duality_identities(np.array(coords))
 
 
@@ -131,7 +131,7 @@ def test_lp_monotonicity_rejects_overclaimed_constant():
     # p > 2 admits no M > 0: at x = (1, 0), y = (1, eps) the ratio is of
     # order eps^2 (Xu 1991).  A p = 4 space, which lp() refuses, would claim
     # M = 3, and the sampler rejects it
-    space = SpaceContext(kind="lp", dim=2, p=4.0)
+    space = SpaceContext(dim=2, p=4.0)
     report = space.validate_strong_monotonicity(2.0, 2000, np.random.default_rng(3))
     assert not report.passed
     x = np.array([1.0, 0.0])
